@@ -1,5 +1,6 @@
 // perf_core — deterministic microbench of the simulator hot path: the event
-// engine (schedule / fire / cancel), the PDU codecs, a fabric hop, and the
+// engine (schedule / fire / cancel, and a 10⁵-deep pending set with
+// cancelled guard timers), the PDU codecs, a fabric hop, and the
 // ShardedSim window machinery (sharded stepping at 1/2/4/8 workers), each
 // reported as throughput (events/s, PDUs/s, bytes/s) *and* as an exact heap
 // allocation count from an interposing counting allocator.
@@ -177,6 +178,53 @@ PhaseResult phase_engine_cancel_churn(std::uint64_t div) {
     }
     r.ops = kRounds * 2;  // schedules per round (one fires, one cancels)
     if (cancelled != kRounds) r.ops = 0;  // impossible; poisons the report
+  });
+}
+
+/// The pending-set shape of a large IoT population, which the timer ring
+/// (512 entries, no cancels) hides: ~10⁵ armed far-future device wake-ups
+/// (each re-arming one period later), a ring of near-term lanes doing the
+/// work, and every lane tick arming a 30 s guard that its next tick
+/// cancels — the Ue/MME guard-timer idiom, whose cancelled entries a queue
+/// must reclaim long before their deadline or carry as dead weight.
+struct DeepPending {
+  static constexpr std::uint32_t kLanes = 256;
+  sim::Engine eng;
+  std::vector<sim::EventId> guards = std::vector<sim::EventId>(kLanes, 0);
+  std::uint64_t ticks = 0;
+  std::uint64_t budget = 0;
+  std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+
+  std::uint64_t next() {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 33;
+  }
+  void wake() {
+    if (ticks < budget) eng.after(Duration::sec(2.0), [this] { wake(); });
+  }
+  void tick(std::uint32_t lane) {
+    eng.cancel(guards[lane]);
+    if (++ticks >= budget) return;
+    guards[lane] = eng.after(Duration::sec(30.0), [] {});
+    eng.after(Duration::us(1 + static_cast<std::int64_t>(
+                                   (lane * 7u + ticks % 13u) % 97u)),
+              [this, lane] { tick(lane); });
+  }
+};
+
+PhaseResult phase_engine_deep_pending(std::uint64_t div) {
+  return run_phase([div](PhaseResult& r) {
+    DeepPending d;
+    d.budget = 2'000'000 / div;
+    const std::uint64_t kDevices = 100'000 / div;
+    for (std::uint64_t i = 0; i < kDevices; ++i)
+      d.eng.after(Duration::us(1'000 + static_cast<std::int64_t>(
+                                           d.next() % 2'000'000)),
+                  [&d] { d.wake(); });
+    for (std::uint32_t lane = 0; lane < DeepPending::kLanes; ++lane)
+      d.eng.after(Duration::us(1 + lane % 29), [&d, lane] { d.tick(lane); });
+    d.eng.run();
+    r.ops = d.eng.events_processed();
   });
 }
 
@@ -626,6 +674,7 @@ int main(int argc, char** argv) {
   const NamedPhase phases[] = {
       {"engine_timer_ring", phase_engine_timer_ring(div)},
       {"engine_cancel_churn", phase_engine_cancel_churn(div)},
+      {"engine_deep_pending", phase_engine_deep_pending(div)},
       {"codec_encode", phase_codec_encode(div)},
       {"codec_decode", phase_codec_decode(div)},
       {"fabric_hop", phase_fabric_hop(div)},

@@ -62,9 +62,7 @@ bool Fabric::is_registered(NodeId id) const {
 }
 
 void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
-  const std::size_t bytes =
-      account_bytes_ ? proto::wire_size(pdu) : std::size_t{64};
-  network_.record_transfer(from, to, bytes, shard_);
+  network_.record_transfer(from, to, proto::wire_size(pdu), shard_);
   Duration latency = network_.delay(from, to, shard_);
   if (network_.faults_enabled()) {
     const sim::FaultVerdict v =

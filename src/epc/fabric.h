@@ -113,10 +113,6 @@ class Fabric {
   /// delayed according to the fault verdict for this link.
   void send(NodeId from, NodeId to, proto::Pdu pdu);
 
-  /// When disabled, skips the encode pass used for byte accounting
-  /// (message counters still work) — for very large simulations.
-  void set_byte_accounting(bool on) { account_bytes_ = on; }
-
   /// Reliability-shim policy; endpoints snapshot this at construction, so
   /// set it before building the world.
   void set_transport(const TransportConfig& cfg) { transport_ = cfg; }
@@ -159,7 +155,6 @@ class Fabric {
   sim::Network& network_;
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   NodeId next_id_ = 1;
-  bool account_bytes_ = true;
   std::uint64_t dropped_ = 0;
   std::uint64_t late_arrivals_ = 0;
   TransportConfig transport_;

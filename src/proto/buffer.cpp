@@ -7,23 +7,6 @@ namespace scale::proto {
 
 // ----------------------------------------------------------------- ByteWriter
 
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-}
-
 void ByteWriter::f64(double v) {
   static_assert(sizeof(double) == sizeof(std::uint64_t));
   std::uint64_t bits;
@@ -31,16 +14,24 @@ void ByteWriter::f64(double v) {
   u64(bits);
 }
 
-void ByteWriter::boolean(bool v) { u8(v ? 1 : 0); }
-
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
+  if (counting_)
+    counted_ += data.size();
+  else
+    out_.insert(out_.end(), data.begin(), data.end());
 }
 
 void ByteWriter::str(std::string_view s) {
   if (s.size() > UINT16_MAX) throw CodecError("string too long to encode");
   u16(static_cast<std::uint16_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
+  bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+}
+
+void ByteWriter::patch_u32(std::size_t pos, std::uint32_t v) {
+  if (counting_) return;
+  if (pos + 4 > out_.size()) throw CodecError("patch past end of buffer");
+  for (std::size_t i = 0; i < 4; ++i)
+    out_[pos + i] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
 }
 
 // ----------------------------------------------------------------- ByteReader

@@ -21,6 +21,11 @@ class CodecError : public std::runtime_error {
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Big-endian writer over a growable byte vector — or, built with
+/// counting(), a writer that stores nothing and only advances size(). Every
+/// encoder takes a ByteWriter&, so running one against a counting writer
+/// measures a PDU's wire size with the exact code that would encode it: no
+/// second size table to keep in sync, and no buffer traffic.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -31,15 +36,27 @@ class ByteWriter {
     out_.clear();
   }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  /// A writer that counts bytes instead of storing them: size() is the
+  /// encoded length, data() stays empty.
+  static ByteWriter counting() {
+    ByteWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
+  void u8(std::uint8_t v) { put_be<1>(v); }
+  void u16(std::uint16_t v) { put_be<2>(v); }
+  void u32(std::uint32_t v) { put_be<4>(v); }
+  void u64(std::uint64_t v) { put_be<8>(v); }
   void f64(double v);
-  void boolean(bool v);
+  void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(std::span<const std::uint8_t> data);
   /// Length-prefixed (u16) string.
   void str(std::string_view s);
+
+  /// Overwrite the u32 written at byte offset `pos` — the back-patch for a
+  /// length prefix whose value is known only after the payload is written.
+  void patch_u32(std::size_t pos, std::uint32_t v);
 
   template <typename T>
   void optional(const std::optional<T>& v, void (ByteWriter::*put)(T)) {
@@ -49,10 +66,24 @@ class ByteWriter {
 
   const std::vector<std::uint8_t>& data() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  std::size_t size() const { return counting_ ? counted_ : out_.size(); }
 
  private:
+  template <std::size_t N>
+  void put_be(std::uint64_t v) {
+    if (counting_) {
+      counted_ += N;
+      return;
+    }
+    const std::size_t at = out_.size();
+    out_.resize(at + N);
+    for (std::size_t i = 0; i < N; ++i)
+      out_[at + i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+  }
+
   std::vector<std::uint8_t> out_;
+  std::size_t counted_ = 0;  ///< bytes "written" by a counting writer
+  bool counting_ = false;
 };
 
 class ByteReader {

@@ -7,12 +7,17 @@ namespace scale::proto {
 
 namespace {
 
+/// Nested PDU as a u32 length + its encoding, written in place: the length
+/// is reserved, the inner PDU encoded straight into `w`, then the length
+/// back-patched — no temporary buffer per nesting level.
 void encode_boxed(const PduRef& ref, ByteWriter& w) {
   if (!ref) throw CodecError("cannot encode null inner PDU");
-  const auto bytes = encode_pdu(ref->value);
-  if (bytes.size() > UINT32_MAX) throw CodecError("inner PDU too large");
-  w.u32(static_cast<std::uint32_t>(bytes.size()));
-  w.bytes(bytes);
+  const std::size_t len_at = w.size();
+  w.u32(0);
+  encode_pdu_into(ref->value, w);
+  const std::size_t len = w.size() - len_at - 4;
+  if (len > UINT32_MAX) throw CodecError("inner PDU too large");
+  w.patch_u32(len_at, static_cast<std::uint32_t>(len));
 }
 
 PduRef decode_boxed(ByteReader& r) {

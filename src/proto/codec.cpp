@@ -63,7 +63,11 @@ Pdu decode_pdu(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-std::size_t wire_size(const Pdu& pdu) { return encode_pdu_pooled(pdu)->size(); }
+std::size_t wire_size(const Pdu& pdu) {
+  ByteWriter w = ByteWriter::counting();
+  encode_pdu_into(pdu, w);
+  return w.size();
+}
 
 const char* pdu_name(const Pdu& pdu) {
   return std::visit(

@@ -2,8 +2,8 @@
 //
 // encode_pdu/decode_pdu round-trip every message in the system; the MLB's
 // protocol-parsing path and the codec tests/benches exercise them. wire_size
-// reports the encoded size for network byte accounting without materializing
-// the buffer twice.
+// reports the encoded size for network byte accounting by running the same
+// encoders against a counting ByteWriter, so no buffer is materialized.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,8 @@ void encode_pdu_into(const Pdu& pdu, ByteWriter& w);
 /// steady state. The handle recycles the storage when it goes out of scope.
 PooledBuffer encode_pdu_pooled(const Pdu& pdu);
 
-/// Encoded size in bytes. Encodes into a pooled scratch buffer, so the
-/// steady-state cost is the encode itself, not an allocation.
+/// Encoded size in bytes: encode_pdu_into against a counting ByteWriter, so
+/// it always equals encode_pdu(pdu).size() and never allocates.
 std::size_t wire_size(const Pdu& pdu);
 
 }  // namespace scale::proto

@@ -7,13 +7,23 @@
 //
 // The hot path is allocation-free (DESIGN.md §8): events live in a
 // slab-allocated slot pool threaded with a free list, their callbacks in
-// InlineAction's 48-byte inline storage, and the ready queue is an implicit
-// 4-ary min-heap of 24-byte (time, seq, slot) entries — shallower and more
-// cache-friendly than a binary heap, with no per-node pointers. Cancellation
-// is O(1) via generation-tagged EventIds: the handle packs (generation,
-// slot), a slot's generation bumps on every release, so a stale handle can
-// never touch a recycled slot (and cancel() after the event fired reports
-// false instead of silently "succeeding" the way the old tombstone set did).
+// InlineAction's 40-byte inline storage. The ready queue has two tiers of
+// 16-byte (time, seq|slot) entries, each an implicit 4-ary min-heap —
+// shallower and more cache-friendly than a binary heap, with no per-node
+// pointers. The *near* heap holds every deadline before a moving horizon
+// (~65 ms past the earliest pending event when it was last refilled) and is
+// the only tier events fire from; the *far* heap holds everything later and
+// refills the near heap, in order, whenever the near heap runs dry. Most
+// events (message hops, CPU completions) never leave the small near heap;
+// only long timers pay the big heap's cache misses, once each.
+//
+// Cancellation is O(1) via generation-tagged EventIds: the handle packs
+// (generation, slot), a slot's generation bumps on every release, so a stale
+// handle can never touch a recycled slot (and cancel() after the event fired
+// reports false). A cancelled entry stays queued until it is popped, moved
+// from the far to the near tier (where it is dropped), or swept by an O(n)
+// rebuild of both tiers once cancelled entries outnumber live ones — so a
+// cancelled 30 s guard timer leaves the queue long before its deadline.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +50,10 @@ class Engine {
  public:
   using Action = InlineAction;
 
-  Engine() = default;
+  Engine() {
+    pool_.reserve(kInitialCapacity);
+    near_.reserve(kInitialCapacity);
+  }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -66,7 +79,11 @@ class Engine {
     s.seq = seq;
     const EventId id = make_id(s.generation, slot);
     ++live_;
-    heap_push(HeapEntry{t.count_us(), (seq << kSlotBits) | slot});
+    const HeapEntry e{t.count_us(), (seq << kSlotBits) | slot};
+    if (e.at_us < horizon_us_)
+      heap_push(near_, e);
+    else
+      push_far(e);
     return id;
   }
 
@@ -95,8 +112,9 @@ class Engine {
   std::uint64_t run_until(Time t, std::uint64_t limit);
 
   /// Timestamp of the earliest live (non-cancelled) event, or Time::max()
-  /// when the queue is empty. Prunes stale heap tops as a side effect — this
-  /// is why it is non-const — but fires nothing and never moves the clock.
+  /// when the queue is empty. Prunes stale tops and may refill the near tier
+  /// as a side effect — this is why it is non-const — but fires nothing and
+  /// never moves the clock.
   /// ShardedSim calls this at each barrier to skip empty time.
   Time next_event_time();
 
@@ -214,19 +232,37 @@ class Engine {
     --live_;
   }
 
+  using Heap = std::vector<HeapEntry>;
+
+  /// Width of the near tier: a refill moves every far entry due within this
+  /// span of the earliest one. Long enough that message hops and CPU
+  /// completions scheduled inside it stay near; short enough that the near
+  /// heap stays small next to the population's long timers.
+  static constexpr std::int64_t kNearSpanUs = std::int64_t{1} << 16;
+
+  /// The slot pool and each tier start with room for this many events
+  /// (32 KiB of slots, 8 KiB per tier; the far tier on first use): the near
+  /// heap routinely holds a few hundred entries, so one up-front allocation
+  /// per vector replaces the doubling ladder a default-constructed vector
+  /// climbs.
+  static constexpr std::size_t kInitialCapacity = 512;
+
+  bool is_live(const HeapEntry& e) const {
+    return pool_[e.slot()].seq == e.seq();
+  }
+
   // Both sifts move the displaced entry through a "hole" and write it once
-  // at its final position — half the copies of swap-based sifting, which
-  // shows on a 24-byte entry.
-  void heap_push(HeapEntry e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
+  // at its final position — half the copies of swap-based sifting.
+  static void heap_push(Heap& heap, HeapEntry e) {
+    std::size_t i = heap.size();
+    heap.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!earlier(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!earlier(e, heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
-    heap_[i] = e;
+    heap[i] = e;
   }
 
   /// Bottom-up (Wegener) deletion: sink the hole to a leaf taking the min
@@ -236,12 +272,12 @@ class Engine {
   /// one predictable compare). Full nodes pick their min with a branchless
   /// blend tree of independent loads; the tail node (at most one per pop)
   /// falls back to the scalar loop.
-  void heap_pop_top() {
-    const HeapEntry e = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
+  static void heap_pop_top(Heap& heap) {
+    const HeapEntry e = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
     if (n == 0) return;
-    HeapEntry* h = heap_.data();
+    HeapEntry* h = heap.data();
     std::size_t i = 0;
     for (;;) {
       const std::size_t first = 4 * i + 1;
@@ -277,45 +313,58 @@ class Engine {
     h[i] = e;
   }
 
-  /// Fire the heap's top entry (must be live). Detaches the callback and
-  /// frees the slot before invoking it, so the callback can freely schedule
-  /// into (and grow) the pool.
-  void fire_top(const HeapEntry& top) {
+  /// Make near_[0] the earliest live event: pop cancelled tops and refill
+  /// the near tier from the far one when it runs dry. False when nothing
+  /// live remains. Fires nothing.
+  bool settle() {
+    for (;;) {
+      if (near_.empty()) {
+        if (far_.empty()) return false;
+        refill_near();
+        continue;
+      }
+      // stale_ counts cancelled entries still queued; when it is zero the
+      // top is live by construction and the random pool load for the
+      // liveness compare is skipped entirely.
+      if (stale_ == 0 || is_live(near_[0])) return true;
+      heap_pop_top(near_);
+      --stale_;
+    }
+  }
+
+  /// Fire the near heap's top entry (must be live). Detaches the callback
+  /// and frees the slot before invoking it, so the callback can freely
+  /// schedule into (and grow) the pool and the queue.
+  void fire_top() {
+    const HeapEntry top = near_[0];
     SCALE_CHECK(top.at_us >= now_.count_us());
     now_ = Time::from_us(top.at_us);
     const std::uint32_t slot = top.slot();
     InlineAction action = std::move(pool_[slot].action);
     release_slot(slot);
-    heap_pop_top();
+    heap_pop_top(near_);
     ++processed_;
     action();
   }
 
-  bool pop_one() {  // fires the next non-cancelled event; false if none
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_[0];
-      // stale_ counts cancelled entries still in the heap; when it is zero
-      // (the common case) the top is live by construction and the random
-      // pool load for the liveness compare is skipped entirely.
-      if (stale_ != 0 && pool_[top.slot()].seq != top.seq()) {
-        heap_pop_top();
-        --stale_;
-        continue;
-      }
-      fire_top(top);
-      return true;
-    }
-    return false;
-  }
+  void push_far(HeapEntry e);
+  void refill_near();
+  void compact();
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t live_ = 0;   ///< armed (scheduled, not fired/cancelled) events
-  std::uint64_t stale_ = 0;  ///< cancelled entries not yet popped off the heap
+  std::uint64_t stale_ = 0;  ///< cancelled entries still queued (either tier)
   std::vector<Slot> pool_;
   std::uint32_t free_head_ = kNoSlot;
-  std::vector<HeapEntry> heap_;  ///< implicit 4-ary min-heap
+  /// Tier boundary: near_ holds exactly the entries with at_us below it,
+  /// far_ the rest, so near_'s top is the global minimum whenever near_ is
+  /// non-empty. Moves only while near_ is empty: on a refill, or when a
+  /// schedule lands in an empty queue.
+  std::int64_t horizon_us_ = kNearSpanUs;
+  Heap near_;  ///< implicit 4-ary min-heap, deadlines < horizon_us_
+  Heap far_;   ///< implicit 4-ary min-heap, deadlines >= horizon_us_
 };
 
 }  // namespace scale::sim

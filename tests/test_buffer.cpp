@@ -111,5 +111,41 @@ TEST(ByteWriter, EmptyString) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(ByteWriter, CountingWriterSizesWithoutStoring) {
+  const std::uint8_t raw[] = {1, 2, 3};
+  auto put_all = [&raw](ByteWriter& w) {
+    w.u8(1);
+    w.u16(2);
+    w.u32(3);
+    w.u64(4);
+    w.f64(0.5);
+    w.boolean(true);
+    w.bytes(raw);
+    w.str("abc");
+    w.optional(std::optional<std::uint32_t>(7), &ByteWriter::u32);
+    w.patch_u32(1, 0xFFFFFFFF);
+  };
+  ByteWriter stored;
+  put_all(stored);
+  ByteWriter counted = ByteWriter::counting();
+  put_all(counted);
+  EXPECT_EQ(counted.size(), stored.size());
+  EXPECT_EQ(counted.size(), 1u + 2 + 4 + 8 + 8 + 1 + 3 + (2 + 3) + (1 + 4));
+  EXPECT_TRUE(counted.data().empty());
+  // Length checks still fire: a counted size is one encode would accept.
+  const std::string huge(UINT16_MAX + 1u, 'x');
+  EXPECT_THROW(counted.str(huge), CodecError);
+}
+
+TEST(ByteWriter, PatchU32OverwritesInPlace) {
+  ByteWriter w;
+  w.u8(0xAA);
+  w.u32(0);
+  w.u8(0xBB);
+  w.patch_u32(1, 0x01020304);
+  EXPECT_EQ(w.data(), (std::vector<std::uint8_t>{0xAA, 1, 2, 3, 4, 0xBB}));
+  EXPECT_THROW(w.patch_u32(3, 0), CodecError);
+}
+
 }  // namespace
 }  // namespace scale::proto

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -234,6 +237,338 @@ TEST(Engine, HeapOrderingMatchesReferenceComparator) {
     if (r.seq >= 0) expected.push_back(r.seq);
   eng.run();
   EXPECT_EQ(fired, expected);
+}
+
+// ---------------------------------------------------------------------------
+// Differential checks of the two-tier queue against a reference model: an
+// ordered set of (at_us, seq) keys, i.e. exactly the total order the engine
+// promises. Every fired callback asserts it is the model's minimum, so any
+// misordering across the near/far boundary, a lost or resurrected cancel, or
+// a wrong clock shows up at the first event it affects.
+
+/// Delay classes relative to the near tier's span (2^16 us): same
+/// microsecond, a hop, around the horizon, and far-future timers.
+constexpr std::int64_t kSpan = std::int64_t{1} << 16;
+
+class EngineModel {
+ public:
+  explicit EngineModel(std::uint64_t seed) : rng_(seed | 1) {}
+
+  std::uint64_t next() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_;
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+
+  std::int64_t random_delay() {
+    switch (below(5)) {
+      case 0: return 0;
+      case 1: return 1 + static_cast<std::int64_t>(below(1000));
+      case 2: return kSpan - 500 + static_cast<std::int64_t>(below(1000));
+      case 3: return static_cast<std::int64_t>(below(3 * kSpan));
+      default: return 3 * kSpan + static_cast<std::int64_t>(below(30'000'000));
+    }
+  }
+
+  /// Schedule at now + delay, or — one time in four — exactly at (or one
+  /// near-tier span after) the deadline of an early pending event, so
+  /// same-microsecond ties straddle both tiers and land on the horizon a
+  /// refill anchored at that event.
+  EventId schedule() {
+    std::int64_t at = eng.now().count_us() + random_delay();
+    if (!pending_.empty() && below(4) == 0) {
+      auto it = pending_.begin();
+      std::advance(it, static_cast<long>(below(std::min<std::size_t>(
+                           pending_.size(), 16))));
+      at = it->first + (below(2) == 0 ? 0 : kSpan);
+    }
+    return schedule_at(at);
+  }
+
+  EventId schedule_at(std::int64_t at_us) {
+    const std::uint64_t seq = next_seq_++;
+    const EventId id =
+        eng.at(Time::from_us(at_us), [this, seq] { on_fire(seq); });
+    pending_.emplace(at_us, seq);
+    live_.emplace(id, std::make_pair(at_us, seq));
+    id_of_seq_.emplace(seq, id);
+    issued_.push_back(id);
+    return id;
+  }
+
+  /// Cancel a random id — half the time a recent one (likely still armed,
+  /// the guard-timer pattern), otherwise any id ever issued (likely fired
+  /// or cancelled already) — and check the engine's verdict against the
+  /// model's.
+  void cancel_random() {
+    if (issued_.empty()) return;
+    const std::size_t n = issued_.size();
+    const std::size_t window = below(2) == 0 ? std::min<std::size_t>(n, 64) : n;
+    cancel(issued_[n - 1 - below(window)]);
+  }
+
+  void cancel(EventId id) {
+    const auto it = live_.find(id);
+    const bool expected = it != live_.end();
+    EXPECT_EQ(eng.cancel(id), expected);
+    if (!expected) return;
+    pending_.erase(it->second);
+    id_of_seq_.erase(it->second.second);
+    live_.erase(it);
+  }
+
+  void check_idle_state() {
+    EXPECT_EQ(eng.idle(), pending_.empty());
+    EXPECT_EQ(eng.events_processed(), fired_);
+  }
+
+  void check_next_event_time() {
+    const Time want = pending_.empty()
+                          ? Time::max()
+                          : Time::from_us(pending_.begin()->first);
+    EXPECT_EQ(eng.next_event_time(), want);
+  }
+
+  /// run_until(t) fires exactly the model's events at or before t, then
+  /// parks the clock at t.
+  void run_until(Time t) {
+    eng.run_until(t);
+    EXPECT_EQ(eng.now(), t);
+    if (!pending_.empty()) EXPECT_GT(pending_.begin()->first, t.count_us());
+  }
+
+  /// Bounded run_until: when the budget binds the clock stays at the last
+  /// fired event; otherwise it behaves like the unbounded form.
+  void run_until(Time t, std::uint64_t limit) {
+    const std::uint64_t before = fired_;
+    const std::uint64_t n = eng.run_until(t, limit);
+    EXPECT_EQ(n, fired_ - before);
+    EXPECT_LE(n, limit);
+    if (n < limit) {
+      EXPECT_EQ(eng.now(), t);
+      if (!pending_.empty()) EXPECT_GT(pending_.begin()->first, t.count_us());
+    } else if (n > 0) {
+      EXPECT_EQ(eng.now(), Time::from_us(last_fired_at_));
+    }
+  }
+
+  void run(std::uint64_t limit) {
+    const std::uint64_t before = fired_;
+    eng.run(limit);
+    EXPECT_TRUE(fired_ - before == limit || pending_.empty());
+  }
+
+  std::size_t pending() const { return pending_.size(); }
+  std::uint64_t fired() const { return fired_; }
+
+  Engine eng;
+  bool reentrant = true;  ///< fired callbacks schedule/cancel more events
+
+ private:
+  void on_fire(std::uint64_t seq) {
+    ASSERT_FALSE(pending_.empty());
+    const auto want = *pending_.begin();
+    EXPECT_EQ(want, std::make_pair(eng.now().count_us(), seq))
+        << "fired out of (time, seq) order";
+    pending_.erase(pending_.find({eng.now().count_us(), seq}));
+    live_.erase(id_of_seq_.at(seq));
+    id_of_seq_.erase(seq);
+    ++fired_;
+    last_fired_at_ = eng.now().count_us();
+    if (!reentrant) return;
+    // Callbacks schedule and cancel too, as protocol handlers do.
+    if (below(3) == 0) schedule();
+    if (below(6) == 0) cancel_random();
+  }
+
+  std::uint64_t rng_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::int64_t last_fired_at_ = 0;
+  std::set<std::pair<std::int64_t, std::uint64_t>> pending_;
+  std::unordered_map<EventId, std::pair<std::int64_t, std::uint64_t>> live_;
+  std::unordered_map<std::uint64_t, EventId> id_of_seq_;
+  std::vector<EventId> issued_;
+};
+
+TEST(EngineTest, RandomizedDifferentialAgainstReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EngineModel m(seed * 0x9E3779B97F4A7C15ull);
+    for (int step = 0; step < 1500; ++step) {
+      switch (m.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+          for (std::uint64_t k = 1 + m.below(8); k > 0; --k) m.schedule();
+          break;
+        case 3:
+        case 4:
+          m.cancel_random();
+          break;
+        case 5:
+          m.run_until(m.eng.now() +
+                      Duration::us(static_cast<std::int64_t>(
+                          m.below(2 * static_cast<std::uint64_t>(kSpan)))));
+          break;
+        case 6:
+          m.run_until(m.eng.now() + Duration::sec(5.0), 1 + m.below(6));
+          break;
+        case 7:
+          m.run(1 + m.below(4));
+          break;
+        case 8:
+          m.check_next_event_time();
+          break;
+        default:
+          m.check_idle_state();
+          break;
+      }
+      if (HasFailure()) return;
+    }
+    m.run(UINT64_MAX);
+    m.check_idle_state();
+    EXPECT_EQ(m.pending(), 0u);
+    m.check_next_event_time();
+  }
+}
+
+TEST(EngineTest, MassCancelOfFarTimersTriggersCompactionAndKeepsOrder) {
+  // The guard-timer shape: thousands of 30 s timers armed and cancelled
+  // before they fire, around a ring of near-term events. Cancelling most of
+  // the far tier crosses the compaction threshold; survivors must still
+  // fire in exact order, and the cancelled ones never.
+  EngineModel m(7);
+  std::vector<EventId> guards;
+  for (int i = 0; i < 4000; ++i) {
+    guards.push_back(
+        m.schedule_at(30'000'000 + static_cast<std::int64_t>(m.below(1000))));
+    if (i % 4 == 0) m.schedule_at(static_cast<std::int64_t>(m.below(2000)));
+  }
+  for (std::size_t i = 0; i < guards.size(); ++i)
+    if (i % 10 != 0) m.cancel(guards[i]);
+  m.check_idle_state();
+  m.check_next_event_time();
+  // Cancel the rest while near events are still pending, then refill the
+  // near tier from a far tier that is now all live again.
+  m.run_until(Time::from_us(1000));
+  for (std::size_t i = 0; i < guards.size(); i += 20) m.cancel(guards[i]);
+  m.run(UINT64_MAX);
+  m.check_idle_state();
+  EXPECT_EQ(m.pending(), 0u);
+}
+
+TEST(EngineTest, RandomizedCancelStormsKeepOrderThroughCompaction) {
+  // Bursts where most queued events — fresh ones and survivors of earlier
+  // bursts, which by then sit in every part of the queue — are cancelled
+  // in random order: each burst crosses the compaction threshold, so the
+  // tiers are rebuilt from arbitrary survivor layouts many times over.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EngineModel m(seed * 0xD1B54A32D192ED03ull);
+    m.reentrant = false;
+    std::vector<EventId> ids;
+    for (int burst = 0; burst < 8; ++burst) {
+      for (std::uint64_t k = 2 + m.below(300); k > 0; --k)
+        ids.push_back(m.schedule());
+      for (std::size_t i = ids.size(); i > 1; --i)
+        std::swap(ids[i - 1], ids[m.below(i)]);
+      const std::size_t doomed = ids.size() * 3 / 4;
+      for (std::size_t i = 0; i < doomed; ++i) m.cancel(ids[i]);
+      ids.erase(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(doomed));
+      m.check_next_event_time();
+      m.run_until(m.eng.now() +
+                  Duration::us(static_cast<std::int64_t>(
+                      m.below(2 * static_cast<std::uint64_t>(kSpan)))));
+      if (HasFailure()) return;
+    }
+    m.run(UINT64_MAX);
+    m.check_idle_state();
+  }
+}
+
+TEST(EngineTest, BoundedRunUntilStopsInsideTheFarTier) {
+  // Every event lies beyond the first horizon, so the budget runs out
+  // while the queue is being served from refilled far entries.
+  EngineModel m(11);
+  m.reentrant = false;
+  for (int i = 0; i < 300; ++i)
+    m.schedule_at(5 * kSpan + static_cast<std::int64_t>(m.below(40 * kSpan)));
+  const Time end = Time::from_us(50 * kSpan);
+  m.run_until(end, 7);
+  EXPECT_LT(m.eng.now(), end);
+  m.check_next_event_time();
+  m.run_until(end, 100);
+  m.run_until(end, 1000);
+  EXPECT_EQ(m.eng.now(), end);
+  EXPECT_EQ(m.fired(), 300u);
+}
+
+TEST(EngineTest, TiesOnTheHorizonKeepScheduleOrder) {
+  // The first event into an empty queue anchors the near tier's horizon
+  // one span after it; events due exactly on the horizon belong to the far
+  // tier, so a later same-time schedule may not overtake them.
+  Engine eng;
+  std::vector<int> order;
+  eng.at(Time::from_us(10), [&] { order.push_back(0); });
+  const Time horizon = Time::from_us(10 + kSpan);
+  eng.at(horizon, [&] { order.push_back(1); });
+  eng.at(horizon, [&] { order.push_back(2); });
+  eng.run_until(Time::from_us(10));
+  eng.at(horizon, [&] { order.push_back(3); });
+  eng.at(horizon - Duration::us(1), [&] { order.push_back(-1); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2, 3}));
+}
+
+TEST(EngineTest, NextEventTimeWhenOnlyFarEventsRemain) {
+  Engine eng;
+  int fired = 0;
+  eng.at(Time::from_us(10), [&] { ++fired; });
+  const EventId far_a = eng.at(Time::from_us(10 * kSpan), [&] { ++fired; });
+  eng.at(Time::from_us(20 * kSpan), [&] { ++fired; });
+  eng.run_until(Time::from_us(100));
+  EXPECT_EQ(fired, 1);
+  // The near tier is empty now; the answer must come from the far tier and
+  // leave the clock alone.
+  EXPECT_EQ(eng.next_event_time(), Time::from_us(10 * kSpan));
+  EXPECT_EQ(eng.now(), Time::from_us(100));
+  EXPECT_TRUE(eng.cancel(far_a));
+  EXPECT_FALSE(eng.cancel(far_a));
+  EXPECT_EQ(eng.next_event_time(), Time::from_us(20 * kSpan));
+  eng.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(eng.next_event_time(), Time::max());
+  EXPECT_TRUE(eng.idle());
+}
+
+TEST(EngineTest, EventAtTimeMaxStillFires) {
+  // The horizon saturates instead of overflowing past INT64_MAX.
+  Engine eng;
+  std::vector<int> order;
+  eng.at(Time::max(), [&] { order.push_back(2); });
+  eng.at(Time::from_us(5), [&] { order.push_back(1); });
+  eng.at(Time::max(), [&] { order.push_back(3); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.now(), Time::max());
+}
+
+TEST(EngineTest, StaleIdsNeverCancelAcrossTiers) {
+  // A slot recycled from a fired near event into a far one (and back) must
+  // not be cancellable through the first event's handle.
+  Engine eng;
+  int fired = 0;
+  const EventId near_id = eng.at(Time::from_us(1), [&] { ++fired; });
+  eng.run();
+  const EventId far_id = eng.at(Time::from_us(40 * kSpan), [&] { ++fired; });
+  EXPECT_FALSE(eng.cancel(near_id));
+  eng.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(eng.cancel(far_id));
+  EXPECT_FALSE(eng.cancel(near_id));
 }
 
 }  // namespace
