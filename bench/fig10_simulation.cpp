@@ -11,14 +11,7 @@
 // Scaled-down substitution (documented in EXPERIMENTS.md): the paper uses
 // 30 VMs / 80 K devices; we run 30 VMs with a proportionally loaded 24 K
 // devices so the bench completes in seconds while preserving per-VM load
-// and skew ratios.
-//
-// --threads=N runs fig 10(b) on a ShardedSim world (one shard per DC,
-// DESIGN.md §10): clusters and drivers are built against their DC's shard
-// engine/fabric and the run is advanced in conservative lookahead windows.
-// Results are byte-identical for every N >= 1 (and differ from the default
-// single-engine run only through per-shard RNG streams and event ids).
-// --quick shrinks populations and horizons for the tier-1 TSan leg.
+// and skew ratios. --quick shrinks populations and horizons for a smoke run.
 #include <cstdlib>
 #include <limits>
 #include <set>
@@ -112,11 +105,10 @@ enum class S2Mode { kInd, kRdm1, kRdm2, kScale };
 //   RDM2: DC2 is farther than DC4 (equal loads) and the selector ignores it.
 //   SCALE: same adverse topology as RDM1+RDM2 combined; selection uses
 //         Ŝ (load headroom) and 1/D weighting.
-std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, unsigned threads,
-                           bool quick, obs::MetricsRegistry* reg = nullptr) {
+std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, bool quick,
+                           obs::MetricsRegistry* reg = nullptr) {
   Testbed::Config tcfg;
   tcfg.seed = seed;
-  tcfg.threads = threads;  // 0 = classic single-engine world
   Testbed tb(tcfg);
   constexpr std::size_t kDcs = 4;
   constexpr std::size_t kVmsPerDc = 2;
@@ -162,11 +154,8 @@ std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, unsigned threads,
     cfg.provisioner.max_vms = kVmsPerDc;   // about multiplexing, not scaling
     cfg.mmp_offload_threshold = 0.8;
     cfg.seed = seed + dc;
-    // Each cluster lives on its DC's shard: its endpoints register with the
-    // shard fabric and its timers run on the shard engine. Unsharded (or for
-    // DC 0) this is exactly tb.fabric().
     clusters.push_back(std::make_unique<core::ScaleCluster>(
-        tb.fabric_for_dc(dc), sites[dc]->sgw->node(), tb.hss().node(), cfg));
+        tb.fabric(), sites[dc]->sgw->node(), tb.hss().node(), cfg));
     clusters[dc]->connect_enb(*sites[dc]->enbs[0]);
     tb.assign_dc(clusters[dc]->mlb().node(), dc);
     for (auto& mmp : clusters[dc]->mmps()) tb.assign_dc(mmp->node(), dc);
@@ -216,24 +205,19 @@ std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, unsigned threads,
     drv.mix.service_request = 0.2;
     drv.mix.tau = 0.8;
     drv.seed = seed * 13 + dc;
-    // The driver's arrival events must fire on the DC's shard engine: they
-    // poke UEs owned by that shard.
     drivers.push_back(std::make_unique<workload::OpenLoopDriver>(
-        tb.engine_for_dc(dc), devices[dc], drv));
-    drivers.back()->start(tb.engine_for_dc(dc).now() +
+        tb.engine(), devices[dc], drv));
+    drivers.back()->start(tb.engine().now() +
                           Duration::sec(quick ? 8.0 : 26.0));
   }
   // Recurring epochs while the overload persists (§4.4: decisions recur
   // every epoch). The paper's persistent-overload scenario spans many
   // epochs, so the measurement covers the steady state after placement has
   // adapted to the observed loads (the busy DC's gossiped Ŝ is ~0 by then).
-  // Each cluster's epoch runs on its own shard engine — run_epoch() touches
-  // only that cluster's (shard-local) state plus the fabric, which relays
-  // any cross-DC PDU through the mailboxes.
   if (mode != S2Mode::kInd) {
     for (double at : {4.0, 8.0}) {
       for (std::uint32_t dc = 0; dc < kDcs; ++dc) {
-        tb.engine_for_dc(dc).after(
+        tb.engine().after(
             Duration::sec(at), [c = clusters[dc].get()]() { c->run_epoch(); });
       }
     }
@@ -283,7 +267,7 @@ std::vector<double> s2_run(S2Mode mode, std::uint64_t seed, unsigned threads,
   return out;
 }
 
-void fig10b(obs::Report& rep, unsigned threads, bool quick) {
+void fig10b(obs::Report& rep, bool quick) {
   auto& sec = rep.section("Fig 10(b): per-DC p99 (ms), DC1/DC3 overloaded");
   sec.columns({"mode", "DC1", "DC2", "DC3", "DC4"});
   struct Case {
@@ -296,7 +280,7 @@ void fig10b(obs::Report& rep, unsigned threads, bool quick) {
   for (const Case c : {Case{"IND", S2Mode::kInd}, Case{"RDM1", S2Mode::kRdm1},
                        Case{"RDM2", S2Mode::kRdm2},
                        Case{"SCALE", S2Mode::kScale}}) {
-    const auto v = s2_run(c.mode, 5, threads, quick,
+    const auto v = s2_run(c.mode, 5, quick,
                           c.mode == S2Mode::kScale ? &registry : nullptr);
     sec.row(c.name, v);
   }
@@ -309,6 +293,6 @@ int main(int argc, char** argv) {
   scale::obs::BenchMain bm(argc, argv, "fig10_simulation",
                            "S1/S2 — large-scale simulations");
   fig10a(bm.report(), bm.quick());
-  fig10b(bm.report(), bm.threads(), bm.quick());
+  fig10b(bm.report(), bm.quick());
   return bm.finish();
 }

@@ -1,9 +1,8 @@
 // perf_core — deterministic microbench of the simulator hot path: the event
 // engine (schedule / fire / cancel, and a 10⁵-deep pending set with
-// cancelled guard timers), the PDU codecs, a fabric hop, and the
-// ShardedSim window machinery (sharded stepping at 1/2/4/8 workers), each
-// reported as throughput (events/s, PDUs/s, bytes/s) *and* as an exact heap
-// allocation count from an interposing counting allocator.
+// cancelled guard timers), the PDU codecs and a fabric hop, each reported as
+// throughput (events/s, PDUs/s, bytes/s) *and* as an exact heap allocation
+// count from an interposing counting allocator.
 //
 // The allocation counters are the perf trajectory's regression gate: they are
 // a pure function of the (seeded, deterministic) workload and the toolchain,
@@ -27,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <unordered_map>
 #include <variant>
@@ -42,7 +40,6 @@
 #include "sim/cpu.h"
 #include "sim/engine.h"
 #include "sim/network.h"
-#include "sim/shard.h"
 
 // ------------------------------------------------------------------------
 // Counting allocator interposer: every global new/delete in this binary is
@@ -329,95 +326,6 @@ PhaseResult phase_buffer_pool(std::uint64_t div) {
   });
 }
 
-/// Ring echo across shards: every received PDU is forwarded to the next
-/// shard's endpoint until this shard's hop budget is spent. Budgets are
-/// shard-local — only the owning worker's endpoint touches them — so the
-/// phase is race-free at any worker count and the hop count (and with it
-/// the allocation count) is a pure function of the world, not the threads.
-struct RingEcho final : epc::Endpoint {
-  epc::Fabric* fabric = nullptr;
-  sim::NodeId self = 0;
-  sim::NodeId next = 0;
-  std::uint64_t budget = 0;
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
-    if (budget == 0) return;
-    --budget;
-    fabric->send(self, next, pdu);
-  }
-};
-
-/// ShardedSim window machinery end-to-end: four engine shards (one per DC,
-/// 1 ms apart), per-shard timer lanes for window-local work, and cross-shard
-/// ring traffic so every window's drain phase moves real mailbox entries.
-/// One row per worker-pool size (8 is capped to the shard count); the
-/// logical schedule — and therefore ops — is identical across rows, only
-/// wall time and the per-worker pool warm-up allocations may differ.
-PhaseResult phase_sharded_step(unsigned threads, std::uint64_t div) {
-  return run_phase([threads, div](PhaseResult& r) {
-    constexpr std::uint32_t kShards = 4;
-    constexpr std::uint32_t kLanes = 4;           // timer lanes per shard
-    const std::uint64_t kTicks = 30'000 / div;    // per lane
-    constexpr std::uint64_t kSeeds = 8;           // ring messages per shard
-    const std::uint64_t kHops = 10'000 / div;     // echo budget per shard
-
-    sim::Network net;
-    net.set_shard_count(kShards);
-    for (std::uint32_t a = 0; a < kShards; ++a)
-      for (std::uint32_t b = a + 1; b < kShards; ++b)
-        net.set_dc_latency(a, b, Duration::ms(1.0));
-
-    sim::ShardRouter router;
-    for (std::uint32_t s = 1; s < kShards; ++s) router.add_shard();
-
-    std::vector<std::unique_ptr<sim::Engine>> engines;
-    std::vector<std::unique_ptr<epc::Fabric>> fabrics;
-    std::vector<RingEcho> echoes(kShards);
-    for (std::uint32_t s = 0; s < kShards; ++s) {
-      engines.push_back(std::make_unique<sim::Engine>());
-      fabrics.push_back(std::make_unique<epc::Fabric>(*engines[s], net));
-      fabrics[s]->attach_shard(router, s);
-      echoes[s].fabric = fabrics[s].get();
-      echoes[s].self = fabrics[s]->add_endpoint(&echoes[s]);
-      echoes[s].budget = kHops;
-      net.set_node_dc(echoes[s].self, s);
-    }
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      echoes[s].next = echoes[(s + 1) % kShards].self;
-
-    std::vector<std::uint64_t> fired(kShards * kLanes, 0);
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
-        sim::Engine& eng = *engines[s];
-        std::uint64_t& f = fired[s * kLanes + lane];
-        eng.after(Duration::us(1 + lane % 29),
-                  [&eng, &f, kTicks, lane] { tick(eng, f, kTicks, lane); });
-      }
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      for (std::uint64_t i = 0; i < kSeeds; ++i)
-        fabrics[s]->send(echoes[s].self, echoes[s].next, attach_pdu());
-
-    std::vector<sim::ShardedSim::Shard> shards;
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      shards.push_back({engines[s].get(),
-                        [f = fabrics[s].get()](sim::CrossShardMsg&& m) {
-                          f->accept_arrival(std::move(m));
-                        }});
-    sim::ShardedSim::Config cfg;
-    cfg.threads = threads;
-    cfg.lookahead = net.min_cross_dc_latency();
-    sim::ShardedSim sharded(router, std::move(shards), cfg);
-    // 2.5 s of simulated time: the echo budgets drain by ~1.3 s and the
-    // timer lanes by ~1.5 s, so the horizon (not the budgets) never binds
-    // and the op count is exactly the budgeted work.
-    sharded.run_until(Time::from_us(2'500'000));
-
-    std::uint64_t events = 0;
-    for (const auto& eng : engines) events += eng->events_processed();
-    r.ops = events + sharded.messages_relayed();
-    r.bytes = net.bytes_sent();
-  });
-}
-
 // ------------------------------------------------------------- fig10 @ 1M
 
 /// Kernel-reported memory figure from /proc/self/status ("VmRSS" = current
@@ -671,6 +579,12 @@ int main(int argc, char** argv) {
   // the regime every long simulation runs in after its first few events.
   { auto warm = phase_buffer_pool(div); (void)warm; }
 
+  // The capacity world runs before the microbench phases: blocks a phase
+  // leaves in the per-thread pools are reused by whatever runs next, so
+  // running it first keeps its allocation counts independent of which
+  // microbench phases exist.
+  const CapacityOut cap = run_capacity(bm.quick());
+
   const NamedPhase phases[] = {
       {"engine_timer_ring", phase_engine_timer_ring(div)},
       {"engine_cancel_churn", phase_engine_cancel_churn(div)},
@@ -679,13 +593,7 @@ int main(int argc, char** argv) {
       {"codec_decode", phase_codec_decode(div)},
       {"fabric_hop", phase_fabric_hop(div)},
       {"buffer_pool", phase_buffer_pool(div)},
-      {"sharded_step_t1", phase_sharded_step(1, div)},
-      {"sharded_step_t2", phase_sharded_step(2, div)},
-      {"sharded_step_t4", phase_sharded_step(4, div)},
-      {"sharded_step_t8", phase_sharded_step(8, div)},
   };
-
-  const CapacityOut cap = run_capacity(bm.quick());
 
   auto& thr = bm.report().section("throughput");
   thr.columns({"ops", "wall_ms", "Mops_per_s", "MB_per_s"});
@@ -722,9 +630,7 @@ int main(int argc, char** argv) {
 
   bm.report().note(
       "allocs are deterministic for a given toolchain and are the CI "
-      "regression gate (tier1.sh); wall times are informational only. The "
-      "sharded_step_t* rows run one logical schedule at 1/2/4/8 workers — "
-      "identical ops by construction; wall speedup needs >1 hardware core.\n"
+      "regression gate (tier1.sh); wall times are informational only.\n"
       "fig10_1m_capacity holds 10^6 UE contexts on 8 MMP VMs (100k under "
       "--quick): bytes_per_ue gates the DESIGN.md \xC2\xA7""12 slab/SoA "
       "budget (<=512 B/UE resident); peak_rss_bytes and ops_per_s are "

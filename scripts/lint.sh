@@ -2,7 +2,7 @@
 # Static-analysis leg (DESIGN.md §6): ScaleLint + baseline diff + clang-tidy.
 #
 #   leg 1  scale_lint — repo-specific determinism, invariant and
-#          shard-readiness rules L1–L8 over src/ bench/ tests/ examples/
+#          shard-readiness rules L1–L7 over src/ bench/ tests/ examples/
 #          tools/. Any finding fails. The run also emits the scale-lint-v1
 #          JSON report, which is diffed against the committed
 #          LINT_baseline.json: a NEW finding or NEW `// lint:` waiver fails
@@ -25,7 +25,7 @@ JOBS="$(nproc)"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" --target scale_lint bench_json_check -j"${JOBS}"
 
-echo "== lint leg 1: scale_lint (rules L1-L8) =="
+echo "== lint leg 1: scale_lint (rules L1-L7) =="
 "${BUILD_DIR}/tools/lint/scale_lint" --root . \
   --json "${BUILD_DIR}/LINT_now.json" src bench tests examples tools
 "${BUILD_DIR}/tools/obs/bench_json_check" --lint "${BUILD_DIR}/LINT_now.json"

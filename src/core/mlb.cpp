@@ -90,11 +90,10 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   // Re-steer to the best alternative, excluding the shedder when the
   // preference list offers one. no_offload marks the forward as final so the
   // replica can neither geo-offload nor shed it back (ping-pong guard).
-  const auto prefs =
-      ring_.preference_list(rej.guti.key(), policy_->candidate_width());
+  ring_.preference_list(rej.guti.key(), policy_->candidate_width(), prefs_);
   std::vector<hash::RingNodeId> alternatives;
-  alternatives.reserve(prefs.size());
-  for (const hash::RingNodeId c : prefs)
+  alternatives.reserve(prefs_.size());
+  for (const hash::RingNodeId c : prefs_)
     if (c != rej.mmp_node) alternatives.push_back(c);
   const NodeId target = alternatives.empty()
                             ? rej.mmp_node
@@ -197,9 +196,8 @@ void Mlb::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
   }
   // Policy steering among the preference-list nodes — only at Idle→Active
   // (§4.6: subsequent requests stick to the chosen VM until Idle).
-  const auto prefs =
-      ring_.preference_list(guti.key(), policy_->candidate_width());
-  const NodeId chosen = steer(guti.key(), prefs);
+  ring_.preference_list(guti.key(), policy_->candidate_width(), prefs_);
+  const NodeId chosen = steer(guti.key(), prefs_);
   ++initial_routed_;
   forward(chosen, from, guti, proto::make_pdu(msg));
 }
@@ -235,9 +233,8 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
   }
   // The remote DC could not serve it: process locally, without offloading
   // again (loop guard).
-  const auto prefs =
-      ring_.preference_list(rej.guti.key(), policy_->candidate_width());
-  forward(steer(rej.guti.key(), prefs), rej.origin, rej.guti,
+  ring_.preference_list(rej.guti.key(), policy_->candidate_width(), prefs_);
+  forward(steer(rej.guti.key(), prefs_), rej.origin, rej.guti,
           rej.inner->value,
           /*no_offload=*/true);
 }

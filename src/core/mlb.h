@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "core/overload.h"
@@ -160,6 +161,9 @@ class Mlb : public Endpoint {
   sim::CpuModel cpu_;
   sim::UtilizationTracker util_;
   hash::ConsistentHashRing ring_;
+  /// Reused preference-list buffer: steering runs once per Idle→Active
+  /// request, and reusing it keeps that path free of heap allocations.
+  std::vector<hash::RingNodeId> prefs_;
   std::uint64_t ring_version_ = 0;
   std::unordered_map<std::uint8_t, NodeId> code_to_node_;
   /// Per-MMP load/backoff metadata (replaces the seed's raw loads_ and

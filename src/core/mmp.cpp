@@ -311,8 +311,8 @@ void MmpNode::replicate_local(UeContext& ctx) {
   }
   if (ring_ == nullptr || ring_->empty()) return;
   const unsigned copies = policy_ != nullptr ? policy_->local_copies : 2;
-  const auto prefs =
-      ring_->preference_list(ctx.key(), std::max(2u, copies));
+  ring_->preference_list(ctx.key(), std::max(2u, copies), prefs_);
+  const auto& prefs = prefs_;
   if (prefs.empty()) return;
   if (prefs[0] == node()) {
     // This VM is the hash-ring master: replicate to the next R−1 distinct

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "common/check.h"
 #include "core/geo.h"
@@ -111,6 +112,9 @@ class MmpNode final : public mme::ClusterVm {
   OverloadGovernor governor_;
   Rng rng_;
   const hash::ConsistentHashRing* ring_ = nullptr;
+  /// Reused preference-list buffer for replicate_local(), which runs after
+  /// every procedure and at every Idle transition.
+  std::vector<hash::RingNodeId> prefs_;
   const ReplicationPolicy* policy_ = nullptr;
   GeoManager* geo_ = nullptr;
 

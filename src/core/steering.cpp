@@ -186,7 +186,7 @@ SteeringDecision PowerOfTwoChoices::pick(const SteeringContext& ctx) {
   if (n == 1) return {ctx.prefs.front(), SteerReason::kOnlyCandidate};
   // Stateless sampling: FNV-1a of the key yields the pair, so the same
   // device always races the same two candidates — deterministic across
-  // runs, threads, and MLB peers, yet uniform across devices.
+  // runs and MLB peers, yet uniform across devices.
   const std::uint64_t h = hash::fnv1a_u64(ctx.key ^ 0x9E3779B97F4A7C15ull);
   const std::size_t i = static_cast<std::size_t>(h % n);
   const std::size_t j =

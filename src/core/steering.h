@@ -24,7 +24,7 @@
 // Determinism contract (DESIGN.md §6): every pick is a pure function of
 // (key, candidate list, view state, sim time) — no wall clock, no entropy,
 // no unordered iteration — so any policy replays byte-identically across
-// runs and across ShardedSim worker counts.
+// runs.
 #pragma once
 
 #include <algorithm>

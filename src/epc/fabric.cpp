@@ -34,20 +34,8 @@ void trace_fault(sim::NodeId from, sim::NodeId to, const proto::Pdu& pdu,
 Fabric::Fabric(sim::Engine& engine, sim::Network& network)
     : engine_(engine), network_(network) {}
 
-void Fabric::attach_shard(sim::ShardRouter& router, std::uint32_t shard) {
-  SCALE_CHECK_MSG(endpoints_.empty(),
-                  "attach_shard must precede endpoint registration");
-  SCALE_CHECK(shard < router.shard_count());
-  router_ = &router;
-  shard_ = shard;
-  next_id_ = sim::ShardRouter::first_node_id(shard);
-}
-
 NodeId Fabric::add_endpoint(Endpoint* ep) {
   SCALE_CHECK(ep != nullptr);
-  if (router_ != nullptr)
-    SCALE_CHECK_MSG(sim::ShardRouter::shard_of(next_id_) == shard_,
-                    "shard NodeId range exhausted");
   const NodeId id = next_id_++;
   endpoints_.emplace(id, ep);
   return id;
@@ -62,11 +50,11 @@ bool Fabric::is_registered(NodeId id) const {
 }
 
 void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
-  network_.record_transfer(from, to, proto::wire_size(pdu), shard_);
-  Duration latency = network_.delay(from, to, shard_);
+  network_.record_transfer(from, to, proto::wire_size(pdu));
+  Duration latency = network_.delay(from, to);
   if (network_.faults_enabled()) {
     const sim::FaultVerdict v =
-        network_.fault_verdict(from, to, engine_.now(), shard_);
+        network_.fault_verdict(from, to, engine_.now());
     if (!v.deliver) {
       SCALE_DEBUG("fault-dropped " << proto::pdu_name(pdu) << " " << from
                                    << " -> " << to);
@@ -82,52 +70,21 @@ void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
     if (v.duplicate) {
       // The duplicate trails the original by one (deterministic) configured
       // latency — no extra Rng draw, so replays stay byte-identical.
-      relay(from, to, pdu, latency + network_.configured_latency(from, to));
+      deliver(from, to, pdu, latency + network_.configured_latency(from, to));
     }
   }
   if (obs::Tracer::current() != nullptr)
     trace_hop(from, to, pdu, engine_.now(), latency);
-  relay(from, to, std::move(pdu), latency);
-}
-
-void Fabric::relay(NodeId from, NodeId to, proto::Pdu pdu, Duration latency) {
-  if (router_ != nullptr) {
-    const std::uint32_t dst = sim::ShardRouter::shard_of(to);
-    if (dst != shard_) {
-      // Everything randomized (jitter, faults) was already drawn from this
-      // shard's streams above; the message crosses as a fully resolved
-      // (arrival time, payload) pair and the destination consumes no draws.
-      SCALE_CHECK(dst < router_->shard_count());
-      router_->outbox(shard_, dst).push(sim::CrossShardMsg{
-          (engine_.now() + latency).count_us(), from, to, std::move(pdu)});
-      return;
-    }
-  }
   deliver(from, to, std::move(pdu), latency);
-}
-
-void Fabric::accept_arrival(sim::CrossShardMsg&& msg) {
-  Time at = Time::from_us(msg.deliver_us);
-  if (at < engine_.now()) {
-    // Only reachable if a cross-shard link was reconfigured below the
-    // lookahead mid-run; clamp rather than corrupt the clock, and count it
-    // so tests can assert the invariant held.
-    ++late_arrivals_;
-    at = engine_.now();
-  }
-  deliver_at(msg.from, msg.to, std::move(msg.pdu), at);
 }
 
 void Fabric::deliver(NodeId from, NodeId to, proto::Pdu pdu,
                      Duration latency) {
-  deliver_at(from, to, std::move(pdu), engine_.now() + latency);
-}
-
-void Fabric::deliver_at(NodeId from, NodeId to, proto::Pdu pdu, Time at) {
   // Box the in-flight PDU (a recycled BoxAlloc block, not a fresh heap
   // allocation): the batch holds 16-byte refs, and the drain event captures
   // only (this, to, batch) — well inside InlineAction's inline budget.
   proto::PduRef p = proto::box(std::move(pdu));
+  const Time at = engine_.now() + latency;
   const std::int64_t at_us = at.count_us();
   // Same-destination, same-timestamp coalescing. The scheduled-event
   // counter guard is what keeps this fingerprint-safe: appends are legal
@@ -201,7 +158,7 @@ void Fabric::reset_counters() {
 void Fabric::export_metrics(obs::MetricsRegistry& reg,
                             const std::string& prefix) const {
   reg.set_counter(prefix + ".dead_endpoint_drops", dropped_);
-  reg.set_counter(prefix + ".late_arrivals", late_arrivals_);
+  reg.set_counter(prefix + ".late_arrivals", late_arrivals());
   reg.set_counter(prefix + ".delivery_batches", batches_);
   reg.set_counter(prefix + ".batched_pdus", batched_pdus_);
   reg.set(prefix + ".endpoints", static_cast<double>(endpoints_.size()));

@@ -10,15 +10,6 @@
 // over the radio interface, modeled as a fixed delay inside EnodeB/Ue. This
 // keeps the routing table at the size of the infrastructure, not the
 // subscriber population.
-//
-// ShardedSim (DESIGN.md §10): one Fabric per shard. attach_shard() moves the
-// fabric's NodeId allocator into its shard's id range (shard 0's range
-// starts at 1, the legacy sequence) and enables the cross-shard send path:
-// a PDU whose destination lives in another shard has its latency, fault
-// verdict, and accounting resolved on the *sending* shard (against that
-// shard's RNG streams), then travels as a CrossShardMsg through the
-// router's mailbox to be scheduled on the destination engine at the next
-// window barrier.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +21,6 @@
 
 #include "proto/pdu.h"
 #include "sim/engine.h"
-#include "sim/mailbox.h"
 #include "sim/network.h"
 
 namespace scale::obs {
@@ -82,23 +72,6 @@ class Fabric {
  public:
   Fabric(sim::Engine& engine, sim::Network& network);
 
-  /// Join a sharded world: this fabric becomes shard `shard` of `router`,
-  /// allocating NodeIds from its shard's id range and routing sends to
-  /// other shards through the router's mailboxes. Must run before any
-  /// endpoint registers. Shard 0's id range starts at 1 — the legacy
-  /// sequence — so an unsharded world and shard 0 of a sharded one hand out
-  /// identical ids.
-  void attach_shard(sim::ShardRouter& router, std::uint32_t shard);
-  std::uint32_t shard() const { return shard_; }
-
-  /// Schedule a drained cross-shard arrival on this shard's engine. Called
-  /// by the sharded runner between windows (ShardedSim::Shard::deliver).
-  /// Arrivals in the past — impossible while every cross-shard link honors
-  /// the lookahead, possible if topology is mutated under a live run — are
-  /// clamped to now() and counted.
-  void accept_arrival(sim::CrossShardMsg&& msg);
-  std::uint64_t late_arrivals() const { return late_arrivals_; }
-
   /// Register an endpoint; returns its NodeId. The endpoint must outlive
   /// its registration.
   NodeId add_endpoint(Endpoint* ep);
@@ -119,6 +92,9 @@ class Fabric {
   const TransportConfig& transport() const { return transport_; }
 
   std::uint64_t dropped() const { return dropped_; }
+  /// Always 0: every delivery is scheduled at or after now(). Kept for the
+  /// WholeRun layer split and fig10's `fabric.late_arrivals` JSON counter.
+  std::uint64_t late_arrivals() const { return 0; }
 
   /// Batched-delivery counters: engine events scheduled for delivery, and
   /// PDUs that rode an already-scheduled batch instead of a fresh event.
@@ -144,10 +120,8 @@ class Fabric {
     std::vector<std::pair<NodeId, proto::PduRef>> items;
   };
 
-  /// Local-shard schedule or cross-shard mailbox push, post fault verdict.
-  void relay(NodeId from, NodeId to, proto::Pdu pdu, Duration latency);
+  /// Schedule (or fold into the open batch) one delivery, post fault verdict.
   void deliver(NodeId from, NodeId to, proto::Pdu pdu, Duration latency);
-  void deliver_at(NodeId from, NodeId to, proto::Pdu pdu, Time at);
   DeliveryBatch* alloc_batch();
   void drain_batch(NodeId to, DeliveryBatch* b);
 
@@ -156,10 +130,7 @@ class Fabric {
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   NodeId next_id_ = 1;
   std::uint64_t dropped_ = 0;
-  std::uint64_t late_arrivals_ = 0;
   TransportConfig transport_;
-  sim::ShardRouter* router_ = nullptr;  ///< null in unsharded worlds
-  std::uint32_t shard_ = 0;
 
   // Batched delivery (DESIGN.md §12): the open batch accepts appends only
   // while (to, at) match AND no other event has been scheduled since the

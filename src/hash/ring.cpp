@@ -69,8 +69,15 @@ RingNodeId ConsistentHashRing::owner(std::uint64_t key) const {
 
 std::vector<RingNodeId> ConsistentHashRing::preference_list(
     std::uint64_t key, std::size_t n) const {
-  SCALE_CHECK_MSG(!ring_.empty(), "preference_list() on empty ring");
   std::vector<RingNodeId> out;
+  preference_list(key, n, out);
+  return out;
+}
+
+void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
+                                         std::vector<RingNodeId>& out) const {
+  SCALE_CHECK_MSG(!ring_.empty(), "preference_list() on empty ring");
+  out.clear();
   out.reserve(std::min(n, nodes_.size()));
   std::size_t idx = first_token_at_or_after(position_of_key(key));
   for (std::size_t walked = 0;
@@ -81,7 +88,6 @@ std::vector<RingNodeId> ConsistentHashRing::preference_list(
       out.push_back(candidate);
     idx = (idx + 1) % ring_.size();
   }
-  return out;
 }
 
 std::optional<RingNodeId> ConsistentHashRing::replica_of(

@@ -64,6 +64,10 @@ class ConsistentHashRing {
   /// than n nodes. Precondition: ring not empty.
   std::vector<RingNodeId> preference_list(std::uint64_t key,
                                           std::size_t n) const;
+  /// The same list written into `out` (cleared first), so per-request
+  /// callers reuse one buffer instead of allocating on every call.
+  void preference_list(std::uint64_t key, std::size_t n,
+                       std::vector<RingNodeId>& out) const;
 
   /// The single replica target (second entry of the preference list), or
   /// nullopt when the ring has only one node.

@@ -11,15 +11,11 @@ namespace {
 [[noreturn]] void usage(const char* prog, int code) {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out,
-               "usage: %s [--json <path>] [--trace <path>] [--threads <N>] "
-               "[--quick]\n"
+               "usage: %s [--json <path>] [--trace <path>] [--quick]\n"
                "  --json <path>   write the report as BENCH JSON "
                "(scale-bench-v1)\n"
                "  --trace <path>  write a Chrome trace_event JSON of the "
                "run\n"
-               "  --threads <N>   worker threads for sharded-simulation "
-               "modes (N >= 1;\n"
-               "                  results are byte-identical at every N)\n"
                "  --quick         reduced-scale smoke run (for sanitizer "
                "legs)\n",
                prog);
@@ -49,24 +45,10 @@ BenchMain::BenchMain(int argc, char** argv, std::string name,
       }
       return argv[++i];
     };
-    const auto parse_threads = [&](const char* text) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(text, &end, 10);
-      if (end == text || *end != '\0' || v < 1 || v > 1024) {
-        std::fprintf(stderr, "%s: --threads needs an integer in [1, 1024]\n",
-                     argv[0]);
-        usage(argv[0], 2);
-      }
-      threads_ = static_cast<unsigned>(v);
-    };
     if (std::strcmp(arg, "--json") == 0) {
       json_path_ = take_value();
     } else if (std::strcmp(arg, "--trace") == 0) {
       trace_path_ = take_value();
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      parse_threads(take_value());
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      parse_threads(arg + 10);
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick_ = true;
     } else if (std::strcmp(arg, "-h") == 0 || std::strcmp(arg, "--help") == 0) {

@@ -12,9 +12,6 @@
 //   --json <path>    write the report as schema'd BENCH JSON
 //   --trace <path>   install a Tracer for the run and write Chrome
 //                    trace_event JSON (open in chrome://tracing / Perfetto)
-//   --threads <N>    worker threads for benches with a ShardedSim mode
-//                    (also accepted as --threads=N); benches read it via
-//                    threads(). 0 = flag not given (bench default).
 //   --quick          reduced-scale smoke run (sanitizer legs); benches
 //                    read it via quick() and shrink populations/durations.
 #pragma once
@@ -39,11 +36,6 @@ class BenchMain {
   /// Non-null iff --trace was given (it is then also Tracer::current()).
   Tracer* tracer() { return trace_path_.empty() ? nullptr : &tracer_; }
 
-  /// --threads value; 0 when the flag was absent (callers pick their
-  /// default — benches with a sharded mode treat any explicit value,
-  /// including 1, as "run sharded with this many workers").
-  unsigned threads() const { return threads_; }
-
   /// --quick given: the bench should run a reduced-scale smoke version of
   /// itself (same code paths, smaller populations and shorter horizons) so
   /// sanitizer legs finish in reasonable wall time. Numbers from a quick
@@ -59,7 +51,6 @@ class BenchMain {
   Tracer tracer_;
   std::string json_path_;
   std::string trace_path_;
-  unsigned threads_ = 0;
   bool quick_ = false;
   Tracer* previous_ = nullptr;
   bool finished_ = false;

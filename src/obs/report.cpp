@@ -322,14 +322,14 @@ std::vector<std::string> validate_lint_json(const Json& doc) {
       problems.push_back("counts.by_rule must be an object");
     } else {
       by_rule_sum = 0;
-      for (int r = 1; r <= 8; ++r) {
+      for (int r = 1; r <= 7; ++r) {
         const std::string rule = "L" + std::to_string(r);
         const std::int64_t n =
             expect_count(by_rule, rule.c_str(), "counts.by_rule");
         if (n >= 0) by_rule_sum += n;
       }
-      if (by_rule->members().size() != 8)
-        problems.push_back("counts.by_rule must hold exactly L1..L8");
+      if (by_rule->members().size() != 7)
+        problems.push_back("counts.by_rule must hold exactly L1..L7");
     }
   }
 

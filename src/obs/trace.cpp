@@ -116,16 +116,4 @@ void Tracer::clear() {
   open_.clear();
 }
 
-void Tracer::absorb(Tracer& other) {
-  if (&other == this) return;
-  events_.reserve(events_.size() + other.events_.size());
-  for (Event& e : other.events_) events_.push_back(std::move(e));
-  other.events_.clear();
-  for (auto& [track, name] : other.track_names_)
-    track_names_.emplace(track, std::move(name));
-  other.track_names_.clear();
-  for (const auto& [track, depth] : other.open_) open_[track] += depth;
-  other.open_.clear();
-}
-
 }  // namespace scale::obs

@@ -64,17 +64,9 @@ class Tracer {
   [[nodiscard]] bool write_file(const std::string& path) const;
   void clear();
 
-  /// Move every event (and track metadata) of `other` to the end of this
-  /// tracer's stream, preserving `other`'s recording order; `other` is left
-  /// empty but keeps its capacity. ShardedSim's per-shard buffers are
-  /// absorbed in ascending shard order after each run segment, so the merged
-  /// stream depends only on the logical schedule — never the worker count.
-  void absorb(Tracer& other);
-
   /// The sink consulted by instrumentation sites; nullptr (the default)
-  /// disables tracing. Thread-local: each ShardedSim worker installs the
-  /// running shard's buffer around its window, so concurrent shards record
-  /// into disjoint tracers.
+  /// disables tracing. Thread-local, so worlds run on different threads
+  /// never share a sink.
   static Tracer* current() { return current_; }
   /// Install `t` as this thread's sink (nullptr detaches); returns the
   /// previous sink so callers can restore it.
@@ -98,8 +90,7 @@ class Tracer {
   std::map<Track, std::size_t> open_;
 
   // Per-thread sink pointer: benches install it on the main thread during
-  // setup; ShardedSim workers swap per-shard buffers in and out around each
-  // window, so no two threads ever share a sink.
+  // setup.
   // lint: shard-local
   inline static thread_local Tracer* current_ = nullptr;
 };

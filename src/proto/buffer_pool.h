@@ -15,9 +15,9 @@
 //     std::allocate_shared, so proto::box() reuses one combined
 //     control-block+PduBox allocation instead of hitting the heap twice.
 //
-// Both pools are thread_local: the simulator is single-threaded per engine,
-// and per-thread free lists keep the TSan leg and any future parallel-MMP
-// work race-free with zero locking. Recycling is LIFO; nothing observable
+// Both pools are thread_local: the simulator is single-threaded, and a
+// program running independent worlds on separate threads gives each thread
+// its own free lists, lock-free. Recycling is LIFO; nothing observable
 // depends on block identity, so determinism is unaffected (DESIGN.md §8).
 #pragma once
 
@@ -113,8 +113,8 @@ class BufferPool {
 
   /// The per-thread pool every codec/fabric hot path shares.
   static BufferPool& local() {
-    // lint: shard-local — thread_local: each ShardedSim worker gets its own
-    // pool, so buffers never cross a shard boundary.
+    // lint: shard-local — thread_local: each thread gets its own pool, so
+    // buffers never cross threads.
     static thread_local BufferPool pool;
     return pool;
   }
@@ -145,7 +145,7 @@ struct BlockCache {
 template <typename T>
 inline std::vector<void*>& block_freelist() {
   // lint: shard-local — thread_local: per-worker free list; a block parked
-  // by one shard is never handed to another.
+  // by one thread is never handed to another.
   static thread_local BlockCache<T> cache;
   return cache.blocks;
 }

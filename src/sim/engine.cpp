@@ -105,21 +105,6 @@ void Engine::run_until(Time t) {
   now_ = t;
 }
 
-std::uint64_t Engine::run_until(Time t, std::uint64_t limit) {
-  SCALE_CHECK(t >= now_);
-  std::uint64_t fired = 0;
-  while (fired < limit && settle() && near_[0].at_us <= t.count_us()) {
-    fire_top();
-    ++fired;
-  }
-  if (fired < limit) now_ = t;
-  return fired;
-}
-
-Time Engine::next_event_time() {
-  return settle() ? Time::from_us(near_[0].at_us) : Time::max();
-}
-
 void Engine::export_metrics(obs::MetricsRegistry& reg,
                             const std::string& prefix) const {
   reg.set_counter(prefix + ".events_processed", processed_);

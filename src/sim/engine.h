@@ -104,20 +104,6 @@ class Engine {
   /// Run events with timestamp <= t, then advance the clock to exactly t.
   void run_until(Time t);
 
-  /// Bounded variant: fires at most `limit` events with timestamp <= t.
-  /// Advances the clock to exactly t only if the queue drained below t within
-  /// the budget (returned count < limit); otherwise the clock stays at the
-  /// last fired event so the caller can resume. Returns events fired. Used by
-  /// ShardedSim as a runaway-window guard (DESIGN.md §10).
-  std::uint64_t run_until(Time t, std::uint64_t limit);
-
-  /// Timestamp of the earliest live (non-cancelled) event, or Time::max()
-  /// when the queue is empty. Prunes stale tops and may refill the near tier
-  /// as a side effect — this is why it is non-const — but fires nothing and
-  /// never moves the clock.
-  /// ShardedSim calls this at each barrier to skip empty time.
-  Time next_event_time();
-
   /// True if nothing remains scheduled.
   bool idle() const { return live_ == 0; }
 

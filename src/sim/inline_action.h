@@ -55,8 +55,8 @@ struct ActionBlockCache {
 };
 
 inline std::vector<void*>& action_block_freelist() {
-  // lint: shard-local — thread_local: each engine shard recycles its own
-  // action blocks; no cross-thread free-list traffic.
+  // lint: shard-local — thread_local: each thread recycles its own action
+  // blocks; no cross-thread free-list traffic.
   static thread_local ActionBlockCache cache;
   return cache.blocks;
 }

@@ -56,13 +56,6 @@ PercentileSampler DelayRecorder::merged() const {
   return all;
 }
 
-void DelayRecorder::merge_from(const DelayRecorder& other) {
-  for (const auto& [name, sampler] : other.buckets_) {
-    auto [it, inserted] = buckets_.try_emplace(name, PercentileSampler(cap_));
-    for (double s : sampler.samples()) it->second.add(s);
-  }
-}
-
 std::vector<std::string> DelayRecorder::buckets() const {
   std::vector<std::string> names;
   names.reserve(buckets_.size());

@@ -64,11 +64,6 @@ class DelayRecorder {
   const PercentileSampler& bucket(const std::string& bucket) const;
   /// Union of every bucket's samples.
   PercentileSampler merged() const;
-  /// Append every sample of `other` into this recorder's buckets. Exact when
-  /// cap == 0 (ShardedSim merges per-shard recorders this way — shard order
-  /// is fixed, so the merge is deterministic); with a reservoir cap the
-  /// result is a resampling, not a union.
-  void merge_from(const DelayRecorder& other);
   std::vector<std::string> buckets() const;
   std::uint64_t total_count() const;
   void clear();

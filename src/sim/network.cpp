@@ -23,60 +23,34 @@ namespace {
 // Keeps the fault stream decorrelated from the jitter stream when both are
 // derived from the same user-facing seed.
 constexpr std::uint64_t kFaultSeedSalt = 0xFA517EDB17E5ull;
-// Weyl-sequence stride for deriving shard i's streams from (seed, i).
-// shard_seed(seed, 0) == seed, so shard 0 replays the legacy single-stream
-// draw sequences exactly.
-constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
-std::uint64_t shard_seed(std::uint64_t seed, std::uint32_t shard) {
-  return seed + kShardSeedStride * shard;
-}
 // DC ids index a dense matrix; anything this large is a config bug.
 constexpr std::uint32_t kMaxDcId = 4096;
 }  // namespace
 
 Network::Network(Duration default_latency, std::uint64_t jitter_seed)
-    : default_latency_(default_latency), jitter_seed_(jitter_seed) {
-  set_shard_count(1);
-}
-
-void Network::set_shard_count(std::uint32_t n) {
-  check_mutable();
-  SCALE_CHECK(n >= 1);
-  shards_.clear();
-  shards_.resize(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    shards_[s].jitter_rng = Rng(shard_seed(jitter_seed_, s));
-    shards_[s].fault_rng = Rng(shard_seed(jitter_seed_, s) ^ kFaultSeedSalt);
-  }
-}
+    : default_latency_(default_latency), jitter_rng_(jitter_seed),
+      fault_rng_(jitter_seed ^ kFaultSeedSalt) {}
 
 void Network::set_default_latency(Duration latency) {
-  check_mutable();
   default_latency_ = latency;
-  min_cross_dirty_ = true;
 }
 
 void Network::set_latency(NodeId a, NodeId b, Duration latency,
                           bool symmetric) {
-  check_mutable();
   SCALE_CHECK(latency >= Duration::zero());
   latency_[pair_key(a, b)] = latency;
   if (symmetric) latency_[pair_key(b, a)] = latency;
-  min_cross_dirty_ = true;
 }
 
 void Network::set_jitter(double fraction) {
-  check_mutable();
   SCALE_CHECK(fraction >= 0.0 && fraction < 1.0);
   jitter_ = fraction;
 }
 
 void Network::set_node_dc(NodeId node, std::uint32_t dc) {
-  check_mutable();
   SCALE_CHECK(dc < kMaxDcId);
   node_dc_[node] = dc;
   grow_dc_matrix(dc + 1);
-  min_cross_dirty_ = true;
 }
 
 std::uint32_t Network::dc_of(NodeId node) const {
@@ -97,13 +71,11 @@ void Network::grow_dc_matrix(std::uint32_t need_dim) {
 
 void Network::set_dc_latency(std::uint32_t dc_a, std::uint32_t dc_b,
                              Duration latency, bool symmetric) {
-  check_mutable();
   SCALE_CHECK(latency >= Duration::zero());
   SCALE_CHECK(dc_a < kMaxDcId && dc_b < kMaxDcId);
   grow_dc_matrix(std::max(dc_a, dc_b) + 1);
   dc_matrix_[dc_a * dc_dim_ + dc_b] = latency.count_us();
   if (symmetric) dc_matrix_[dc_b * dc_dim_ + dc_a] = latency.count_us();
-  min_cross_dirty_ = true;
 }
 
 Duration Network::dc_latency(std::uint32_t dc_a, std::uint32_t dc_b) const {
@@ -125,94 +97,33 @@ Duration Network::configured_latency(NodeId a, NodeId b) const {
   return default_latency_;
 }
 
-Duration Network::min_cross_dc_latency() {
-  if (min_cross_dirty_) {
-    min_cross_cache_ = compute_min_cross_dc();
-    min_cross_dirty_ = false;
-  }
-  return min_cross_cache_;
-}
-
-Duration Network::compute_min_cross_dc() const {
-  // Which DCs actually hold nodes? Unplaced nodes live in DC 0, and every
-  // world has some (the testbed's HSS at least), so DC 0 is always counted.
-  std::vector<bool> populated(dc_dim_ == 0 ? 1 : dc_dim_, false);
-  populated[0] = true;
-  // lint: order-independent — sets idempotent flags; no order leaks out.
-  for (const auto& [node, dc] : node_dc_) populated[dc] = true;
-
-  Duration best = Duration::max();
-  bool any_pair = false;
-  for (std::uint32_t a = 0; a < populated.size(); ++a) {
-    if (!populated[a]) continue;
-    for (std::uint32_t b = 0; b < populated.size(); ++b) {
-      if (a == b || !populated[b]) continue;
-      any_pair = true;
-      best = std::min(best, dc_latency(a, b));
-    }
-  }
-  if (!any_pair) return Duration::max();
-  // Per-node-pair overrides can undercut the DC matrix on cross-DC links.
-  // lint: order-independent — min() over all entries is commutative.
-  for (const auto& [key, lat] : latency_) {
-    const NodeId a = static_cast<NodeId>(key >> 32);
-    const NodeId b = static_cast<NodeId>(key & 0xFFFF'FFFFull);
-    if (dc_of(a) != dc_of(b)) best = std::min(best, lat);
-  }
-  return best;
-}
-
-Duration Network::delay(NodeId a, NodeId b, std::uint32_t shard) {
+Duration Network::delay(NodeId a, NodeId b) {
   const Duration base = configured_latency(a, b);
-  // Jitter-off (the default in every bench) touches no mutable state: the
-  // call is const-like and trivially shard-safe.
   if (jitter_ == 0.0) return base;
-  return base * shards_[shard].jitter_rng.uniform(1.0 - jitter_, 1.0 + jitter_);
+  return base * jitter_rng_.uniform(1.0 - jitter_, 1.0 + jitter_);
 }
 
-void Network::record_transfer(NodeId a, NodeId b, std::size_t bytes,
-                              std::uint32_t shard) {
-  ShardCtx& ctx = shards_[shard];
-  ++ctx.messages;
-  ctx.bytes += bytes;
-  ++ctx.pair_messages[pair_key(a, b)];
-}
-
-std::uint64_t Network::messages_sent() const {
-  std::uint64_t total = 0;
-  for (const ShardCtx& ctx : shards_) total += ctx.messages;
-  return total;
-}
-
-std::uint64_t Network::bytes_sent() const {
-  std::uint64_t total = 0;
-  for (const ShardCtx& ctx : shards_) total += ctx.bytes;
-  return total;
+void Network::record_transfer(NodeId a, NodeId b, std::size_t bytes) {
+  ++messages_;
+  bytes_ += bytes;
+  ++pair_messages_[pair_key(a, b)];
 }
 
 std::uint64_t Network::messages_between(NodeId a, NodeId b) const {
-  const std::uint64_t key = pair_key(a, b);
-  std::uint64_t total = 0;
-  for (const ShardCtx& ctx : shards_) {
-    const auto it = ctx.pair_messages.find(key);
-    if (it != ctx.pair_messages.end()) total += it->second;
-  }
-  return total;
+  const auto it = pair_messages_.find(pair_key(a, b));
+  return it == pair_messages_.end() ? 0 : it->second;
 }
 
 void Network::reset_counters() {
-  for (ShardCtx& ctx : shards_) {
-    ctx.messages = 0;
-    ctx.bytes = 0;
-    ctx.pair_messages.clear();
-    ctx.faults.reset();
-  }
+  messages_ = 0;
+  bytes_ = 0;
+  pair_messages_.clear();
+  faults_.reset();
 }
 
 // --- FaultPlane -------------------------------------------------------------
 
 void Network::set_global_faults(const LinkFaults& faults) {
-  check_mutable();
   SCALE_CHECK(faults.drop_prob >= 0.0 && faults.drop_prob <= 1.0);
   SCALE_CHECK(faults.dup_prob >= 0.0 && faults.dup_prob <= 1.0);
   SCALE_CHECK(faults.reorder_prob >= 0.0 && faults.reorder_prob <= 1.0);
@@ -223,7 +134,6 @@ void Network::set_global_faults(const LinkFaults& faults) {
 
 void Network::set_link_faults(NodeId a, NodeId b, const LinkFaults& faults,
                               bool symmetric) {
-  check_mutable();
   SCALE_CHECK(faults.drop_prob >= 0.0 && faults.drop_prob <= 1.0);
   SCALE_CHECK(faults.dup_prob >= 0.0 && faults.dup_prob <= 1.0);
   SCALE_CHECK(faults.reorder_prob >= 0.0 && faults.reorder_prob <= 1.0);
@@ -233,7 +143,6 @@ void Network::set_link_faults(NodeId a, NodeId b, const LinkFaults& faults,
 }
 
 void Network::clear_faults() {
-  check_mutable();
   global_faults_ = LinkFaults{};
   has_global_faults_ = false;
   link_faults_.clear();
@@ -244,13 +153,11 @@ void Network::clear_faults() {
 }
 
 void Network::set_fault_seed(std::uint64_t seed) {
-  for (std::uint32_t s = 0; s < shards_.size(); ++s)
-    shards_[s].fault_rng = Rng(shard_seed(seed, s) ^ kFaultSeedSalt);
+  fault_rng_ = Rng(seed ^ kFaultSeedSalt);
 }
 
 void Network::schedule_link_down(NodeId a, NodeId b, Time from, Time until,
                                  bool symmetric) {
-  check_mutable();
   SCALE_CHECK(until > from);
   link_down_[pair_key(a, b)].push_back({from, until, 1.0});
   if (symmetric) link_down_[pair_key(b, a)].push_back({from, until, 1.0});
@@ -259,7 +166,6 @@ void Network::schedule_link_down(NodeId a, NodeId b, Time from, Time until,
 
 void Network::schedule_partition(std::uint32_t dc_a, std::uint32_t dc_b,
                                  Time from, Time until) {
-  check_mutable();
   SCALE_CHECK(until > from);
   SCALE_CHECK(dc_a != dc_b);
   partitions_[pair_key(dc_a, dc_b)].push_back({from, until, 1.0});
@@ -269,7 +175,6 @@ void Network::schedule_partition(std::uint32_t dc_a, std::uint32_t dc_b,
 
 void Network::schedule_latency_spike(std::uint32_t dc_a, std::uint32_t dc_b,
                                      Time from, Time until, double factor) {
-  check_mutable();
   SCALE_CHECK(until > from);
   SCALE_CHECK(factor >= 1.0);
   spikes_[pair_key(dc_a, dc_b)].push_back({from, until, factor});
@@ -284,18 +189,16 @@ bool Network::window_active(const std::vector<TimedFault>& windows, Time now) {
   return false;
 }
 
-FaultVerdict Network::fault_verdict(NodeId a, NodeId b, Time now,
-                                    std::uint32_t shard) {
+FaultVerdict Network::fault_verdict(NodeId a, NodeId b, Time now) {
   FaultVerdict v;
   if (!faults_enabled_) return v;
-  ShardCtx& ctx = shards_[shard];
 
   // Scripted faults first: deterministic windows, no Rng consumed, so a
   // partition never shifts the stochastic draw sequence of other links.
   if (!link_down_.empty()) {
     const auto it = link_down_.find(pair_key(a, b));
     if (it != link_down_.end() && window_active(it->second, now)) {
-      ++ctx.faults.link_down_drops;
+      ++faults_.link_down_drops;
       v.deliver = false;
       v.cause = FaultCause::kLinkDown;
       return v;
@@ -305,7 +208,7 @@ FaultVerdict Network::fault_verdict(NodeId a, NodeId b, Time now,
   if (!partitions_.empty() && dc_a != dc_b) {
     const auto it = partitions_.find(pair_key(dc_a, dc_b));
     if (it != partitions_.end() && window_active(it->second, now)) {
-      ++ctx.faults.partition_drops;
+      ++faults_.partition_drops;
       v.deliver = false;
       v.cause = FaultCause::kPartition;
       return v;
@@ -330,35 +233,23 @@ FaultVerdict Network::fault_verdict(NodeId a, NodeId b, Time now,
   if (spec == nullptr && has_global_faults_) spec = &global_faults_;
   if (spec == nullptr) return v;
 
-  if (spec->drop_prob > 0.0 && ctx.fault_rng.chance(spec->drop_prob)) {
-    ++ctx.faults.random_drops;
+  if (spec->drop_prob > 0.0 && fault_rng_.chance(spec->drop_prob)) {
+    ++faults_.random_drops;
     v.deliver = false;
     v.cause = FaultCause::kRandomDrop;
     return v;
   }
-  if (spec->dup_prob > 0.0 && ctx.fault_rng.chance(spec->dup_prob)) {
-    ++ctx.faults.duplicates;
+  if (spec->dup_prob > 0.0 && fault_rng_.chance(spec->dup_prob)) {
+    ++faults_.duplicates;
     v.duplicate = true;
     v.cause = FaultCause::kDuplicate;
   }
-  if (spec->reorder_prob > 0.0 && ctx.fault_rng.chance(spec->reorder_prob)) {
-    ++ctx.faults.reorders;
+  if (spec->reorder_prob > 0.0 && fault_rng_.chance(spec->reorder_prob)) {
+    ++faults_.reorders;
     v.extra_delay = spec->reorder_window;
     if (v.cause == FaultCause::kNone) v.cause = FaultCause::kReorder;
   }
   return v;
-}
-
-FaultCounters Network::fault_counters() const {
-  FaultCounters total;
-  for (const ShardCtx& ctx : shards_) {
-    total.random_drops += ctx.faults.random_drops;
-    total.link_down_drops += ctx.faults.link_down_drops;
-    total.partition_drops += ctx.faults.partition_drops;
-    total.duplicates += ctx.faults.duplicates;
-    total.reorders += ctx.faults.reorders;
-  }
-  return total;
 }
 
 void Network::export_metrics(obs::MetricsRegistry& reg,

@@ -14,15 +14,6 @@
 // outcomes (and vice versa). Scripted windows are checked before any
 // stochastic draw, so scripted outcomes consume no randomness at all —
 // same-seed runs replay byte-identically.
-//
-// ShardedSim (DESIGN.md §10): one Network is shared by every shard, so all
-// mutable per-message state — jitter Rng, fault Rng, transfer and fault
-// counters — lives in per-shard contexts selected by the `shard` parameter
-// of the hot-path methods. Shard 0's streams are seeded exactly as the
-// pre-sharding single streams, so unsharded worlds (and shard 0 of sharded
-// ones) replay the historical draw sequences bit-for-bit. Topology (latency
-// maps, DC placement, fault specs) is read-only during a parallel run:
-// `freeze_topology()` arms a CHECK on every mutator.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/check.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "sim/metrics.h"
@@ -99,54 +89,26 @@ class Network {
   /// Configured DC-to-DC latency (default latency when unset or same DC).
   Duration dc_latency(std::uint32_t dc_a, std::uint32_t dc_b) const;
 
-  /// Minimum configured latency between any two *distinct* DCs that hold at
-  /// least one node (DC 0 counts as populated: unplaced nodes live there).
-  /// Includes per-node-pair overrides that cross DCs, and the default
-  /// latency when some populated cross-DC pair has no matrix entry. Returns
-  /// Duration::max() when fewer than two DCs are populated (no cross-DC
-  /// traffic is possible). Cached; recomputed lazily after topology edits —
-  /// call it only from single-threaded phases (ShardedSim reads it once at
-  /// setup, before workers exist).
-  Duration min_cross_dc_latency();
-
   /// Multiplicative jitter fraction j: actual = latency * U[1-j, 1+j].
   void set_jitter(double fraction);
   double jitter() const { return jitter_; }
 
   /// One-way delay for a message a -> b (with jitter applied, if any). The
-  /// jitter draw comes from `shard`'s stream; the jitter-off path (default
-  /// in every bench) reads no mutable state at all.
-  Duration delay(NodeId a, NodeId b, std::uint32_t shard = 0);
+  /// jitter-off path (default in every bench) draws nothing.
+  Duration delay(NodeId a, NodeId b);
 
   /// Deterministic (jitter-free) configured latency.
   Duration configured_latency(NodeId a, NodeId b) const;
 
-  /// Accounting hook: call per message sent; counts into `shard`'s context.
-  void record_transfer(NodeId a, NodeId b, std::size_t bytes,
-                       std::uint32_t shard = 0);
+  /// Accounting hook: call per message sent.
+  void record_transfer(NodeId a, NodeId b, std::size_t bytes);
 
-  /// Totals are summed over shard contexts on read (commutative, so the
-  /// result is thread-count independent). Call from single-threaded phases.
-  std::uint64_t messages_sent() const;
-  std::uint64_t bytes_sent() const;
+  std::uint64_t messages_sent() const { return messages_; }
+  std::uint64_t bytes_sent() const { return bytes_; }
   std::uint64_t messages_between(NodeId a, NodeId b) const;
 
-  /// Resets transfer AND fault counters (they fingerprint the same window),
-  /// across every shard context.
+  /// Resets transfer AND fault counters (they fingerprint the same window).
   void reset_counters();
-
-  /// Size the per-shard stream/counter table (>= 1). Shard 0 keeps the
-  /// legacy seeding; shard i's streams are derived from (seed, i) splits.
-  /// Build-time only (CHECKed against freeze_topology()).
-  void set_shard_count(std::uint32_t n);
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-
-  /// Arm the "no topology mutation during a parallel run" CHECKs. There is
-  /// no unfreeze: a world that went parallel stays frozen.
-  void freeze_topology() { frozen_ = true; }
-  bool topology_frozen() const { return frozen_; }
 
   // --- FaultPlane -----------------------------------------------------------
 
@@ -158,9 +120,8 @@ class Network {
   /// Remove all fault specs and scripted windows (counters are kept; use
   /// reset_counters() to clear them).
   void clear_faults();
-  /// Reseed the fault Rngs (e.g. to replay a chaos window from a
-  /// checkpoint). Independent of the jitter Rngs; every shard stream is
-  /// reseeded from its (seed, shard) split.
+  /// Reseed the fault Rng (e.g. to replay a chaos window from a
+  /// checkpoint). Independent of the jitter Rng.
   void set_fault_seed(std::uint64_t seed);
 
   /// Scripted faults: [from, until) windows evaluated deterministically
@@ -179,13 +140,10 @@ class Network {
   bool faults_enabled() const { return faults_enabled_; }
 
   /// Decide the fate of one PDU on link a -> b at simulated time `now`.
-  /// Mutates `shard`'s fault counters and (for stochastic faults) its fault
-  /// Rng; reads topology/spec state only.
-  FaultVerdict fault_verdict(NodeId a, NodeId b, Time now,
-                             std::uint32_t shard = 0);
+  /// Mutates the fault counters and (for stochastic faults) the fault Rng.
+  FaultVerdict fault_verdict(NodeId a, NodeId b, Time now);
 
-  /// Aggregated over shard contexts (by value — per-shard tallies sum).
-  FaultCounters fault_counters() const;
+  FaultCounters fault_counters() const { return faults_; }
 
   /// Publish transfer + fault counters under `prefix` ("net.messages",
   /// "net.faults.random_drops", ...). Read-only.
@@ -199,35 +157,19 @@ class Network {
     double factor = 1.0;  // latency spikes only
   };
 
-  /// Everything one shard's hot path mutates. One per engine shard; workers
-  /// never touch another shard's context, so no locking is needed.
-  struct ShardCtx {
-    Rng jitter_rng{0};
-    Rng fault_rng{0};
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> pair_messages;
-    FaultCounters faults;
-  };
-
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
   static bool window_active(const std::vector<TimedFault>& windows, Time now);
-  void check_mutable() const {
-    SCALE_CHECK_MSG(!frozen_, "topology mutation after freeze_topology()");
-  }
   /// Dense matrix cell for (a, b), or nullptr when outside the dense dim.
   const std::int64_t* dc_cell(std::uint32_t a, std::uint32_t b) const {
     if (a >= dc_dim_ || b >= dc_dim_) return nullptr;
     return &dc_matrix_[a * dc_dim_ + b];
   }
   void grow_dc_matrix(std::uint32_t need_dim);
-  Duration compute_min_cross_dc() const;
 
   Duration default_latency_;
   double jitter_ = 0.0;
-  bool frozen_ = false;
   std::unordered_map<std::uint64_t, Duration> latency_;
   std::unordered_map<NodeId, std::uint32_t> node_dc_;
 
@@ -238,14 +180,15 @@ class Network {
   static constexpr std::int64_t kDcUnset = -1;
   std::uint32_t dc_dim_ = 0;
   std::vector<std::int64_t> dc_matrix_;
-  bool min_cross_dirty_ = true;
-  Duration min_cross_cache_ = Duration::max();
 
-  std::vector<ShardCtx> shards_;
-  std::uint64_t jitter_seed_;
+  Rng jitter_rng_;
+  Rng fault_rng_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::unordered_map<std::uint64_t, std::uint64_t> pair_messages_;
+  FaultCounters faults_;
 
-  // FaultPlane topology (specs/windows; the Rngs and counters live in
-  // ShardCtx so each shard draws from its own stream).
+  // FaultPlane specs and scripted windows.
   bool faults_enabled_ = false;
   LinkFaults global_faults_;
   bool has_global_faults_ = false;

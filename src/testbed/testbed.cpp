@@ -23,77 +23,15 @@ std::vector<epc::Ue*> Testbed::Site::ue_ptrs() const {
 
 Testbed::Testbed(Config cfg)
     : cfg_(cfg), network_(cfg.default_latency, cfg.seed ^ 0xABCD),
-      fabric_(engine_, network_), sharded_(cfg.threads >= 1),
-      delays_(cfg.delay_sample_cap), rng_(cfg.seed) {
-  if (sharded_) {
-    // Shard 0 is the legacy engine/fabric; attach before the HSS registers
-    // so its NodeId comes from shard 0's range (which starts at 1 — the
-    // historical sequence, so single-shard worlds replay bit-for-bit).
-    fabric_.attach_shard(router_, 0);
-    dc_shard_.emplace(0, 0);
-    if (!cfg_.partition_map.empty()) {
-      SCALE_CHECK_MSG(cfg_.partition_map[0] == 0,
-                      "DC 0 must map to shard 0 (it hosts the HSS)");
-      std::uint32_t max_shard = 0;
-      for (const std::uint32_t s : cfg_.partition_map)
-        max_shard = std::max(max_shard, s);
-      for (std::uint32_t s = 1; s <= max_shard; ++s)
-        SCALE_CHECK(make_shard() == s);
-      for (std::uint32_t dc = 0; dc < cfg_.partition_map.size(); ++dc)
-        dc_shard_.emplace(dc, cfg_.partition_map[dc]);
-    }
-  }
+      fabric_(engine_, network_), delays_(cfg.delay_sample_cap),
+      rng_(cfg.seed) {
+  SCALE_CHECK_MSG(cfg.threads == 0,
+                  "Testbed::Config::threads must be 0: the simulator runs "
+                  "one engine");
   // Must precede every endpoint: each ReliableChannel snapshots the
   // fabric's transport config at construction.
   fabric_.set_transport(cfg.transport);
   hss_ = std::make_unique<epc::Hss>(fabric_);
-}
-
-std::uint32_t Testbed::make_shard() {
-  const std::uint32_t s = router_.add_shard();
-  auto ex = std::make_unique<ShardExtra>(network_, cfg_.delay_sample_cap);
-  ex->fabric.set_transport(cfg_.transport);
-  ex->fabric.attach_shard(router_, s);
-  extra_.push_back(std::move(ex));
-  return s;
-}
-
-std::uint32_t Testbed::shard_for_dc(std::uint32_t dc_id) {
-  if (!sharded_) return 0;
-  if (!cfg_.partition_map.empty()) {
-    const auto it = dc_shard_.find(dc_id);
-    SCALE_CHECK_MSG(it != dc_shard_.end(),
-                    "DC outside the configured partition map");
-    return it->second;
-  }
-  const auto it = dc_shard_.find(dc_id);
-  if (it != dc_shard_.end()) return it->second;
-  const std::uint32_t s = make_shard();
-  dc_shard_.emplace(dc_id, s);
-  return s;
-}
-
-sim::Engine& Testbed::shard_engine(std::uint32_t s) {
-  return s == 0 ? engine_ : extra_.at(s - 1)->engine;
-}
-epc::Fabric& Testbed::shard_fabric(std::uint32_t s) {
-  return s == 0 ? fabric_ : extra_.at(s - 1)->fabric;
-}
-sim::DelayRecorder& Testbed::shard_delays(std::uint32_t s) {
-  return s == 0 ? delays_ : extra_.at(s - 1)->delays;
-}
-std::uint64_t& Testbed::shard_failures(std::uint32_t s) {
-  return s == 0 ? failures_ : extra_.at(s - 1)->failures;
-}
-obs::Tracer& Testbed::shard_tracer(std::uint32_t s) {
-  return s == 0 ? tracer0_ : extra_.at(s - 1)->tracer;
-}
-
-sim::Engine& Testbed::engine_for_dc(std::uint32_t dc_id) {
-  return shard_engine(shard_for_dc(dc_id));
-}
-epc::Fabric& Testbed::fabric_for_dc(std::uint32_t dc_id) {
-  return shard_fabric(shard_for_dc(dc_id));
 }
 
 Testbed::Site& Testbed::add_site(std::size_t num_enbs, proto::Tac tac,
@@ -102,9 +40,7 @@ Testbed::Site& Testbed::add_site(std::size_t num_enbs, proto::Tac tac,
   SCALE_CHECK(num_enbs >= 1);
   auto site = std::make_unique<Site>();
   site->dc_id = dc_id;
-  site->shard = shard_for_dc(dc_id);
-  epc::Fabric& fabric = shard_fabric(site->shard);
-  site->sgw = std::make_unique<epc::Sgw>(fabric);
+  site->sgw = std::make_unique<epc::Sgw>(fabric_);
   network_.set_node_dc(site->sgw->node(), dc_id);
   for (std::size_t i = 0; i < num_enbs; ++i) {
     epc::EnodeB::Config enb_cfg;
@@ -112,7 +48,7 @@ Testbed::Site& Testbed::add_site(std::size_t num_enbs, proto::Tac tac,
     enb_cfg.radio_delay = radio_delay;
     enb_cfg.rrc_inactivity = rrc_inactivity;
     enb_cfg.seed = rng_.next_u64();
-    site->enbs.push_back(std::make_unique<epc::EnodeB>(fabric, enb_cfg));
+    site->enbs.push_back(std::make_unique<epc::EnodeB>(fabric_, enb_cfg));
     network_.set_node_dc(site->enbs.back()->node(), dc_id);
   }
   sites_.push_back(std::move(site));
@@ -130,11 +66,7 @@ epc::Ue& Testbed::make_ue(Site& site, std::size_t enb_index,
   ue_cfg.secret_key = rng_.next_u64();
   ue_cfg.access_freq = access_freq;
   ue_cfg.guard_timeout = cfg_.ue_guard_timeout;
-  // The UE (and everything its sinks touch: engine, recorder, failure
-  // counter) lives on its site's shard, so completions during parallel
-  // windows mutate only shard-local state.
-  sim::Engine& eng = shard_engine(site.shard);
-  auto ue = std::make_unique<epc::Ue>(eng, site.enbs.at(enb_index).get(),
+  auto ue = std::make_unique<epc::Ue>(engine_, site.enbs.at(enb_index).get(),
                                       ue_cfg);
   hss_->provision_subscriber(ue_cfg.imsi, ue_cfg.secret_key);
 
@@ -145,28 +77,24 @@ epc::Ue& Testbed::make_ue(Site& site, std::size_t enb_index,
   if (obs::Tracer* tr = obs::Tracer::current())
     tr->set_track_name(track, "ue." + std::to_string(imsi));
 
-  sim::DelayRecorder* rec = &shard_delays(site.shard);
   ue->set_completion_sink(
-      [rec, &eng, track,
-       imsi](epc::Ue&, proto::ProcedureType p, Duration delay) {
-        rec->record(p, delay);
+      [this, track, imsi](epc::Ue&, proto::ProcedureType p, Duration delay) {
+        delays_.record(p, delay);
         if (obs::Tracer* tr = obs::Tracer::current()) {
           obs::Json args = obs::Json::object();
           args.set("imsi", imsi);
           tr->complete(track, proto::procedure_name(p),
-                       eng.now() - delay, delay, std::move(args));
+                       engine_.now() - delay, delay, std::move(args));
         }
       });
-  std::uint64_t* fail_count = &shard_failures(site.shard);
-  ue->set_failure_sink(
-      [this, fail_count, &eng](epc::Ue& failed, proto::ProcedureType) {
-        ++*fail_count;
-        if (cfg_.auto_reattach && !failed.registered()) {
-          eng.after(cfg_.reattach_backoff, [&failed]() {
-            if (!failed.registered() && !failed.busy()) failed.attach();
-          });
-        }
+  ue->set_failure_sink([this](epc::Ue& failed, proto::ProcedureType) {
+    ++failures_;
+    if (cfg_.auto_reattach && !failed.registered()) {
+      engine_.after(cfg_.reattach_backoff, [&failed]() {
+        if (!failed.registered() && !failed.busy()) failed.attach();
       });
+    }
+  });
 
   site.ues.push_back(std::move(ue));
   return *site.ues.back();
@@ -187,14 +115,13 @@ std::vector<epc::Ue*> Testbed::make_ues(Site& site, std::size_t count,
 std::size_t Testbed::register_all(Site& site, Duration window,
                                   Duration settle) {
   SCALE_CHECK(window > Duration::zero());
-  sim::Engine& eng = shard_engine(site.shard);
-  const Time start = eng.now();
+  const Time start = engine_.now();
   for (std::size_t i = 0; i < site.ues.size(); ++i) {
     epc::Ue* ue = site.ues[i].get();
     const Duration offset =
         window * (static_cast<double>(i) /
                   static_cast<double>(std::max<std::size_t>(1, site.ues.size())));
-    eng.at(start + offset, [ue]() {
+    engine_.at(start + offset, [ue]() {
       if (!ue->registered() && !ue->busy()) ue->attach();
     });
   }
@@ -205,101 +132,18 @@ std::size_t Testbed::register_all(Site& site, Duration window,
   return registered;
 }
 
-void Testbed::ensure_sharded_sim() {
-  if (sharded_sim_ != nullptr) return;
-  const std::uint32_t n = router_.shard_count();
-  // Per-shard RNG/counter streams in the shared network. No draws can have
-  // happened yet (jitter/faults only fire on sends, sends only in runs), so
-  // sizing the table here reseeds nothing that was ever used.
-  network_.set_shard_count(n);
-  Duration lookahead = std::max(cfg_.default_latency, Duration::us(1));
-  if (n > 1) {
-    const Duration min_cross = network_.min_cross_dc_latency();
-    SCALE_CHECK_MSG(min_cross != Duration::max(),
-                    "multi-shard world with no cross-DC pair");
-    // Jitter can undercut the configured latency by up to the jitter
-    // fraction; shrink the window so even the luckiest draw stays ahead.
-    lookahead = min_cross * (1.0 - network_.jitter());
-    SCALE_CHECK_MSG(lookahead > Duration::zero(),
-                    "cross-DC latency too small to shard against");
-    // Parallel windows read topology concurrently; no more edits.
-    network_.freeze_topology();
-  }
-  std::vector<sim::ShardedSim::Shard> shards;
-  shards.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    epc::Fabric* fab = &shard_fabric(s);
-    shards.push_back({&shard_engine(s), [fab](sim::CrossShardMsg&& m) {
-                        fab->accept_arrival(std::move(m));
-                      }});
-  }
-  sim::ShardedSim::Config scfg;
-  scfg.threads = cfg_.threads;
-  scfg.lookahead = lookahead;
-  sharded_sim_ =
-      std::make_unique<sim::ShardedSim>(router_, std::move(shards), scfg);
-  // Workers record trace events into the running shard's buffer; the
-  // buffers are absorbed in shard order after each run segment.
-  sharded_sim_->set_shard_scope(
-      [this](std::uint32_t s) {
-        if (trace_run_) obs::Tracer::install(&shard_tracer(s));
-      },
-      [this](std::uint32_t s) {
-        (void)s;
-        if (trace_run_) obs::Tracer::install(nullptr);
-      });
-}
-
 void Testbed::run_for(Duration d) { run_until(engine_.now() + d); }
 
-void Testbed::run_until(Time t) {
-  if (!sharded_) {
-    engine_.run_until(t);
-    return;
-  }
-  ensure_sharded_sim();
-  obs::Tracer* main_tracer = obs::Tracer::current();
-  trace_run_ = main_tracer != nullptr;
-  if (main_tracer != nullptr) obs::Tracer::install(nullptr);
-  sharded_sim_->run_until(t);
-  if (main_tracer != nullptr) {
-    for (std::uint32_t s = 0; s < router_.shard_count(); ++s)
-      main_tracer->absorb(shard_tracer(s));
-    obs::Tracer::install(main_tracer);
-  }
-}
-
-sim::DelayRecorder Testbed::merged_delays() const {
-  sim::DelayRecorder out(cfg_.delay_sample_cap);
-  out.merge_from(delays_);
-  for (const auto& ex : extra_) out.merge_from(ex->delays);
-  return out;
-}
-
-std::uint64_t Testbed::failures() const {
-  std::uint64_t total = failures_;
-  for (const auto& ex : extra_) total += ex->failures;
-  return total;
-}
+void Testbed::run_until(Time t) { engine_.run_until(t); }
 
 double Testbed::p99_ms(const std::string& bucket) const {
-  if (extra_.empty()) {
-    if (!delays_.has(bucket)) return 0.0;
-    return delays_.bucket(bucket).percentile(0.99);
-  }
-  const sim::DelayRecorder merged = merged_delays();
-  if (!merged.has(bucket)) return 0.0;
-  return merged.bucket(bucket).percentile(0.99);
+  if (!delays_.has(bucket)) return 0.0;
+  return delays_.bucket(bucket).percentile(0.99);
 }
 
 double Testbed::mean_ms(const std::string& bucket) const {
-  if (extra_.empty()) {
-    if (!delays_.has(bucket)) return 0.0;
-    return delays_.bucket(bucket).mean();
-  }
-  const sim::DelayRecorder merged = merged_delays();
-  if (!merged.has(bucket)) return 0.0;
-  return merged.bucket(bucket).mean();
+  if (!delays_.has(bucket)) return 0.0;
+  return delays_.bucket(bucket).mean();
 }
 
 double Testbed::p99_ms(proto::ProcedureType p) const {
@@ -314,18 +158,8 @@ void Testbed::export_metrics(obs::MetricsRegistry& reg) const {
   engine_.export_metrics(reg, "engine");
   network_.export_metrics(reg, "network");
   fabric_.export_metrics(reg, "fabric");
-  if (extra_.empty()) {
-    delays_.export_metrics(reg, "ue");
-  } else {
-    for (std::size_t i = 0; i < extra_.size(); ++i) {
-      const std::string p = "shard" + std::to_string(i + 1);
-      extra_[i]->engine.export_metrics(reg, p + ".engine");
-      extra_[i]->fabric.export_metrics(reg, p + ".fabric");
-    }
-    merged_delays().export_metrics(reg, "ue");
-  }
-  if (sharded_sim_ != nullptr) sharded_sim_->export_metrics(reg, "sharded");
-  reg.set_counter("ue.failures", failures());
+  delays_.export_metrics(reg, "ue");
+  reg.set_counter("ue.failures", failures_);
 }
 
 }  // namespace scale::testbed

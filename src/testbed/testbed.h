@@ -7,23 +7,10 @@
 // Every UE's procedure completions are recorded into a DelayRecorder
 // bucketed by procedure name — the paper's end-to-end "delay as perceived
 // by the devices".
-//
-// ShardedSim (DESIGN.md §10): with Config::threads >= 1 the testbed builds a
-// *sharded* world — one engine + fabric per shard (shard = DC by default, or
-// Config::partition_map), coupled through cross-shard mailboxes and advanced
-// in conservative lookahead windows by a ShardedSim worker pool. Shard 0
-// aliases the legacy engine_/fabric_ members (and hosts the HSS and every
-// DC-0 site), so engine()/fabric() keep their historical meaning and a
-// single-DC sharded world replays the unsharded trajectory bit-for-bit.
-// Everything a shard's events mutate — delay recorder, failure counter,
-// trace buffer — is per-shard, merged deterministically (ascending shard
-// order) on read, which is what makes results independent of the worker
-// count.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "epc/enodeb.h"
@@ -31,12 +18,9 @@
 #include "epc/hss.h"
 #include "epc/sgw.h"
 #include "epc/ue.h"
-#include "obs/trace.h"
 #include "sim/engine.h"
-#include "sim/mailbox.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
-#include "sim/shard.h"
 
 namespace scale::obs {
 class MetricsRegistry;
@@ -64,19 +48,13 @@ class Testbed {
     /// fabric before any endpoint is built, so every node in the testbed
     /// sees the same setting. Default = pass-through (seed behaviour).
     epc::TransportConfig transport;
-    /// 0 = classic single-engine testbed (seed behaviour). >= 1 enables the
-    /// sharded world; the value is the worker-pool size (capped at the
-    /// shard count). Results are byte-identical for every value >= 1.
+    /// Must be 0 (checked at construction): the simulator runs one engine
+    /// (DESIGN.md §10). Kept because wholerun/src/worlds.cpp sets it.
     unsigned threads = 0;
-    /// Optional explicit DC -> shard assignment (indexed by DC id). Empty =
-    /// one shard per distinct DC, numbered in order of first appearance.
-    /// DC 0 must map to shard 0 (the HSS lives there).
-    std::vector<std::uint32_t> partition_map;
   };
 
   struct Site {
     std::uint32_t dc_id = 0;
-    std::uint32_t shard = 0;
     std::unique_ptr<epc::Sgw> sgw;
     std::vector<std::unique_ptr<epc::EnodeB>> enbs;
     std::vector<std::unique_ptr<epc::Ue>> ues;
@@ -89,35 +67,12 @@ class Testbed {
   explicit Testbed(Config cfg);
   Testbed() : Testbed(Config{}) {}
 
-  /// Shard 0's engine/fabric — identical to the whole world when unsharded.
   sim::Engine& engine() { return engine_; }
   sim::Network& network() { return network_; }
   epc::Fabric& fabric() { return fabric_; }
   epc::Hss& hss() { return *hss_; }
-  /// Shard 0's recorder (the only one when unsharded); use merged_delays()
-  /// or p99_ms()/mean_ms() for whole-world numbers in sharded worlds.
   sim::DelayRecorder& delays() { return delays_; }
   Rng& rng() { return rng_; }
-
-  // --- sharded world --------------------------------------------------------
-
-  bool sharded() const { return sharded_; }
-  std::uint32_t shard_count() const { return router_.shard_count(); }
-  /// Shard assignment for a DC. In a sharded world, asking about a new DC
-  /// *creates* its shard (world construction picks the partition), so call
-  /// sites must not probe DCs they don't intend to populate.
-  std::uint32_t shard_for_dc(std::uint32_t dc_id);
-  /// Engine/fabric owning a DC — build per-DC drivers and clusters against
-  /// these so their events run on (and their endpoints register with) the
-  /// DC's shard. Equal to engine()/fabric() when unsharded or for DC 0.
-  sim::Engine& engine_for_dc(std::uint32_t dc_id);
-  epc::Fabric& fabric_for_dc(std::uint32_t dc_id);
-  /// All shards' delay samples folded into one recorder (ascending shard
-  /// order — deterministic). Cheap when unsharded-or-single-shard worlds
-  /// call p99_ms()/mean_ms() instead.
-  sim::DelayRecorder merged_delays() const;
-  /// The window runner (null until the first sharded run).
-  const sim::ShardedSim* sharded_sim() const { return sharded_sim_.get(); }
 
   /// Create a site: one S-GW plus `num_enbs` eNodeBs in tracking area
   /// `tac`, all placed in `dc_id` for network-latency purposes.
@@ -156,49 +111,17 @@ class Testbed {
   double p99_ms(proto::ProcedureType p) const;
   double mean_ms(proto::ProcedureType p) const;
 
-  std::uint64_t failures() const;
+  std::uint64_t failures() const { return failures_; }
 
   /// Publish engine/network/fabric counters plus per-procedure UE delay
   /// buckets into `reg` ("engine.*", "network.*", "fabric.*", "ue.*").
   void export_metrics(obs::MetricsRegistry& reg) const;
 
  private:
-  /// Shards beyond shard 0 (which aliases the legacy members below). Each
-  /// bundles the state its worker mutates during windows, so workers never
-  /// share a mutable object.
-  struct ShardExtra {
-    sim::Engine engine;
-    epc::Fabric fabric;
-    sim::DelayRecorder delays;
-    obs::Tracer tracer;
-    std::uint64_t failures = 0;
-    ShardExtra(sim::Network& net, std::size_t delay_cap)
-        : fabric(engine, net), delays(delay_cap) {}
-  };
-
-  std::uint32_t make_shard();  ///< create the next ShardExtra; returns its id
-  sim::Engine& shard_engine(std::uint32_t s);
-  epc::Fabric& shard_fabric(std::uint32_t s);
-  sim::DelayRecorder& shard_delays(std::uint32_t s);
-  std::uint64_t& shard_failures(std::uint32_t s);
-  obs::Tracer& shard_tracer(std::uint32_t s);
-  /// Build the window runner on first sharded run (lookahead from the
-  /// network's min cross-DC latency, scaled down by jitter; freezes the
-  /// shard set and — when actually parallel — the network topology).
-  void ensure_sharded_sim();
-
   Config cfg_;
   sim::Engine engine_;
   sim::Network network_;
   epc::Fabric fabric_;
-  // Shard storage is declared before hss_/sites_ ON PURPOSE: sites (and any
-  // node the testbed owns) register endpoints with shard fabrics and must
-  // deregister in their destructors, so extra_ has to outlive them —
-  // i.e. be destroyed after them.
-  bool sharded_ = false;
-  sim::ShardRouter router_;
-  std::unordered_map<std::uint32_t, std::uint32_t> dc_shard_;
-  std::vector<std::unique_ptr<ShardExtra>> extra_;  ///< shards 1..N-1
   std::unique_ptr<epc::Hss> hss_;
   sim::DelayRecorder delays_;
   Rng rng_;
@@ -206,10 +129,6 @@ class Testbed {
   proto::Imsi next_imsi_ = 100'000'000'000'000ull;
   std::uint64_t ue_count_ = 0;
   std::uint64_t failures_ = 0;
-
-  obs::Tracer tracer0_;  ///< shard 0's trace buffer during sharded runs
-  std::unique_ptr<sim::ShardedSim> sharded_sim_;
-  bool trace_run_ = false;  ///< set per run; read by shard-scope hooks
 };
 
 }  // namespace scale::testbed

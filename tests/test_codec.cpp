@@ -237,8 +237,9 @@ TEST(Codec, RingUpdateRoundTrip) {
   for (std::uint32_t i = 1; i <= 30; ++i)
     update.members.push_back({i * 100, static_cast<std::uint8_t>(i)});
   const auto bytes = encode_pdu(make_pdu(update));
-  const auto& back = std::get<RingUpdate>(
-      std::get<ClusterMessage>(decode_pdu(bytes)));
+  const Pdu decoded = decode_pdu(bytes);
+  const auto& back =
+      std::get<RingUpdate>(std::get<ClusterMessage>(decoded));
   EXPECT_EQ(back.version, 42u);
   ASSERT_EQ(back.members.size(), 30u);
   EXPECT_EQ(back.members[7], update.members[7]);
@@ -374,9 +375,9 @@ TEST(Codec, BoxedEnvelopesMatchGoldenEncoding) {
     EXPECT_EQ(wire_size(pdu), golden.size());
     EXPECT_EQ(encode_pdu(decode_pdu(golden)), golden);
   }
+  const Pdu decoded = decode_pdu(reply_golden);
   const auto& back = std::get<ClusterForward>(std::get<ClusterMessage>(
-      std::get<ClusterReply>(
-          std::get<ClusterMessage>(decode_pdu(reply_golden)))
+      std::get<ClusterReply>(std::get<ClusterMessage>(decoded))
           .inner->value));
   EXPECT_EQ(back.origin, 1u);
   EXPECT_STREQ(pdu_name(back.inner->value), "InitialUeMessage");

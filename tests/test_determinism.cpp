@@ -17,13 +17,10 @@ namespace {
 using testbed::Testbed;
 
 // Run a moderately busy SCALE scenario and produce a fingerprint of
-// everything observable. `threads` = 0 runs the classic single-engine
-// world; >= 1 the ShardedSim world (DESIGN.md §10), which must replay the
-// exact same trajectory.
-std::string run_fingerprint(std::uint64_t seed, unsigned threads = 0) {
+// everything observable.
+std::string run_fingerprint(std::uint64_t seed) {
   Testbed::Config tcfg;
   tcfg.seed = seed;
-  tcfg.threads = threads;
   Testbed tb(tcfg);
   auto& site = tb.add_site(2);
   core::ScaleCluster::Config cfg;
@@ -96,22 +93,14 @@ TEST(Determinism, FingerprintGoldenDigest) {
   EXPECT_EQ(hex.str(), "192a5ab5df0e500cc793e8d5684cd1b6");
 }
 
-TEST(Determinism, ShardedFingerprint) {
-  // The ShardedSim acceptance gate (ISSUE 8): the sharded world — at any
-  // worker count — replays the unsharded golden trajectory byte-for-byte.
-  // This scenario is single-DC, so it maps to one shard and every thread
-  // count exercises the same windows; the multi-DC cross-thread cases live
-  // in test_sharded.cpp.
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    const hash::Md5Digest d =
-        hash::Md5::digest(run_fingerprint(12345, threads));
-    std::ostringstream hex;
-    for (const auto byte : d)
-      hex << std::hex << std::setw(2) << std::setfill('0')
-          << static_cast<unsigned>(byte);
-    EXPECT_EQ(hex.str(), "192a5ab5df0e500cc793e8d5684cd1b6")
-        << "threads=" << threads;
-  }
+TEST(Determinism, TestbedRejectsAThreadCount) {
+  // The simulator runs one engine (DESIGN.md §10); Config::threads survives
+  // only as a field the WholeRun harness sets to 0.
+  Testbed::Config tcfg;
+  tcfg.threads = 1;
+  EXPECT_THROW(Testbed{tcfg}, CheckError);
+  tcfg.threads = 0;
+  EXPECT_NO_THROW(Testbed{tcfg});
 }
 
 TEST(Determinism, RngSequenceStable) {

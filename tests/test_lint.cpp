@@ -59,7 +59,6 @@ TEST(ScaleLint, FixtureTreeYieldsExactPerRuleCounts) {
   EXPECT_EQ(r.count("[L5]"), 2u) << r.output;
   EXPECT_EQ(r.count("[L6]"), 5u) << r.output;
   EXPECT_EQ(r.count("[L7]"), 2u) << r.output;
-  EXPECT_EQ(r.count("[L8]"), 4u) << r.output;
 }
 
 TEST(ScaleLint, PositiveFixturesFlagTheRightFiles) {
@@ -73,7 +72,6 @@ TEST(ScaleLint, PositiveFixturesFlagTheRightFiles) {
   EXPECT_EQ(r.count("src/epc/l5_bad.cpp"), 2u) << r.output;
   EXPECT_EQ(r.count("src/sim/l6_bad.cpp"), 5u) << r.output;
   EXPECT_EQ(r.count("src/epc/l7_bad.cpp"), 2u) << r.output;
-  EXPECT_EQ(r.count("src/core/l8_bad.cpp"), 4u) << r.output;
 }
 
 TEST(ScaleLint, NegativeFixturesAreCleanAndExitZero) {
@@ -82,7 +80,7 @@ TEST(ScaleLint, NegativeFixturesAreCleanAndExitZero) {
                " src/common/l1_ok.cpp src/sim/l2_ok.cpp src/core/l2_ok.cpp"
                " src/proto/l3_ok.h"
                " src/mme/l4_ok.cpp src/epc/l5_ok.cpp"
-               " src/core/l6_ok.cpp src/core/l7_ok.cpp src/core/l8_ok.cpp"
+               " src/core/l6_ok.cpp src/core/l7_ok.cpp"
                " bench");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_TRUE(r.output.empty()) << r.output;
@@ -186,8 +184,7 @@ TEST(ScaleLintJson, ReportValidatesAndCountsMatchFixtures) {
   EXPECT_EQ(by_rule->find("L5")->as_int(), 2);
   EXPECT_EQ(by_rule->find("L6")->as_int(), 5);
   EXPECT_EQ(by_rule->find("L7")->as_int(), 2);
-  EXPECT_EQ(by_rule->find("L8")->as_int(), 4);
-  EXPECT_EQ(doc->find("counts")->find("findings")->as_int(), 31);
+  EXPECT_EQ(doc->find("counts")->find("findings")->as_int(), 27);
   // The fixture tree carries waivers too (l2_ok waivers, l6_ok contract).
   EXPECT_GT(doc->find("counts")->find("waivers")->as_int(), 0);
 }
@@ -204,17 +201,17 @@ TEST(ScaleLintJson, RealTreeReportIsCleanAndInventoriesWaivers) {
   for (const auto& p : problems) ADD_FAILURE() << p;
   EXPECT_EQ(doc->find("findings")->size(), 0u);
   // The audited singletons (BufferPool::local, block_freelist,
-  // action_block_freelist, Tracer::current_) plus the L2/L5 waivers must all
+  // action_block_freelist, Tracer::current_) plus any L2/L5 waivers must all
   // be inventoried — the report is how a reviewer sees the audit surface.
-  // Since ShardedSim made Tracer::current_ thread_local the tree holds no
-  // shard-shared singleton at all (every audited global is per-worker), so
+  // Since Tracer::current_ became thread_local the tree holds no
+  // shard-shared singleton at all (every audited global is per-thread), so
   // the real tree asserts shard-local presence and only *validates* any
   // shard-shared waiver that ever reappears; the fixture tree keeps the
   // shard-shared kind itself exercised. (The SteeringPolicy rewrite moved
   // the MLB's load/backoff maps into the ordered MmpLoadView, retiring its
   // three order-independent waivers; the MillionUE slab store retired the
   // two UeContextStore ones — its FlatIndex tables are plain vectors.)
-  EXPECT_GE(doc->find("waivers")->size(), 9u);
+  EXPECT_GE(doc->find("waivers")->size(), 5u);
   bool saw_shard_local = false;
   for (const auto& w : doc->find("waivers")->elements()) {
     if (w.find("kind")->as_string() == "shard-local") saw_shard_local = true;

@@ -67,6 +67,17 @@ TEST(Ring, PreferenceListCappedByNodeCount) {
   EXPECT_EQ(prefs.size(), 2u);
 }
 
+TEST(Ring, PreferenceListIntoBufferReplacesItsContents) {
+  auto ring = make_ring(5, {10, 20, 30, 40, 50});
+  std::vector<RingNodeId> out{99, 98, 97, 96, 95, 94};
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    ring.preference_list(key, 3, out);
+    EXPECT_EQ(out, ring.preference_list(key, 3)) << "key " << key;
+  }
+  ring.preference_list(7, 10, out);
+  EXPECT_EQ(out.size(), 5u);
+}
+
 TEST(Ring, ReplicaOfSingleNodeIsNull) {
   auto ring = make_ring(5, {1});
   EXPECT_FALSE(ring.replica_of(123).has_value());

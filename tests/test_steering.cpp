@@ -1,8 +1,7 @@
 // SteeringPolicy unit behaviours (DESIGN.md §11): MmpLoadView sentinel
 // semantics, golden pick sequences for every policy at fixed inputs, the
 // outlier-ejection state machine, per-policy cluster determinism across
-// runs and ShardedSim worker counts, and the ablation bench's
-// byte-identity gate.
+// runs, and the ablation bench's byte-identity gate.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -501,11 +500,9 @@ TEST(MlbSteering, EjectorDecoratorExportsItsCounters) {
 
 /// A small cluster trajectory under one policy; the digest covers routing
 /// counters, per-VM totals, and the merged delay distribution.
-std::string run_policy_digest(SteeringPolicyKind kind, bool eject,
-                              unsigned threads) {
+std::string run_policy_digest(SteeringPolicyKind kind, bool eject) {
   Testbed::Config tcfg;
   tcfg.seed = 4242;
-  tcfg.threads = threads;
   Testbed tb(tcfg);
   auto& site = tb.add_site(2);
   core::ScaleCluster::Config cfg;
@@ -542,7 +539,7 @@ std::string run_policy_digest(SteeringPolicyKind kind, bool eject,
   return os.str();
 }
 
-TEST(SteeringDeterminism, EveryPolicyReplaysAcrossRunsAndThreads) {
+TEST(SteeringDeterminism, EveryPolicyReplaysAcrossRuns) {
   struct Arm {
     SteeringPolicyKind kind;
     bool eject;
@@ -554,15 +551,10 @@ TEST(SteeringDeterminism, EveryPolicyReplaysAcrossRunsAndThreads) {
       {SteeringPolicyKind::kRingLeastLoaded, true},  // + outlier ejector
   };
   for (const Arm& arm : arms) {
-    const std::string base = run_policy_digest(arm.kind, arm.eject, 0);
+    const std::string base = run_policy_digest(arm.kind, arm.eject);
     ASSERT_FALSE(base.empty());
-    EXPECT_EQ(run_policy_digest(arm.kind, arm.eject, 0), base)
+    EXPECT_EQ(run_policy_digest(arm.kind, arm.eject), base)
         << steering_policy_name(arm.kind) << " eject=" << arm.eject;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      EXPECT_EQ(run_policy_digest(arm.kind, arm.eject, threads), base)
-          << steering_policy_name(arm.kind) << " eject=" << arm.eject
-          << " threads=" << threads;
-    }
   }
 }
 

@@ -4,11 +4,9 @@
 // byte-identically (DESIGN.md §6). The classic regressions — emitting events
 // from an unordered_map walk, reading the wall clock, seeding an RNG from
 // entropy — compile fine, pass most tests, and silently break replay. This
-// tool makes them build failures instead of review findings. Since PR 7 it
-// also proves the tree *shard-clean* ahead of ShardedSim (ROADMAP item 1):
-// hidden process-global mutable state and cross-layer include back-edges are
-// exactly what breaks determinism the day one engine shard per DC lands on
-// its own worker thread.
+// tool makes them build failures instead of review findings. It also audits
+// hidden process-global mutable state and cross-layer include back-edges —
+// what breaks determinism once independent worlds share a process.
 //
 // It is deliberately a *lexer*, not a compiler plugin: comments and string
 // literals are blanked (preserving line/column structure) and the rules match
@@ -23,8 +21,7 @@
 //           shard-audited dirs — every symbol declared at namespace scope or
 //           with static/thread_local storage, and every `// lint:` waiver.
 //   pass 2  enforce the rules below against the per-file lex *and* the
-//           project-wide index (L7 walks the include graph, L8 resolves
-//           transitive includes for the annotation contract).
+//           project-wide index (L7 walks the include graph).
 //
 // Rules (see DESIGN.md §6 for the contract):
 //   L1  nondeterminism sources: std::rand/srand, wall-clock reads (time(),
@@ -53,7 +50,7 @@
 //       carry `// lint: shard-local` (confined to one shard/worker thread)
 //       or `// lint: shard-shared(<reason>)` (deliberately process-global)
 //       on its line or the line above. Unannotated globals are exactly the
-//       state ShardedSim would silently share across workers.
+//       state two worlds on two threads would silently share.
 //   L7  layering DAG over src/ quoted includes. Declared order (a layer may
 //       include itself and anything of strictly lower rank):
 //           common < hash < proto < obs < sim < epc < mme < core
@@ -62,16 +59,7 @@
 //       declared order follows the tree's real topology — obs is the
 //       substrate everything instruments against (sim includes obs, never
 //       the reverse) and core's MmpNode derives from mme::ClusterVm, so mme
-//       sits below core. Any edge violating the order fails, closing the
-//       door on cross-shard back-references before threads exist.
-//   L8  thread-annotation contract for src/common/thread_annotations.h:
-//       (a) raw clang thread-safety __attribute__ spellings outside that
-//       header are banned (use the SCALE_* macros); (b) a file using a
-//       SCALE_* thread-safety macro must reach the header through its
-//       include closure; (c) SCALE_GUARDED_BY/SCALE_PT_GUARDED_BY must name
-//       a capability declared in the same file; (d) a declared mutex with no
-//       SCALE_* annotation referencing it guards nothing the analyzer can
-//       see — state guarded by convention is invisible to -Wthread-safety.
+//       sits below core. Any edge violating the order fails.
 //
 // `--json FILE` additionally writes a deterministic "scale-lint-v1" report
 // (findings, waiver inventory, index counts) via obs::Json; tier-1 diffs it
@@ -101,7 +89,7 @@ namespace {
 struct Finding {
   std::string file;  // root-relative path
   std::size_t line = 0;
-  std::string rule;  // "L1".."L8"
+  std::string rule;  // "L1".."L7"
   std::string message;
 };
 
@@ -293,7 +281,7 @@ bool in_l5_scope(const std::string& rel) {
          starts_with(rel, "src/epc/") || starts_with(rel, "src/mme/");
 }
 
-/// Shard-audited dirs for rule L6: everything a future engine shard touches
+/// Shard-audited dirs for rule L6: everything a world's event loop touches
 /// on its hot path. common/ is deliberately out (logging/time bridging are
 /// sanctioned process singletons); workload/testbed/analysis run pre/post
 /// simulation on the driver thread.
@@ -308,9 +296,6 @@ bool l1_exempt(const std::string& rel) {
   // real-clock bridging; everything else must go through it.
   return rel == "src/common/time.h";
 }
-
-/// The canonical home of the SCALE_* thread-safety macros (rule L8).
-constexpr const char* kThreadAnnotationsHeader = "src/common/thread_annotations.h";
 
 /// Layer ranks for rule L7. A file in src/<layer>/ may include its own layer
 /// and any layer of strictly lower rank; the rank-8 peers may not include
@@ -1039,128 +1024,7 @@ void check_l7(const FileIndex& fi, std::vector<Finding>& out) {
          "#include \"" + inc.target + "\" — layer '" + from +
              "' may not depend on '" + to +
              "' (declared DAG, DESIGN.md §6; allowed from here: " +
-             (allowed.empty() ? "nothing below" : allowed) +
-             "). A back-edge here becomes a cross-shard reference the day "
-             "ShardedSim lands"});
-  }
-}
-
-/// Spellings of clang's thread-safety attributes that must stay behind the
-/// SCALE_* macros (rule L8a).
-const char* kRawThreadAttrRe =
-    R"(__attribute__\s*\(\s*\(\s*(capability|scoped_lockable|lockable|guarded_by|pt_guarded_by|guarded_var|pt_guarded_var|acquire_capability|acquired_before|acquired_after|try_acquire_capability|release_capability|requires_capability|exclusive_locks_required|shared_locks_required|exclusive_lock_function|shared_lock_function|unlock_function|assert_capability|locks_excluded|lock_returned|no_thread_safety_analysis)\b)";
-
-const char* kScaleMacroRe =
-    R"(\bSCALE_(CAPABILITY|SCOPED_CAPABILITY|GUARDED_BY|PT_GUARDED_BY|ACQUIRE|ACQUIRE_SHARED|TRY_ACQUIRE|RELEASE|RELEASE_SHARED|REQUIRES|REQUIRES_SHARED|EXCLUDES|ASSERT_CAPABILITY|RETURN_CAPABILITY|NO_THREAD_SAFETY_ANALYSIS)\b)";
-
-void check_l8(const FileIndex& fi,
-              const std::set<std::string>& include_closure,
-              std::vector<Finding>& out) {
-  if (!starts_with(fi.rel, "src/")) return;
-  if (fi.rel == kThreadAnnotationsHeader) return;
-  const std::string& code = fi.lexed.code;
-
-  // L8a — raw attribute spellings outside the canonical header.
-  static const std::regex raw_re(kRawThreadAttrRe);
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), raw_re);
-       it != std::sregex_iterator(); ++it) {
-    out.push_back({fi.rel,
-                   line_of(code, static_cast<std::size_t>(it->position())),
-                   "L8",
-                   "raw clang thread-safety attribute '" + (*it)[1].str() +
-                       "' — use the SCALE_* macros from "
-                       "common/thread_annotations.h (no-ops off clang)"});
-  }
-
-  // L8b — SCALE_* macro use without the header in the include closure.
-  static const std::regex macro_re(kScaleMacroRe);
-  auto first_macro = std::sregex_iterator(code.begin(), code.end(), macro_re);
-  if (first_macro != std::sregex_iterator() &&
-      include_closure.count("common/thread_annotations.h") == 0) {
-    out.push_back(
-        {fi.rel,
-         line_of(code, static_cast<std::size_t>(first_macro->position())),
-         "L8",
-         "SCALE_" + (*first_macro)[1].str() +
-             " used but \"common/thread_annotations.h\" is not reachable "
-             "through this file's includes — the contract macros must come "
-             "from the canonical header"});
-  }
-
-  // Spans of all SCALE_*(...) annotation argument lists, so L8c/L8d can
-  // tell an annotation reference from a declaration.
-  struct Span {
-    std::size_t lo, hi;
-  };
-  std::vector<Span> ann_spans;
-  static const std::regex ann_re(
-      R"(\bSCALE_(GUARDED_BY|PT_GUARDED_BY|ACQUIRE|ACQUIRE_SHARED|TRY_ACQUIRE|RELEASE|RELEASE_SHARED|REQUIRES|REQUIRES_SHARED|EXCLUDES|RETURN_CAPABILITY)\s*\()");
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), ann_re);
-       it != std::sregex_iterator(); ++it) {
-    std::size_t p = static_cast<std::size_t>(it->position() + it->length());
-    int depth = 1;
-    const std::size_t lo = p;
-    while (p < code.size() && depth > 0) {
-      if (code[p] == '(') ++depth;
-      if (code[p] == ')') --depth;
-      ++p;
-    }
-    ann_spans.push_back({lo, p > lo ? p - 1 : lo});
-  }
-  auto in_annotation = [&](std::size_t off) {
-    for (const auto& s : ann_spans)
-      if (off >= s.lo && off < s.hi) return true;
-    return false;
-  };
-  auto declared_outside_annotations = [&](const std::string& ident) {
-    const std::regex id_re("\\b" + ident + "\\b");
-    for (auto it = std::sregex_iterator(code.begin(), code.end(), id_re);
-         it != std::sregex_iterator(); ++it)
-      if (!in_annotation(static_cast<std::size_t>(it->position()))) return true;
-    return false;
-  };
-
-  // L8c — guarded_by must name a capability declared in this file.
-  static const std::regex gb_re(
-      R"(\bSCALE_(?:PT_)?GUARDED_BY\s*\(\s*([^)]*?)\s*\))");
-  static const std::regex plain_ident_re(R"(^[A-Za-z_]\w*$)");
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), gb_re);
-       it != std::sregex_iterator(); ++it) {
-    const std::string arg = (*it)[1].str();
-    if (!std::regex_match(arg, plain_ident_re)) continue;  // qualified: skip
-    if (declared_outside_annotations(arg)) continue;
-    out.push_back({fi.rel,
-                   line_of(code, static_cast<std::size_t>(it->position())),
-                   "L8",
-                   "SCALE_GUARDED_BY(" + arg +
-                       ") names a capability not declared in this file — "
-                       "the analyzer cannot check a phantom lock"});
-  }
-
-  // L8d — a declared mutex nothing is annotated against guards nothing the
-  // analyzer can see.
-  static const std::regex mutex_re(
-      R"(\b(?:std\s*::\s*(?:recursive_|shared_|timed_)*mutex|(?:scale\s*::\s*)?(?:common\s*::\s*)?Mutex)\s+(\w+)\s*[;{=])");
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), mutex_re);
-       it != std::sregex_iterator(); ++it) {
-    const std::string name = (*it)[1].str();
-    bool referenced = false;
-    for (const auto& s : ann_spans) {
-      const std::string args = code.substr(s.lo, s.hi - s.lo);
-      const std::regex id_re("\\b" + name + "\\b");
-      if (std::regex_search(args, id_re)) {
-        referenced = true;
-        break;
-      }
-    }
-    if (referenced) continue;
-    out.push_back({fi.rel,
-                   line_of(code, static_cast<std::size_t>(it->position())),
-                   "L8",
-                   "mutex '" + name +
-                       "' has no SCALE_GUARDED_BY/SCALE_REQUIRES/SCALE_"
-                       "ACQUIRE users in this file — state guarded by "
-                       "convention is invisible to -Wthread-safety"});
+             (allowed.empty() ? "nothing below" : allowed) + ")"});
   }
 }
 
@@ -1208,7 +1072,7 @@ scale::obs::Json build_report(std::size_t scanned,
                   static_cast<std::uint64_t>(globals_indexed));
   doc.set("scanned", std::move(scanned_obj));
   Json by_rule = Json::object();
-  for (int r = 1; r <= 8; ++r) {
+  for (int r = 1; r <= 7; ++r) {
     const std::string rule = "L" + std::to_string(r);
     std::uint64_t n = 0;
     for (const auto& f : findings)
@@ -1326,27 +1190,6 @@ int main(int argc, char** argv) {
     index.push_back(std::move(fi));
   }
 
-  // Include closure per file (by quoted-include target string), for L8b.
-  // Edges are matched textually against the indexed tree: "epc/fabric.h"
-  // links to the index entry whose rel is "src/epc/fabric.h".
-  std::map<std::string, const FileIndex*> by_target;
-  for (const auto& fi : index)
-    if (starts_with(fi.rel, "src/")) by_target[fi.rel.substr(4)] = &fi;
-  auto closure_of = [&](const FileIndex& fi) {
-    std::set<std::string> seen;
-    std::vector<const FileIndex*> work = {&fi};
-    while (!work.empty()) {
-      const FileIndex* cur = work.back();
-      work.pop_back();
-      for (const auto& inc : cur->includes) {
-        if (!seen.insert(inc.target).second) continue;
-        const auto it = by_target.find(inc.target);
-        if (it != by_target.end()) work.push_back(it->second);
-      }
-    }
-    return seen;
-  };
-
   // ---- pass 2: enforce.
   std::vector<Finding> findings;
   std::vector<Waiver> all_waivers;
@@ -1378,7 +1221,6 @@ int main(int argc, char** argv) {
     check_l5(fi.rel, fi.lexed, findings);
     check_l6(fi, findings);
     check_l7(fi, findings);
-    check_l8(fi, closure_of(fi), findings);
     if (findings.size() != before) files_with_findings.insert(fi.rel);
     all_waivers.insert(all_waivers.end(), fi.waivers.begin(),
                        fi.waivers.end());

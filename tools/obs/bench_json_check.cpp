@@ -10,7 +10,7 @@
 // to. Allocation counts — unlike wall times — are deterministic, so the
 // gate is exact and runs on any machine.
 //
-// Two more modes guard shard-readiness (DESIGN.md §6 L6–L8): --lint
+// Two more modes guard shard-readiness (DESIGN.md §6 L6–L7): --lint
 // validates "scale-lint-v1" documents from `scale_lint --json`, and
 // --compare-lint diffs a fresh lint report against the committed
 // LINT_baseline.json — any NEW finding or NEW waiver fails, so the lint
