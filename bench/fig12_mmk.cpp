@@ -17,8 +17,8 @@
 //   steered (local_copies = 2, §4.6 least-loaded-of-R): bracketed between
 //     M/D/k (perfect sharing) and a few multiples of the split bound —
 //     least-loaded steering on a stale load signal herds at high ρ, so it
-//     does not automatically beat the random split (ablation_steering
-//     studies the policy side; here the bracket is the assertion).
+//     does not automatically beat the random split (DESIGN.md §11 covers
+//     the steering rule; here the bracket is the assertion).
 //
 // Procedures visit the MMP CPU several times (SR: restore + finalize;
 // attach: ctx + auth + security + session), with release/replication work
@@ -291,8 +291,8 @@ int main(int argc, char** argv) {
       "it because slice sizes have CV>0 — Kingman's G/G/1 correction).\n"
       "steered (2 copies, least-loaded-of-R on a 2 ms-stale signal) lands\n"
       "between M/D/k (perfect sharing) and a few x md1_split: stale-signal\n"
-      "least-loaded herds at high rho (see ablation_steering), so it need\n"
-      "not beat the random split — the gate only pins the bracket.");
+      "least-loaded herds at high rho, so it need not beat the random\n"
+      "split — the gate only pins the bracket.");
 
   auto& at_sec = bm.report().section(
       "Fig 12(b): attach queueing delay vs analytic models");

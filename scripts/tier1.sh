@@ -26,12 +26,6 @@ build/tools/obs/bench_json_check build/BENCH_fig6_analysis.json
 build/bench/ablation_overload --json build/BENCH_ablation_overload.json \
   >/dev/null
 build/tools/obs/bench_json_check build/BENCH_ablation_overload.json
-# Full (non-quick) run: the binary's exit code enforces the steering win
-# condition (an alternative policy beating the ring under the slow-VM
-# script), so a regression in any policy fails tier-1 here.
-build/bench/ablation_steering --json build/BENCH_ablation_steering.json \
-  >/dev/null
-build/tools/obs/bench_json_check build/BENCH_ablation_steering.json
 # Full run: exit code asserts the measured SR/attach queueing delays sit in
 # the analytic M/M/k / M/D/k / M/D/1-split brackets (bench/fig12_mmk.cpp).
 build/bench/fig12_mmk --json build/BENCH_fig12_mmk.json >/dev/null

@@ -19,19 +19,15 @@ ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
   mlb_cfg.mme_code = cfg_.mme_code;
   mlb_cfg.plmn = cfg_.plmn;
   mlb_cfg.mme_group = cfg_.mme_group;
-  mlb_cfg.steering.ring = hash::ConsistentHashRing::Config{cfg_.ring_tokens,
-                                                           cfg_.ring_md5};
-  mlb_cfg.steering.choices = std::max(1u, policy_.local_copies);
+  mlb_cfg.ring = hash::ConsistentHashRing::Config{cfg_.ring_tokens,
+                                                 cfg_.ring_md5};
+  mlb_cfg.choices = std::max(1u, policy_.local_copies);
   const auto mlb_count = std::max<std::size_t>(1, cfg_.initial_mlbs);
   for (std::size_t i = 0; i < mlb_count; ++i) {
     // Every MLB VM of a pool assigns GUTIs; disjoint M-TMSI ranges keep
     // them collision-free without coordination.
     Mlb::Config one = mlb_cfg;
     one.tmsi_base = static_cast<std::uint32_t>(1 + i * 50'000'000u);
-    // Slot identity for peer-aware policies (deterministic aperture): each
-    // co-located MLB VM prefers its own window of the ring.
-    one.steering.peer_index = static_cast<unsigned>(i);
-    one.steering.peer_count = static_cast<unsigned>(mlb_count);
     mlbs_.push_back(std::make_unique<Mlb>(fabric_, one));
   }
 

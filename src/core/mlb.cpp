@@ -6,14 +6,91 @@
 
 namespace scale::core {
 
+namespace {
+
+/// Graduated sheds of deferrable work are dropped instead of re-steered
+/// when the best alternative reports at least this load (DESIGN.md §9).
+constexpr double kDropLoadLimit = 3.0;
+/// Edge backpressure engages when any reported load reaches this.
+constexpr double kPressureLoadLimit = 2.0;
+
+}  // namespace
+
+// ------------------------------------------------------------ MmpLoadView
+
+void MmpLoadView::on_report(NodeId mmp, double load) {
+  MmpLoadInfo& info = mmps_[mmp];
+  info.load = load;
+  info.reported = true;
+}
+
+void MmpLoadView::on_reject(NodeId mmp, Time backoff_until) {
+  mmps_[mmp].shed_until = backoff_until;
+}
+
+bool MmpLoadView::has_report(NodeId mmp) const {
+  const auto it = mmps_.find(mmp);
+  return it != mmps_.end() && it->second.reported;
+}
+
+double MmpLoadView::load_of(NodeId mmp) const {
+  const auto it = mmps_.find(mmp);
+  if (it == mmps_.end() || !it->second.reported) return kNoLoadReport;
+  return it->second.load;
+}
+
+double MmpLoadView::effective_load(NodeId mmp) const {
+  const double load = load_of(mmp);
+  return load == kNoLoadReport ? 0.0 : load;
+}
+
+bool MmpLoadView::in_backoff(NodeId mmp, Time now) const {
+  const auto it = mmps_.find(mmp);
+  return it != mmps_.end() && now < it->second.shed_until;
+}
+
+bool MmpLoadView::any_backoff(Time now) const {
+  for (const auto& [mmp, info] : mmps_)
+    if (now < info.shed_until) return true;
+  return false;
+}
+
+bool MmpLoadView::any_load_at_least(double limit) const {
+  for (const auto& [mmp, info] : mmps_)
+    if (info.reported && info.load >= limit) return true;
+  return false;
+}
+
+// ---------------------------------------------------------------- steering
+
+NodeId least_loaded(const std::vector<hash::RingNodeId>& candidates,
+                    const MmpLoadView& view, Time now) {
+  SCALE_CHECK(!candidates.empty());
+  if (candidates.size() == 1) return candidates.front();
+  NodeId best = 0;
+  bool best_shed = true;
+  double best_load = 0.0;
+  for (const hash::RingNodeId candidate : candidates) {
+    const bool shed = view.in_backoff(candidate, now);
+    const double load = view.effective_load(candidate);
+    if (best == 0 || (!shed && best_shed) ||
+        (shed == best_shed && load < best_load)) {
+      best = candidate;
+      best_shed = shed;
+      best_load = load;
+    }
+  }
+  return best;
+}
+
+// --------------------------------------------------------------------- Mlb
+
 Mlb::Mlb(Fabric& fabric, Config cfg)
     : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_),
       cpu_(fabric.engine(), cfg.cpu_speed),
       util_(fabric.engine(), cpu_),
-      ring_(cfg.steering.ring),
-      view_(MmpLoadView::Config{cfg.steering.ewma_alpha}),
-      policy_(make_steering_policy(cfg.steering)),
+      ring_(cfg.ring),
       next_tmsi_(cfg.tmsi_base) {}
 
 Mlb::~Mlb() {
@@ -26,7 +103,7 @@ void Mlb::apply_membership(
     std::uint64_t version) {
   if (version <= ring_version_ && ring_version_ != 0) return;
   ring_version_ = version;
-  ring_ = hash::ConsistentHashRing(cfg_.steering.ring);
+  ring_ = hash::ConsistentHashRing(cfg_.ring);
   code_to_node_.clear();
   for (const auto& m : members) {
     ring_.add_node(m.node);
@@ -52,17 +129,6 @@ NodeId Mlb::node_of_code(std::uint8_t code) const {
   return it == code_to_node_.end() ? 0 : it->second;
 }
 
-NodeId Mlb::steer(std::uint64_t key,
-                  const std::vector<hash::RingNodeId>& candidates) {
-  SCALE_CHECK(!candidates.empty());
-  const SteeringContext ctx{key, candidates, ring_, view_,
-                            fabric_.engine().now()};
-  const SteeringDecision d = policy_->pick(ctx);
-  SCALE_CHECK(d.target != 0);
-  ++steer_by_reason_[static_cast<std::size_t>(d.reason)];
-  return d.target;
-}
-
 void Mlb::forward(NodeId mmp, NodeId origin, const proto::Guti& guti,
                   proto::Pdu inner, bool no_offload) {
   proto::ClusterForward fwd;
@@ -81,33 +147,29 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   view_.on_reject(rej.mmp_node,
                   now + Duration::us(static_cast<std::int64_t>(
                             rej.backoff_us)));
-  policy_->on_overload_reject(rej.mmp_node, now);
   if (rej.inner == nullptr) return;  // pure backoff hint, nothing to re-steer
   if (ring_.empty()) {
     ++unroutable_;
     return;
   }
-  // Re-steer to the best alternative, excluding the shedder when the
-  // preference list offers one. no_offload marks the forward as final so the
-  // replica can neither geo-offload nor shed it back (ping-pong guard).
-  ring_.preference_list(rej.guti.key(), policy_->candidate_width(), prefs_);
-  std::vector<hash::RingNodeId> alternatives;
-  alternatives.reserve(prefs_.size());
-  for (const hash::RingNodeId c : prefs_)
-    if (c != rej.mmp_node) alternatives.push_back(c);
-  const NodeId target = alternatives.empty()
-                            ? rej.mmp_node
-                            : steer(rej.guti.key(), alternatives);
+  // Re-steer to the best alternative: the preference list with the shedder
+  // erased in place, falling back to the shedder when nothing else is left.
+  // no_offload marks the forward as final so the replica can neither
+  // geo-offload nor shed it back (ping-pong guard).
+  ring_.preference_list(rej.guti.key(), cfg_.choices, prefs_);
+  std::erase(prefs_, rej.mmp_node);
+  const NodeId target =
+      prefs_.empty() ? rej.mmp_node : least_loaded(prefs_, view_, now);
   // Graduated sheds (level > 0) of deferrable work are dropped outright
   // when the re-steer would be futile: every candidate is already backing
-  // off, or even the least-loaded target reports drop_load_limit — i.e. it
+  // off, or even the least-loaded target reports kDropLoadLimit — i.e. it
   // is saturated and shedding this class itself, so a forced accept would
   // only deepen the very queue the governor is draining. The device's own
   // retry timer beats that. Attach is only droppable when the shedder sat
   // at the kOverload band (the whole ladder above it already fired), and
   // binary sheds (level 0) keep the PR 1 always-re-steer behaviour.
   bool all_backed_off = true;
-  for (const hash::RingNodeId c : alternatives)
+  for (const hash::RingNodeId c : prefs_)
     if (!view_.in_backoff(c, now)) all_backed_off = false;
   const auto ptype = static_cast<proto::ProcedureType>(rej.procedure);
   const bool deferrable =
@@ -119,7 +181,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
                                      core::PressureLevel::kOverload);
   if (rej.level > 0 && droppable &&
       (all_backed_off ||
-       view_.effective_load(target) >= cfg_.steering.drop_load_limit)) {
+       view_.effective_load(target) >= kDropLoadLimit)) {
     ++overload_drops_;
     if (obs::Tracer* tr = obs::Tracer::current()) {
       obs::Json args = obs::Json::object();
@@ -145,7 +207,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
 
 bool Mlb::under_pressure(Time now) const {
   return view_.any_backoff(now) ||
-         view_.any_load_at_least(cfg_.steering.pressure_load_limit);
+         view_.any_load_at_least(kPressureLoadLimit);
 }
 
 void Mlb::maybe_backpressure(NodeId from) {
@@ -194,10 +256,10 @@ void Mlb::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
     ++unroutable_;
     return;
   }
-  // Policy steering among the preference-list nodes — only at Idle→Active
+  // Least-loaded among the preference-list nodes — only at Idle→Active
   // (§4.6: subsequent requests stick to the chosen VM until Idle).
-  ring_.preference_list(guti.key(), policy_->candidate_width(), prefs_);
-  const NodeId chosen = steer(guti.key(), prefs_);
+  ring_.preference_list(guti.key(), cfg_.choices, prefs_);
+  const NodeId chosen = least_loaded(prefs_, view_, fabric_.engine().now());
   ++initial_routed_;
   forward(chosen, from, guti, proto::make_pdu(msg));
 }
@@ -233,9 +295,9 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
   }
   // The remote DC could not serve it: process locally, without offloading
   // again (loop guard).
-  ring_.preference_list(rej.guti.key(), policy_->candidate_width(), prefs_);
-  forward(steer(rej.guti.key(), prefs_), rej.origin, rej.guti,
-          rej.inner->value,
+  ring_.preference_list(rej.guti.key(), cfg_.choices, prefs_);
+  forward(least_loaded(prefs_, view_, fabric_.engine().now()), rej.origin,
+          rej.guti, rej.inner->value,
           /*no_offload=*/true);
 }
 
@@ -310,11 +372,7 @@ void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
             });
           } else if (const auto* load =
                          std::get_if<proto::LoadReport>(&family)) {
-            const Time now = fabric_.engine().now();
-            view_.on_report(load->mmp_node, load->cpu_util,
-                            load->active_devices, now);
-            const auto it = view_.entries().find(load->mmp_node);
-            policy_->on_load_report(load->mmp_node, it->second, view_, now);
+            view_.on_report(load->mmp_node, load->cpu_util);
           } else if (const auto* ring_update =
                          std::get_if<proto::RingUpdate>(&family)) {
             apply_membership(ring_update->members, ring_update->version);
@@ -377,22 +435,8 @@ void Mlb::export_metrics(obs::MetricsRegistry& reg,
   // Per-MMP load scalars, keyed by NodeId so names enumerate sorted. Only
   // VMs that have reported appear — matching the seed's loads_ map surface.
   for (const auto& [mmp, info] : view_.entries())
-    if (info.reported())
-      reg.set(prefix + ".load." + std::to_string(mmp), info.ewma);
-  // Steering counters only when a non-default configuration is active: the
-  // paper-default ring policy keeps the seed's exact metric key set so
-  // fig10 --json stays byte-identical to main.
-  if (cfg_.steering.policy != SteeringPolicyKind::kRingLeastLoaded ||
-      cfg_.steering.outlier_ejection) {
-    const std::string steer_prefix =
-        prefix + ".steer." + policy_->name();
-    for (std::size_t r = 0; r < kSteerReasonCount; ++r) {
-      reg.set_counter(steer_prefix + ".picks." +
-                          steer_reason_name(static_cast<SteerReason>(r)),
-                      steer_by_reason_[r]);
-    }
-    policy_->export_metrics(reg, steer_prefix);
-  }
+    if (info.reported)
+      reg.set(prefix + ".load." + std::to_string(mmp), info.load);
 }
 
 }  // namespace scale::core

@@ -4,10 +4,9 @@
 // request into the MMP cluster with *no per-device state*:
 //
 //   * Idle→Active requests (InitialUeMessage): MD5(GUTI) on the consistent
-//     hash ring → preference list → the configured SteeringPolicy picks the
-//     target (DESIGN.md §11; the default RingLeastLoaded is §4.6's
-//     least-loaded-of-R fine-grained load balancing, byte-identical to the
-//     paper's design point);
+//     hash ring → the R = `choices` preference-list VMs that hold the
+//     device's state → least_loaded() picks among them (§4.6's fine-grained
+//     load balancing; DESIGN.md §11 says why this is the only rule);
 //   * Active-mode requests: routed on the MMP code the serving VM embedded
 //     in the S1AP MME-UE id (uplink NAS, path switch) or S11 TEID;
 //   * S6 answers: routed on the echoed Diameter hop-by-hop ref;
@@ -22,13 +21,14 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
 #include "core/overload.h"
-#include "core/steering.h"
 #include "epc/fabric.h"
 #include "epc/reliable.h"
 #include "hash/ring.h"
@@ -41,6 +41,54 @@ using epc::Endpoint;
 using epc::Fabric;
 using sim::NodeId;
 
+/// Sentinel returned by load accessors for a VM that has never sent a
+/// LoadReport. Distinct from a genuine "load 0.0" report: a fresh VM is an
+/// unknown, not a provably idle server (see MmpLoadView::effective_load for
+/// how steering treats it).
+inline constexpr double kNoLoadReport = -1.0;
+
+/// Everything the MLB knows about one MMP VM.
+struct MmpLoadInfo {
+  double load = 0.0;      ///< most recent LoadReport value
+  bool reported = false;  ///< at least one LoadReport arrived
+  Time shed_until;        ///< OverloadReject backoff window end
+};
+
+/// The MLB's per-MMP metadata table. Ordered (std::map) so every walk is
+/// deterministic without waivers.
+class MmpLoadView {
+ public:
+  void on_report(NodeId mmp, double load);
+  void on_reject(NodeId mmp, Time backoff_until);
+
+  bool has_report(NodeId mmp) const;
+  /// Latest reported load, or kNoLoadReport when the VM never reported.
+  double load_of(NodeId mmp) const;
+  /// Load used for steering comparisons: optimistic 0.0 before the first
+  /// report (a fresh VM must receive traffic immediately), the latest
+  /// report afterwards.
+  double effective_load(NodeId mmp) const;
+  bool in_backoff(NodeId mmp, Time now) const;
+
+  /// Any VM still inside a shed-backoff window.
+  bool any_backoff(Time now) const;
+  /// Any reported load at or above `limit`.
+  bool any_load_at_least(double limit) const;
+
+  const std::map<NodeId, MmpLoadInfo>& entries() const { return mmps_; }
+
+ private:
+  std::map<NodeId, MmpLoadInfo> mmps_;
+};
+
+/// The §4.6 steering rule over `candidates` (a ring preference list,
+/// possibly with the shedding VM removed; never empty): candidates inside a
+/// shed-backoff window lose to any candidate outside one; within a class
+/// the least effective load wins, first-in-list on ties. Pure function of
+/// its arguments, so picks replay across runs.
+NodeId least_loaded(const std::vector<hash::RingNodeId>& candidates,
+                    const MmpLoadView& view, Time now);
+
 class Mlb : public Endpoint {
  public:
   struct Config {
@@ -50,12 +98,11 @@ class Mlb : public Endpoint {
     /// Routing costs: ring lookups hash MD5 and consult the load view.
     Duration initial_route_cost = Duration::us(35);
     Duration relay_cost = Duration::us(20);
-    /// The steering knob group: policy selector, R (`choices`), drop /
-    /// pressure load limits, ring config, and the per-policy tuning
-    /// (aperture window, P2C width, outlier ejection). Defaults reproduce
-    /// the paper's design point exactly (see steering.h).
-    using Steering = core::SteeringConfig;
-    Steering steering;
+    /// The ring the MLB rebuilds on every membership update.
+    hash::ConsistentHashRing::Config ring;
+    /// R: how many preference-list VMs steering chooses among (SCALE uses
+    /// 2; ScaleCluster sets it from ReplicationPolicy::local_copies).
+    unsigned choices = 2;
     double cpu_speed = 1.0;
     /// First M-TMSI this MLB assigns; co-located MLB VMs of one pool use
     /// disjoint ranges so uncoordinated allocation stays collision-free.
@@ -90,19 +137,13 @@ class Mlb : public Endpoint {
     geo_sink_ = std::move(sink);
   }
 
-  /// Smoothed load this MLB holds for `mmp`, or core::kNoLoadReport (−1.0)
+  /// Latest load this MLB holds for `mmp`, or core::kNoLoadReport (−1.0)
   /// when the VM has never sent a LoadReport. "Never reported" is NOT
   /// "load 0": steering treats a silent VM as an optimistic unknown (it
   /// still receives traffic), but callers comparing loads must check
   /// has_load_report() first.
   double load_of(NodeId mmp) const;
   bool has_load_report(NodeId mmp) const;
-  const MmpLoadView& load_view() const { return view_; }
-  const SteeringPolicy& steering() const { return *policy_; }
-  /// Picks attributed to `reason` by the active policy.
-  std::uint64_t steer_picks(SteerReason reason) const {
-    return steer_by_reason_[static_cast<std::size_t>(reason)];
-  }
 
   void receive(NodeId from, const proto::Pdu& pdu) override;
 
@@ -125,10 +166,7 @@ class Mlb : public Endpoint {
   const epc::ReliableChannel& transport() const { return rel_; }
 
   /// Publish routing counters + load map under `prefix` ("mlb.relays",
-  /// "mlb.load.<node>", ...). Non-default steering policies additionally
-  /// export "mlb.steer.<policy>.*" (pick reasons, ejections, probes); the
-  /// paper-default ring policy keeps the seed's exact metric surface so
-  /// fig10 --json stays byte-identical. Read-only.
+  /// "mlb.load.<node>", ...). Read-only.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix) const;
 
@@ -142,10 +180,6 @@ class Mlb : public Endpoint {
   void route_by_code(NodeId from, std::uint8_t code, const proto::Pdu& pdu);
   NodeId node_of_code(std::uint8_t code) const;
   proto::Guti allocate_guti();
-  /// Ask the policy for a pick among `candidates` (a ring preference list,
-  /// possibly filtered) and account the decision.
-  NodeId steer(std::uint64_t key,
-               const std::vector<hash::RingNodeId>& candidates);
   void handle_overload_reject(const proto::OverloadReject& rej);
   /// True while any MMP is inside a shed-backoff window or reports load at
   /// or above the pressure limit.
@@ -166,10 +200,8 @@ class Mlb : public Endpoint {
   std::vector<hash::RingNodeId> prefs_;
   std::uint64_t ring_version_ = 0;
   std::unordered_map<std::uint8_t, NodeId> code_to_node_;
-  /// Per-MMP load/backoff metadata (replaces the seed's raw loads_ and
-  /// shed_until_ maps) — everything the SteeringPolicy reads.
+  /// Per-MMP load/backoff metadata — everything steering reads.
   MmpLoadView view_;
-  std::unique_ptr<SteeringPolicy> policy_;
   std::uint32_t next_tmsi_;
   std::function<void(NodeId, const proto::ClusterMessage&)> geo_sink_;
   /// Edge-backpressure state, lazily created per eNB while pressure lasts.
@@ -185,7 +217,6 @@ class Mlb : public Endpoint {
   std::uint64_t overload_drops_ = 0;
   std::uint64_t backpressure_signals_ = 0;
   std::array<std::uint64_t, proto::kProcedureTypeCount> rejects_by_type_{};
-  std::array<std::uint64_t, kSteerReasonCount> steer_by_reason_{};
 };
 
 }  // namespace scale::core

@@ -207,10 +207,9 @@ TEST(ScaleLintJson, RealTreeReportIsCleanAndInventoriesWaivers) {
   // shard-shared singleton at all (every audited global is per-thread), so
   // the real tree asserts shard-local presence and only *validates* any
   // shard-shared waiver that ever reappears; the fixture tree keeps the
-  // shard-shared kind itself exercised. (The SteeringPolicy rewrite moved
-  // the MLB's load/backoff maps into the ordered MmpLoadView, retiring its
-  // three order-independent waivers; the MillionUE slab store retired the
-  // two UeContextStore ones — its FlatIndex tables are plain vectors.)
+  // shard-shared kind itself exercised. (The MillionUE slab store retired
+  // the two UeContextStore waivers — its FlatIndex tables are plain
+  // vectors.)
   EXPECT_GE(doc->find("waivers")->size(), 5u);
   bool saw_shard_local = false;
   for (const auto& w : doc->find("waivers")->elements()) {
