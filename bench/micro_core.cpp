@@ -40,8 +40,7 @@ void BM_Fnv1a_U64Key(benchmark::State& state) {
 BENCHMARK(BM_Fnv1a_U64Key);
 
 void BM_RingOwnerLookup(benchmark::State& state) {
-  hash::ConsistentHashRing ring(
-      hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring(5);
   for (hash::RingNodeId n = 1;
        n <= static_cast<hash::RingNodeId>(state.range(0)); ++n)
     ring.add_node(n);
@@ -53,8 +52,7 @@ void BM_RingOwnerLookup(benchmark::State& state) {
 BENCHMARK(BM_RingOwnerLookup)->Arg(4)->Arg(30)->Arg(128);
 
 void BM_RingPreferenceList(benchmark::State& state) {
-  hash::ConsistentHashRing ring(
-      hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring(5);
   for (hash::RingNodeId n = 1; n <= 30; ++n) ring.add_node(n);
   std::uint64_t key = 0;
   for (auto _ : state) {
@@ -64,8 +62,7 @@ void BM_RingPreferenceList(benchmark::State& state) {
 BENCHMARK(BM_RingPreferenceList);
 
 void BM_RingMembershipChange(benchmark::State& state) {
-  hash::ConsistentHashRing ring(
-      hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring(5);
   for (hash::RingNodeId n = 1; n <= 30; ++n) ring.add_node(n);
   for (auto _ : state) {
     ring.add_node(999);

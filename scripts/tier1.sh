@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification (ROADMAP.md): full build + complete test suite, then
-# the fault/transport tests again under ASan+UBSan — the chaos paths
-# exercise retransmit-timer lambdas, PDU aliasing across endpoints, and
-# crash/deregistration races that only the sanitizers can vouch for.
+# the fault/transport and overload tests again under ASan+UBSan — the chaos
+# paths exercise retransmit-timer lambdas, PDU aliasing across endpoints,
+# and crash/deregistration races that only the sanitizers can vouch for; the
+# overload suites cover the shed, backpressure and reactive-tick paths.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,7 +74,7 @@ PY
 cmake -B build-asan -S . -DSCALE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"${JOBS}" --target scale_tests perf_core
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" \
-  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc')
+  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|MlbShed|PoolOverload')
 # MillionUE smoke under ASan+UBSan: the same capacity phases at 100 K UEs
 # (--quick skips the absolute bytes-per-UE assert — sanitizer shadow memory
 # inflates RSS) — slab growth, FlatIndex churn, and the storm's index

@@ -12,15 +12,14 @@ using mme::UeContext;
 ScaleCluster::ScaleCluster(epc::Fabric& fabric, sim::NodeId sgw,
                            sim::NodeId hss, Config cfg)
     : fabric_(fabric), cfg_(cfg), sgw_(sgw), hss_(hss), rng_(cfg.seed),
-      ring_(hash::ConsistentHashRing::Config{cfg.ring_tokens, cfg.ring_md5}),
+      ring_(cfg.ring_tokens),
       policy_(cfg.policy), provisioner_(cfg.provisioner),
       next_code_(cfg.first_vm_code) {
   Mlb::Config mlb_cfg = cfg_.mlb;
   mlb_cfg.mme_code = cfg_.mme_code;
   mlb_cfg.plmn = cfg_.plmn;
   mlb_cfg.mme_group = cfg_.mme_group;
-  mlb_cfg.ring = hash::ConsistentHashRing::Config{cfg_.ring_tokens,
-                                                 cfg_.ring_md5};
+  mlb_cfg.ring_tokens = cfg_.ring_tokens;
   mlb_cfg.choices = std::max(1u, policy_.local_copies);
   const auto mlb_count = std::max<std::size_t>(1, cfg_.initial_mlbs);
   for (std::size_t i = 0; i < mlb_count; ++i) {
@@ -82,9 +81,7 @@ MmpNode& ScaleCluster::add_mmp() {
   vm_cfg.base.app.mme_group = cfg_.mme_group;
   vm_cfg.base.app.vm_code = next_code_++;
   vm_cfg.base.app.home_dc = cfg_.home_dc;
-  vm_cfg.offload_threshold = cfg_.mmp_offload_threshold;
   vm_cfg.shed_backlog = cfg_.mmp_shed_backlog;
-  vm_cfg.shed_backoff = cfg_.mmp_shed_backoff;
   vm_cfg.governor = cfg_.mmp_governor;
   vm_cfg.seed = rng_.next_u64();
 
@@ -269,6 +266,7 @@ std::size_t ScaleCluster::run_geo_selection() {
   if (geo_->peers().empty()) return 0;
   std::size_t pushes = 0;
   const std::uint64_t quota = geo_->per_vm_external_quota(mmps_.size());
+  constexpr double kGeoWiThreshold = 0.5;
   for (const auto& vm : mmps_) {
     // Candidates: high-access-probability masters without an external
     // replica yet (§4.5.2: wᵢ ≥ 0.5, replicated proportional to wᵢ).
@@ -276,7 +274,7 @@ std::size_t ScaleCluster::run_geo_selection() {
     double total_w = 0.0;
     vm->app().store().for_each([&](UeContext& ctx) {
       if (ctx.role != ContextRole::kMaster) return;
-      if (ctx.rec.access_freq < geo_->config().geo_wi_threshold) return;
+      if (ctx.rec.access_freq < kGeoWiThreshold) return;
       // Re-select devices whose external replica sits at a DC that stopped
       // accepting work (persistent overload there): their replica is
       // useless until that DC recovers.

@@ -38,18 +38,18 @@ class ScaleCluster {
 
     Mlb::Config mlb;                     ///< identity fields overwritten
     mme::ClusterVm::Config vm_template;  ///< sgw/hss/home_dc overwritten
+    /// Unread: the geo-offload trigger is a fixed CPU backlog (mmp.cpp).
+    /// Kept because wholerun/src/worlds.cpp sets it.
     double mmp_offload_threshold = 0.85;
     /// Overload shedding for every MMP VM (see MmpNode::Config). zero()
     /// keeps the seed behaviour (no shedding).
     Duration mmp_shed_backlog = Duration::zero();
-    Duration mmp_shed_backoff = Duration::ms(200.0);
     /// Graduated admission control for every MMP VM (OverloadGovernor;
     /// disabled by default). Edge backpressure is configured separately
     /// through mlb.enb_bucket_rate.
     OverloadGovernor::Config mmp_governor;
 
     unsigned ring_tokens = 5;
-    bool ring_md5 = true;
 
     ReplicationPolicy policy;
     Provisioner::Config provisioner;

@@ -50,8 +50,6 @@ class GeoManager {
     std::uint32_t dc_id = 0;
     /// Sm as a fraction of the cluster's device-state capacity V·S.
     double budget_fraction = 0.10;
-    /// wᵢ ≥ this ⇒ candidate for external replication (§4.5.2: wᵢ ≥ 0.5).
-    double geo_wi_threshold = 0.5;
     Duration gossip_interval = Duration::ms(500.0);
     Selection selection = Selection::kScale;
     std::uint64_t seed = 1234;

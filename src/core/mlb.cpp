@@ -13,6 +13,8 @@ namespace {
 constexpr double kDropLoadLimit = 3.0;
 /// Edge backpressure engages when any reported load reaches this.
 constexpr double kPressureLoadLimit = 2.0;
+/// Pacing window an OverloadStart asks a dry-bucket eNB to keep.
+constexpr Duration kEnbBackoffWindow = Duration::ms(250.0);
 
 }  // namespace
 
@@ -90,7 +92,7 @@ Mlb::Mlb(Fabric& fabric, Config cfg)
       rel_(fabric, node_),
       cpu_(fabric.engine(), cfg.cpu_speed),
       util_(fabric.engine(), cpu_),
-      ring_(cfg.ring),
+      ring_(cfg.ring_tokens),
       next_tmsi_(cfg.tmsi_base) {}
 
 Mlb::~Mlb() {
@@ -103,7 +105,7 @@ void Mlb::apply_membership(
     std::uint64_t version) {
   if (version <= ring_version_ && ring_version_ != 0) return;
   ring_version_ = version;
-  ring_ = hash::ConsistentHashRing(cfg_.ring);
+  ring_ = hash::ConsistentHashRing(cfg_.ring_tokens);
   code_to_node_.clear();
   for (const auto& m : members) {
     ring_.add_node(m.node);
@@ -220,13 +222,13 @@ void Mlb::maybe_backpressure(NodeId from) {
   // Bucket dry: tell the eNB to pace. Rate-limit the signal to half the
   // window so a hot eNB is not flooded with duplicate OverloadStarts.
   auto [sig, first] = enb_signal_at_.try_emplace(from, Time::zero());
-  if (!first && now < sig->second + cfg_.enb_backoff_window * 0.5) return;
+  if (!first && now < sig->second + kEnbBackoffWindow * 0.5) return;
   sig->second = now;
   ++backpressure_signals_;
   proto::OverloadStart start;
   start.level = 1;
   start.window_us =
-      static_cast<std::uint64_t>(cfg_.enb_backoff_window.count_us());
+      static_cast<std::uint64_t>(kEnbBackoffWindow.count_us());
   // Advisory: a lost signal just means the eNB keeps sending and the next
   // dry take re-signals; retransmitting a stale window would be worse.
   rel_.send_unreliable(from, proto::make_pdu(proto::S1apMessage{start}));

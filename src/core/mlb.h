@@ -98,8 +98,8 @@ class Mlb : public Endpoint {
     /// Routing costs: ring lookups hash MD5 and consult the load view.
     Duration initial_route_cost = Duration::us(35);
     Duration relay_cost = Duration::us(20);
-    /// The ring the MLB rebuilds on every membership update.
-    hash::ConsistentHashRing::Config ring;
+    /// Tokens per VM of the ring the MLB rebuilds on membership updates.
+    unsigned ring_tokens = 5;
     /// R: how many preference-list VMs steering chooses among (SCALE uses
     /// 2; ScaleCluster sets it from ReplicationPolicy::local_copies).
     unsigned choices = 2;
@@ -110,10 +110,9 @@ class Mlb : public Endpoint {
     /// Per-eNB edge backpressure (graduated overload, DESIGN.md §9): while
     /// any MMP is inside a shed-backoff window, each eNB's Initial UE
     /// messages drain a token bucket; when an eNB's bucket runs dry the MLB
-    /// sends it OverloadStart (pace for enb_backoff_window). rate 0 = off.
+    /// sends it OverloadStart (a 250 ms pacing window). rate 0 = off.
     double enb_bucket_rate = 0.0;  ///< tokens (initials) per second
     double enb_bucket_burst = 50.0;
-    Duration enb_backoff_window = Duration::ms(250.0);
   };
 
   Mlb(Fabric& fabric, Config cfg);

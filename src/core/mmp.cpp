@@ -13,6 +13,11 @@ using mme::UeContext;
 
 namespace {
 
+/// Steer-away hint of every OverloadReject, binary or governed.
+constexpr Duration kShedBackoff = Duration::ms(200.0);
+/// CPU backlog from which Active-mode work may be geo-offloaded (§4.6).
+constexpr Duration kOffloadBacklog = Duration::ms(40.0);
+
 /// Procedure type of an Initial UE message, for priority-ordered shedding.
 proto::ProcedureType initial_procedure(const proto::NasMessage& nas) {
   if (std::holds_alternative<proto::NasAttachRequest>(nas))
@@ -44,12 +49,10 @@ MmpNode::MmpNode(epc::Fabric& fabric, Config cfg)
       mmp_cfg_(clamp_paging_defer(std::move(cfg), fabric.transport())),
       governor_(mmp_cfg_.governor), rng_(mmp_cfg_.seed) {
   if (governor_.enabled()) {
-    // Reassess pressure on every utilization sample, independent of traffic
-    // — levels decay back to Nominal even when no new requests arrive.
-    util_.set_sample_hook([this](Time now, double util) {
-      (void)util;  // governor reads the EWMA through pressure_signals()
-      governor_.assess(now, pressure_signals());
-    });
+    // Reassess pressure (EWMA included) on every utilization sample,
+    // independent of traffic — levels decay back to Nominal even when no
+    // new requests arrive.
+    util_.set_sample_hook([this] { governor_.assess(pressure_signals()); });
   }
 }
 
@@ -137,7 +140,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
     bool divert = false;
     const Duration backlog = cpu().backlog();
     if (ctx != nullptr && geo_ != nullptr && ctx->rec.external_dc >= 0 &&
-        backlog >= mmp_cfg_.offload_backlog) {
+        backlog >= kOffloadBacklog) {
       const auto dc = static_cast<std::uint32_t>(ctx->rec.external_dc);
       if (geo_->config().selection == GeoManager::Selection::kUniform) {
         divert = true;  // RDM baselines: overloaded → forward, blind
@@ -188,7 +191,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
       PressureLevel level = PressureLevel::kNominal;
       if (governed) {
         const OverloadGovernor::Decision d =
-            governor_.admit(fabric_.engine().now(), pressure_signals(), ptype);
+            governor_.admit(pressure_signals(), ptype);
         shed = !d.admit;
         level = d.level;
       } else {
@@ -212,9 +215,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
         rej.mmp_node = node();
         rej.origin = fwd.origin;
         rej.guti = fwd.guti;
-        rej.backoff_us = static_cast<std::uint64_t>(
-            (governed ? governor_.config().backoff : mmp_cfg_.shed_backoff)
-                .count_us());
+        rej.backoff_us = static_cast<std::uint64_t>(kShedBackoff.count_us());
         rej.procedure = static_cast<std::uint8_t>(ptype);
         rej.level = static_cast<std::uint8_t>(level);
         rej.inner = fwd.inner;

@@ -28,20 +28,12 @@ class MmpNode final : public mme::ClusterVm {
  public:
   struct Config {
     mme::ClusterVm::Config base;
-    /// Load signals above which Active-mode work is geo-offloaded when
-    /// possible (§4.6 task (3): "if its load is above a threshold"). The
-    /// CPU backlog is the instantaneous signal (no estimator lag — the
-    /// request would wait at least this long locally); the utilization
-    /// EWMA is the slow guard. Either trips the offload.
-    double offload_threshold = 0.85;
-    Duration offload_backlog = Duration::ms(40.0);
     /// Overload protection: an Initial request arriving while queued work
     /// exceeds shed_backlog is rejected back to the MLB (OverloadReject
-    /// carrying the request + a shed_backoff steer-away hint) instead of
-    /// joining a queue it would time out in. zero() disables shedding — the
-    /// seed behaviour of unbounded silent queue growth.
+    /// carrying the request + a 200 ms kShedBackoff steer-away hint) instead
+    /// of joining a queue it would time out in. zero() disables shedding —
+    /// the seed behaviour of unbounded silent queue growth.
     Duration shed_backlog = Duration::zero();
-    Duration shed_backoff = Duration::ms(200.0);
     /// Graduated admission control (OverloadGovernor). Disabled by default;
     /// when enabled it supersedes the binary shed_backlog rule above with
     /// watermark pressure bands and priority-ordered shedding.

@@ -33,8 +33,7 @@ bool TokenBucket::try_take(Time now, double n) {
 
 // -------------------------------------------------------- OverloadGovernor
 
-OverloadGovernor::OverloadGovernor(Config cfg)
-    : cfg_(cfg), limit_(cfg.ac_initial_limit) {
+OverloadGovernor::OverloadGovernor(Config cfg) : cfg_(cfg) {
   SCALE_CHECK(cfg_.low_watermark <= cfg_.high_watermark &&
               cfg_.high_watermark <= cfg_.overload_watermark);
   SCALE_CHECK(cfg_.backlog_ref > Duration::zero());
@@ -58,7 +57,7 @@ double OverloadGovernor::watermark(int band) const {
   }
 }
 
-PressureLevel OverloadGovernor::assess(Time now, const PressureSignals& s) {
+PressureLevel OverloadGovernor::assess(const PressureSignals& s) {
   pressure_ = score(s);
   int target = 0;
   if (pressure_ >= cfg_.overload_watermark) target = 3;
@@ -76,24 +75,7 @@ PressureLevel OverloadGovernor::assess(Time now, const PressureSignals& s) {
   }
   if (band != static_cast<int>(level_)) ++level_changes_;
   level_ = static_cast<PressureLevel>(band);
-  if (cfg_.adaptive_concurrency) ac_update(now, s);
   return level_;
-}
-
-void OverloadGovernor::ac_update(Time now, const PressureSignals& s) {
-  if (ac_primed_ && now < ac_next_) return;
-  ac_primed_ = true;
-  ac_next_ = now + cfg_.ac_interval;
-  if (s.backlog > cfg_.ac_backlog_target) {
-    // Past the knee: multiplicative decrease pulls the limit back fast.
-    limit_ = std::max(cfg_.ac_min_limit, limit_ * cfg_.ac_decrease);
-    ++ac_decreases_;
-  } else if (static_cast<double>(s.in_flight) >= 0.8 * limit_) {
-    // Operating near the limit with latency below the knee: probe upward.
-    // (An idle VM takes no gradient step — the limit must not drift.)
-    limit_ = std::min(cfg_.ac_max_limit, limit_ + cfg_.ac_step);
-    ++ac_increases_;
-  }
 }
 
 int OverloadGovernor::shed_rank(proto::ProcedureType procedure) {
@@ -113,19 +95,10 @@ int OverloadGovernor::shed_rank(proto::ProcedureType procedure) {
 }
 
 OverloadGovernor::Decision OverloadGovernor::admit(
-    Time now, const PressureSignals& signals,
-    proto::ProcedureType procedure) {
+    const PressureSignals& signals, proto::ProcedureType procedure) {
   Decision d;
-  d.level = assess(now, signals);
-  const int rank = shed_rank(procedure);
-  if (static_cast<int>(d.level) >= rank) d.admit = false;
-  if (d.admit && cfg_.adaptive_concurrency && rank < 4) {
-    // Attach keeps double the admitted-concurrency headroom — the limit
-    // throttles the deferrable mix before it touches registrations.
-    const double allowance =
-        procedure == proto::ProcedureType::kAttach ? 2.0 * limit_ : limit_;
-    if (static_cast<double>(signals.in_flight) >= allowance) d.admit = false;
-  }
+  d.level = assess(signals);
+  if (static_cast<int>(d.level) >= shed_rank(procedure)) d.admit = false;
   if (d.admit) {
     ++admitted_;
   } else {
@@ -138,8 +111,9 @@ OverloadGovernor::Decision OverloadGovernor::admit(
 Duration OverloadGovernor::paging_defer() const {
   const int band = static_cast<int>(level_);
   if (!cfg_.enabled || band == 0) return Duration::zero();
+  constexpr Duration kPagingDeferUnit = Duration::ms(100.0);  // at kElevated
   const Duration defer =
-      cfg_.paging_defer_unit * static_cast<double>(1 << (band - 1));
+      kPagingDeferUnit * static_cast<double>(1 << (band - 1));
   return std::min(defer, cfg_.max_paging_defer);
 }
 
@@ -153,11 +127,6 @@ void OverloadGovernor::export_metrics(obs::MetricsRegistry& reg,
     reg.set_counter(prefix + ".shed." + proto::procedure_name(p),
                     sheds_[static_cast<std::size_t>(p)]);
   reg.set_counter(prefix + ".level_changes", level_changes_);
-  if (cfg_.adaptive_concurrency) {
-    reg.set(prefix + ".ac_limit", limit_);
-    reg.set_counter(prefix + ".ac_increases", ac_increases_);
-    reg.set_counter(prefix + ".ac_decreases", ac_decreases_);
-  }
 }
 
 }  // namespace scale::core

@@ -19,9 +19,8 @@
 // the MLB apply per-eNB token-bucket backpressure so rejected load backs
 // off at the edge instead of hammering the pool (TokenBucket below).
 //
-// An optional adaptive-concurrency mode probes for the latency knee with
-// AIMD gradient steps on an admitted-concurrency limit, using the backlog
-// as the latency signal.
+// The watermarks, signal references and paging cap are the only knobs; the
+// shed's steer-away hint (kShedBackoff, mmp.cpp) is a fixed 200 ms.
 //
 // Determinism contract (DESIGN.md §9): every decision is a pure function of
 // sim time and the signals — no wall clock, no entropy, no unordered
@@ -101,28 +100,11 @@ class OverloadGovernor {
     Duration backlog_ref = Duration::ms(80.0);
     std::size_t inflight_ref = 256;
 
-    /// Steer-away hint carried in OverloadReject (MLB backoff window).
-    Duration backoff = Duration::ms(200.0);
-
-    /// Paging stretch: defer the paging fan-out by unit × 2^(level−1),
+    /// Paging stretch: defer the paging fan-out by 100 ms × 2^(level−1),
     /// capped at max_paging_defer. The cap must stay inside the transport's
     /// retry horizon (TransportConfig::retry_horizon) or a stretched page
     /// could outlive the reliable channel's retransmissions.
-    Duration paging_defer_unit = Duration::ms(100.0);
     Duration max_paging_defer = Duration::ms(800.0);
-
-    // Optional adaptive concurrency: AIMD probe for the latency knee on an
-    // admitted-concurrency limit. Every ac_interval of sim time, the limit
-    // steps up by ac_step while the backlog sits below the knee target, and
-    // shrinks multiplicatively once it crosses it.
-    bool adaptive_concurrency = false;
-    double ac_initial_limit = 64.0;
-    double ac_min_limit = 8.0;
-    double ac_max_limit = 4096.0;
-    double ac_step = 8.0;
-    double ac_decrease = 0.9;
-    Duration ac_interval = Duration::ms(100.0);
-    Duration ac_backlog_target = Duration::ms(20.0);
   };
 
   struct Decision {
@@ -136,17 +118,16 @@ class OverloadGovernor {
   const Config& config() const { return cfg_; }
   PressureLevel level() const { return level_; }
   double pressure() const { return pressure_; }
-  double concurrency_limit() const { return limit_; }
 
   /// Fold fresh signals into the watermark state machine and return the
   /// resulting band. Also called traffic-independently (utilization-sample
   /// hook) so pressure decays — and actions relax — when shedding has
   /// silenced the inflow.
-  PressureLevel assess(Time now, const PressureSignals& signals);
+  PressureLevel assess(const PressureSignals& signals);
 
   /// Admission decision for one initial procedure, updating the level
   /// first. Detach is never shed (it frees state).
-  Decision admit(Time now, const PressureSignals& signals,
+  Decision admit(const PressureSignals& signals,
                  proto::ProcedureType procedure);
 
   /// Severity rank: the band index at which `procedure` starts being shed
@@ -174,21 +155,15 @@ class OverloadGovernor {
  private:
   double score(const PressureSignals& signals) const;
   double watermark(int band) const;
-  void ac_update(Time now, const PressureSignals& signals);
 
   Config cfg_;
   PressureLevel level_ = PressureLevel::kNominal;
   double pressure_ = 0.0;
-  double limit_;
-  Time ac_next_ = Time::zero();
-  bool ac_primed_ = false;
 
   std::uint64_t admitted_ = 0;
   std::uint64_t shed_total_ = 0;
   std::array<std::uint64_t, proto::kProcedureTypeCount> sheds_{};
   std::uint64_t level_changes_ = 0;
-  std::uint64_t ac_increases_ = 0;
-  std::uint64_t ac_decreases_ = 0;
 };
 
 }  // namespace scale::core

@@ -99,9 +99,10 @@ void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
       Time slot = now + cfg_.overload_pace;
       if (next_paced_slot_ + cfg_.overload_pace > slot)
         slot = next_paced_slot_ + cfg_.overload_pace;
-      // Grid full: stop absorbing — the core's admission control owns the
-      // excess from here.
-      if (slot - now <= cfg_.overload_pace_horizon) {
+      // Grid full (200 ms ahead): stop absorbing — the core's admission
+      // control owns the excess, or a burst outlives the overload here.
+      constexpr Duration kOverloadPaceHorizon = Duration::ms(200.0);
+      if (slot - now <= kOverloadPaceHorizon) {
         next_paced_slot_ = slot;
         ++paced_initials_;
         fabric_.engine().after(

@@ -43,12 +43,6 @@ class EnodeB : public Endpoint {
     /// pacing window is active (S1AP overload backoff). The window itself
     /// only opens when the core sends OverloadStart; zero() ignores it.
     Duration overload_pace = Duration::ms(2.0);
-    /// Deepest the pacing grid may reach ahead of now. Pacing smooths the
-    /// instantaneous herd; once the grid is this full, further initials go
-    /// straight through and the core's admission control owns the excess —
-    /// otherwise a sustained burst turns the grid into a multi-second
-    /// delay line that outlives the overload itself.
-    Duration overload_pace_horizon = Duration::ms(200.0);
     std::uint64_t seed = 7;
   };
 

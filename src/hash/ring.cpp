@@ -6,8 +6,9 @@
 
 namespace scale::hash {
 
-ConsistentHashRing::ConsistentHashRing(Config cfg) : cfg_(cfg) {
-  SCALE_CHECK(cfg_.tokens_per_node >= 1);
+ConsistentHashRing::ConsistentHashRing(unsigned tokens_per_node)
+    : tokens_per_node_(tokens_per_node) {
+  SCALE_CHECK(tokens_per_node_ >= 1);
 }
 
 std::uint64_t ConsistentHashRing::token_position(RingNodeId node,
@@ -16,12 +17,12 @@ std::uint64_t ConsistentHashRing::token_position(RingNodeId node,
   // constant keeps (node=1, idx=0) far from (node=0, idx=1).
   const std::uint64_t key =
       (static_cast<std::uint64_t>(node) << 20) ^ index ^ 0xA5A5'0000'0000ull;
-  return cfg_.use_md5 ? md5_u64(key) : fnv1a_u64(key);
+  return md5_u64(key);
 }
 
 void ConsistentHashRing::add_node(RingNodeId node) {
   SCALE_CHECK_MSG(!contains(node), "node already on ring");
-  for (unsigned i = 0; i < cfg_.tokens_per_node; ++i) {
+  for (unsigned i = 0; i < tokens_per_node_; ++i) {
     std::uint64_t pos = token_position(node, i);
     // Token collisions across nodes are astronomically unlikely but would
     // make ownership order-dependent; perturb deterministically if one
@@ -29,7 +30,7 @@ void ConsistentHashRing::add_node(RingNodeId node) {
     while (std::binary_search(
         ring_.begin(), ring_.end(), std::make_pair(pos, RingNodeId{0}),
         [](const auto& a, const auto& b) { return a.first < b.first; })) {
-      pos = cfg_.use_md5 ? md5_u64(pos) : fnv1a_u64(pos);
+      pos = md5_u64(pos);
     }
     ring_.emplace_back(pos, node);
   }
@@ -50,7 +51,7 @@ bool ConsistentHashRing::contains(RingNodeId node) const {
 std::vector<RingNodeId> ConsistentHashRing::nodes() const { return nodes_; }
 
 std::uint64_t ConsistentHashRing::position_of_key(std::uint64_t key) const {
-  return cfg_.use_md5 ? md5_u64(key) : fnv1a_u64(key);
+  return md5_u64(key);
 }
 
 std::size_t ConsistentHashRing::first_token_at_or_after(

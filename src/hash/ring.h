@@ -3,8 +3,8 @@
 //
 //  * each MMP VM is represented by `tokens_per_node` pseudo-random tokens on
 //    a fixed circular 64-bit ring;
-//  * a device's GUTI hashes (MD5) to a ring position; the first token
-//    clockwise identifies the *master* MMP;
+//  * a device's GUTI hashes (MD5, the ring's only hash) to a ring position;
+//    the first token clockwise identifies the *master* MMP;
 //  * the next distinct VMs clockwise are the replica targets, so the states
 //    of one VM's devices spread across many neighbors (avoids the pairwise
 //    hot-spot the SIMPLE baseline suffers — Fig. 9);
@@ -27,16 +27,8 @@ using RingNodeId = std::uint32_t;
 
 class ConsistentHashRing {
  public:
-  struct Config {
-    /// Virtual tokens per node; 1 = classic token-less consistent hashing.
-    unsigned tokens_per_node = 5;
-    /// Use MD5 (paper-faithful) for token and key positions; false selects
-    /// FNV-1a for speed in very large simulations. Both are deterministic.
-    bool use_md5 = true;
-  };
-
-  ConsistentHashRing() : ConsistentHashRing(Config{}) {}
-  explicit ConsistentHashRing(Config cfg);
+  /// Virtual tokens per node; 1 = classic token-less consistent hashing.
+  explicit ConsistentHashRing(unsigned tokens_per_node = 5);
 
   /// Adds a node; its tokens are deterministic functions of (node, index).
   /// Precondition: the node is not already present.
@@ -50,7 +42,6 @@ class ConsistentHashRing {
   std::size_t token_count() const { return ring_.size(); }
   bool empty() const { return ring_.empty(); }
   std::vector<RingNodeId> nodes() const;
-  const Config& config() const { return cfg_; }
 
   /// Ring position of an arbitrary 64-bit key (e.g. a GUTI's M-TMSI).
   std::uint64_t position_of_key(std::uint64_t key) const;
@@ -86,7 +77,7 @@ class ConsistentHashRing {
   std::uint64_t token_position(RingNodeId node, unsigned index) const;
   std::size_t first_token_at_or_after(std::uint64_t pos) const;
 
-  Config cfg_;
+  unsigned tokens_per_node_;
   std::vector<std::pair<std::uint64_t, RingNodeId>> ring_;  // sorted by pos
   std::vector<RingNodeId> nodes_;                           // sorted
 };

@@ -9,7 +9,7 @@ ClusterVm::ClusterVm(epc::Fabric& fabric, Config cfg)
     : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_),
       cpu_(fabric.engine(), cfg.cpu_speed),
-      util_(fabric.engine(), cpu_, cfg.util_sample_interval, cfg.util_alpha),
+      util_(fabric.engine(), cpu_, cfg.util_sample_interval),
       app_(fabric.engine(), cpu_,
            [this] {
              MmeApp::Config c = cfg_.app;

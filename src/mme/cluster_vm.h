@@ -35,7 +35,6 @@ class ClusterVm : public epc::Endpoint {
     /// advertised load can be no fresher than max(this, report interval) —
     /// steering quality at high per-VM rates is bounded by that staleness.
     Duration util_sample_interval = Duration::ms(100.0);
-    double util_alpha = 0.3;
   };
 
   ClusterVm(epc::Fabric& fabric, Config cfg);

@@ -8,6 +8,13 @@
 
 namespace scale::mme {
 
+namespace {
+/// Period of the reactive overload check.
+constexpr Duration kOverloadCheckInterval = Duration::ms(200.0);
+/// Active devices shed per overload check.
+constexpr std::size_t kShedBatch = 8;
+}  // namespace
+
 MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
     : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
       rel_(fabric, node_),
@@ -48,11 +55,7 @@ MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
                .on_idle = nullptr,
                .before_detach = nullptr,
            }) {
-  if (cfg_.overload_protection) {
-    ticking_ = true;
-    fabric_.engine().after(cfg_.overload_check_interval,
-                           [this] { overload_tick(); });
-  }
+  if (cfg_.overload_protection) enable_overload(cfg_.overload_threshold);
 }
 
 MmeNode::~MmeNode() {
@@ -65,15 +68,12 @@ void MmeNode::add_peer(MmeNode* peer) {
   peers_.push_back(peer);
 }
 
-void MmeNode::configure_overload(bool on, double threshold) {
-  cfg_.overload_protection = on;
+void MmeNode::enable_overload(double threshold) {
+  cfg_.overload_protection = true;
   cfg_.overload_threshold = threshold;
-  if (on && !ticking_) {
-    ticking_ = true;
-    fabric_.engine().after(cfg_.overload_check_interval,
-                           [this] { overload_tick(); });
-  }
-  if (!on) ticking_ = false;
+  if (ticking_) return;  // one tick chain per node
+  ticking_ = true;
+  fabric_.engine().after(kOverloadCheckInterval, [this] { overload_tick(); });
 }
 
 void MmeNode::set_paging_enbs(
@@ -178,7 +178,6 @@ void MmeNode::shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
 }
 
 void MmeNode::overload_tick() {
-  if (!ticking_) return;
   if (util_.utilization() >= cfg_.overload_threshold && !peers_.empty()) {
     MmeNode* peer = least_loaded_peer();
     if (peer != nullptr &&
@@ -189,7 +188,7 @@ void MmeNode::overload_tick() {
       });
       std::size_t shed = 0;
       for (std::uint64_t key : keys) {
-        if (shed >= cfg_.shed_batch) break;
+        if (shed >= kShedBatch) break;
         UeContext* ctx = app_.store().find(key);
         if (ctx == nullptr) continue;
         shed_context(*ctx, *peer, ctx->rec.enb_id, ctx->rec.enb_ue_id);
@@ -197,8 +196,7 @@ void MmeNode::overload_tick() {
       }
     }
   }
-  fabric_.engine().after(cfg_.overload_check_interval,
-                         [this] { overload_tick(); });
+  fabric_.engine().after(kOverloadCheckInterval, [this] { overload_tick(); });
 }
 
 void MmeNode::export_metrics(obs::MetricsRegistry& reg,

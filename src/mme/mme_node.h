@@ -35,11 +35,10 @@ class MmeNode : public epc::Endpoint {
     double cpu_speed = 1.0;
     double weight = 1.0;  ///< eNodeB selection weight (relative capacity)
 
-    // Reactive overload protection (off by default; the pool enables it).
+    // Reactive overload protection (off by default; the pool enables it):
+    // every 200 ms an MME past the threshold sheds up to 8 Active devices.
     bool overload_protection = false;
     double overload_threshold = 0.9;
-    Duration overload_check_interval = Duration::ms(200.0);
-    std::size_t shed_batch = 8;  ///< devices shed per check when overloaded
   };
 
   MmeNode(epc::Fabric& fabric, Config cfg);
@@ -56,8 +55,9 @@ class MmeNode : public epc::Endpoint {
   /// Peers for reactive reassignment (state-transfer targets).
   void add_peer(MmeNode* peer);
 
-  /// Enable/disable reactive overload protection at runtime.
-  void configure_overload(bool on, double threshold);
+  /// Turn reactive overload protection on at runtime, or retune its
+  /// threshold when it is already on. Starts the overload tick once.
+  void enable_overload(double threshold);
 
   /// Provide the eNodeB set per tracking area (paging fan-out).
   void set_paging_enbs(std::function<std::vector<NodeId>(proto::Tac)>&& fn);

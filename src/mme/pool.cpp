@@ -2,8 +2,13 @@
 
 namespace scale::mme {
 
+namespace {
+/// MME code of the pool's first member; later members count up from it.
+constexpr std::uint8_t kFirstMmeCode = 1;
+}  // namespace
+
 MmePool::MmePool(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), next_code_(cfg.first_mme_code) {
+    : fabric_(fabric), cfg_(cfg), next_code_(kFirstMmeCode) {
   for (std::size_t i = 0; i < cfg_.initial_count; ++i)
     add_mme(cfg_.node_template.weight);
 }
@@ -35,7 +40,7 @@ void MmePool::connect_enb(epc::EnodeB& enb) {
 }
 
 void MmePool::enable_overload_protection(double threshold) {
-  for (auto& node : mmes_) node->configure_overload(true, threshold);
+  for (auto& node : mmes_) node->enable_overload(threshold);
 }
 
 std::vector<NodeId> MmePool::paging_targets(proto::Tac tac) const {

@@ -24,7 +24,6 @@ class MmePool {
   struct Config {
     MmeNode::Config node_template;  ///< mme_code/weight are overwritten
     std::size_t initial_count = 1;
-    std::uint8_t first_mme_code = 1;
   };
 
   MmePool(epc::Fabric& fabric, Config cfg);

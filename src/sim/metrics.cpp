@@ -8,6 +8,11 @@
 
 namespace scale::sim {
 
+namespace {
+/// Weight of the newest utilization sample in UtilizationTracker's EWMA.
+constexpr double kUtilAlpha = 0.3;
+}  // namespace
+
 // -------------------------------------------------------------- FaultCounters
 
 void FaultCounters::export_metrics(obs::MetricsRegistry& reg,
@@ -34,8 +39,7 @@ const PercentileSampler& DelayRecorder::bucket(proto::ProcedureType p) const {
 }
 
 void DelayRecorder::record(const std::string& bucket, Duration delay) {
-  auto [it, inserted] = buckets_.try_emplace(bucket, cap_);
-  it->second.add(delay.to_ms());
+  buckets_[bucket].add(delay.to_ms());
 }
 
 bool DelayRecorder::has(const std::string& bucket) const {
@@ -50,7 +54,7 @@ const PercentileSampler& DelayRecorder::bucket(
 }
 
 PercentileSampler DelayRecorder::merged() const {
-  PercentileSampler all(cap_ ? cap_ * buckets_.size() : 0);
+  PercentileSampler all;
   for (const auto& [name, sampler] : buckets_)
     for (double s : sampler.samples()) all.add(s);
   return all;
@@ -88,8 +92,8 @@ void DelayRecorder::export_metrics(obs::MetricsRegistry& reg,
 // --------------------------------------------------------- UtilizationTracker
 
 UtilizationTracker::UtilizationTracker(Engine& engine, const CpuModel& cpu,
-                                       Duration interval, double alpha)
-    : engine_(engine), cpu_(cpu), interval_(interval), ewma_(alpha),
+                                       Duration interval)
+    : engine_(engine), cpu_(cpu), interval_(interval), ewma_(kUtilAlpha),
       last_busy_(cpu.cumulative_busy()), last_time_(engine.now()) {
   SCALE_CHECK(interval > Duration::zero());
   engine_.after(interval_, [this] { tick(); });
@@ -104,7 +108,7 @@ void UtilizationTracker::tick() {
     ewma_.update(std::min(1.0, (busy - last_busy_) / wall));
     last_busy_ = busy;
     last_time_ = now;
-    if (hook_) hook_(now, ewma_.value());
+    if (hook_) hook_();
   }
   engine_.after(interval_, [this] { tick(); });
 }

@@ -48,9 +48,6 @@ struct FaultCounters {
 
 class DelayRecorder {
  public:
-  /// cap > 0 reservoir-samples each bucket (0 keeps everything).
-  explicit DelayRecorder(std::size_t cap = 0) : cap_(cap) {}
-
   /// Typed overloads — the standard control procedures. The enum maps onto
   /// the same canonical bucket names procedure_name() yields, so typed and
   /// string callers share buckets; prefer the enum (typos become compile
@@ -74,26 +71,25 @@ class DelayRecorder {
                       const std::string& prefix) const;
 
  private:
-  std::size_t cap_;
   std::map<std::string, PercentileSampler> buckets_;
 };
 
 /// Self-contained moving-average CPU-utilization estimate for one VM — what
 /// an MMP reports in its LoadReport (§4.6: "current load (moving average of
 /// CPU utilization)") and what overload-protection thresholds test against.
+/// Each sample enters the average with weight 0.3 (kUtilAlpha).
 class UtilizationTracker {
  public:
   UtilizationTracker(Engine& engine, const CpuModel& cpu,
-                     Duration interval = Duration::ms(100.0),
-                     double alpha = 0.3);
+                     Duration interval = Duration::ms(100.0));
 
   /// Current moving-average utilization in [0, 1].
   double utilization() const { return ewma_.value(); }
 
-  /// Invoked after every EWMA update with (sample time, new value). Gives
-  /// overload governors a traffic-independent reassessment point — pressure
-  /// is re-evaluated even when no requests arrive to trigger admission.
-  void set_sample_hook(std::function<void(Time, double)>&& hook) {
+  /// Invoked after every EWMA update: a traffic-independent reassessment
+  /// point for overload governors, so pressure is re-evaluated even when no
+  /// requests arrive to trigger admission.
+  void set_sample_hook(std::function<void()>&& hook) {
     hook_ = std::move(hook);
   }
 
@@ -109,7 +105,7 @@ class UtilizationTracker {
   Ewma ewma_;
   Duration last_busy_;
   Time last_time_;
-  std::function<void(Time, double)> hook_;
+  std::function<void()> hook_;
   bool stopped_ = false;
 };
 

@@ -23,8 +23,7 @@ std::vector<epc::Ue*> Testbed::Site::ue_ptrs() const {
 
 Testbed::Testbed(Config cfg)
     : cfg_(cfg), network_(cfg.default_latency, cfg.seed ^ 0xABCD),
-      fabric_(engine_, network_), delays_(cfg.delay_sample_cap),
-      rng_(cfg.seed) {
+      fabric_(engine_, network_), rng_(cfg.seed) {
   SCALE_CHECK_MSG(cfg.threads == 0,
                   "Testbed::Config::threads must be 0: the simulator runs "
                   "one engine");

@@ -36,8 +36,6 @@ class Testbed {
  public:
   struct Config {
     Duration default_latency = Duration::us(500);
-    /// 0 = keep every delay sample.
-    std::size_t delay_sample_cap = 0;
     /// Re-attach automatically (after a short backoff) when a procedure
     /// fails and leaves the UE deregistered.
     bool auto_reattach = true;

@@ -69,7 +69,10 @@ bool OpenLoopDriver::fire_one() {
   const std::vector<double> weights = {cfg_.mix.attach,
                                        cfg_.mix.service_request, cfg_.mix.tau,
                                        cfg_.mix.handover, cfg_.mix.detach};
-  for (unsigned attempt = 0; attempt < cfg_.resample_attempts; ++attempt) {
+  // Resample while the device cannot run the procedure (busy, wrong
+  // state); after this many draws the arrival is dropped.
+  constexpr unsigned kResampleAttempts = 8;
+  for (unsigned attempt = 0; attempt < kResampleAttempts; ++attempt) {
     Ue& ue = *devices_[static_cast<std::size_t>(
         rng_.next_below(devices_.size()))];
     const int which = static_cast<int>(rng_.weighted_index(weights));
@@ -116,11 +119,8 @@ void PeriodicDriver::fire_device(std::size_t idx) {
     ok = ue.service_request();
   }
   if (ok) ++issued_;
-  const Duration next_gap =
-      cfg_.exponential
-          ? Duration::sec(rng_.exponential(1.0 / cfg_.mean_period.to_sec()))
-          : cfg_.mean_period;
-  schedule_device(idx, next_gap);
+  schedule_device(
+      idx, Duration::sec(rng_.exponential(1.0 / cfg_.mean_period.to_sec())));
 }
 
 // ------------------------------------------------------------- MassAccessEvent

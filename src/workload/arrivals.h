@@ -36,9 +36,6 @@ class OpenLoopDriver {
   struct Config {
     double rate_per_sec = 100.0;
     ProcedureMix mix;
-    /// Retries when the sampled device cannot run the sampled procedure
-    /// (busy, wrong state) before the arrival is dropped.
-    unsigned resample_attempts = 8;
     std::uint64_t seed = 11;
   };
 
@@ -72,14 +69,13 @@ class OpenLoopDriver {
   std::uint64_t issued_ = 0;
 };
 
-/// Each device wakes every ~period (exponential jitter), issues a service
+/// Each device wakes every ~period (exponential gaps), issues a service
 /// request (or attach when deregistered), and relies on the network's
 /// inactivity release to go back to Idle.
 class PeriodicDriver {
  public:
   struct Config {
     Duration mean_period = Duration::sec(60.0);
-    bool exponential = true;  ///< false = fixed period with phase jitter
     std::uint64_t seed = 13;
   };
 

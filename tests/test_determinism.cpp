@@ -3,7 +3,6 @@
 // different ones for different seeds. Every benchmark number rests on this.
 #include <gtest/gtest.h>
 
-#include <iomanip>
 #include <sstream>
 
 #include "core/cluster.h"
@@ -17,8 +16,9 @@ namespace {
 using testbed::Testbed;
 
 // Run a moderately busy SCALE scenario and produce a fingerprint of
-// everything observable.
-std::string run_fingerprint(std::uint64_t seed) {
+// everything observable; a nonzero `shed_backlog` turns on binary shedding.
+std::string run_fingerprint(std::uint64_t seed,
+                            Duration shed_backlog = Duration::zero()) {
   Testbed::Config tcfg;
   tcfg.seed = seed;
   Testbed tb(tcfg);
@@ -27,6 +27,7 @@ std::string run_fingerprint(std::uint64_t seed) {
   cfg.initial_mmps = 3;
   cfg.seed = seed * 31;
   cfg.vm_template.app.profile.inactivity_timeout = Duration::ms(800.0);
+  cfg.mmp_shed_backlog = shed_backlog;
   core::ScaleCluster cluster(tb.fabric(), site.sgw->node(), tb.hss().node(),
                              cfg);
   for (auto& enb : site.enbs) cluster.connect_enb(*enb);
@@ -85,12 +86,16 @@ TEST(Determinism, FingerprintGoldenDigest) {
   // from then on, so the digest is stable by construction. If a PR changes
   // behavior *intentionally*, re-baseline this constant and say so in
   // CHANGES.md; if it moved and you didn't expect it, you broke replay.
-  const hash::Md5Digest d = hash::Md5::digest(run_fingerprint(12345));
-  std::ostringstream hex;
-  for (const auto byte : d)
-    hex << std::hex << std::setw(2) << std::setfill('0')
-        << static_cast<unsigned>(byte);
-  EXPECT_EQ(hex.str(), "192a5ab5df0e500cc793e8d5684cd1b6");
+  EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(run_fingerprint(12345))),
+            "192a5ab5df0e500cc793e8d5684cd1b6");
+}
+
+TEST(Determinism, BinaryShedGoldenDigest) {
+  // Pins the OverloadRejects, their backoff hint and the MLB's re-steers.
+  const std::string fp = run_fingerprint(12345, Duration::us(200));
+  EXPECT_NE(fp, run_fingerprint(12345)) << "the shed path must engage";
+  EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(fp)),
+            "a36c976f72bd620abe941c72e165bb77");
 }
 
 TEST(Determinism, TestbedRejectsAThreadCount) {
@@ -117,12 +122,12 @@ TEST(Determinism, Md5RingPlacementStable) {
   // key-packing too).
   const proto::Guti g{310, 17, 3, 0xBEEF01};
   EXPECT_EQ(hash::md5_u64(g.key()), hash::md5_u64(g.key()));
-  hash::ConsistentHashRing ring(hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring(5);
   for (hash::RingNodeId n = 1; n <= 10; ++n) ring.add_node(n);
   EXPECT_EQ(ring.owner(g.key()), ring.owner(g.key()));
   // Placement is insensitive to unrelated process state.
   const auto first = ring.preference_list(g.key(), 3);
-  hash::ConsistentHashRing ring2(hash::ConsistentHashRing::Config{5, true});
+  hash::ConsistentHashRing ring2(5);
   for (hash::RingNodeId n = 10; n >= 1; --n) ring2.add_node(n);
   EXPECT_EQ(ring2.preference_list(g.key(), 3), first);
 }

@@ -84,7 +84,7 @@ TEST(CpuSampler, UntrackStopsSeries) {
 TEST(UtilizationTracker, ConvergesToActualLoad) {
   Engine eng;
   CpuModel cpu(eng);
-  UtilizationTracker tracker(eng, cpu, Duration::ms(100.0), 0.3);
+  UtilizationTracker tracker(eng, cpu, Duration::ms(100.0));
   // 50% duty cycle: 50 ms of work every 100 ms.
   for (int i = 0; i < 30; ++i) {
     eng.at(Time::from_us(i * 100000), [&cpu] {

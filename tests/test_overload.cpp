@@ -46,61 +46,58 @@ PressureSignals backlog_ms(double ms) {
 
 TEST(OverloadGovernor, WatermarkHysteresisDoesNotFlap) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
-  ASSERT_EQ(g.assess(t, backlog_ms(40.0)), PressureLevel::kNominal);
-  ASSERT_EQ(g.assess(t, backlog_ms(60.0)), PressureLevel::kElevated);
+  ASSERT_EQ(g.assess(backlog_ms(40.0)), PressureLevel::kNominal);
+  ASSERT_EQ(g.assess(backlog_ms(60.0)), PressureLevel::kElevated);
   EXPECT_EQ(g.level_changes(), 1u);
 
   // Oscillation around the low watermark (0.5) stays inside the hysteresis
   // band [0.3, 0.5): the level must latch, not flap.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(g.assess(t, backlog_ms(45.0)), PressureLevel::kElevated);
-    EXPECT_EQ(g.assess(t, backlog_ms(55.0)), PressureLevel::kElevated);
+    EXPECT_EQ(g.assess(backlog_ms(45.0)), PressureLevel::kElevated);
+    EXPECT_EQ(g.assess(backlog_ms(55.0)), PressureLevel::kElevated);
   }
   EXPECT_EQ(g.level_changes(), 1u);
 
   // Clearing the watermark by the hysteresis margin releases the band.
-  EXPECT_EQ(g.assess(t, backlog_ms(25.0)), PressureLevel::kNominal);
+  EXPECT_EQ(g.assess(backlog_ms(25.0)), PressureLevel::kNominal);
   EXPECT_EQ(g.level_changes(), 2u);
 }
 
 TEST(OverloadGovernor, AscendsImmediatelyDescendsBandByBand) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
   // A surge jumps straight to kOverload — protection must not lag.
-  EXPECT_EQ(g.assess(t, backlog_ms(160.0)), PressureLevel::kOverload);
+  EXPECT_EQ(g.assess(backlog_ms(160.0)), PressureLevel::kOverload);
 
   // 0.85 clears the overload watermark (1.5 − 0.2) but not the high one
   // (1.0 − 0.2): descent stops at kHigh.
-  EXPECT_EQ(g.assess(t, backlog_ms(85.0)), PressureLevel::kHigh);
-  EXPECT_EQ(g.assess(t, backlog_ms(75.0)), PressureLevel::kElevated);
-  EXPECT_EQ(g.assess(t, backlog_ms(20.0)), PressureLevel::kNominal);
+  EXPECT_EQ(g.assess(backlog_ms(85.0)), PressureLevel::kHigh);
+  EXPECT_EQ(g.assess(backlog_ms(75.0)), PressureLevel::kElevated);
+  EXPECT_EQ(g.assess(backlog_ms(20.0)), PressureLevel::kNominal);
 }
 
 TEST(OverloadGovernor, ShedsInPriorityOrderAcrossBands) {
   OverloadGovernor g(governor_cfg());
-  const Time t = Time::zero();
 
   // kElevated: only TAU is shed.
-  auto d = g.admit(t, backlog_ms(60.0), ProcedureType::kTrackingAreaUpdate);
+  auto d = g.admit(backlog_ms(60.0), ProcedureType::kTrackingAreaUpdate);
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.level, PressureLevel::kElevated);
-  EXPECT_TRUE(g.admit(t, backlog_ms(60.0), ProcedureType::kServiceRequest)
+  EXPECT_TRUE(g.admit(backlog_ms(60.0), ProcedureType::kServiceRequest)
                   .admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(60.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(60.0), ProcedureType::kAttach).admit);
 
   // kHigh: Service Request and Handover join; Attach still admitted.
-  EXPECT_FALSE(g.admit(t, backlog_ms(110.0), ProcedureType::kServiceRequest)
+  EXPECT_FALSE(g.admit(backlog_ms(110.0), ProcedureType::kServiceRequest)
                    .admit);
-  EXPECT_FALSE(g.admit(t, backlog_ms(110.0), ProcedureType::kHandover)
+  EXPECT_FALSE(g.admit(backlog_ms(110.0), ProcedureType::kHandover)
                    .admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(110.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(110.0), ProcedureType::kAttach).admit);
 
   // kOverload: Attach sheds last; Detach never (it frees state).
-  EXPECT_FALSE(g.admit(t, backlog_ms(160.0), ProcedureType::kAttach).admit);
-  EXPECT_TRUE(g.admit(t, backlog_ms(160.0), ProcedureType::kDetach).admit);
+  EXPECT_FALSE(g.admit(backlog_ms(160.0), ProcedureType::kAttach).admit);
+  EXPECT_TRUE(g.admit(backlog_ms(160.0), ProcedureType::kDetach).admit);
 
   EXPECT_EQ(g.shed_of(ProcedureType::kTrackingAreaUpdate), 1u);
   EXPECT_EQ(g.shed_of(ProcedureType::kServiceRequest), 1u);
@@ -125,43 +122,16 @@ TEST(OverloadGovernor, ShedRankOrdersTauBeforeSrBeforeAttach) {
 
 TEST(OverloadGovernor, PagingDeferStretchesWithLevelAndCaps) {
   auto cfg = governor_cfg();
-  cfg.paging_defer_unit = Duration::ms(100.0);
   cfg.max_paging_defer = Duration::ms(300.0);
   OverloadGovernor g(cfg);
-  const Time t = Time::zero();
 
   EXPECT_EQ(g.paging_defer(), Duration::zero());
-  g.assess(t, backlog_ms(60.0));
+  g.assess(backlog_ms(60.0));
   EXPECT_EQ(g.paging_defer(), Duration::ms(100.0));
-  g.assess(t, backlog_ms(110.0));
+  g.assess(backlog_ms(110.0));
   EXPECT_EQ(g.paging_defer(), Duration::ms(200.0));
-  g.assess(t, backlog_ms(160.0));  // 100 * 2^2 = 400, capped at 300
+  g.assess(backlog_ms(160.0));  // 100 * 2^2 = 400, capped at 300
   EXPECT_EQ(g.paging_defer(), Duration::ms(300.0));
-}
-
-TEST(OverloadGovernor, AdaptiveConcurrencyProbesUpAndBacksOff) {
-  auto cfg = governor_cfg();
-  cfg.adaptive_concurrency = true;
-  cfg.ac_initial_limit = 64.0;
-  cfg.ac_step = 8.0;
-  cfg.ac_decrease = 0.5;
-  cfg.ac_interval = Duration::ms(100.0);
-  cfg.ac_backlog_target = Duration::ms(20.0);
-  OverloadGovernor g(cfg);
-
-  // Near the limit with latency under the knee: additive probe upward.
-  PressureSignals busy;
-  busy.in_flight = 60;  // >= 0.8 * 64
-  g.assess(Time::zero(), busy);
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 72.0);
-
-  // Within the same interval no further step is taken.
-  g.assess(Time::from_sec(0.05), busy);
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 72.0);
-
-  // Past the knee: multiplicative decrease.
-  g.assess(Time::from_sec(0.2), backlog_ms(30.0));
-  EXPECT_DOUBLE_EQ(g.concurrency_limit(), 36.0);
 }
 
 TEST(OverloadGovernor, DisabledByDefault) {
@@ -259,6 +229,73 @@ TEST(OverloadIntegration, GovernedClusterShedsDeferrableNeverAttach) {
   w.tb.run_for(Duration::sec(5.0));
   for (const auto& mmp : w.cluster->mmps())
     EXPECT_EQ(mmp->governor().level(), PressureLevel::kNominal);
+}
+
+/// Stands in for the node a message is sent to and keeps every `T` it gets.
+template <typename T>
+struct WireProbe final : epc::Endpoint {
+  explicit WireProbe(epc::Fabric& f) : fabric(f), node(f.add_endpoint(this)) {}
+  ~WireProbe() override { fabric.remove_endpoint(node); }
+  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+    std::visit(
+        [this](const auto& family) {
+          std::visit(
+              [this](const auto& m) {
+                if constexpr (std::is_same_v<std::decay_t<decltype(m)>, T>)
+                  seen.push_back(m);
+              },
+              family);
+        },
+        pdu);
+  }
+  epc::Fabric& fabric;
+  sim::NodeId node;
+  std::vector<T> seen;
+};
+
+TEST(OverloadIntegration, ShedRejectsCarryA200MsBackoff) {
+  // The binary shed and the governor write the same steer-away hint.
+  for (const bool governed : {false, true}) {
+    SCOPED_TRACE(governed ? "governed" : "binary");
+    Testbed tb;
+    WireProbe<proto::OverloadReject> mlb(tb.fabric());
+    core::MmpNode::Config cfg;
+    cfg.shed_backlog = Duration::ms(5.0);
+    if (governed) cfg.governor = governor_cfg();  // 60 ms: TAU shed
+    core::MmpNode mmp(tb.fabric(), cfg);
+    mmp.attach_lb(mlb.node);
+    mmp.cpu().consume(Duration::ms(60.0));
+
+    proto::ClusterForward fwd;
+    fwd.guti = proto::Guti{1, 1, 1, 42};
+    fwd.inner = proto::box(proto::make_pdu(
+        proto::InitialUeMessage{.nas = proto::NasTauRequest{fwd.guti, 1}}));
+    mmp.receive(mlb.node, proto::make_pdu(fwd));
+    tb.run_for(Duration::ms(10.0));
+    ASSERT_EQ(mlb.seen.size(), 1u);
+    EXPECT_EQ(mlb.seen[0].level, governed ? 1 : 0);  // which path shed
+    EXPECT_EQ(mlb.seen[0].backoff_us, 200'000u);
+  }
+}
+
+TEST(OverloadIntegration, EdgeBackpressureSignalsA250MsWindow) {
+  core::ScaleCluster::Config cfg;
+  cfg.mlb.enb_bucket_rate = 1.0;
+  cfg.mlb.enb_bucket_burst = 1.0;
+  GovernedWorld w(cfg);
+  WireProbe<proto::OverloadStart> enb(w.tb.fabric());
+  core::Mlb& mlb = w.cluster->mlb();
+  // An MMP inside a shed-backoff window puts the MLB under pressure; the
+  // second initial then finds the eNB's one-token bucket dry.
+  const proto::OverloadReject hint{.mmp_node = w.cluster->mmp(0).node(),
+                                   .backoff_us = 10'000'000};
+  mlb.receive(hint.mmp_node, proto::pdu_of(proto::ClusterMessage{hint}));
+  for (std::uint32_t tmsi = 1; tmsi <= 2; ++tmsi)
+    mlb.receive(enb.node, proto::make_pdu(proto::InitialUeMessage{
+        .nas = proto::NasServiceRequest{mlb.mme_code(), tmsi, 0}}));
+  w.tb.run_for(Duration::ms(5.0));
+  ASSERT_EQ(enb.seen.size(), 1u);
+  EXPECT_EQ(enb.seen[0].window_us, 250'000u);
 }
 
 TEST(OverloadIntegration, PagingDeferClampedToTransportRetryHorizon) {

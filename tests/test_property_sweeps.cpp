@@ -69,8 +69,7 @@ class RingReplicaSweep
 // churn — adding and removing an unrelated node restores the exact list.
 TEST_P(RingReplicaSweep, PreferenceListStableUnderUnrelatedChurn) {
   const auto [tokens, R] = GetParam();
-  hash::ConsistentHashRing ring(
-      hash::ConsistentHashRing::Config{tokens, true});
+  hash::ConsistentHashRing ring(tokens);
   for (hash::RingNodeId n = 1; n <= 12; ++n) ring.add_node(n);
 
   std::vector<std::vector<hash::RingNodeId>> before;

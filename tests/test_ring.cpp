@@ -11,7 +11,7 @@ namespace scale::hash {
 namespace {
 
 ConsistentHashRing make_ring(unsigned tokens, std::initializer_list<RingNodeId> nodes) {
-  ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+  ConsistentHashRing ring(tokens);
   for (RingNodeId n : nodes) ring.add_node(n);
   return ring;
 }
@@ -130,7 +130,7 @@ TEST(Ring, TokensImproveBalanceOverTokenless) {
   // Fig. 10(a)'s "basic consistent hashing" baseline: 1 token per node
   // yields much worse balance than 5+ tokens.
   auto balance_spread = [](unsigned tokens) {
-    ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+    ConsistentHashRing ring(tokens);
     for (RingNodeId n = 1; n <= 10; ++n) ring.add_node(n);
     std::map<RingNodeId, std::size_t> counts;
     for (std::uint64_t key = 0; key < 40000; ++key) ++counts[ring.owner(key)];
@@ -163,21 +163,13 @@ TEST(Ring, OwnershipFractionMatchesEmpiricalShare) {
   }
 }
 
-TEST(Ring, FnvModeWorks) {
-  ConsistentHashRing ring(ConsistentHashRing::Config{5, false});
-  ring.add_node(1);
-  ring.add_node(2);
-  EXPECT_NO_THROW(ring.owner(42));
-  EXPECT_EQ(ring.preference_list(42, 2).size(), 2u);
-}
-
 class RingTokenSweep : public ::testing::TestWithParam<unsigned> {};
 
 // Property sweep: for any token count, preference lists are duplicate-free
 // prefixes of ring order and owners are stable across rebuilds.
 TEST_P(RingTokenSweep, PreferenceListInvariants) {
   const unsigned tokens = GetParam();
-  ConsistentHashRing ring(ConsistentHashRing::Config{tokens, true});
+  ConsistentHashRing ring(tokens);
   for (RingNodeId n = 1; n <= 8; ++n) ring.add_node(n);
   for (std::uint64_t key = 1; key < 400; key += 7) {
     const auto prefs = ring.preference_list(key, 4);
