@@ -126,54 +126,6 @@ void PercentileSampler::clear() {
   sorted_ = false;
 }
 
-// ------------------------------------------------------------------ Histogram
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  SCALE_CHECK(hi > lo);
-  SCALE_CHECK(bins > 0);
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  counts_[idx] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  SCALE_CHECK(q >= 0.0 && q <= 1.0);
-  SCALE_CHECK(total_ > 0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
 // ----------------------------------------------------------------------- Ewma
 
 Ewma::Ewma(double alpha, double initial) : alpha_(alpha), value_(initial) {

@@ -1,7 +1,6 @@
 // Statistics primitives used by the measurement harness:
 //   OnlineStats        — streaming mean/variance/min/max (Welford)
 //   PercentileSampler  — exact percentiles / CDF over retained samples
-//   Histogram          — fixed-width binning for cheap distribution dumps
 //   Ewma               — exponentially-weighted moving average (Eq. 1 load
 //                        estimator uses this shape)
 //   TimeSeries         — (time, value) trace, e.g. CPU utilization timelines
@@ -78,28 +77,6 @@ class PercentileSampler {
   // reservoir state
   std::uint64_t reservoir_index_ = 0;
   std::uint64_t rng_state_ = 0x853C49E6748FEA9Bull;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins so totals are conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-  std::uint64_t total() const { return total_; }
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Approximate quantile by linear interpolation within the bin.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Exponentially weighted moving average: est ← alpha*x + (1-alpha)*est.

@@ -8,6 +8,9 @@ namespace scale::core {
 
 namespace {
 
+/// CPU charged per Initial UE message, re-steer and geo message: ring
+/// lookups hash MD5 and consult the load view.
+constexpr Duration kRouteCost = Duration::us(35);
 /// Graduated sheds of deferrable work are dropped instead of re-steered
 /// when the best alternative reports at least this load (DESIGN.md §9).
 constexpr double kDropLoadLimit = 3.0;
@@ -88,17 +91,13 @@ NodeId least_loaded(const std::vector<hash::RingNodeId>& candidates,
 // --------------------------------------------------------------------- Mlb
 
 Mlb::Mlb(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_),
-      cpu_(fabric.engine(), cfg.cpu_speed),
-      util_(fabric.engine(), cpu_),
-      ring_(cfg.ring_tokens),
-      next_tmsi_(cfg.tmsi_base) {}
+    : FrontEnd(fabric,
+               proto::Guti{cfg.plmn, cfg.mme_group, cfg.mme_code,
+                           cfg.tmsi_base},
+               cfg.cpu_speed, kRouteCost),
+      cfg_(cfg), util_(fabric.engine(), cpu_), ring_(cfg.ring_tokens) {}
 
-Mlb::~Mlb() {
-  util_.stop();
-  fabric_.remove_endpoint(node_);
-}
+Mlb::~Mlb() { util_.stop(); }
 
 void Mlb::apply_membership(
     const std::vector<proto::RingUpdate::Member>& members,
@@ -106,7 +105,7 @@ void Mlb::apply_membership(
   if (version <= ring_version_ && ring_version_ != 0) return;
   ring_version_ = version;
   ring_ = hash::ConsistentHashRing(cfg_.ring_tokens);
-  code_to_node_.clear();
+  code_to_node_.fill(0);
   for (const auto& m : members) {
     ring_.add_node(m.node);
     code_to_node_[m.code] = m.node;
@@ -116,30 +115,6 @@ void Mlb::apply_membership(
 double Mlb::load_of(NodeId mmp) const { return view_.load_of(mmp); }
 
 bool Mlb::has_load_report(NodeId mmp) const { return view_.has_report(mmp); }
-
-proto::Guti Mlb::allocate_guti() {
-  proto::Guti g;
-  g.plmn = cfg_.plmn;
-  g.mme_group = cfg_.mme_group;
-  g.mme_code = cfg_.mme_code;
-  g.m_tmsi = next_tmsi_++;
-  return g;
-}
-
-NodeId Mlb::node_of_code(std::uint8_t code) const {
-  const auto it = code_to_node_.find(code);
-  return it == code_to_node_.end() ? 0 : it->second;
-}
-
-void Mlb::forward(NodeId mmp, NodeId origin, const proto::Guti& guti,
-                  proto::Pdu inner, bool no_offload) {
-  proto::ClusterForward fwd;
-  fwd.origin = origin;
-  fwd.guti = guti;
-  fwd.no_offload = no_offload;
-  fwd.inner = proto::box(std::move(inner));
-  rel_.send(mmp, proto::pdu_of(proto::ClusterMessage{std::move(fwd)}));
-}
 
 void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
   ++overload_rejects_;
@@ -234,52 +209,16 @@ void Mlb::maybe_backpressure(NodeId from) {
   rel_.send_unreliable(from, proto::make_pdu(proto::S1apMessage{start}));
 }
 
-void Mlb::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
-  maybe_backpressure(from);
-  proto::Guti guti;
-  if (const auto* a = std::get_if<proto::NasAttachRequest>(&msg.nas)) {
-    // "In case of a request from an unregistered device, the MLB first
-    // assigns it a GUTI before routing its request" (§4.3.1).
-    guti = (a->old_guti && a->old_guti->mme_group == cfg_.mme_group &&
-            a->old_guti->mme_code == cfg_.mme_code)
-               ? *a->old_guti
-               : allocate_guti();
-  } else if (const auto* s = std::get_if<proto::NasServiceRequest>(&msg.nas)) {
-    guti = proto::Guti{cfg_.plmn, cfg_.mme_group, s->mme_code, s->m_tmsi};
-  } else if (const auto* t = std::get_if<proto::NasTauRequest>(&msg.nas)) {
-    guti = t->guti;
-  } else if (const auto* d = std::get_if<proto::NasDetachRequest>(&msg.nas)) {
-    guti = d->guti;
-  } else {
-    ++unroutable_;
-    return;
-  }
-  if (ring_.empty()) {
-    ++unroutable_;
-    return;
-  }
+NodeId Mlb::pick(NodeId enb, const proto::Guti& guti) {
+  maybe_backpressure(enb);
+  if (ring_.empty()) return 0;
   // Least-loaded among the preference-list nodes — only at Idle→Active
   // (§4.6: subsequent requests stick to the chosen VM until Idle).
   ring_.preference_list(guti.key(), cfg_.choices, prefs_);
-  const NodeId chosen = least_loaded(prefs_, view_, fabric_.engine().now());
-  ++initial_routed_;
-  forward(chosen, from, guti, proto::make_pdu(msg));
+  return least_loaded(prefs_, view_, fabric_.engine().now());
 }
 
-void Mlb::route_by_code(NodeId from, std::uint8_t code,
-                        const proto::Pdu& pdu) {
-  const NodeId mmp = node_of_code(code);
-  if (mmp == 0) {
-    ++unroutable_;
-    SCALE_DEBUG("MLB cannot route code " << static_cast<int>(code));
-    return;
-  }
-  ++sticky_routed_;
-  forward(mmp, from, proto::Guti{}, pdu);
-}
-
-void Mlb::route_geo_forward(NodeId from, const proto::GeoForward& gf) {
-  (void)from;
+void Mlb::route_geo_forward(const proto::GeoForward& gf) {
   if (ring_.empty()) {
     ++unroutable_;
     return;
@@ -303,125 +242,47 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
           /*no_offload=*/true);
 }
 
-void Mlb::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* app = rel_.unwrap(from, pdu);
-  if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
-  std::visit(
-      [this, from](const auto& family) {
-        using T = std::decay_t<decltype(family)>;
-        if constexpr (std::is_same_v<T, proto::S1apMessage>) {
-          if (const auto* init =
-                  std::get_if<proto::InitialUeMessage>(&family)) {
-            const proto::InitialUeMessage msg = *init;
-            cpu_.execute(cfg_.initial_route_cost,
-                         [this, from, msg]() { route_initial(from, msg); });
-            return;
-          }
-          std::uint8_t code = 0;
-          if (const auto* u = std::get_if<proto::UplinkNasTransport>(&family))
-            code = u->mme_ue_id.mmp_id();
-          else if (const auto* p =
-                       std::get_if<proto::PathSwitchRequest>(&family))
-            code = p->mme_ue_id.mmp_id();
-          else if (const auto* r =
-                       std::get_if<proto::InitialContextSetupResponse>(
-                           &family))
-            code = r->mme_ue_id.mmp_id();
-          else if (const auto* c =
-                       std::get_if<proto::UeContextReleaseComplete>(&family))
-            code = c->mme_ue_id.mmp_id();
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
-            route_by_code(from, code, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::S11Message>) {
-          std::uint8_t code = 0;
-          std::visit(
-              [&code](const auto& m) {
-                if constexpr (requires { m.mme_teid; })
-                  code = m.mme_teid.owner_id();
-              },
-              family);
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
-            route_by_code(from, code, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::S6Message>) {
-          std::uint32_t hop = 0;
-          if (const auto* a = std::get_if<proto::AuthInfoAnswer>(&family))
-            hop = a->hop_ref;
-          else if (const auto* u =
-                       std::get_if<proto::UpdateLocationAnswer>(&family))
-            hop = u->hop_ref;
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, hop, copy]() {
-            // hop_ref is the MMP's NodeId (Diameter hop-by-hop echo).
-            if (hop == 0 || !fabric_.is_registered(hop)) {
-              ++unroutable_;
-              return;
-            }
-            ++relays_;
-            forward(hop, from, proto::Guti{}, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::ClusterMessage>) {
-          if (const auto* reply = std::get_if<proto::ClusterReply>(&family)) {
-            SCALE_CHECK(reply->inner != nullptr);
-            const NodeId target = reply->target;
-            const proto::PduRef inner = reply->inner;
-            cpu_.execute(cfg_.relay_cost, [this, target, inner]() {
-              ++relays_;
-              rel_.send(target, inner->value);
-            });
-          } else if (const auto* load =
-                         std::get_if<proto::LoadReport>(&family)) {
-            view_.on_report(load->mmp_node, load->cpu_util);
-          } else if (const auto* ring_update =
-                         std::get_if<proto::RingUpdate>(&family)) {
-            apply_membership(ring_update->members, ring_update->version);
-          } else if (const auto* gf = std::get_if<proto::GeoForward>(&family)) {
-            const proto::GeoForward copy = *gf;
-            cpu_.execute(cfg_.initial_route_cost, [this, from, copy]() {
-              route_geo_forward(from, copy);
-            });
-          } else if (const auto* rej = std::get_if<proto::GeoReject>(&family)) {
-            const proto::GeoReject copy = *rej;
-            cpu_.execute(cfg_.initial_route_cost,
-                         [this, copy]() { route_geo_reject(copy); });
-          } else if (const auto* push = std::get_if<proto::ReplicaPush>(&family)) {
-            // Geo replica arriving from a remote DC: place it on the local
-            // ring (§4.5.2: "the replication is done using a MLB VM of the
-            // remote DC, which selects the MMP VM based on the hash ring of
-            // that DC").
-            const proto::ReplicaPush copy = *push;
-            cpu_.execute(cfg_.relay_cost, [this, copy]() {
-              if (ring_.empty()) {
-                ++unroutable_;
-                return;
-              }
-              const NodeId mmp = ring_.owner(copy.rec.guti.key());
-              rel_.send(mmp, proto::pdu_of(proto::ClusterMessage{copy}));
-            });
-          } else if (const auto* shed =
-                         std::get_if<proto::OverloadReject>(&family)) {
-            const proto::OverloadReject copy = *shed;
-            cpu_.execute(cfg_.initial_route_cost,
-                         [this, copy]() { handle_overload_reject(copy); });
-          } else if (std::holds_alternative<proto::GeoBudgetGossip>(family) ||
-                     std::holds_alternative<proto::GeoEvictRequest>(family)) {
-            if (geo_sink_) geo_sink_(from, family);
-          } else {
-            SCALE_DEBUG("MLB ignoring cluster message");
-          }
-        }
-      },
-      *app);
+void Mlb::on_cluster(NodeId from, const proto::ClusterMessage& msg) {
+  if (const auto* load = std::get_if<proto::LoadReport>(&msg)) {
+    view_.on_report(load->mmp_node, load->cpu_util);
+  } else if (const auto* ring_update = std::get_if<proto::RingUpdate>(&msg)) {
+    apply_membership(ring_update->members, ring_update->version);
+  } else if (const auto* gf = std::get_if<proto::GeoForward>(&msg)) {
+    const proto::GeoForward copy = *gf;
+    cpu_.execute(kRouteCost, [this, copy]() { route_geo_forward(copy); });
+  } else if (const auto* rej = std::get_if<proto::GeoReject>(&msg)) {
+    const proto::GeoReject copy = *rej;
+    cpu_.execute(kRouteCost, [this, copy]() { route_geo_reject(copy); });
+  } else if (const auto* push = std::get_if<proto::ReplicaPush>(&msg)) {
+    // Geo replica arriving from a remote DC: place it on the local ring
+    // (§4.5.2: "the replication is done using a MLB VM of the remote DC,
+    // which selects the MMP VM based on the hash ring of that DC").
+    const proto::ReplicaPush copy = *push;
+    cpu_.execute(kRelayCost, [this, copy]() {
+      if (ring_.empty()) {
+        ++unroutable_;
+        return;
+      }
+      const NodeId mmp = ring_.owner(copy.rec.guti.key());
+      rel_.send(mmp, proto::pdu_of(proto::ClusterMessage{copy}));
+    });
+  } else if (const auto* shed = std::get_if<proto::OverloadReject>(&msg)) {
+    const proto::OverloadReject copy = *shed;
+    cpu_.execute(kRouteCost,
+                 [this, copy]() { handle_overload_reject(copy); });
+  } else if (std::holds_alternative<proto::GeoBudgetGossip>(msg) ||
+             std::holds_alternative<proto::GeoEvictRequest>(msg)) {
+    if (geo_sink_) geo_sink_(from, msg);
+  } else {
+    SCALE_DEBUG("MLB ignoring cluster message");
+  }
 }
 
 void Mlb::export_metrics(obs::MetricsRegistry& reg,
                          const std::string& prefix) const {
-  reg.set_counter(prefix + ".initial_routed", initial_routed_);
-  reg.set_counter(prefix + ".sticky_routed", sticky_routed_);
-  reg.set_counter(prefix + ".relays", relays_);
+  reg.set_counter(prefix + ".initial_routed", initial_routed());
+  reg.set_counter(prefix + ".sticky_routed", sticky_routed());
+  reg.set_counter(prefix + ".relays", relays());
   reg.set_counter(prefix + ".unroutable", unroutable_);
   reg.set_counter(prefix + ".overload_rejects", overload_rejects_);
   reg.set_counter(prefix + ".overload_resteers", overload_resteers_);

@@ -1,19 +1,19 @@
 // MLB — the MME Load Balancer, SCALE's front-end (§4.1, §5).
 //
 // Exposes a single standard MME to the eNodeBs / S-GW / HSS and routes every
-// request into the MMP cluster with *no per-device state*:
+// request into the MMP cluster with *no per-device state*. The relay it
+// shares with the SIMPLE and dMME baselines — GUTI assignment before routing
+// (§4.3.1), Active-mode routing on the MMP code embedded in the S1AP MME-UE
+// id or S11 TEID, S6 answers on the hop-by-hop ref, ClusterReply relays —
+// is mme::FrontEnd. What is SCALE's own:
 //
-//   * Idle→Active requests (InitialUeMessage): MD5(GUTI) on the consistent
-//     hash ring → the R = `choices` preference-list VMs that hold the
-//     device's state → least_loaded() picks among them (§4.6's fine-grained
-//     load balancing; DESIGN.md §11 says why this is the only rule);
-//   * Active-mode requests: routed on the MMP code the serving VM embedded
-//     in the S1AP MME-UE id (uplink NAS, path switch) or S11 TEID;
-//   * S6 answers: routed on the echoed Diameter hop-by-hop ref;
-//   * ClusterReply envelopes from MMPs relay out of the standard
-//     interfaces;
-//   * unregistered devices get their GUTI assigned here, *before* routing
-//     (§4.3.1).
+//   * the Idle→Active pick: MD5(GUTI) on the consistent hash ring → the
+//     R = `choices` preference-list VMs that hold the device's state →
+//     least_loaded() picks among them (§4.6's fine-grained load balancing;
+//     DESIGN.md §11 says why this is the only rule);
+//   * OverloadReject re-steering and per-eNB edge backpressure (§9);
+//   * the geo protocol: GeoForward / GeoReject routing and geo replica
+//     placement on the local ring (§4.5.2);
 //
 // The only metadata kept: the ring (membership) and the MmpLoadView — one
 // load/backoff record per MMP VM, nothing per device.
@@ -30,14 +30,12 @@
 #include "common/check.h"
 #include "core/overload.h"
 #include "epc/fabric.h"
-#include "epc/reliable.h"
 #include "hash/ring.h"
-#include "sim/cpu.h"
+#include "mme/front_end.h"
 #include "sim/metrics.h"
 
 namespace scale::core {
 
-using epc::Endpoint;
 using epc::Fabric;
 using sim::NodeId;
 
@@ -89,15 +87,12 @@ class MmpLoadView {
 NodeId least_loaded(const std::vector<hash::RingNodeId>& candidates,
                     const MmpLoadView& view, Time now);
 
-class Mlb : public Endpoint {
+class Mlb : public mme::FrontEnd {
  public:
   struct Config {
     std::uint8_t mme_code = 1;  ///< the one logical MME the eNodeBs see
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    /// Routing costs: ring lookups hash MD5 and consult the load view.
-    Duration initial_route_cost = Duration::us(35);
-    Duration relay_cost = Duration::us(20);
     /// Tokens per VM of the ring the MLB rebuilds on membership updates.
     unsigned ring_tokens = 5;
     /// R: how many preference-list VMs steering chooses among (SCALE uses
@@ -118,9 +113,6 @@ class Mlb : public Endpoint {
   Mlb(Fabric& fabric, Config cfg);
   ~Mlb() override;
 
-  NodeId node() const { return node_; }
-  std::uint8_t mme_code() const { return cfg_.mme_code; }
-  sim::CpuModel& cpu() { return cpu_; }
   double utilization() const { return util_.utilization(); }
   const hash::ConsistentHashRing& ring() const { return ring_; }
 
@@ -144,13 +136,7 @@ class Mlb : public Endpoint {
   double load_of(NodeId mmp) const;
   bool has_load_report(NodeId mmp) const;
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
-
-  // Statistics.
-  std::uint64_t initial_routed() const { return initial_routed_; }
-  std::uint64_t sticky_routed() const { return sticky_routed_; }
-  std::uint64_t relays() const { return relays_; }
-  std::uint64_t unroutable() const { return unroutable_; }
+  // Statistics (routing counters live in mme::FrontEnd).
   std::uint64_t overload_rejects() const { return overload_rejects_; }
   std::uint64_t overload_resteers() const { return overload_resteers_; }
   std::uint64_t overload_drops() const { return overload_drops_; }
@@ -162,23 +148,23 @@ class Mlb : public Endpoint {
                     "ProcedureType outside the counter table");
     return rejects_by_type_[idx];
   }
-  const epc::ReliableChannel& transport() const { return rel_; }
 
   /// Publish routing counters + load map under `prefix` ("mlb.relays",
   /// "mlb.load.<node>", ...). Read-only.
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix) const;
 
+ protected:
+  /// Least-loaded of the GUTI's R preference-list VMs (§4.6), after
+  /// charging the eNB's edge-backpressure bucket.
+  NodeId pick(NodeId enb, const proto::Guti& guti) override;
+  /// LoadReport, RingUpdate, OverloadReject, the geo protocol and geo
+  /// replica placement.
+  void on_cluster(NodeId from, const proto::ClusterMessage& msg) override;
+
  private:
-  void route_initial(NodeId from, const proto::InitialUeMessage& msg);
-  void route_geo_forward(NodeId from, const proto::GeoForward& gf);
+  void route_geo_forward(const proto::GeoForward& gf);
   void route_geo_reject(const proto::GeoReject& rej);
-  /// Forward to a specific MMP wrapped in a ClusterForward.
-  void forward(NodeId mmp, NodeId origin, const proto::Guti& guti,
-               proto::Pdu inner, bool no_offload = false);
-  void route_by_code(NodeId from, std::uint8_t code, const proto::Pdu& pdu);
-  NodeId node_of_code(std::uint8_t code) const;
-  proto::Guti allocate_guti();
   void handle_overload_reject(const proto::OverloadReject& rej);
   /// True while any MMP is inside a shed-backoff window or reports load at
   /// or above the pressure limit.
@@ -187,30 +173,20 @@ class Mlb : public Endpoint {
   /// signal OverloadStart so the eNB paces at the edge.
   void maybe_backpressure(NodeId from);
 
-  Fabric& fabric_;
   Config cfg_;
-  NodeId node_;
-  epc::ReliableChannel rel_;
-  sim::CpuModel cpu_;
   sim::UtilizationTracker util_;
   hash::ConsistentHashRing ring_;
   /// Reused preference-list buffer: steering runs once per Idle→Active
   /// request, and reusing it keeps that path free of heap allocations.
   std::vector<hash::RingNodeId> prefs_;
   std::uint64_t ring_version_ = 0;
-  std::unordered_map<std::uint8_t, NodeId> code_to_node_;
   /// Per-MMP load/backoff metadata — everything steering reads.
   MmpLoadView view_;
-  std::uint32_t next_tmsi_;
   std::function<void(NodeId, const proto::ClusterMessage&)> geo_sink_;
   /// Edge-backpressure state, lazily created per eNB while pressure lasts.
   std::unordered_map<NodeId, TokenBucket> enb_buckets_;
   std::unordered_map<NodeId, Time> enb_signal_at_;
 
-  std::uint64_t initial_routed_ = 0;
-  std::uint64_t sticky_routed_ = 0;
-  std::uint64_t relays_ = 0;
-  std::uint64_t unroutable_ = 0;
   std::uint64_t overload_rejects_ = 0;
   std::uint64_t overload_resteers_ = 0;
   std::uint64_t overload_drops_ = 0;

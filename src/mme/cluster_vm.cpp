@@ -218,7 +218,6 @@ void ClusterVm::push_replica(NodeId target, const proto::UeContextRecord& rec,
 void ClusterVm::export_metrics(obs::MetricsRegistry& reg,
                                const std::string& prefix) const {
   reg.set_counter(prefix + ".requests_handled", requests_handled_);
-  reg.set_counter(prefix + ".forwards_out", forwards_out_);
   reg.set_counter(prefix + ".replicas_pushed", replicas_pushed_);
   reg.set_counter(prefix + ".replicas_applied", replicas_applied_);
   reg.set(prefix + ".utilization", util_.utilization());

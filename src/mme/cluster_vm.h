@@ -66,7 +66,6 @@ class ClusterVm : public epc::Endpoint {
 
   /// Number of requests (initial procedures) handled since construction.
   std::uint64_t requests_handled() const { return requests_handled_; }
-  std::uint64_t forwards_out() const { return forwards_out_; }
   std::uint64_t replicas_pushed() const { return replicas_pushed_; }
   std::uint64_t replicas_applied() const { return replicas_applied_; }
   const epc::ReliableChannel& transport() const { return rel_; }
@@ -134,7 +133,6 @@ class ClusterVm : public epc::Endpoint {
   bool retired_ = false;
   bool failed_ = false;
   std::uint64_t requests_handled_ = 0;
-  std::uint64_t forwards_out_ = 0;
   std::uint64_t replicas_pushed_ = 0;
   std::uint64_t replicas_applied_ = 0;
 

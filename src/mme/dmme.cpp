@@ -138,134 +138,29 @@ void DmmeNode::on_detach(UeContext& ctx) {
 
 // --------------------------------------------------------------------- DmmeLb
 
-DmmeLb::DmmeLb(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      cpu_(fabric.engine(), cfg.cpu_speed) {}
+namespace {
 
-DmmeLb::~DmmeLb() { fabric_.remove_endpoint(node_); }
+/// CPU charged per Initial UE message (no table, no hashing).
+constexpr Duration kRouteCost = Duration::us(25);
+
+}  // namespace
+
+DmmeLb::DmmeLb(epc::Fabric& fabric, Config cfg)
+    : FrontEnd(fabric, proto::Guti{cfg.plmn, cfg.mme_group, cfg.mme_code, 1},
+               cfg.cpu_speed, kRouteCost) {}
 
 void DmmeLb::add_node(DmmeNode& node) {
-  nodes_.emplace_back(node.node(), node.vm_code());
-  node.attach_lb(node_);
+  nodes_.push_back(node.node());
+  code_to_node_[node.vm_code()] = node.node();
+  node.attach_lb(this->node());
 }
 
-proto::Guti DmmeLb::allocate_guti() {
-  proto::Guti g;
-  g.plmn = cfg_.plmn;
-  g.mme_group = cfg_.mme_group;
-  g.mme_code = cfg_.mme_code;
-  g.m_tmsi = next_tmsi_++;
-  return g;
-}
-
-NodeId DmmeLb::by_code(std::uint8_t code) const {
-  for (const auto& [node, c] : nodes_)
-    if (c == code) return node;
-  return 0;
-}
-
-void DmmeLb::forward(NodeId target, NodeId origin, const proto::Guti& guti,
-                     proto::Pdu inner) {
-  proto::ClusterForward fwd;
-  fwd.origin = origin;
-  fwd.guti = guti;
-  fwd.inner = proto::box(std::move(inner));
-  fabric_.send(node_, target,
-               proto::pdu_of(proto::ClusterMessage{std::move(fwd)}));
-}
-
-void DmmeLb::receive(NodeId from, const proto::Pdu& pdu) {
-  std::visit(
-      [this, from](const auto& family) {
-        using T = std::decay_t<decltype(family)>;
-        if constexpr (std::is_same_v<T, proto::S1apMessage>) {
-          if (const auto* init =
-                  std::get_if<proto::InitialUeMessage>(&family)) {
-            const proto::InitialUeMessage msg = *init;
-            cpu_.execute(cfg_.route_cost, [this, from, msg]() {
-              SCALE_CHECK_MSG(!nodes_.empty(), "dMME LB has no nodes");
-              proto::Guti guti;
-              if (const auto* a =
-                      std::get_if<proto::NasAttachRequest>(&msg.nas)) {
-                guti = (a->old_guti &&
-                        a->old_guti->mme_group == cfg_.mme_group)
-                           ? *a->old_guti
-                           : allocate_guti();
-              } else if (const auto* s =
-                             std::get_if<proto::NasServiceRequest>(&msg.nas)) {
-                guti = proto::Guti{cfg_.plmn, cfg_.mme_group, s->mme_code,
-                                   s->m_tmsi};
-              } else if (const auto* t =
-                             std::get_if<proto::NasTauRequest>(&msg.nas)) {
-                guti = t->guti;
-              } else if (const auto* d =
-                             std::get_if<proto::NasDetachRequest>(&msg.nas)) {
-                guti = d->guti;
-              } else {
-                return;
-              }
-              // Any node can serve any device: plain round robin.
-              const NodeId target = nodes_[next_rr_++ % nodes_.size()].first;
-              forward(target, from, guti, proto::make_pdu(msg));
-            });
-            return;
-          }
-          std::uint8_t code = 0;
-          if (const auto* u = std::get_if<proto::UplinkNasTransport>(&family))
-            code = u->mme_ue_id.mmp_id();
-          else if (const auto* p =
-                       std::get_if<proto::PathSwitchRequest>(&family))
-            code = p->mme_ue_id.mmp_id();
-          else if (const auto* r =
-                       std::get_if<proto::InitialContextSetupResponse>(
-                           &family))
-            code = r->mme_ue_id.mmp_id();
-          else if (const auto* c =
-                       std::get_if<proto::UeContextReleaseComplete>(&family))
-            code = c->mme_ue_id.mmp_id();
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
-            const NodeId target = by_code(code);
-            if (target != 0) forward(target, from, proto::Guti{}, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::S11Message>) {
-          std::uint8_t code = 0;
-          std::visit(
-              [&code](const auto& m) {
-                if constexpr (requires { m.mme_teid; })
-                  code = m.mme_teid.owner_id();
-              },
-              family);
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, code, copy]() {
-            const NodeId target = by_code(code);
-            if (target != 0) forward(target, from, proto::Guti{}, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::S6Message>) {
-          std::uint32_t hop = 0;
-          if (const auto* a = std::get_if<proto::AuthInfoAnswer>(&family))
-            hop = a->hop_ref;
-          else if (const auto* u =
-                       std::get_if<proto::UpdateLocationAnswer>(&family))
-            hop = u->hop_ref;
-          const proto::Pdu copy{family};
-          cpu_.execute(cfg_.relay_cost, [this, from, hop, copy]() {
-            if (hop != 0 && fabric_.is_registered(hop))
-              forward(hop, from, proto::Guti{}, copy);
-          });
-        } else if constexpr (std::is_same_v<T, proto::ClusterMessage>) {
-          if (const auto* reply = std::get_if<proto::ClusterReply>(&family)) {
-            SCALE_CHECK(reply->inner != nullptr);
-            const NodeId target = reply->target;
-            const proto::PduRef inner = reply->inner;
-            cpu_.execute(cfg_.relay_cost, [this, target, inner]() {
-              fabric_.send(node_, target, inner->value);
-            });
-          }
-          // LoadReports: the round-robin LB has no use for them.
-        }
-      },
-      pdu);
+NodeId DmmeLb::pick(NodeId enb, const proto::Guti& guti) {
+  (void)enb;
+  (void)guti;
+  SCALE_CHECK_MSG(!nodes_.empty(), "dMME LB has no nodes");
+  // Any node can serve any device: plain round robin.
+  return nodes_[next_rr_++ % nodes_.size()];
 }
 
 }  // namespace scale::mme

@@ -16,6 +16,7 @@
 #include <unordered_map>
 
 #include "mme/cluster_vm.h"
+#include "mme/front_end.h"
 
 namespace scale::mme {
 
@@ -85,44 +86,27 @@ class DmmeNode final : public ClusterVm {
   std::uint64_t writebacks_ = 0;
 };
 
-/// Front-end for a dMME pool: round-robin across processing nodes for
-/// Idle→Active requests (any node can serve), VM-code routing for
-/// Active-mode traffic, no per-device table.
-class DmmeLb : public epc::Endpoint {
+/// Front-end for a dMME pool: the shared relay (mme::FrontEnd) with a
+/// round-robin Idle→Active pick (any node can serve), no per-device table.
+class DmmeLb final : public FrontEnd {
  public:
   struct Config {
     std::uint8_t mme_code = 1;
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    Duration route_cost = Duration::us(25);
-    Duration relay_cost = Duration::us(20);
     double cpu_speed = 1.0;
   };
 
   DmmeLb(epc::Fabric& fabric, Config cfg);
-  ~DmmeLb() override;
-
-  NodeId node() const { return node_; }
-  std::uint8_t mme_code() const { return cfg_.mme_code; }
-  sim::CpuModel& cpu() { return cpu_; }
 
   void add_node(DmmeNode& node);
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+ protected:
+  NodeId pick(NodeId enb, const proto::Guti& guti) override;
 
  private:
-  proto::Guti allocate_guti();
-  NodeId by_code(std::uint8_t code) const;
-  void forward(NodeId target, NodeId origin, const proto::Guti& guti,
-               proto::Pdu inner);
-
-  epc::Fabric& fabric_;
-  Config cfg_;
-  NodeId node_;
-  sim::CpuModel cpu_;
-  std::vector<std::pair<NodeId, std::uint8_t>> nodes_;  // (node, code)
+  std::vector<NodeId> nodes_;
   std::size_t next_rr_ = 0;
-  std::uint32_t next_tmsi_ = 1;
 };
 
 }  // namespace scale::mme

@@ -13,11 +13,11 @@
 //     the hot-spot SCALE's token-spread replication dissolves.
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "mme/cluster_vm.h"
+#include "mme/front_end.h"
 
 namespace scale::mme {
 
@@ -38,59 +38,41 @@ class SimpleVm final : public ClusterVm {
   NodeId buddy_ = 0;
 };
 
-class SimpleLb : public epc::Endpoint {
+/// The SIMPLE front end: the shared relay (mme::FrontEnd) plus a
+/// per-device table filled round robin, with spill-over to the primary's
+/// buddy while the primary reports overload.
+class SimpleLb final : public FrontEnd {
  public:
   struct Config {
     std::uint8_t mme_code = 1;  ///< logical MME code exposed to eNodeBs
     std::uint16_t plmn = 1;
     std::uint16_t mme_group = 1;
-    Duration route_cost = Duration::us(30);
-    Duration relay_cost = Duration::us(20);
-    /// Primary VM utilization above which requests go to the buddy.
-    double overload_threshold = 0.9;
     double cpu_speed = 1.0;
   };
 
   SimpleLb(epc::Fabric& fabric, Config cfg);
-  ~SimpleLb() override;
-
-  NodeId node() const { return node_; }
-  sim::CpuModel& cpu() { return cpu_; }
-  std::uint8_t mme_code() const { return cfg_.mme_code; }
 
   /// Register a processing VM. Buddies are re-wired ring-style (v -> v+1).
   void add_vm(SimpleVm& vm);
-
-  void receive(NodeId from, const proto::Pdu& pdu) override;
 
   /// Size of the per-device routing table (the thing that grows with the
   /// subscriber population).
   std::size_t routing_table_size() const { return table_.size(); }
 
+ protected:
+  NodeId pick(NodeId enb, const proto::Guti& guti) override;
+  /// LoadReports feed the spill-over decision.
+  void on_cluster(NodeId from, const proto::ClusterMessage& msg) override;
+
  private:
   struct VmEntry {
     SimpleVm* vm = nullptr;
-    NodeId node = 0;
-    std::uint8_t code = 0;
     double load = 0.0;
   };
 
-  proto::Guti allocate_guti();
-  std::size_t pick_vm_for_new_device();
-  VmEntry* by_code(std::uint8_t code);
-  VmEntry* by_node(NodeId node);
-  void route_initial(NodeId from, const proto::InitialUeMessage& msg);
-  void forward_to(std::size_t vm_index, NodeId origin,
-                  const proto::Guti& guti, proto::Pdu inner);
-
-  epc::Fabric& fabric_;
-  Config cfg_;
-  NodeId node_;
-  sim::CpuModel cpu_;
   std::vector<VmEntry> vms_;
   std::unordered_map<std::uint64_t, std::size_t> table_;  // guti -> vm index
   std::size_t next_rr_ = 0;
-  std::uint32_t next_tmsi_ = 1;
 };
 
 }  // namespace scale::mme

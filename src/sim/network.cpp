@@ -31,10 +31,6 @@ Network::Network(Duration default_latency, std::uint64_t jitter_seed)
     : default_latency_(default_latency), jitter_rng_(jitter_seed),
       fault_rng_(jitter_seed ^ kFaultSeedSalt) {}
 
-void Network::set_default_latency(Duration latency) {
-  default_latency_ = latency;
-}
-
 void Network::set_latency(NodeId a, NodeId b, Duration latency,
                           bool symmetric) {
   SCALE_CHECK(latency >= Duration::zero());
@@ -150,10 +146,6 @@ void Network::clear_faults() {
   partitions_.clear();
   spikes_.clear();
   faults_enabled_ = false;
-}
-
-void Network::set_fault_seed(std::uint64_t seed) {
-  fault_rng_ = Rng(seed ^ kFaultSeedSalt);
 }
 
 void Network::schedule_link_down(NodeId a, NodeId b, Time from, Time until,

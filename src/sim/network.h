@@ -77,7 +77,6 @@ class Network {
   /// Set the one-way latency for (a -> b); with symmetric=true also (b -> a).
   void set_latency(NodeId a, NodeId b, Duration latency,
                    bool symmetric = true);
-  void set_default_latency(Duration latency);
 
   /// Data-center placement: nodes default to DC 0. A pair in different DCs
   /// without an explicit pair latency uses the DC-level latency matrix —
@@ -120,9 +119,6 @@ class Network {
   /// Remove all fault specs and scripted windows (counters are kept; use
   /// reset_counters() to clear them).
   void clear_faults();
-  /// Reseed the fault Rng (e.g. to replay a chaos window from a
-  /// checkpoint). Independent of the jitter Rng.
-  void set_fault_seed(std::uint64_t seed);
 
   /// Scripted faults: [from, until) windows evaluated deterministically
   /// before any stochastic draw (they consume no randomness).

@@ -1,6 +1,9 @@
 // dMME baseline: stateless processing nodes + centralized state store.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "hash/md5.h"
 #include "mme/dmme.h"
 #include "testbed/testbed.h"
 #include "workload/arrivals.h"
@@ -17,7 +20,8 @@ struct DmmeWorld {
   std::unique_ptr<mme::DmmeLb> lb;
   std::vector<std::unique_ptr<mme::DmmeNode>> nodes;
 
-  explicit DmmeWorld(std::size_t node_count = 3) {
+  explicit DmmeWorld(std::size_t node_count = 3, Testbed::Config tb_cfg = {})
+      : tb(tb_cfg) {
     site = &tb.add_site(2);
     store = std::make_unique<mme::DmmeStateStore>(tb.fabric());
     mme::DmmeLb::Config lb_cfg;
@@ -47,6 +51,18 @@ TEST(Dmme, AttachWritesStateToStore) {
   EXPECT_TRUE(ue.connected());
   EXPECT_EQ(w.store->size(), 1u);
   EXPECT_GE(w.store->writes(), 1u);
+}
+
+TEST(Dmme, AttachCompletesOverReliableTransport) {
+  // The LB unwraps the transport shim; the node <-> state-store path stays
+  // outside it.
+  Testbed::Config tb_cfg;
+  tb_cfg.transport.reliable = true;
+  DmmeWorld w(3, tb_cfg);
+  epc::Ue& ue = w.tb.make_ue(*w.site, 0, 0.5);
+  EXPECT_TRUE(ue.attach());
+  w.tb.run_for(Duration::sec(5.0));
+  EXPECT_TRUE(ue.registered());
 }
 
 TEST(Dmme, NodeEvictsLocalCopyAtIdle) {
@@ -147,6 +163,42 @@ TEST(Dmme, ConcurrentFetchesForSameDeviceCoalesce) {
   for (epc::Ue* ue : ues)
     if (ue->connected()) ++connected;
   EXPECT_GE(connected, issued * 9 / 10);
+}
+
+TEST(Determinism, DmmeGoldenDigest) {
+  // Pins the dMME front end: attach GUTIs and S6 answers, round-robin
+  // Idle→Active picks, Active-mode S1AP/S11 relays (SR, TAU, handover path
+  // switch), ClusterReply relays and the state-store round trips.
+  DmmeWorld w;
+  auto ues = w.tb.make_ues(*w.site, 150, {0.5});
+  w.tb.register_all(*w.site, Duration::sec(3.0), Duration::sec(6.0));
+  workload::OpenLoopDriver::Config cfg;
+  cfg.rate_per_sec = 100.0;
+  cfg.mix.service_request = 0.5;
+  cfg.mix.tau = 0.3;
+  cfg.mix.handover = 0.2;
+  workload::OpenLoopDriver driver(w.tb.engine(), ues, cfg);
+  driver.set_handover_targets(w.site->enb_ptrs());
+  driver.start(w.tb.engine().now() + Duration::sec(5.0));
+  w.tb.run_for(Duration::sec(8.0));
+
+  std::ostringstream os;
+  os << w.tb.engine().events_processed() << '|'
+     << w.tb.network().messages_sent() << '|' << w.tb.network().bytes_sent()
+     << '|' << w.store->fetches() << ':' << w.store->writes() << ':'
+     << w.store->size();
+  for (const auto& node : w.nodes)
+    os << '|' << int{node->vm_code()} << ':' << node->requests_handled()
+       << ':' << node->fetches_issued() << ':' << node->writebacks();
+  for (const epc::Ue* ue : ues) {
+    if (!ue->guti()) continue;
+    os << '|' << ue->guti()->m_tmsi << '.' << int{ue->mme_ue_id().mmp_id()}
+       << (ue->connected() ? 'c' : 'i');
+  }
+  const auto delays = w.tb.delays().merged();
+  os << '|' << delays.count() << ':' << delays.percentile(0.99);
+  EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(os.str())),
+            "36d217f3837da6f1edc4879d2cc1d218");
 }
 
 }  // namespace

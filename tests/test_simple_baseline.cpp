@@ -2,6 +2,9 @@
 // assignment, whole-VM pairwise replication to one buddy.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "hash/md5.h"
 #include "mme/simple.h"
 #include "testbed/testbed.h"
 #include "workload/arrivals.h"
@@ -17,8 +20,10 @@ struct SimpleWorld {
   std::unique_ptr<mme::SimpleLb> lb;
   std::vector<std::unique_ptr<mme::SimpleVm>> vms;
 
-  explicit SimpleWorld(std::size_t vm_count) {
-    site = &tb.add_site(1);
+  explicit SimpleWorld(std::size_t vm_count, Testbed::Config tb_cfg = {},
+                       std::size_t enbs = 1)
+      : tb(tb_cfg) {
+    site = &tb.add_site(enbs);
     mme::SimpleLb::Config lb_cfg;
     lb = std::make_unique<mme::SimpleLb>(tb.fabric(), lb_cfg);
     for (std::size_t i = 0; i < vm_count; ++i) {
@@ -31,7 +36,8 @@ struct SimpleWorld {
       vms.push_back(std::make_unique<mme::SimpleVm>(tb.fabric(), vm_cfg));
       lb->add_vm(*vms.back());
     }
-    site->enb(0).add_mme(lb->node(), lb_cfg.mme_code, 1.0);
+    for (auto& enb : site->enbs)
+      enb->add_mme(lb->node(), lb_cfg.mme_code, 1.0);
   }
 };
 
@@ -43,6 +49,17 @@ TEST(SimpleBaseline, AttachThroughLbCompletes) {
   EXPECT_TRUE(ue.registered());
   EXPECT_TRUE(ue.connected());
   EXPECT_EQ(w.lb->routing_table_size(), 1u);
+}
+
+TEST(SimpleBaseline, AttachCompletesOverReliableTransport) {
+  // The LB must unwrap the transport shim like every other endpoint.
+  Testbed::Config tb_cfg;
+  tb_cfg.transport.reliable = true;
+  SimpleWorld w(3, tb_cfg);
+  epc::Ue& ue = w.tb.make_ue(*w.site, 0, 0.5);
+  EXPECT_TRUE(ue.attach());
+  w.tb.run_for(Duration::sec(5.0));
+  EXPECT_TRUE(ue.registered());
 }
 
 TEST(SimpleBaseline, RoundRobinSpreadsDevicesUniformly) {
@@ -104,6 +121,42 @@ TEST(SimpleBaseline, ServiceRequestAfterIdleServedFromState) {
   w.tb.run_for(Duration::sec(2.0));
   EXPECT_TRUE(ue.connected());
   EXPECT_EQ(ue.completed(proto::ProcedureType::kServiceRequest), 1u);
+}
+
+TEST(Determinism, SimpleGoldenDigest) {
+  // Pins the SIMPLE front end: attach GUTIs and S6 answers, Active-mode
+  // S1AP/S11 relays (SR, TAU, handover path switch), ClusterReply relays
+  // and the buddy spill-over once a slowed VM reports overload.
+  SimpleWorld w(3, {}, /*enbs=*/2);
+  auto ues = w.tb.make_ues(*w.site, 150, {0.5});
+  w.tb.register_all(*w.site, Duration::sec(3.0), Duration::sec(6.0));
+  w.vms[0]->cpu().set_speed_factor(0.02);
+  workload::OpenLoopDriver::Config cfg;
+  cfg.rate_per_sec = 100.0;
+  cfg.mix.service_request = 0.5;
+  cfg.mix.tau = 0.3;
+  cfg.mix.handover = 0.2;
+  workload::OpenLoopDriver driver(w.tb.engine(), ues, cfg);
+  driver.set_handover_targets(w.site->enb_ptrs());
+  driver.start(w.tb.engine().now() + Duration::sec(5.0));
+  w.tb.run_for(Duration::sec(8.0));
+
+  std::ostringstream os;
+  os << w.tb.engine().events_processed() << '|'
+     << w.tb.network().messages_sent() << '|' << w.tb.network().bytes_sent()
+     << '|' << w.lb->routing_table_size();
+  for (const auto& vm : w.vms)
+    os << '|' << int{vm->vm_code()} << ':' << vm->requests_handled() << ':'
+       << vm->app().store().size();
+  for (const epc::Ue* ue : ues) {
+    if (!ue->guti()) continue;
+    os << '|' << ue->guti()->m_tmsi << '.' << int{ue->mme_ue_id().mmp_id()}
+       << (ue->connected() ? 'c' : 'i');
+  }
+  const auto delays = w.tb.delays().merged();
+  os << '|' << delays.count() << ':' << delays.percentile(0.99);
+  EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(os.str())),
+            "d0a4f0b3964d480c96e04d2e47d608f6");
 }
 
 }  // namespace

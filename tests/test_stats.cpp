@@ -99,31 +99,6 @@ TEST(PercentileSampler, ClearResets) {
   EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps to first bin
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(9), 2u);
-}
-
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 20.0);
-}
-
 TEST(Ewma, FirstSamplePrimes) {
   Ewma e(0.5);
   EXPECT_FALSE(e.primed());
