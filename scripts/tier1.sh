@@ -4,7 +4,9 @@
 # paths exercise retransmit-timer lambdas, PDU aliasing across endpoints,
 # and crash/deregistration races that only the sanitizers can vouch for; the
 # overload suites cover the shed, backpressure and reactive-tick paths; the
-# MLB, SIMPLE and dMME suites cover the front-end relay lambdas.
+# MLB, SIMPLE and dMME suites cover the front-end relay lambdas; the codec
+# and byte reader/writer suites (CodecFuzz included) run the generic field
+# visitor over untrusted bytes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,7 +77,7 @@ PY
 cmake -B build-asan -S . -DSCALE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"${JOBS}" --target scale_tests perf_core
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" \
-  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme')
+  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme|Codec|ByteWriter|ByteReader|ByteRoundTrip')
 # MillionUE smoke under ASan+UBSan: the same capacity phases at 100 K UEs
 # (--quick skips the absolute bytes-per-UE assert — sanitizer shadow memory
 # inflates RSS) — slab growth, FlatIndex churn, and the storm's index

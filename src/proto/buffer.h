@@ -1,16 +1,17 @@
 // Bounds-checked binary readers/writers for the wire codecs.
 //
 // All multi-byte integers are big-endian (network order), as on the real
-// S1AP/GTP-C wires. Truncated or trailing input raises CodecError — the MLB
-// must never crash on a malformed PDU.
+// S1AP/GTP-C wires. Truncated or trailing input raises CodecError: decode
+// parses bytes it did not write — the codec tests and fuzzers, perf_core's
+// codec phases and WholeRun's replay — so it must never crash on them.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace scale::proto {
@@ -44,25 +45,29 @@ class ByteWriter {
     return w;
   }
 
-  void u8(std::uint8_t v) { put_be<1>(v); }
-  void u16(std::uint16_t v) { put_be<2>(v); }
-  void u32(std::uint32_t v) { put_be<4>(v); }
-  void u64(std::uint64_t v) { put_be<8>(v); }
-  void f64(double v);
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void bytes(std::span<const std::uint8_t> data);
-  /// Length-prefixed (u16) string.
-  void str(std::string_view s);
+  /// Any wire scalar by its type: an unsigned integer big-endian in its
+  /// own width, a bool as one 0/1 byte, a double as its IEEE-754 bits.
+  template <typename W>
+  void put(W v) {
+    if constexpr (std::is_same_v<W, bool>) {
+      put_be<1>(v ? 1u : 0u);
+    } else if constexpr (std::is_same_v<W, double>) {
+      put_be<8>(std::bit_cast<std::uint64_t>(v));
+    } else {
+      static_assert(std::is_unsigned_v<W>, "no wire form for this scalar");
+      put_be<sizeof(W)>(v);
+    }
+  }
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void f64(double v) { put(v); }
+  void boolean(bool v) { put(v); }
 
   /// Overwrite the u32 written at byte offset `pos` — the back-patch for a
   /// length prefix whose value is known only after the payload is written.
   void patch_u32(std::size_t pos, std::uint32_t v);
-
-  template <typename T>
-  void optional(const std::optional<T>& v, void (ByteWriter::*put)(T)) {
-    boolean(v.has_value());
-    if (v) (this->*put)(*v);
-  }
 
   const std::vector<std::uint8_t>& data() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
@@ -90,20 +95,28 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] bool boolean();
-  [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t n);
-  [[nodiscard]] std::string str();
-
-  template <typename T>
-  std::optional<T> optional(T (ByteReader::*get)()) {
-    if (!boolean()) return std::nullopt;
-    return (this->*get)();
+  /// The scalar ByteWriter::put<W> wrote; a bool byte other than 0/1
+  /// throws.
+  template <typename W>
+  [[nodiscard]] W get() {
+    if constexpr (std::is_same_v<W, bool>) {
+      const std::uint64_t v = get_be<1>();
+      if (v > 1) throw CodecError("bad boolean encoding");
+      return v == 1;
+    } else if constexpr (std::is_same_v<W, double>) {
+      return std::bit_cast<double>(get_be<8>());
+    } else {
+      static_assert(std::is_unsigned_v<W>, "no wire form for this scalar");
+      return static_cast<W>(get_be<sizeof(W)>());
+    }
   }
+  [[nodiscard]] std::uint8_t u8() { return get<std::uint8_t>(); }
+  [[nodiscard]] std::uint16_t u16() { return get<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return get<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return get<std::uint64_t>(); }
+  [[nodiscard]] double f64() { return get<double>(); }
+  [[nodiscard]] bool boolean() { return get<bool>(); }
+  [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t n);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return remaining() == 0; }
@@ -112,6 +125,15 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const;
+
+  template <std::size_t N>
+  std::uint64_t get_be() {
+    need(N);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += N;
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <variant>
 #include <vector>
 
-#include "proto/buffer.h"
 #include "proto/types.h"
 
 namespace scale::proto {
@@ -44,8 +44,15 @@ struct UeContextRecord {
   std::uint32_t sgw_node = 0;     ///< home S-GW (geo processing targets it)
   std::uint32_t state_bytes = 2048;  ///< nominal footprint for memory budget
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static UeContextRecord decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &UeContextRecord::imsi, &UeContextRecord::guti, &UeContextRecord::active,
+      &UeContextRecord::enb_id, &UeContextRecord::enb_ue_id,
+      &UeContextRecord::mme_ue_id, &UeContextRecord::sgw_teid,
+      &UeContextRecord::mme_teid, &UeContextRecord::tac,
+      &UeContextRecord::kasme, &UeContextRecord::access_freq,
+      &UeContextRecord::version, &UeContextRecord::master_mmp,
+      &UeContextRecord::home_dc, &UeContextRecord::external_dc,
+      &UeContextRecord::sgw_node, &UeContextRecord::state_bytes};
   bool operator==(const UeContextRecord&) const = default;
 };
 
@@ -77,6 +84,7 @@ enum class ClusterType : std::uint8_t {
 /// before routing its request").
 struct ClusterForward {
   static constexpr ClusterType kType = ClusterType::kForward;
+  static constexpr const char* kName = "ClusterForward";
   std::uint32_t origin = 0;
   Guti guti;
   /// Loop guard: set when a geo offload bounced back — the receiving MMP
@@ -84,18 +92,20 @@ struct ClusterForward {
   bool no_offload = false;
   PduRef inner;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static ClusterForward decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &ClusterForward::origin, &ClusterForward::guti,
+      &ClusterForward::no_offload, &ClusterForward::inner};
 };
 
 /// MMP → MLB: a PDU to relay out of a standard interface to `target`.
 struct ClusterReply {
   static constexpr ClusterType kType = ClusterType::kReply;
+  static constexpr const char* kName = "ClusterReply";
   std::uint32_t target = 0;
   PduRef inner;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static ClusterReply decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &ClusterReply::target, &ClusterReply::inner};
 };
 
 /// Master MMP → replica MMP (or → remote MLB when geo=true): asynchronous
@@ -103,31 +113,33 @@ struct ClusterReply {
 /// device after it processes its initial attach request").
 struct ReplicaPush {
   static constexpr ClusterType kType = ClusterType::kReplicaPush;
+  static constexpr const char* kName = "ReplicaPush";
   UeContextRecord rec;
   bool geo = false;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static ReplicaPush decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &ReplicaPush::rec, &ReplicaPush::geo};
 };
 
 /// Replica → master: synchronization acknowledgement.
 struct ReplicaAck {
   static constexpr ClusterType kType = ClusterType::kReplicaAck;
+  static constexpr const char* kName = "ReplicaAck";
   Guti guti;
   std::uint32_t version = 0;
   std::uint32_t holder_dc = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static ReplicaAck decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &ReplicaAck::guti, &ReplicaAck::version, &ReplicaAck::holder_dc};
 };
 
 /// Remove a replica (access-aware down-replication or geo eviction).
 struct ReplicaDelete {
   static constexpr ClusterType kType = ClusterType::kReplicaDelete;
+  static constexpr const char* kName = "ReplicaDelete";
   Guti guti;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static ReplicaDelete decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&ReplicaDelete::guti};
 };
 
 /// Full ownership hand-off of a device's state: ring-membership migration in
@@ -135,18 +147,18 @@ struct ReplicaDelete {
 /// sages are exchanged between the MMEs to transfer the state of devices").
 struct StateTransfer {
   static constexpr ClusterType kType = ClusterType::kStateTransfer;
+  static constexpr const char* kName = "StateTransfer";
   UeContextRecord rec;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static StateTransfer decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&StateTransfer::rec};
 };
 
 struct StateTransferAck {
   static constexpr ClusterType kType = ClusterType::kStateTransferAck;
+  static constexpr const char* kName = "StateTransferAck";
   Guti guti;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static StateTransferAck decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&StateTransferAck::guti};
 };
 
 /// MMP → MLB on the management channel: "current load (moving average of
@@ -154,78 +166,89 @@ struct StateTransferAck {
 /// MLB keeps.
 struct LoadReport {
   static constexpr ClusterType kType = ClusterType::kLoadReport;
+  static constexpr const char* kName = "LoadReport";
   std::uint32_t mmp_node = 0;
   double cpu_util = 0.0;
   std::uint32_t active_devices = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static LoadReport decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &LoadReport::mmp_node, &LoadReport::cpu_util,
+      &LoadReport::active_devices};
 };
 
 /// Provisioner → MLB: the updated consistent-hash membership. The MLB
 /// rebuilds its ring from (node, code) pairs — it stores no per-device data.
 struct RingUpdate {
   static constexpr ClusterType kType = ClusterType::kRingUpdate;
+  static constexpr const char* kName = "RingUpdate";
   struct Member {
     std::uint32_t node = 0;   ///< simulator NodeId of the MMP VM
     std::uint8_t code = 0;    ///< MMP code embedded in MmeUeId/Teid
     bool operator==(const Member&) const = default;
+
+    static constexpr auto kFields = std::tuple{&Member::node, &Member::code};
   };
   std::uint64_t version = 0;
   std::vector<Member> members;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static RingUpdate decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &RingUpdate::version, &RingUpdate::members};
 };
 
 /// DC ↔ DC: periodic broadcast of the unused external-state budget Ŝm
 /// (§4.5.2 DC-level operation (iii)).
 struct GeoBudgetGossip {
   static constexpr ClusterType kType = ClusterType::kGeoBudgetGossip;
+  static constexpr const char* kName = "GeoBudgetGossip";
   std::uint32_t dc_id = 0;
   double available_budget = 0.0;  ///< Ŝm, in device-state units
   double cpu_load = 0.0;          ///< mean MMP utilization (offload gate)
   double backlog_sec = 0.0;       ///< mean MMP queued work, seconds
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static GeoBudgetGossip decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &GeoBudgetGossip::dc_id, &GeoBudgetGossip::available_budget,
+      &GeoBudgetGossip::cpu_load, &GeoBudgetGossip::backlog_sec};
 };
 
 /// Overloaded local MMP → remote DC's MLB: process this device request
 /// remotely using its external replica (§4.6 task (3)).
 struct GeoForward {
   static constexpr ClusterType kType = ClusterType::kGeoForward;
+  static constexpr const char* kName = "GeoForward";
   std::uint32_t origin = 0;   ///< external node awaiting the reply (eNB/S-GW)
   std::uint32_t home_dc = 0;
   std::uint32_t home_mlb = 0;  ///< return path for GeoReject
   Guti guti;
   PduRef inner;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static GeoForward decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &GeoForward::origin, &GeoForward::home_dc, &GeoForward::home_mlb,
+      &GeoForward::guti, &GeoForward::inner};
 };
 
 /// Remote MMP → home MMP: no external replica here (stale ring / evicted);
 /// the home DC must process locally.
 struct GeoReject {
   static constexpr ClusterType kType = ClusterType::kGeoReject;
+  static constexpr const char* kName = "GeoReject";
   Guti guti;
   PduRef inner;
   std::uint32_t origin = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static GeoReject decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &GeoReject::guti, &GeoReject::inner, &GeoReject::origin};
 };
 
 /// DC j → others: shrink your external share by `fraction` (§4.5.2 (v));
 /// receivers evict lowest-access-probability states first.
 struct GeoEvictRequest {
   static constexpr ClusterType kType = ClusterType::kGeoEvictRequest;
+  static constexpr const char* kName = "GeoEvictRequest";
   std::uint32_t dc_id = 0;
   double fraction = 0.0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static GeoEvictRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &GeoEvictRequest::dc_id, &GeoEvictRequest::fraction};
 };
 
 /// dMME processing node → centralized state store: fetch a device's
@@ -233,21 +256,22 @@ struct GeoEvictRequest {
 /// An et al., compared as future work in §6).
 struct StateFetch {
   static constexpr ClusterType kType = ClusterType::kStateFetch;
+  static constexpr const char* kName = "StateFetch";
   Guti guti;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static StateFetch decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&StateFetch::guti};
 };
 
 /// State store → dMME node.
 struct StateFetchResp {
   static constexpr ClusterType kType = ClusterType::kStateFetchResp;
+  static constexpr const char* kName = "StateFetchResp";
   Guti guti;
   bool found = false;
   UeContextRecord rec;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static StateFetchResp decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &StateFetchResp::guti, &StateFetchResp::found, &StateFetchResp::rec};
 };
 
 /// Reliability-shim segment (epc/reliable.h): the inner PDU plus a per-
@@ -256,13 +280,14 @@ struct StateFetchResp {
 /// or fault-duplicated PDUs never double-execute a procedure.
 struct TransportData {
   static constexpr ClusterType kType = ClusterType::kTransportData;
+  static constexpr const char* kName = "TransportData";
   std::uint64_t seq = 0;
   /// > 0 on retransmissions (diagnostic; not used for dedup).
   std::uint32_t attempt = 0;
   PduRef inner;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static TransportData decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &TransportData::seq, &TransportData::attempt, &TransportData::inner};
 };
 
 /// Reliability-shim SACK: acknowledges exactly one TransportData segment.
@@ -270,10 +295,10 @@ struct TransportData {
 /// ack simply costs one retransmission, which dedup absorbs.
 struct TransportAck {
   static constexpr ClusterType kType = ClusterType::kTransportAck;
+  static constexpr const char* kName = "TransportAck";
   std::uint64_t seq = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static TransportAck decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&TransportAck::seq};
 };
 
 /// Overloaded MMP → MLB: the ingress queue is saturated and this request
@@ -282,6 +307,7 @@ struct TransportAck {
 /// this VM new work ("graceful degradation instead of silent queue growth").
 struct OverloadReject {
   static constexpr ClusterType kType = ClusterType::kOverloadReject;
+  static constexpr const char* kName = "OverloadReject";
   std::uint32_t mmp_node = 0;      ///< the shedding VM
   std::uint32_t origin = 0;        ///< external node awaiting a reply
   Guti guti;
@@ -290,8 +316,10 @@ struct OverloadReject {
   std::uint8_t level = 0;          ///< governor PressureLevel (0 = binary)
   PduRef inner;                    ///< the shed request, for re-steering
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static OverloadReject decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &OverloadReject::mmp_node, &OverloadReject::origin, &OverloadReject::guti,
+      &OverloadReject::backoff_us, &OverloadReject::procedure,
+      &OverloadReject::level, &OverloadReject::inner};
 };
 
 using ClusterMessage =
@@ -301,8 +329,6 @@ using ClusterMessage =
                  GeoEvictRequest, StateFetch, StateFetchResp, TransportData,
                  TransportAck, OverloadReject>;
 
-void encode_cluster(const ClusterMessage& msg, ByteWriter& w);
-[[nodiscard]] ClusterMessage decode_cluster(ByteReader& r);
 const char* cluster_name(const ClusterMessage& msg);
 
 }  // namespace scale::proto

@@ -1,9 +1,15 @@
 // Wire codec for top-level PDUs.
 //
-// encode_pdu/decode_pdu round-trip every message in the system; the MLB's
-// protocol-parsing path and the codec tests/benches exercise them. wire_size
-// reports the encoded size for network byte accounting by running the same
-// encoders against a counting ByteWriter, so no buffer is materialized.
+// Every message struct lists its wire fields once, in wire order, as
+// `kFields` (a tuple of member pointers), next to its `kType` tag and
+// `kName`. One type-directed field visitor (codec.cpp) walks those lists
+// against a ByteWriter to encode, against a counting ByteWriter to size, and
+// against a ByteReader to decode, so the three cannot disagree on a layout.
+//
+// The simulator only sizes PDUs: wire_size feeds network byte accounting
+// without materializing a buffer. encode_pdu/decode_pdu round-trip every
+// message for the codec tests and fuzzers, perf_core's codec phases and
+// WholeRun's replay.
 #pragma once
 
 #include <cstdint>

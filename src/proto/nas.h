@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <variant>
 
 #include "proto/buffer.h"
@@ -37,73 +38,77 @@ enum class NasType : std::uint8_t {
 /// fresh attach, or the previous GUTI on re-attach.
 struct NasAttachRequest {
   static constexpr NasType kType = NasType::kAttachRequest;
+  static constexpr const char* kName = "AttachRequest";
   Imsi imsi = 0;
   std::optional<Guti> old_guti;
   Tac tac = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasAttachRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasAttachRequest::imsi, &NasAttachRequest::old_guti,
+      &NasAttachRequest::tac};
   bool operator==(const NasAttachRequest&) const = default;
 };
 
 /// MME → UE. EPS-AKA challenge built from the HSS auth vector.
 struct NasAuthenticationRequest {
   static constexpr NasType kType = NasType::kAuthenticationRequest;
+  static constexpr const char* kName = "AuthenticationRequest";
   std::uint64_t rand = 0;
   std::uint64_t autn = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasAuthenticationRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasAuthenticationRequest::rand, &NasAuthenticationRequest::autn};
   bool operator==(const NasAuthenticationRequest&) const = default;
 };
 
 /// UE → MME. RES computed by the USIM; MME checks against XRES.
 struct NasAuthenticationResponse {
   static constexpr NasType kType = NasType::kAuthenticationResponse;
+  static constexpr const char* kName = "AuthenticationResponse";
   std::uint64_t res = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasAuthenticationResponse decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&NasAuthenticationResponse::res};
   bool operator==(const NasAuthenticationResponse&) const = default;
 };
 
 /// MME → UE. Activates NAS integrity/ciphering.
 struct NasSecurityModeCommand {
   static constexpr NasType kType = NasType::kSecurityModeCommand;
+  static constexpr const char* kName = "SecurityModeCommand";
   std::uint8_t integrity_algo = 1;
   std::uint8_t ciphering_algo = 1;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasSecurityModeCommand decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasSecurityModeCommand::integrity_algo,
+      &NasSecurityModeCommand::ciphering_algo};
   bool operator==(const NasSecurityModeCommand&) const = default;
 };
 
 /// UE → MME.
 struct NasSecurityModeComplete {
   static constexpr NasType kType = NasType::kSecurityModeComplete;
-
-  void encode(ByteWriter&) const {}
-  [[nodiscard]] static NasSecurityModeComplete decode(ByteReader&) { return {}; }
+  static constexpr const char* kName = "SecurityModeComplete";
+  static constexpr auto kFields = std::tuple{};
   bool operator==(const NasSecurityModeComplete&) const = default;
 };
 
 /// MME → UE. Assigns the GUTI the eNodeB will subsequently route on.
 struct NasAttachAccept {
   static constexpr NasType kType = NasType::kAttachAccept;
+  static constexpr const char* kName = "AttachAccept";
   Guti guti;
   std::uint32_t tau_timer_s = 3600;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasAttachAccept decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasAttachAccept::guti, &NasAttachAccept::tau_timer_s};
   bool operator==(const NasAttachAccept&) const = default;
 };
 
 /// UE → MME. Closes the attach procedure.
 struct NasAttachComplete {
   static constexpr NasType kType = NasType::kAttachComplete;
-
-  void encode(ByteWriter&) const {}
-  [[nodiscard]] static NasAttachComplete decode(ByteReader&) { return {}; }
+  static constexpr const char* kName = "AttachComplete";
+  static constexpr auto kFields = std::tuple{};
   bool operator==(const NasAttachComplete&) const = default;
 };
 
@@ -113,75 +118,77 @@ struct NasAttachComplete {
 /// from pool constants to hash the ring.
 struct NasServiceRequest {
   static constexpr NasType kType = NasType::kServiceRequest;
+  static constexpr const char* kName = "ServiceRequest";
   std::uint8_t mme_code = 0;
   std::uint32_t m_tmsi = 0;
   std::uint16_t short_mac = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasServiceRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasServiceRequest::mme_code, &NasServiceRequest::m_tmsi,
+      &NasServiceRequest::short_mac};
   bool operator==(const NasServiceRequest&) const = default;
 };
 
 /// MME → UE.
 struct NasServiceAccept {
   static constexpr NasType kType = NasType::kServiceAccept;
-
-  void encode(ByteWriter&) const {}
-  [[nodiscard]] static NasServiceAccept decode(ByteReader&) { return {}; }
+  static constexpr const char* kName = "ServiceAccept";
+  static constexpr auto kFields = std::tuple{};
   bool operator==(const NasServiceAccept&) const = default;
 };
 
 /// MME → UE. Sent e.g. when the serving node lost the context.
 struct NasServiceReject {
   static constexpr NasType kType = NasType::kServiceReject;
+  static constexpr const char* kName = "ServiceReject";
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasServiceReject decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&NasServiceReject::cause};
   bool operator==(const NasServiceReject&) const = default;
 };
 
 /// UE → MME. Periodic / mobility Tracking Area Update (§2(b)).
 struct NasTauRequest {
   static constexpr NasType kType = NasType::kTauRequest;
+  static constexpr const char* kName = "TauRequest";
   Guti guti;
   Tac tac = 0;
   /// Set when the network asked for a load-rebalancing TAU (the 3GPP
   /// overload-protection path of §3.1-2).
   bool rebalance = false;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasTauRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasTauRequest::guti, &NasTauRequest::tac, &NasTauRequest::rebalance};
   bool operator==(const NasTauRequest&) const = default;
 };
 
 /// MME → UE. May re-assign the GUTI (it does on rebalancing TAU).
 struct NasTauAccept {
   static constexpr NasType kType = NasType::kTauAccept;
+  static constexpr const char* kName = "TauAccept";
   std::optional<Guti> new_guti;
   std::uint32_t tau_timer_s = 3600;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasTauAccept decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &NasTauAccept::new_guti, &NasTauAccept::tau_timer_s};
   bool operator==(const NasTauAccept&) const = default;
 };
 
 /// UE → MME.
 struct NasDetachRequest {
   static constexpr NasType kType = NasType::kDetachRequest;
+  static constexpr const char* kName = "DetachRequest";
   Guti guti;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static NasDetachRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{&NasDetachRequest::guti};
   bool operator==(const NasDetachRequest&) const = default;
 };
 
 /// MME → UE.
 struct NasDetachAccept {
   static constexpr NasType kType = NasType::kDetachAccept;
-
-  void encode(ByteWriter&) const {}
-  [[nodiscard]] static NasDetachAccept decode(ByteReader&) { return {}; }
+  static constexpr const char* kName = "DetachAccept";
+  static constexpr auto kFields = std::tuple{};
   bool operator==(const NasDetachAccept&) const = default;
 };
 
@@ -193,7 +200,7 @@ using NasMessage =
                  NasTauRequest, NasTauAccept, NasDetachRequest,
                  NasDetachAccept>;
 
-/// Tagged encode / decode of any NAS message.
+/// Tagged encode / decode of any NAS message (defined in codec.cpp).
 void encode_nas(const NasMessage& msg, ByteWriter& w);
 [[nodiscard]] NasMessage decode_nas(ByteReader& r);
 const char* nas_name(const NasMessage& msg);

@@ -4,9 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <variant>
 
-#include "proto/buffer.h"
 #include "proto/types.h"
 
 namespace scale::proto {
@@ -23,16 +23,18 @@ enum class S6Type : std::uint8_t {
 /// a stateless proxy (SCALE's MLB) can route the answer to the issuing MMP.
 struct AuthInfoRequest {
   static constexpr S6Type kType = S6Type::kAuthInfoRequest;
+  static constexpr const char* kName = "AuthInfoRequest";
   Imsi imsi = 0;
   std::uint32_t hop_ref = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static AuthInfoRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &AuthInfoRequest::imsi, &AuthInfoRequest::hop_ref};
 };
 
 /// HSS → MME: the vector (RAND, AUTN, XRES; K_ASME folded into xres here).
 struct AuthInfoAnswer {
   static constexpr S6Type kType = S6Type::kAuthInfoAnswer;
+  static constexpr const char* kName = "AuthInfoAnswer";
   Imsi imsi = 0;
   std::uint32_t hop_ref = 0;
   bool known_subscriber = true;
@@ -40,38 +42,42 @@ struct AuthInfoAnswer {
   std::uint64_t autn = 0;
   std::uint64_t xres = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static AuthInfoAnswer decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &AuthInfoAnswer::imsi, &AuthInfoAnswer::hop_ref,
+      &AuthInfoAnswer::known_subscriber, &AuthInfoAnswer::rand,
+      &AuthInfoAnswer::autn, &AuthInfoAnswer::xres};
 };
 
 /// MME → HSS: register which MME now serves the subscriber.
 struct UpdateLocationRequest {
   static constexpr S6Type kType = S6Type::kUpdateLocationRequest;
+  static constexpr const char* kName = "UpdateLocationRequest";
   Imsi imsi = 0;
   std::uint32_t mme_id = 0;
   std::uint32_t hop_ref = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static UpdateLocationRequest decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &UpdateLocationRequest::imsi, &UpdateLocationRequest::mme_id,
+      &UpdateLocationRequest::hop_ref};
 };
 
 /// HSS → MME: subscription profile.
 struct UpdateLocationAnswer {
   static constexpr S6Type kType = S6Type::kUpdateLocationAnswer;
+  static constexpr const char* kName = "UpdateLocationAnswer";
   Imsi imsi = 0;
   bool ok = true;
   std::uint32_t profile_id = 0;
   std::uint32_t hop_ref = 0;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static UpdateLocationAnswer decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &UpdateLocationAnswer::imsi, &UpdateLocationAnswer::ok,
+      &UpdateLocationAnswer::profile_id, &UpdateLocationAnswer::hop_ref};
 };
 
 using S6Message = std::variant<AuthInfoRequest, AuthInfoAnswer,
                                UpdateLocationRequest, UpdateLocationAnswer>;
 
-void encode_s6(const S6Message& msg, ByteWriter& w);
-[[nodiscard]] S6Message decode_s6(ByteReader& r);
 const char* s6_name(const S6Message& msg);
 
 }  // namespace scale::proto

@@ -11,22 +11,6 @@ std::string Guti::str() const {
   return os.str();
 }
 
-void Guti::encode(ByteWriter& w) const {
-  w.u16(plmn);
-  w.u16(mme_group);
-  w.u8(mme_code);
-  w.u32(m_tmsi);
-}
-
-Guti Guti::decode(ByteReader& r) {
-  Guti g;
-  g.plmn = r.u16();
-  g.mme_group = r.u16();
-  g.mme_code = r.u8();
-  g.m_tmsi = r.u32();
-  return g;
-}
-
 const char* procedure_name(ProcedureType p) {
   switch (p) {
     case ProcedureType::kAttach: return "attach";

@@ -12,8 +12,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-
-#include "proto/buffer.h"
+#include <tuple>
 
 namespace scale::proto {
 
@@ -46,8 +45,8 @@ struct Guti {
   bool operator==(const Guti&) const = default;
   std::string str() const;
 
-  void encode(ByteWriter& w) const;
-  [[nodiscard]] static Guti decode(ByteReader& r);
+  static constexpr auto kFields = std::tuple{
+      &Guti::plmn, &Guti::mme_group, &Guti::mme_code, &Guti::m_tmsi};
 };
 
 /// S1AP UE id assigned by the eNodeB.
@@ -69,6 +68,8 @@ struct MmeUeId {
   }
   std::uint32_t seq() const { return raw & 0x00FFFFFFu; }
   bool operator==(const MmeUeId&) const = default;
+
+  static constexpr auto kFields = std::tuple{&MmeUeId::raw};
 };
 
 /// GTP-C Tunnel Endpoint Identifier on S11. MME-side TEIDs embed the MMP id
@@ -85,6 +86,8 @@ struct Teid {
   }
   bool valid() const { return raw != 0; }
   bool operator==(const Teid&) const = default;
+
+  static constexpr auto kFields = std::tuple{&Teid::raw};
 };
 
 /// The control procedures the MME runs (§2, "MME Procedures").

@@ -28,7 +28,6 @@ TEST(ByteRoundTrip, AllScalarTypes) {
   w.f64(3.14159);
   w.boolean(true);
   w.boolean(false);
-  w.str("hello");
 
   ByteReader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
@@ -38,7 +37,6 @@ TEST(ByteRoundTrip, AllScalarTypes) {
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
   EXPECT_TRUE(r.boolean());
   EXPECT_FALSE(r.boolean());
-  EXPECT_EQ(r.str(), "hello");
   EXPECT_TRUE(r.at_end());
   EXPECT_NO_THROW(r.expect_end());
 }
@@ -77,52 +75,21 @@ TEST(ByteReader, TrailingBytesDetected) {
   EXPECT_EQ(r.remaining(), 2u);
 }
 
-TEST(ByteReader, TruncatedStringThrows) {
-  ByteWriter w;
-  w.u16(100);  // claims 100 bytes follow
-  ByteReader r(w.data());
-  EXPECT_THROW(r.str(), CodecError);
-}
-
 TEST(ByteReader, BytesExtraction) {
-  ByteWriter w;
   const std::uint8_t payload[] = {1, 2, 3, 4};
-  w.bytes(payload);
-  ByteReader r(w.data());
+  ByteReader r(payload);
   const auto out = r.bytes(4);
   EXPECT_EQ(out, std::vector<std::uint8_t>({1, 2, 3, 4}));
 }
 
-TEST(ByteWriter, OptionalHelper) {
-  ByteWriter w;
-  std::optional<std::uint32_t> some = 42, none;
-  w.optional(some, &ByteWriter::u32);
-  w.optional(none, &ByteWriter::u32);
-  ByteReader r(w.data());
-  EXPECT_EQ(r.optional(&ByteReader::u32), std::optional<std::uint32_t>(42));
-  EXPECT_EQ(r.optional(&ByteReader::u32), std::nullopt);
-}
-
-TEST(ByteWriter, EmptyString) {
-  ByteWriter w;
-  w.str("");
-  ByteReader r(w.data());
-  EXPECT_EQ(r.str(), "");
-  EXPECT_TRUE(r.at_end());
-}
-
 TEST(ByteWriter, CountingWriterSizesWithoutStoring) {
-  const std::uint8_t raw[] = {1, 2, 3};
-  auto put_all = [&raw](ByteWriter& w) {
+  auto put_all = [](ByteWriter& w) {
     w.u8(1);
     w.u16(2);
     w.u32(3);
     w.u64(4);
     w.f64(0.5);
     w.boolean(true);
-    w.bytes(raw);
-    w.str("abc");
-    w.optional(std::optional<std::uint32_t>(7), &ByteWriter::u32);
     w.patch_u32(1, 0xFFFFFFFF);
   };
   ByteWriter stored;
@@ -130,11 +97,8 @@ TEST(ByteWriter, CountingWriterSizesWithoutStoring) {
   ByteWriter counted = ByteWriter::counting();
   put_all(counted);
   EXPECT_EQ(counted.size(), stored.size());
-  EXPECT_EQ(counted.size(), 1u + 2 + 4 + 8 + 8 + 1 + 3 + (2 + 3) + (1 + 4));
+  EXPECT_EQ(counted.size(), 1u + 2 + 4 + 8 + 8 + 1);
   EXPECT_TRUE(counted.data().empty());
-  // Length checks still fire: a counted size is one encode would accept.
-  const std::string huge(UINT16_MAX + 1u, 'x');
-  EXPECT_THROW(counted.str(huge), CodecError);
 }
 
 TEST(ByteWriter, PatchU32OverwritesInPlace) {

@@ -4,10 +4,12 @@
 
 #include "common/check.h"
 
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "hash/md5.h"
 #include "proto/codec.h"
 
 namespace scale::proto {
@@ -172,10 +174,9 @@ TEST(Codec, UeContextRecordFullFidelity) {
   rec.sgw_node = 88;
   rec.state_bytes = 4096;
 
-  ByteWriter w;
-  rec.encode(w);
-  ByteReader r(w.data());
-  EXPECT_EQ(UeContextRecord::decode(r), rec);
+  const Pdu decoded = decode_pdu(encode_pdu(make_pdu(StateTransfer{rec})));
+  EXPECT_EQ(std::get<StateTransfer>(std::get<ClusterMessage>(decoded)).rec,
+            rec);
 }
 
 TEST(Codec, ClusterEnvelopesRoundTrip) {
@@ -243,6 +244,13 @@ TEST(Codec, RingUpdateRoundTrip) {
   EXPECT_EQ(back.version, 42u);
   ASSERT_EQ(back.members.size(), 30u);
   EXPECT_EQ(back.members[7], update.members[7]);
+
+  // The u16 member count is range-checked when sizing as when encoding:
+  // a size wire_size reports is one encode_pdu would produce.
+  update.members.resize(UINT16_MAX + 1u);
+  const Pdu too_long = make_pdu(update);
+  EXPECT_THROW((void)wire_size(too_long), CodecError);
+  EXPECT_THROW((void)encode_pdu(too_long), CodecError);
 }
 
 TEST(Codec, ReplicaAndTransferRoundTrip) {
@@ -263,6 +271,32 @@ TEST(Codec, MalformedInputsThrowNotCrash) {
   // Unknown S1AP type.
   const std::uint8_t bad_type[] = {1, 200};
   EXPECT_THROW(decode_pdu(bad_type), CodecError);
+  // Every family's tags run 1..N, so 0 and N + 1 are the unknown tags on
+  // either side. The family tag sits at byte 0 and the message tag at byte
+  // 1; a NAS tag sits after InitialUeMessage's enb_id, enb_ue_id and tac.
+  // The error must name the tag, not a truncation further on.
+  auto expect_bad_tags = [](std::vector<std::uint8_t> bytes, std::size_t at,
+                            std::size_t n) {
+    for (const std::size_t tag : {std::size_t{0}, n + 1}) {
+      bytes[at] = static_cast<std::uint8_t>(tag);
+      try {
+        (void)decode_pdu(bytes);
+        ADD_FAILURE() << "tag " << tag << " at byte " << at << " decoded";
+      } catch (const CodecError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown"), std::string::npos)
+            << "tag " << tag << " at byte " << at << ": " << e.what();
+      }
+    }
+  };
+  expect_bad_tags({1, 1}, 0, std::variant_size_v<Pdu>);
+  expect_bad_tags({1, 1}, 1, std::variant_size_v<S1apMessage>);
+  expect_bad_tags({2, 1}, 1, std::variant_size_v<S11Message>);
+  expect_bad_tags({3, 1}, 1, std::variant_size_v<S6Message>);
+  expect_bad_tags({4, 1}, 1, std::variant_size_v<ClusterMessage>);
+  const auto initial = encode_pdu(
+      make_pdu(InitialUeMessage{1, 2, 3, NasMessage{NasAttachComplete{}}}));
+  ASSERT_EQ(initial.size(), 13u);
+  expect_bad_tags(initial, 12, std::variant_size_v<NasMessage>);
   // Truncated valid prefix.
   const auto good = encode_pdu(make_pdu(Paging{1, 2}));
   for (std::size_t cut = 1; cut < good.size(); ++cut) {
@@ -381,6 +415,237 @@ TEST(Codec, BoxedEnvelopesMatchGoldenEncoding) {
           .inner->value));
   EXPECT_EQ(back.origin, 1u);
   EXPECT_STREQ(pdu_name(back.inner->value), "InitialUeMessage");
+}
+
+/// Distinct, non-zero field values in call order: the low byte of every
+/// integer counts up (so any two fields of one message differ, and a swap of
+/// two same-width fields moves bytes), and the higher bytes are mixed and
+/// never zero (so a byte-order slip moves bytes too).
+class FieldFill {
+ public:
+  std::uint8_t u8() { return static_cast<std::uint8_t>(next() & 0xFF); }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(next() & 0xFFFF); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(next()); }
+  std::uint64_t u64() { return next(); }
+  double f64() { return static_cast<double>(u8()) + 0.375; }
+  Guti guti() { return Guti{u16(), u16(), u8(), u32()}; }
+  Teid teid() { return Teid{u32()}; }
+  MmeUeId mme_ue_id() { return MmeUeId{u32()}; }
+  UeContextRecord record() {
+    return UeContextRecord{
+        .imsi = u64(),
+        .guti = guti(),
+        .active = true,
+        .enb_id = u32(),
+        .enb_ue_id = u32(),
+        .mme_ue_id = mme_ue_id(),
+        .sgw_teid = teid(),
+        .mme_teid = teid(),
+        .tac = u16(),
+        .kasme = u64(),
+        .access_freq = f64(),
+        .version = u32(),
+        .master_mmp = u32(),
+        .home_dc = u32(),
+        .external_dc = static_cast<std::int32_t>(u32() & 0x7FFFFFFF),
+        .sgw_node = u32(),
+        .state_bytes = u32(),
+    };
+  }
+
+ private:
+  std::uint64_t next() {
+    ++k_;
+    std::uint64_t z = k_ * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z ^= z >> 31;
+    for (int shift = 8; shift < 64; shift += 8)
+      if (((z >> shift) & 0xFF) == 0) z |= std::uint64_t{0x5A} << shift;
+    return (z & ~std::uint64_t{0xFF}) | (1 + k_ % 255);
+  }
+  std::uint64_t k_ = 0;
+};
+
+/// One sample of every alternative of all five message families, every
+/// field distinct and non-zero, optionals both set and unset.
+std::vector<Pdu> golden_pdus() {
+  FieldFill f;
+  auto nas_in_initial = [&f](NasMessage nas) {
+    return make_pdu(InitialUeMessage{.enb_id = f.u32(),
+                                     .enb_ue_id = f.u32(),
+                                     .tac = f.u16(),
+                                     .nas = std::move(nas)});
+  };
+  auto inner = [&f] {
+    return box(make_pdu(UplinkNasTransport{
+        .enb_id = f.u32(),
+        .enb_ue_id = f.u32(),
+        .mme_ue_id = f.mme_ue_id(),
+        .nas = NasMessage{NasAuthenticationResponse{.res = f.u64()}}}));
+  };
+  std::vector<Pdu> out;
+  // NAS, each inside an InitialUeMessage.
+  out.push_back(nas_in_initial(NasAttachRequest{
+      .imsi = f.u64(), .old_guti = f.guti(), .tac = f.u16()}));
+  out.push_back(nas_in_initial(
+      NasAttachRequest{.imsi = f.u64(), .old_guti = {}, .tac = f.u16()}));
+  out.push_back(nas_in_initial(
+      NasAuthenticationRequest{.rand = f.u64(), .autn = f.u64()}));
+  out.push_back(nas_in_initial(NasAuthenticationResponse{.res = f.u64()}));
+  out.push_back(nas_in_initial(NasSecurityModeCommand{
+      .integrity_algo = f.u8(), .ciphering_algo = f.u8()}));
+  out.push_back(nas_in_initial(NasSecurityModeComplete{}));
+  out.push_back(nas_in_initial(
+      NasAttachAccept{.guti = f.guti(), .tau_timer_s = f.u32()}));
+  out.push_back(nas_in_initial(NasAttachComplete{}));
+  out.push_back(nas_in_initial(NasServiceRequest{
+      .mme_code = f.u8(), .m_tmsi = f.u32(), .short_mac = f.u16()}));
+  out.push_back(nas_in_initial(NasServiceAccept{}));
+  out.push_back(nas_in_initial(NasServiceReject{.cause = f.u8()}));
+  out.push_back(nas_in_initial(
+      NasTauRequest{.guti = f.guti(), .tac = f.u16(), .rebalance = true}));
+  out.push_back(nas_in_initial(
+      NasTauAccept{.new_guti = f.guti(), .tau_timer_s = f.u32()}));
+  out.push_back(nas_in_initial(
+      NasTauAccept{.new_guti = {}, .tau_timer_s = f.u32()}));
+  out.push_back(nas_in_initial(NasDetachRequest{.guti = f.guti()}));
+  out.push_back(nas_in_initial(NasDetachAccept{}));
+  // S1AP.
+  out.push_back(make_pdu(UplinkNasTransport{
+      .enb_id = f.u32(),
+      .enb_ue_id = f.u32(),
+      .mme_ue_id = f.mme_ue_id(),
+      .nas = NasMessage{NasServiceReject{.cause = f.u8()}}}));
+  out.push_back(make_pdu(DownlinkNasTransport{
+      .enb_id = f.u32(),
+      .enb_ue_id = f.u32(),
+      .mme_ue_id = f.mme_ue_id(),
+      .nas = NasMessage{
+          NasAttachAccept{.guti = f.guti(), .tau_timer_s = f.u32()}}}));
+  out.push_back(make_pdu(InitialContextSetupRequest{.enb_id = f.u32(),
+                                                    .enb_ue_id = f.u32(),
+                                                    .mme_ue_id = f.mme_ue_id(),
+                                                    .sgw_teid = f.teid()}));
+  out.push_back(make_pdu(InitialContextSetupResponse{.enb_id = f.u32(),
+                                                     .enb_ue_id = f.u32(),
+                                                     .mme_ue_id = f.mme_ue_id(),
+                                                     .enb_teid = f.teid()}));
+  out.push_back(make_pdu(
+      UeContextReleaseCommand{.enb_id = f.u32(),
+                              .enb_ue_id = f.u32(),
+                              .mme_ue_id = f.mme_ue_id(),
+                              .cause = ReleaseCause::kHandover}));
+  out.push_back(make_pdu(UeContextReleaseComplete{
+      .enb_id = f.u32(), .enb_ue_id = f.u32(), .mme_ue_id = f.mme_ue_id()}));
+  out.push_back(make_pdu(Paging{.m_tmsi = f.u32(), .tac = f.u16()}));
+  out.push_back(make_pdu(PathSwitchRequest{.new_enb_id = f.u32(),
+                                           .enb_ue_id = f.u32(),
+                                           .mme_ue_id = f.mme_ue_id(),
+                                           .tac = f.u16()}));
+  out.push_back(make_pdu(PathSwitchAck{
+      .enb_id = f.u32(), .enb_ue_id = f.u32(), .mme_ue_id = f.mme_ue_id()}));
+  out.push_back(
+      make_pdu(OverloadStart{.level = f.u8(), .window_us = f.u64()}));
+  // S11.
+  out.push_back(
+      make_pdu(CreateSessionRequest{.imsi = f.u64(), .mme_teid = f.teid()}));
+  out.push_back(make_pdu(
+      CreateSessionResponse{.mme_teid = f.teid(), .sgw_teid = f.teid()}));
+  out.push_back(make_pdu(ModifyBearerRequest{
+      .sgw_teid = f.teid(), .mme_teid = f.teid(), .enb_id = f.u32()}));
+  out.push_back(make_pdu(ModifyBearerResponse{.mme_teid = f.teid()}));
+  out.push_back(make_pdu(ReleaseAccessBearersRequest{.sgw_teid = f.teid(),
+                                                     .mme_teid = f.teid()}));
+  out.push_back(make_pdu(ReleaseAccessBearersResponse{.mme_teid = f.teid()}));
+  out.push_back(make_pdu(
+      DeleteSessionRequest{.sgw_teid = f.teid(), .mme_teid = f.teid()}));
+  out.push_back(make_pdu(DeleteSessionResponse{.mme_teid = f.teid()}));
+  out.push_back(make_pdu(DownlinkDataNotification{.mme_teid = f.teid()}));
+  out.push_back(make_pdu(DownlinkDataNotificationAck{.sgw_teid = f.teid()}));
+  // S6.
+  out.push_back(make_pdu(AuthInfoRequest{.imsi = f.u64(), .hop_ref = f.u32()}));
+  out.push_back(make_pdu(AuthInfoAnswer{.imsi = f.u64(),
+                                        .hop_ref = f.u32(),
+                                        .known_subscriber = true,
+                                        .rand = f.u64(),
+                                        .autn = f.u64(),
+                                        .xres = f.u64()}));
+  out.push_back(make_pdu(UpdateLocationRequest{
+      .imsi = f.u64(), .mme_id = f.u32(), .hop_ref = f.u32()}));
+  out.push_back(make_pdu(UpdateLocationAnswer{.imsi = f.u64(),
+                                              .ok = true,
+                                              .profile_id = f.u32(),
+                                              .hop_ref = f.u32()}));
+  // Cluster.
+  out.push_back(make_pdu(ClusterForward{.origin = f.u32(),
+                                        .guti = f.guti(),
+                                        .no_offload = true,
+                                        .inner = inner()}));
+  out.push_back(make_pdu(ClusterReply{.target = f.u32(), .inner = inner()}));
+  out.push_back(make_pdu(ReplicaPush{.rec = f.record(), .geo = true}));
+  out.push_back(make_pdu(ReplicaAck{
+      .guti = f.guti(), .version = f.u32(), .holder_dc = f.u32()}));
+  out.push_back(make_pdu(ReplicaDelete{.guti = f.guti()}));
+  out.push_back(make_pdu(StateTransfer{.rec = f.record()}));
+  out.push_back(make_pdu(StateTransferAck{.guti = f.guti()}));
+  out.push_back(make_pdu(LoadReport{.mmp_node = f.u32(),
+                                    .cpu_util = f.f64(),
+                                    .active_devices = f.u32()}));
+  RingUpdate ring{.version = f.u64(), .members = {}};
+  for (int i = 0; i < 3; ++i)
+    ring.members.push_back({.node = f.u32(), .code = f.u8()});
+  out.push_back(make_pdu(std::move(ring)));
+  out.push_back(make_pdu(GeoBudgetGossip{.dc_id = f.u32(),
+                                         .available_budget = f.f64(),
+                                         .cpu_load = f.f64(),
+                                         .backlog_sec = f.f64()}));
+  out.push_back(make_pdu(GeoForward{.origin = f.u32(),
+                                    .home_dc = f.u32(),
+                                    .home_mlb = f.u32(),
+                                    .guti = f.guti(),
+                                    .inner = inner()}));
+  out.push_back(make_pdu(
+      GeoReject{.guti = f.guti(), .inner = inner(), .origin = f.u32()}));
+  out.push_back(
+      make_pdu(GeoEvictRequest{.dc_id = f.u32(), .fraction = f.f64()}));
+  out.push_back(make_pdu(StateFetch{.guti = f.guti()}));
+  out.push_back(make_pdu(
+      StateFetchResp{.guti = f.guti(), .found = true, .rec = f.record()}));
+  out.push_back(make_pdu(
+      TransportData{.seq = f.u64(), .attempt = f.u32(), .inner = inner()}));
+  out.push_back(make_pdu(TransportAck{.seq = f.u64()}));
+  out.push_back(make_pdu(OverloadReject{.mmp_node = f.u32(),
+                                        .origin = f.u32(),
+                                        .guti = f.guti(),
+                                        .backoff_us = f.u64(),
+                                        .procedure = f.u8(),
+                                        .level = f.u8(),
+                                        .inner = inner()}));
+  return out;
+}
+
+TEST(Codec, EveryPduMatchesGoldenBytes) {
+  // Pinned wire layout of every message: the MD5 of all encodings back to
+  // back plus each one's size. Recorded from the per-message hand-written
+  // encoders; any field reordered, resized or dropped changes the digest.
+  const std::vector<Pdu> pdus = golden_pdus();
+  std::vector<std::uint8_t> all;
+  std::vector<std::size_t> sizes;
+  for (const Pdu& pdu : pdus) {
+    SCOPED_TRACE(pdu_name(pdu));
+    const auto bytes = encode_pdu(pdu);
+    EXPECT_EQ(wire_size(pdu), bytes.size());
+    EXPECT_EQ(encode_pdu(decode_pdu(bytes)), bytes);
+    all.insert(all.end(), bytes.begin(), bytes.end());
+    sizes.push_back(bytes.size());
+  }
+  const std::vector<std::size_t> golden_sizes = {
+      33, 24, 29, 21, 15, 13, 26, 13, 20, 13, 14, 25, 27, 18, 22,
+      13, 16, 28, 18, 18, 15, 14, 8,  16, 14, 11, 14, 10, 14, 6,
+      10, 6,  10, 6,  6,  6,  14, 39, 18, 19, 43, 33, 83, 19, 11,
+      82, 11, 18, 27, 30, 50, 42, 14, 11, 92, 41, 10, 56};
+  EXPECT_EQ(sizes, golden_sizes);
+  EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(std::span{all})), "9fcb009e205beb13875307011861884a");
 }
 
 TEST(Codec, MmeUeIdAndTeidEmbedding) {
