@@ -277,16 +277,14 @@ PhaseResult phase_codec_decode(std::uint64_t div) {
 /// hop budget is spent — the eNB→MLB→MMP delivery machinery (wire-size
 /// accounting, fault check, engine event per hop) without protocol logic.
 struct EchoEndpoint final : epc::Endpoint {
-  epc::Fabric& fabric;
-  sim::NodeId self = 0;
   sim::NodeId peer = 0;
   std::uint64_t* remaining = nullptr;
 
-  explicit EchoEndpoint(epc::Fabric& f) : fabric(f) {}
+  explicit EchoEndpoint(epc::Fabric& f) : Endpoint(f) {}
   void receive(sim::NodeId, const proto::Pdu& pdu) override {
     if (*remaining == 0) return;
     --*remaining;
-    fabric.send(self, peer, pdu);
+    fabric_.send(node(), peer, pdu);
   }
 };
 
@@ -298,13 +296,11 @@ PhaseResult phase_fabric_hop(std::uint64_t div) {
     std::uint64_t remaining = 300'000 / div;
     EchoEndpoint a(fabric);
     EchoEndpoint b(fabric);
-    a.self = fabric.add_endpoint(&a);
-    b.self = fabric.add_endpoint(&b);
-    a.peer = b.self;
-    b.peer = a.self;
+    a.peer = b.node();
+    b.peer = a.node();
     a.remaining = &remaining;
     b.remaining = &remaining;
-    fabric.send(a.self, b.self, attach_pdu());
+    fabric.send(a.node(), b.node(), attach_pdu());
     eng.run();
     r.ops = net.messages_sent();
     r.bytes = net.bytes_sent();
@@ -351,6 +347,7 @@ std::uint64_t proc_status_bytes(const char* field) {
 /// data session (invalid sgw_teid), so Service Requests complete entirely
 /// MME-side and these nodes only have to exist as fabric destinations.
 struct SinkEndpoint final : epc::Endpoint {
+  explicit SinkEndpoint(epc::Fabric& f) : Endpoint(f) {}
   std::uint64_t received = 0;
   void receive(sim::NodeId, const proto::Pdu&) override { ++received; }
 };
@@ -360,9 +357,7 @@ struct SinkEndpoint final : epc::Endpoint {
 /// required — ICS responses and release completes are pure bookkeeping on
 /// the MME side (see MmeApp::handle_s1ap).
 struct StormEnb final : epc::Endpoint {
-  sim::Engine* eng = nullptr;
-  epc::Fabric* fabric = nullptr;
-  sim::NodeId self = 0;
+  explicit StormEnb(epc::Fabric& f) : Endpoint(f) {}
   sim::NodeId mlb = 0;
   std::uint64_t budget = 0;
   std::uint64_t sent = 0;
@@ -380,12 +375,13 @@ struct StormEnb final : epc::Endpoint {
     sr.mme_code = 1;
     sr.m_tmsi = 1 + static_cast<std::uint32_t>((rng >> 33) % ues);
     proto::InitialUeMessage msg;
-    msg.enb_id = static_cast<std::uint32_t>(self);  // releases route back
+    msg.enb_id = static_cast<std::uint32_t>(node());  // releases route back
     msg.enb_ue_id = static_cast<proto::EnbUeId>(sent + 1);
     msg.tac = 7;
     msg.nas = proto::NasMessage{sr};
-    fabric->send(self, mlb, proto::make_pdu(msg));
-    if (++sent < budget) eng->after(interval, [this] { send_one(); });
+    fabric_.send(node(), mlb, proto::make_pdu(msg));
+    if (++sent < budget)
+      fabric_.engine().after(interval, [this] { send_one(); });
   }
 
   void receive(sim::NodeId, const proto::Pdu& pdu) override {
@@ -437,10 +433,10 @@ CapacityOut run_capacity(bool quick) {
   sim::Network net;
   epc::Fabric fabric(eng, net);
 
-  SinkEndpoint sgw;
-  SinkEndpoint hss;
-  const sim::NodeId sgw_node = fabric.add_endpoint(&sgw);
-  const sim::NodeId hss_node = fabric.add_endpoint(&hss);
+  SinkEndpoint sgw(fabric);
+  SinkEndpoint hss(fabric);
+  const sim::NodeId sgw_node = sgw.node();
+  const sim::NodeId hss_node = hss.node();
 
   core::ScaleCluster::Config cfg;
   cfg.initial_mmps = 8;
@@ -501,10 +497,7 @@ CapacityOut run_capacity(bool quick) {
   // ---- storm: seeded Idle→Active requests through MLB steering. The
   // loaded records carry no S-GW session, so each SR completes MME-side
   // (restore → ICS + ServiceAccept) and idles out 400 ms later.
-  StormEnb enb;
-  enb.eng = &eng;
-  enb.fabric = &fabric;
-  enb.self = fabric.add_endpoint(&enb);
+  StormEnb enb(fabric);
   enb.mlb = cluster.mlb().node();
   enb.budget = kStorm;
   enb.ues = static_cast<std::uint32_t>(kUes);

@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
-# Tier-1 verification (ROADMAP.md): full build + complete test suite, then
-# the fault/transport and overload tests again under ASan+UBSan — the chaos
-# paths exercise retransmit-timer lambdas, PDU aliasing across endpoints,
-# and crash/deregistration races that only the sanitizers can vouch for; the
-# overload suites cover the shed, backpressure and reactive-tick paths; the
-# MLB, SIMPLE and dMME suites cover the front-end relay lambdas; the codec
-# and byte reader/writer suites (CodecFuzz included) run the generic field
-# visitor over untrusted bytes.
+# Tier-1 verification (ROADMAP.md): full warning-free build (-Werror) +
+# complete test suite, then the fault/transport and overload tests again
+# under ASan+UBSan — the chaos paths exercise retransmit-timer lambdas, PDU
+# aliasing across endpoints, and crash/deregistration races that only the
+# sanitizers can vouch for; the overload suites cover the shed, backpressure
+# and reactive-tick paths; the MLB, SIMPLE and dMME suites cover the
+# front-end relay lambdas; the codec and byte reader/writer suites
+# (CodecFuzz included) run the generic field visitor over untrusted bytes;
+# the MmeApp, ClusterVm and MME integration suites cover the MmeHost
+# callbacks and the StateTransfer install.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 
-cmake -B build -S . >/dev/null
+# SCALE_WERROR: the default build is warning-free and must stay so. The ASan
+# leg below goes without it: GCC 12 reports -Wmaybe-uninitialized false
+# positives from inside libstdc++ under the sanitizers.
+cmake -B build -S . -DSCALE_WERROR=ON >/dev/null
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
@@ -77,7 +82,7 @@ PY
 cmake -B build-asan -S . -DSCALE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"${JOBS}" --target scale_tests perf_core
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" \
-  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme|Codec|ByteWriter|ByteReader|ByteRoundTrip')
+  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme|Codec|ByteWriter|ByteReader|ByteRoundTrip|MmeApp|ClusterVm|MmeIntegration')
 # MillionUE smoke under ASan+UBSan: the same capacity phases at 100 K UEs
 # (--quick skips the absolute bytes-per-UE assert — sanitizer shadow memory
 # inflates RSS) — slab growth, FlatIndex churn, and the storm's index

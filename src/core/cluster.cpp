@@ -92,13 +92,7 @@ MmpNode& ScaleCluster::add_mmp() {
   ref.set_geo(geo_.get());
   // MMPs spread their reply/report channel across the MLB VMs.
   ref.attach_lb(mlbs_[mmps_.size() % mlbs_.size()]->node());
-  ref.set_paging_enbs([this](proto::Tac tac) {
-    std::vector<sim::NodeId> out;
-    out.reserve(enbs_.size());
-    for (const epc::EnodeB* enb : enbs_)
-      if (enb->tac() == tac) out.push_back(enb->node());
-    return out;
-  });
+  ref.set_paging_enbs(enbs_);
   mmps_.push_back(std::move(vm));
 
   ring_.add_node(ref.node());

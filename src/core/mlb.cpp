@@ -165,7 +165,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
       args.set("shedder", rej.mmp_node);
       args.set("procedure", proto::procedure_name(ptype));
       args.set("guti", rej.guti.str());
-      tr->instant(node_, "shed_drop", now, std::move(args));
+      tr->instant(node(), "shed_drop", now, std::move(args));
     }
     return;
   }
@@ -175,7 +175,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
     args.set("shedder", rej.mmp_node);
     args.set("resteered_to", target);
     args.set("guti", rej.guti.str());
-    tr->instant(node_, "shed_resteer", fabric_.engine().now(),
+    tr->instant(node(), "shed_resteer", fabric_.engine().now(),
                 std::move(args));
   }
   forward(target, rej.origin, rej.guti, rej.inner->value,

@@ -74,7 +74,7 @@ double MmpNode::load_score() const {
   return score;
 }
 
-Duration MmpNode::paging_defer_hint() const { return governor_.paging_defer(); }
+Duration MmpNode::paging_defer() const { return governor_.paging_defer(); }
 
 bool MmpNode::is_master_of(std::uint64_t guti_key) const {
   return ring_ != nullptr && !ring_->empty() &&
@@ -93,8 +93,6 @@ std::optional<NodeId> MmpNode::local_replica_target(
 }
 
 void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
-  (void)from;  // forwards are self-describing (origin travels inside)
-  SCALE_CHECK_MSG(fwd.inner != nullptr, "forward without payload");
   const proto::Pdu& inner = fwd.inner->value;
 
   // Only Initial UE messages participate in forward-to-master / offload
@@ -227,7 +225,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
     }
   }
 
-  dispatch_inner(fwd.origin, inner, fwd.guti.valid() ? &fwd.guti : nullptr);
+  ClusterVm::handle_forward(from, fwd);
 }
 
 void MmpNode::handle_other_cluster(NodeId from,
@@ -247,7 +245,7 @@ void MmpNode::handle_other_cluster(NodeId from,
       return;
     }
     ++geo_served_;
-    dispatch_inner(gf->origin, gf->inner->value, &gf->guti);
+    dispatch(gf->origin, gf->inner->value, &gf->guti);
     return;
   }
   (void)from;
@@ -266,7 +264,7 @@ ContextRole MmpNode::classify_replica(const proto::UeContextRecord& rec) {
   return is_master_of(key) ? ContextRole::kMaster : ContextRole::kReplica;
 }
 
-void MmpNode::on_procedure_done(UeContext& ctx, proto::ProcedureType type) {
+void MmpNode::after_procedure(UeContext& ctx, proto::ProcedureType type) {
   // Attach must replicate immediately (the copy does not exist yet, §5);
   // other procedures may defer to the Idle-transition bulk sync.
   if (policy_ != nullptr && !policy_->sync_every_procedure &&
@@ -284,12 +282,12 @@ void MmpNode::on_state_adopted(UeContext& ctx) {
   replicate_local(ctx);
 }
 
-void MmpNode::on_idle_transition(UeContext& ctx) {
+void MmpNode::on_idle(UeContext& ctx) {
   // E2: bulk replica synchronization when the device returns to Idle.
   replicate_local(ctx);
 }
 
-void MmpNode::on_detach(UeContext& ctx) {
+void MmpNode::before_detach(UeContext& ctx) {
   if (ctx.role == ContextRole::kExternal && geo_ != nullptr)
     geo_->release_external();
   const auto target = local_replica_target(ctx.key());

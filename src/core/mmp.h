@@ -87,13 +87,14 @@ class MmpNode final : public mme::ClusterVm {
                             const proto::ClusterMessage& msg) override;
   epc::ContextRole classify_replica(
       const proto::UeContextRecord& rec) override;
-  void on_procedure_done(mme::UeContext& ctx,
-                         proto::ProcedureType type) override;
-  void on_idle_transition(mme::UeContext& ctx) override;
-  void on_detach(mme::UeContext& ctx) override;
+  void after_procedure(mme::UeContext& ctx,
+                       proto::ProcedureType type) override;
+  void on_idle(mme::UeContext& ctx) override;
+  void before_detach(mme::UeContext& ctx) override;
+  /// Stretches paging under overload pressure (the governor's deferral).
+  Duration paging_defer() const override;
   void on_state_adopted(mme::UeContext& ctx) override;
   double load_score() const override;
-  Duration paging_defer_hint() const override;
 
  private:
   PressureSignals pressure_signals() const;

@@ -8,10 +8,7 @@
 namespace scale::epc {
 
 EnodeB::EnodeB(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_), rng_(cfg.seed) {}
-
-EnodeB::~EnodeB() { fabric_.remove_endpoint(node_); }
+    : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()), rng_(cfg.seed) {}
 
 void EnodeB::add_mme(NodeId mme, std::uint8_t mme_code, double weight) {
   SCALE_CHECK(weight > 0.0);
@@ -128,7 +125,7 @@ void EnodeB::send_initial(Ue& ue, proto::NasMessage nas,
   ue.set_s1_conn(id);
   ensure_rrc_sweep();
   proto::InitialUeMessage msg;
-  msg.enb_id = node_;
+  msg.enb_id = node();
   msg.enb_ue_id = id;
   msg.tac = cfg_.tac;
   msg.nas = std::move(nas);
@@ -145,7 +142,7 @@ void EnodeB::ue_uplink_nas(Ue& ue, proto::NasMessage nas) {
     }
     it->second.last_activity = fabric_.engine().now();
     proto::UplinkNasTransport msg;
-    msg.enb_id = node_;
+    msg.enb_id = node();
     msg.enb_ue_id = it->first;
     msg.mme_ue_id = it->second.mme_ue_id;
     msg.nas = std::move(nas);
@@ -161,7 +158,7 @@ void EnodeB::ue_arrive_handover(Ue& ue) {
     ue.set_s1_conn(id);
     ensure_rrc_sweep();
     proto::PathSwitchRequest msg;
-    msg.new_enb_id = node_;
+    msg.new_enb_id = node();
     msg.enb_ue_id = id;
     msg.mme_ue_id = ue.mme_ue_id();
     msg.tac = cfg_.tac;
@@ -261,7 +258,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
           conn->mme_ue_id = m.mme_ue_id;
           conn->ue->learn_serving_mme(conn->mme_node, m.mme_ue_id);
           proto::InitialContextSetupResponse resp;
-          resp.enb_id = node_;
+          resp.enb_id = node();
           resp.enb_ue_id = m.enb_ue_id;
           resp.mme_ue_id = m.mme_ue_id;
           resp.enb_teid = proto::Teid::make(0, m.enb_ue_id);
@@ -272,7 +269,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
         } else if constexpr (std::is_same_v<T,
                                             proto::UeContextReleaseCommand>) {
           proto::UeContextReleaseComplete resp;
-          resp.enb_id = node_;
+          resp.enb_id = node();
           resp.enb_ue_id = m.enb_ue_id;
           resp.mme_ue_id = m.mme_ue_id;
           Conn* conn = conn_by_enb_ue_id(m.enb_ue_id);

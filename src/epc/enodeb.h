@@ -48,9 +48,7 @@ class EnodeB : public Endpoint {
 
   EnodeB(Fabric& fabric, Config cfg);
   explicit EnodeB(Fabric& fabric) : EnodeB(fabric, Config{}) {}
-  ~EnodeB() override;
 
-  NodeId node() const { return node_; }
   proto::Tac tac() const { return cfg_.tac; }
 
   // --- MME pool management (S1 setup) ---------------------------------
@@ -124,9 +122,7 @@ class EnodeB : public Endpoint {
   void send_initial(Ue& ue, proto::NasMessage nas,
                     std::optional<NodeId> exclude_mme);
 
-  Fabric& fabric_;
   Config cfg_;
-  NodeId node_;
   ReliableChannel rel_;
   Rng rng_;
   std::vector<MmeEntry> mmes_;

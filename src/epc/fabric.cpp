@@ -31,6 +31,17 @@ void trace_fault(sim::NodeId from, sim::NodeId to, const proto::Pdu& pdu,
 
 }  // namespace
 
+Endpoint::Endpoint(Fabric& fabric)
+    : fabric_(fabric), node_(fabric.add_endpoint(this)) {}
+
+Endpoint::~Endpoint() { leave(); }
+
+void Endpoint::leave() {
+  if (!registered_) return;
+  registered_ = false;
+  fabric_.remove_endpoint(node_);
+}
+
 Fabric::Fabric(sim::Engine& engine, sim::Network& network)
     : engine_(engine), network_(network) {}
 

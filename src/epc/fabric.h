@@ -60,24 +60,40 @@ struct TransportConfig {
   }
 };
 
+class Fabric;
+
+/// An addressable entity. Construction registers it with the fabric, which
+/// assigns node(); destruction (or an earlier leave()) unregisters it. The
+/// fabric holds the object's address meanwhile, so it is not copyable.
 class Endpoint {
  public:
-  virtual ~Endpoint() = default;
+  explicit Endpoint(Fabric& fabric);
+  virtual ~Endpoint();
+  Endpoint(const Endpoint&) = delete;
+  Endpoint& operator=(const Endpoint&) = delete;
+
+  NodeId node() const { return node_; }
+
   /// Handle a PDU delivered from `from`. Implementations must not assume
   /// sender honesty beyond what the codecs guarantee.
   virtual void receive(NodeId from, const proto::Pdu& pdu) = 0;
+
+ protected:
+  /// Unregister now (a crash): PDUs in flight to node() are dropped. The
+  /// object stays alive for callbacks already scheduled. Idempotent.
+  void leave();
+  bool registered() const { return registered_; }
+
+  Fabric& fabric_;
+
+ private:
+  NodeId node_;
+  bool registered_ = true;
 };
 
 class Fabric {
  public:
   Fabric(sim::Engine& engine, sim::Network& network);
-
-  /// Register an endpoint; returns its NodeId. The endpoint must outlive
-  /// its registration.
-  NodeId add_endpoint(Endpoint* ep);
-
-  /// Remove an endpoint (in-flight messages to it will be dropped).
-  void remove_endpoint(NodeId id);
 
   bool is_registered(NodeId id) const;
 
@@ -114,6 +130,13 @@ class Fabric {
   sim::Network& network() { return network_; }
 
  private:
+  friend class Endpoint;  // the only caller of the two below
+
+  /// Register an endpoint; returns its NodeId.
+  NodeId add_endpoint(Endpoint* ep);
+  /// Remove an endpoint (in-flight messages to it will be dropped).
+  void remove_endpoint(NodeId id);
+
   /// One engine event's worth of same-destination, same-timestamp
   /// deliveries (pooled; items keep their capacity across reuse).
   struct DeliveryBatch {

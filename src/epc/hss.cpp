@@ -6,10 +6,8 @@
 namespace scale::epc {
 
 Hss::Hss(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_), cpu_(fabric.engine()) {}
-
-Hss::~Hss() { fabric_.remove_endpoint(node_); }
+    : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()),
+      cpu_(fabric.engine()) {}
 
 void Hss::provision_subscriber(proto::Imsi imsi, std::uint64_t key,
                                std::uint32_t profile_id) {

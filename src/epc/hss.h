@@ -24,9 +24,7 @@ class Hss : public Endpoint {
 
   Hss(Fabric& fabric, Config cfg);
   Hss(Fabric& fabric) : Hss(fabric, Config{}) {}
-  ~Hss() override;
 
-  NodeId node() const { return node_; }
   sim::CpuModel& cpu() { return cpu_; }
   const ReliableChannel& transport() const { return rel_; }
 
@@ -58,9 +56,7 @@ class Hss : public Endpoint {
   void handle_auth(NodeId from, const proto::AuthInfoRequest& req);
   void handle_location(NodeId from, const proto::UpdateLocationRequest& req);
 
-  Fabric& fabric_;
   Config cfg_;
-  NodeId node_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
   std::unordered_map<proto::Imsi, Subscriber> subscribers_;

@@ -5,10 +5,8 @@
 namespace scale::epc {
 
 Sgw::Sgw(Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_), cpu_(fabric.engine()) {}
-
-Sgw::~Sgw() { fabric_.remove_endpoint(node_); }
+    : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()),
+      cpu_(fabric.engine()) {}
 
 void Sgw::receive(NodeId from, const proto::Pdu& pdu) {
   const proto::Pdu* app = rel_.unwrap(from, pdu);

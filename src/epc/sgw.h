@@ -22,9 +22,7 @@ class Sgw : public Endpoint {
 
   Sgw(Fabric& fabric, Config cfg);
   explicit Sgw(Fabric& fabric) : Sgw(fabric, Config{}) {}
-  ~Sgw() override;
 
-  NodeId node() const { return node_; }
   sim::CpuModel& cpu() { return cpu_; }
   const ReliableChannel& transport() const { return rel_; }
 
@@ -53,9 +51,7 @@ class Sgw : public Endpoint {
 
   void handle_s11(NodeId from, const proto::S11Message& msg);
 
-  Fabric& fabric_;
   Config cfg_;
-  NodeId node_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
   std::unordered_map<std::uint32_t, Session> sessions_;  // by sgw teid

@@ -1,59 +1,34 @@
 #include "mme/cluster_vm.h"
 
+#include <numeric>
+
 #include "common/logging.h"
 #include "obs/registry.h"
 
 namespace scale::mme {
 
 ClusterVm::ClusterVm(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_),
-      cpu_(fabric.engine(), cfg.cpu_speed),
-      util_(fabric.engine(), cpu_, cfg.util_sample_interval),
-      app_(fabric.engine(), cpu_,
-           [this] {
-             MmeApp::Config c = cfg_.app;
-             c.hop_ref = node_;
-             c.sgw_node = cfg_.sgw;
-             return c;
-           }(),
-           MmeAppHooks{
-               .to_enb =
-                   [this](NodeId enb, proto::S1apMessage m) {
-                     send_via_lb(enb, proto::make_pdu(std::move(m)));
-                   },
-               .to_sgw =
-                   [this](const UeContext& ctx, proto::S11Message m) {
-                     // Geo-processed devices target their home S-GW.
-                     const NodeId sgw =
-                         ctx.rec.sgw_node != 0 ? ctx.rec.sgw_node : cfg_.sgw;
-                     send_via_lb(sgw, proto::make_pdu(std::move(m)));
-                   },
-               .to_hss =
-                   [this](proto::S6Message m) {
-                     send_via_lb(cfg_.hss, proto::make_pdu(std::move(m)));
-                   },
-               .paging_enbs =
-                   [this](proto::Tac tac) {
-                     return paging_fn_ ? paging_fn_(tac)
-                                       : std::vector<NodeId>{};
-                   },
-               .paging_defer = [this] { return paging_defer_hint(); },
-               .admission = nullptr,
-               .after_procedure =
-                   [this](UeContext& ctx, proto::ProcedureType type) {
-                     ++requests_handled_;
-                     on_procedure_done(ctx, type);
-                   },
-               .on_idle =
-                   [this](UeContext& ctx) { on_idle_transition(ctx); },
-               .before_detach =
-                   [this](UeContext& ctx) { on_detach(ctx); },
-           }) {}
+    : MmeHost(fabric, cfg, cfg.util_sample_interval), cfg_(cfg) {}
 
-ClusterVm::~ClusterVm() {
-  util_.stop();
-  if (!failed_) fabric_.remove_endpoint(node_);
+void ClusterVm::to_enb(NodeId enb, proto::S1apMessage msg) {
+  send_via_lb(enb, proto::make_pdu(std::move(msg)));
+}
+
+void ClusterVm::to_sgw(const UeContext& ctx, proto::S11Message msg) {
+  // Geo-processed devices target their home S-GW.
+  const NodeId sgw = ctx.rec.sgw_node != 0 ? ctx.rec.sgw_node : cfg_.sgw;
+  send_via_lb(sgw, proto::make_pdu(std::move(msg)));
+}
+
+void ClusterVm::to_hss(proto::S6Message msg) {
+  send_via_lb(cfg_.hss, proto::make_pdu(std::move(msg)));
+}
+
+std::uint64_t ClusterVm::requests_handled() const {
+  // after_procedure follows every completed procedure except detach.
+  const auto& done = app_.counters().procedures;
+  return std::accumulate(done.begin(), done.end(), std::uint64_t{0}) -
+         done[static_cast<int>(proto::ProcedureType::kDetach)];
 }
 
 void ClusterVm::attach_lb(NodeId lb) {
@@ -71,18 +46,11 @@ void ClusterVm::retire() {
   util_.stop();
 }
 
-void ClusterVm::fail() {
-  if (!failed_) {
-    failed_ = true;
-    fabric_.remove_endpoint(node_);
-  }
-}
-
 void ClusterVm::report_load() {
   if (!reporting_ || retired_) return;
   if (lb_ != 0) {
     proto::LoadReport report;
-    report.mmp_node = node_;
+    report.mmp_node = node();
     report.cpu_util = load_score();
     report.active_devices = static_cast<std::uint32_t>(
         app_.store().count(ContextRole::kMaster));
@@ -103,6 +71,7 @@ void ClusterVm::receive(NodeId from, const proto::Pdu& pdu) {
     return;
   }
   if (const auto* fwd = std::get_if<proto::ClusterForward>(cluster)) {
+    SCALE_CHECK_MSG(fwd->inner != nullptr, "forward without payload");
     handle_forward(from, *fwd);
   } else if (const auto* push = std::get_if<proto::ReplicaPush>(cluster)) {
     const proto::UeContextRecord rec = push->rec;
@@ -116,15 +85,7 @@ void ClusterVm::receive(NodeId from, const proto::Pdu& pdu) {
       rel_.send(from, proto::make_pdu(ack));
     });
   } else if (const auto* xfer = std::get_if<proto::StateTransfer>(cluster)) {
-    const proto::UeContextRecord rec = xfer->rec;
-    cpu_.execute(app_.config().profile.state_transfer_rx, [this, rec,
-                                                           from]() {
-      UeContext* ctx = app_.adopt(rec, ContextRole::kMaster);
-      if (ctx != nullptr) on_state_adopted(*ctx);
-      proto::StateTransferAck ack;
-      ack.guti = rec.guti;
-      rel_.send(from, proto::make_pdu(ack));
-    });
+    install_transfer(from, xfer->rec);
   } else if (const auto* del = std::get_if<proto::ReplicaDelete>(cluster)) {
     const std::uint64_t key = del->guti.key();
     cpu_.execute(Duration::us(20), [this, key]() {
@@ -139,23 +100,9 @@ void ClusterVm::receive(NodeId from, const proto::Pdu& pdu) {
 }
 
 void ClusterVm::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
-  (void)from;
-  SCALE_CHECK_MSG(fwd.inner != nullptr, "forward without payload");
-  dispatch_inner(fwd.origin, fwd.inner->value,
-                 fwd.guti.valid() ? &fwd.guti : nullptr);
-}
-
-void ClusterVm::dispatch_inner(NodeId origin, const proto::Pdu& inner,
-                               const proto::Guti* guti_hint) {
-  if (const auto* s1ap = std::get_if<proto::S1apMessage>(&inner)) {
-    app_.handle_s1ap(origin, *s1ap, guti_hint);
-  } else if (const auto* s11 = std::get_if<proto::S11Message>(&inner)) {
-    app_.handle_s11(*s11);
-  } else if (const auto* s6 = std::get_if<proto::S6Message>(&inner)) {
-    app_.handle_s6(*s6);
-  } else {
-    SCALE_WARN("cluster VM: unexpected inner PDU family");
-  }
+  (void)from;  // forwards are self-describing (origin travels inside)
+  dispatch(fwd.origin, fwd.inner->value,
+           fwd.guti.valid() ? &fwd.guti : nullptr);
 }
 
 void ClusterVm::handle_other_cluster(NodeId from,
@@ -169,17 +116,6 @@ ContextRole ClusterVm::classify_replica(const proto::UeContextRecord& rec) {
   return ContextRole::kReplica;
 }
 
-void ClusterVm::on_procedure_done(UeContext& ctx, proto::ProcedureType type) {
-  (void)ctx;
-  (void)type;
-}
-
-void ClusterVm::on_idle_transition(UeContext& ctx) { (void)ctx; }
-
-void ClusterVm::on_detach(UeContext& ctx) { (void)ctx; }
-
-void ClusterVm::on_state_adopted(UeContext& ctx) { (void)ctx; }
-
 double ClusterVm::load_score() const {
   // Utilization plus queued seconds of work. Utilization alone saturates at
   // 1.0, which would make every overloaded VM look identical to the LB; the
@@ -189,7 +125,7 @@ double ClusterVm::load_score() const {
 }
 
 void ClusterVm::send_via_lb(NodeId target, proto::Pdu inner) {
-  if (failed_) return;  // a crashed VM stops talking mid-sentence
+  if (!registered()) return;  // a crashed VM stops talking mid-sentence
   SCALE_CHECK_MSG(lb_ != 0, "VM has no LB attached");
   proto::ClusterReply reply;
   reply.target = target;
@@ -198,13 +134,13 @@ void ClusterVm::send_via_lb(NodeId target, proto::Pdu inner) {
 }
 
 void ClusterVm::send_direct(NodeId target, proto::ClusterMessage msg) {
-  if (failed_) return;
+  if (!registered()) return;
   rel_.send(target, proto::pdu_of(std::move(msg)));
 }
 
 void ClusterVm::push_replica(NodeId target, const proto::UeContextRecord& rec,
                              bool geo) {
-  if (failed_) return;
+  if (!registered()) return;
   cpu_.execute(app_.config().profile.replica_push, [this, target, rec,
                                                     geo]() {
     ++replicas_pushed_;
@@ -217,19 +153,17 @@ void ClusterVm::push_replica(NodeId target, const proto::UeContextRecord& rec,
 
 void ClusterVm::export_metrics(obs::MetricsRegistry& reg,
                                const std::string& prefix) const {
-  reg.set_counter(prefix + ".requests_handled", requests_handled_);
+  MmeHost::export_metrics(reg, prefix);
+  reg.set_counter(prefix + ".requests_handled", requests_handled());
   reg.set_counter(prefix + ".replicas_pushed", replicas_pushed_);
   reg.set_counter(prefix + ".replicas_applied", replicas_applied_);
-  reg.set(prefix + ".utilization", util_.utilization());
   const auto& store = app_.store();
-  reg.set(prefix + ".contexts", static_cast<double>(store.size()));
   reg.set(prefix + ".contexts_master",
           static_cast<double>(store.count(epc::ContextRole::kMaster)));
   reg.set(prefix + ".contexts_replica",
           static_cast<double>(store.count(epc::ContextRole::kReplica)));
   reg.set(prefix + ".contexts_external",
           static_cast<double>(store.count(epc::ContextRole::kExternal)));
-  rel_.export_metrics(reg, prefix + ".transport");
 }
 
 }  // namespace scale::mme

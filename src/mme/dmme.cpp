@@ -7,10 +7,7 @@ namespace scale::mme {
 // ------------------------------------------------------------- DmmeStateStore
 
 DmmeStateStore::DmmeStateStore(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      cpu_(fabric.engine(), cfg.cpu_speed) {}
-
-DmmeStateStore::~DmmeStateStore() { fabric_.remove_endpoint(node_); }
+    : Endpoint(fabric), cfg_(cfg), cpu_(fabric.engine(), cfg.cpu_speed) {}
 
 void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
   const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu);
@@ -29,7 +26,7 @@ void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
         resp.found = true;
         resp.rec = ctx->rec;
       }
-      fabric_.send(node_, from, proto::pdu_of(proto::ClusterMessage{resp}));
+      fabric_.send(node(), from, proto::pdu_of(proto::ClusterMessage{resp}));
     });
   } else if (const auto* write = std::get_if<proto::StateTransfer>(cluster)) {
     const proto::UeContextRecord rec = write->rec;
@@ -60,7 +57,6 @@ DmmeNode::DmmeNode(epc::Fabric& fabric, Config cfg)
 }
 
 void DmmeNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
-  SCALE_CHECK_MSG(fwd.inner != nullptr, "forward without payload");
   const auto* s1ap = std::get_if<proto::S1apMessage>(&fwd.inner->value);
   const bool initial =
       s1ap != nullptr &&
@@ -83,14 +79,11 @@ void DmmeNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
       return;
     }
   }
-  dispatch_inner(fwd.origin, fwd.inner->value,
-                 fwd.guti.valid() ? &fwd.guti : nullptr);
-  (void)from;
+  ClusterVm::handle_forward(from, fwd);
 }
 
 void DmmeNode::handle_other_cluster(NodeId from,
                                     const proto::ClusterMessage& msg) {
-  (void)from;
   const auto* resp = std::get_if<proto::StateFetchResp>(&msg);
   if (resp == nullptr) {
     SCALE_DEBUG("dMME node ignoring " << proto::cluster_name(msg));
@@ -104,9 +97,7 @@ void DmmeNode::handle_other_cluster(NodeId from,
   pending_.erase(it);
   // Not found → dispatch anyway: an attach creates the context, anything
   // else is rejected by the MmeApp (device unknown network-wide).
-  for (const auto& fwd : queued)
-    dispatch_inner(fwd.origin, fwd.inner->value,
-                   fwd.guti.valid() ? &fwd.guti : nullptr);
+  for (const auto& fwd : queued) ClusterVm::handle_forward(from, fwd);
 }
 
 void DmmeNode::write_back(const UeContext& ctx) {
@@ -116,12 +107,12 @@ void DmmeNode::write_back(const UeContext& ctx) {
   fabric_.send(node(), store_, proto::pdu_of(proto::ClusterMessage{write}));
 }
 
-void DmmeNode::on_procedure_done(UeContext& ctx, proto::ProcedureType type) {
+void DmmeNode::after_procedure(UeContext& ctx, proto::ProcedureType type) {
   (void)type;
   write_back(ctx);
 }
 
-void DmmeNode::on_idle_transition(UeContext& ctx) {
+void DmmeNode::on_idle(UeContext& ctx) {
   // Write the final state back and drop the local copy: the node stays
   // stateless between a device's Active periods.
   write_back(ctx);
@@ -130,7 +121,7 @@ void DmmeNode::on_idle_transition(UeContext& ctx) {
                          [this, key]() { app().remove_context(key); });
 }
 
-void DmmeNode::on_detach(UeContext& ctx) {
+void DmmeNode::before_detach(UeContext& ctx) {
   proto::ReplicaDelete del;
   del.guti = ctx.rec.guti;
   fabric_.send(node(), store_, proto::pdu_of(proto::ClusterMessage{del}));

@@ -32,9 +32,7 @@ class DmmeStateStore : public epc::Endpoint {
   DmmeStateStore(epc::Fabric& fabric, Config cfg);
   explicit DmmeStateStore(epc::Fabric& fabric)
       : DmmeStateStore(fabric, Config{}) {}
-  ~DmmeStateStore() override;
 
-  NodeId node() const { return node_; }
   sim::CpuModel& cpu() { return cpu_; }
   std::size_t size() const { return store_.size(); }
   std::uint64_t fetches() const { return fetches_; }
@@ -43,9 +41,7 @@ class DmmeStateStore : public epc::Endpoint {
   void receive(NodeId from, const proto::Pdu& pdu) override;
 
  private:
-  epc::Fabric& fabric_;
   Config cfg_;
-  NodeId node_;
   sim::CpuModel cpu_;
   epc::UeContextStore store_;
   std::uint64_t fetches_ = 0;
@@ -71,9 +67,9 @@ class DmmeNode final : public ClusterVm {
   void handle_forward(NodeId from, const proto::ClusterForward& fwd) override;
   void handle_other_cluster(NodeId from,
                             const proto::ClusterMessage& msg) override;
-  void on_procedure_done(UeContext& ctx, proto::ProcedureType type) override;
-  void on_idle_transition(UeContext& ctx) override;
-  void on_detach(UeContext& ctx) override;
+  void after_procedure(UeContext& ctx, proto::ProcedureType type) override;
+  void on_idle(UeContext& ctx) override;
+  void before_detach(UeContext& ctx) override;
 
  private:
   void write_back(const UeContext& ctx);

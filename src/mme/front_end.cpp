@@ -6,11 +6,9 @@ namespace scale::mme {
 
 FrontEnd::FrontEnd(epc::Fabric& fabric, const proto::Guti& identity,
                    double cpu_speed, Duration route_cost)
-    : fabric_(fabric), node_(fabric.add_endpoint(this)), rel_(fabric, node_),
+    : Endpoint(fabric), rel_(fabric, node()),
       cpu_(fabric.engine(), cpu_speed), route_cost_(route_cost),
       next_guti_(identity) {}
-
-FrontEnd::~FrontEnd() { fabric_.remove_endpoint(node_); }
 
 void FrontEnd::on_cluster(NodeId from, const proto::ClusterMessage& msg) {
   (void)from;

@@ -38,12 +38,6 @@ class FrontEnd : public epc::Endpoint {
   /// CPU charged per Initial UE message, before the GUTI and the pick.
   FrontEnd(epc::Fabric& fabric, const proto::Guti& identity,
            double cpu_speed, Duration route_cost);
-  ~FrontEnd() override;
-  /// The fabric and queued CPU work hold this object's address.
-  FrontEnd(const FrontEnd&) = delete;
-  FrontEnd& operator=(const FrontEnd&) = delete;
-
-  NodeId node() const { return node_; }
   std::uint8_t mme_code() const { return next_guti_.mme_code; }
   sim::CpuModel& cpu() { return cpu_; }
   const epc::ReliableChannel& transport() const { return rel_; }
@@ -70,8 +64,6 @@ class FrontEnd : public epc::Endpoint {
   void forward(NodeId vm, NodeId origin, const proto::Guti& guti,
                proto::Pdu inner, bool no_offload = false);
 
-  epc::Fabric& fabric_;
-  NodeId node_;
   epc::ReliableChannel rel_;
   sim::CpuModel cpu_;
   /// VM code (embedded in MME-UE ids and TEIDs) → VM node; 0 = unknown.

@@ -7,19 +7,11 @@ namespace scale::mme {
 using proto::ProcedureType;
 
 MmeApp::MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg,
-               MmeAppHooks hooks)
-    : engine_(engine), cpu_(cpu), cfg_(cfg), hooks_(std::move(hooks)) {
-  SCALE_CHECK_MSG(hooks_.to_enb && hooks_.to_sgw && hooks_.to_hss,
-                  "MmeApp requires to_enb/to_sgw/to_hss hooks");
-}
+               Host& host)
+    : engine_(engine), cpu_(cpu), cfg_(cfg), host_(host) {}
 
 proto::Guti MmeApp::allocate_guti() {
-  proto::Guti g;
-  g.plmn = cfg_.plmn;
-  g.mme_group = cfg_.mme_group;
-  g.mme_code = cfg_.mme_code;
-  g.m_tmsi = next_tmsi_++;
-  return g;
+  return guti_from_s_tmsi(cfg_.mme_code, next_tmsi_++);
 }
 
 proto::Guti MmeApp::guti_from_s_tmsi(std::uint8_t code,
@@ -48,40 +40,7 @@ void MmeApp::handle_s1ap(NodeId enb_node, const proto::S1apMessage& msg,
       [this, enb_node, guti_hint](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::InitialUeMessage>) {
-          // Resolve the existing context (if any) for the admission gate.
-          UeContext* existing = nullptr;
-          if (const auto* a = std::get_if<proto::NasAttachRequest>(&m.nas)) {
-            if (a->old_guti) existing = store_.find(a->old_guti->key());
-            if (existing == nullptr && guti_hint != nullptr)
-              existing = store_.find(guti_hint->key());
-          } else if (const auto* s =
-                         std::get_if<proto::NasServiceRequest>(&m.nas)) {
-            existing =
-                store_.find(guti_from_s_tmsi(s->mme_code, s->m_tmsi).key());
-          } else if (const auto* t =
-                         std::get_if<proto::NasTauRequest>(&m.nas)) {
-            existing = store_.find(t->guti.key());
-          } else if (const auto* d =
-                         std::get_if<proto::NasDetachRequest>(&m.nas)) {
-            existing = store_.find(d->guti.key());
-          }
-          if (hooks_.admission && !hooks_.admission(enb_node, m, existing))
-            return;  // host consumed it (e.g. overload redirect)
-
-          if (const auto* a = std::get_if<proto::NasAttachRequest>(&m.nas)) {
-            start_attach(enb_node, m, *a, guti_hint);
-          } else if (const auto* s =
-                         std::get_if<proto::NasServiceRequest>(&m.nas)) {
-            start_service_request(enb_node, m, *s, guti_hint);
-          } else if (const auto* t =
-                         std::get_if<proto::NasTauRequest>(&m.nas)) {
-            start_tau(enb_node, m, *t);
-          } else if (const auto* d =
-                         std::get_if<proto::NasDetachRequest>(&m.nas)) {
-            start_detach(enb_node, m.enb_ue_id, *d);
-          } else {
-            SCALE_DEBUG("unexpected NAS in InitialUeMessage");
-          }
+          handle_initial(enb_node, m, guti_hint);
         } else if constexpr (std::is_same_v<T, proto::UplinkNasTransport>) {
           handle_uplink_nas(enb_node, m);
         } else if constexpr (std::is_same_v<T, proto::PathSwitchRequest>) {
@@ -96,6 +55,32 @@ void MmeApp::handle_s1ap(NodeId enb_node, const proto::S1apMessage& msg,
         }
       },
       msg);
+}
+
+void MmeApp::handle_initial(NodeId enb, const proto::InitialUeMessage& msg,
+                            const proto::Guti* guti_hint) {
+  // Each branch resolves the existing context (if any) for the admission
+  // gate; a veto means the host consumed the request (e.g. an overload
+  // redirect).
+  if (const auto* a = std::get_if<proto::NasAttachRequest>(&msg.nas)) {
+    UeContext* existing =
+        a->old_guti ? store_.find(a->old_guti->key()) : nullptr;
+    if (existing == nullptr && guti_hint != nullptr)
+      existing = store_.find(guti_hint->key());
+    if (host_.admit(enb, msg, existing)) start_attach(enb, msg, *a, guti_hint);
+  } else if (const auto* s = std::get_if<proto::NasServiceRequest>(&msg.nas)) {
+    const std::uint64_t key = guti_from_s_tmsi(s->mme_code, s->m_tmsi).key();
+    if (host_.admit(enb, msg, store_.find(key)))
+      start_service_request(enb, msg, *s, guti_hint);
+  } else if (const auto* t = std::get_if<proto::NasTauRequest>(&msg.nas)) {
+    if (host_.admit(enb, msg, store_.find(t->guti.key())))
+      start_tau(enb, msg, *t);
+  } else if (const auto* d = std::get_if<proto::NasDetachRequest>(&msg.nas)) {
+    if (host_.admit(enb, msg, store_.find(d->guti.key())))
+      start_detach(enb, msg.enb_ue_id, *d);
+  } else if (host_.admit(enb, msg, nullptr)) {
+    SCALE_DEBUG("unexpected NAS in InitialUeMessage");
+  }
 }
 
 // -------------------------------------------------------------------- Attach
@@ -168,7 +153,7 @@ void MmeApp::attach_request_auth(std::uint64_t key) {
   proto::AuthInfoRequest req;
   req.imsi = ctx->rec.imsi;
   req.hop_ref = cfg_.hop_ref;
-  hooks_.to_hss(proto::S6Message{req});
+  host_.to_hss(proto::S6Message{req});
 }
 
 void MmeApp::handle_s6(const proto::S6Message& msg) {
@@ -267,14 +252,14 @@ void MmeApp::attach_create_session(std::uint64_t key) {
   ulr.imsi = ctx->rec.imsi;
   ulr.mme_id = cfg_.vm_code;
   ulr.hop_ref = cfg_.hop_ref;
-  hooks_.to_hss(proto::S6Message{ulr});
+  host_.to_hss(proto::S6Message{ulr});
 
   ctx->rec.mme_teid = next_teid();
   store_.index_teid(*ctx);
   proto::CreateSessionRequest req;
   req.imsi = ctx->rec.imsi;
   req.mme_teid = ctx->rec.mme_teid;
-  hooks_.to_sgw(*ctx, proto::S11Message{req});
+  host_.to_sgw(*ctx, proto::S11Message{req});
 }
 
 void MmeApp::attach_finish(std::uint64_t key) {
@@ -305,7 +290,7 @@ void MmeApp::attach_finish(std::uint64_t key) {
   ics.enb_ue_id = it->second.enb_ue_id;
   ics.mme_ue_id = ctx->rec.mme_ue_id;
   ics.sgw_teid = ctx->rec.sgw_teid;
-  hooks_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
+  host_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
 
   arm_inactivity(*ctx);
   finish_procedure(final_key, ProcedureType::kAttach);
@@ -362,7 +347,7 @@ void MmeApp::start_service_request(NodeId enb,
                  req.sgw_teid = c->rec.sgw_teid;
                  req.mme_teid = c->rec.mme_teid;
                  req.enb_id = c->rec.enb_id;
-                 hooks_.to_sgw(*c, proto::S11Message{req});
+                 host_.to_sgw(*c, proto::S11Message{req});
                });
 }
 
@@ -378,7 +363,7 @@ void MmeApp::service_request_finish(std::uint64_t key) {
   ics.enb_ue_id = it->second.enb_ue_id;
   ics.mme_ue_id = ctx->rec.mme_ue_id;
   ics.sgw_teid = ctx->rec.sgw_teid;
-  hooks_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
+  host_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
   send_downlink_nas(it->second, *ctx,
                     proto::NasMessage{proto::NasServiceAccept{}});
   arm_inactivity(*ctx);
@@ -469,7 +454,7 @@ void MmeApp::handle_path_switch(NodeId enb,
                  req.sgw_teid = c->rec.sgw_teid;
                  req.mme_teid = c->rec.mme_teid;
                  req.enb_id = new_enb_id;
-                 hooks_.to_sgw(*c, proto::S11Message{req});
+                 host_.to_sgw(*c, proto::S11Message{req});
                });
 }
 
@@ -483,7 +468,7 @@ void MmeApp::handover_finish(std::uint64_t key, std::uint32_t new_enb_id) {
   ack.enb_id = txn.enb_node;
   ack.enb_ue_id = txn.enb_ue_id;
   ack.mme_ue_id = ctx->rec.mme_ue_id;
-  hooks_.to_enb(txn.enb_node, proto::S1apMessage{ack});
+  host_.to_enb(txn.enb_node, proto::S1apMessage{ack});
 
   if (txn.old_enb_node != 0) {
     proto::UeContextReleaseCommand rel;
@@ -491,7 +476,7 @@ void MmeApp::handover_finish(std::uint64_t key, std::uint32_t new_enb_id) {
     rel.enb_ue_id = txn.old_enb_ue_id;
     rel.mme_ue_id = ctx->rec.mme_ue_id;
     rel.cause = proto::ReleaseCause::kHandover;
-    hooks_.to_enb(txn.old_enb_node, proto::S1apMessage{rel});
+    host_.to_enb(txn.old_enb_node, proto::S1apMessage{rel});
   }
 
   ctx->rec.enb_id = new_enb_id;
@@ -514,7 +499,7 @@ void MmeApp::start_detach(NodeId enb, proto::EnbUeId enb_ue_id,
       dl.enb_ue_id = enb_ue_id;
       dl.mme_ue_id = proto::MmeUeId::make(cfg_.vm_code, 0);
       dl.nas = proto::NasMessage{proto::NasDetachAccept{}};
-      hooks_.to_enb(enb, proto::S1apMessage{dl});
+      host_.to_enb(enb, proto::S1apMessage{dl});
     });
     return;
   }
@@ -543,7 +528,7 @@ void MmeApp::start_detach(NodeId enb, proto::EnbUeId enb_ue_id,
     proto::DeleteSessionRequest req;
     req.sgw_teid = c->rec.sgw_teid;
     req.mme_teid = c->rec.mme_teid;
-    hooks_.to_sgw(*c, proto::S11Message{req});
+    host_.to_sgw(*c, proto::S11Message{req});
   });
 }
 
@@ -553,7 +538,7 @@ void MmeApp::detach_finish(std::uint64_t key) {
   if (ctx == nullptr || it == txns_.end()) return;
   send_downlink_nas(it->second, *ctx,
                     proto::NasMessage{proto::NasDetachAccept{}});
-  if (hooks_.before_detach) hooks_.before_detach(*ctx);
+  host_.before_detach(*ctx);
   ++counters_.procedures[static_cast<int>(ProcedureType::kDetach)];
   txns_.erase(key);
   remove_context(key);
@@ -606,17 +591,7 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
           const std::uint64_t key = ctx->key();
           cpu_.execute(cfg_.profile.parse, [this, key]() {
             UeContext* c = ctx_of(key);
-            if (c == nullptr || !c->rec.active) return;
-            proto::UeContextReleaseCommand rel;
-            rel.enb_id = c->rec.enb_id;
-            rel.enb_ue_id = c->rec.enb_ue_id;
-            rel.mme_ue_id = c->rec.mme_ue_id;
-            rel.cause = proto::ReleaseCause::kUserInactivity;
-            hooks_.to_enb(c->rec.enb_id, proto::S1apMessage{rel});
-            c->rec.active = false;
-            c->rec.version++;
-            ++counters_.idle_transitions;
-            if (hooks_.on_idle) hooks_.on_idle(*c);
+            if (c != nullptr && c->rec.active) go_idle(*c);
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionResponse>) {
           UeContext* ctx = store_.find_by_teid(m.mme_teid);
@@ -637,12 +612,11 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
             if (c == nullptr) return;
             proto::DownlinkDataNotificationAck ack;
             ack.sgw_teid = c->rec.sgw_teid;
-            hooks_.to_sgw(*c, proto::S11Message{ack});
+            host_.to_sgw(*c, proto::S11Message{ack});
             // Under overload pressure the governor stretches the paging
             // fan-out: the S-GW is acked immediately (it would retransmit
             // otherwise) but the radio-side page waits out the deferral.
-            const Duration defer =
-                hooks_.paging_defer ? hooks_.paging_defer() : Duration::zero();
+            const Duration defer = host_.paging_defer();
             if (defer > Duration::zero()) {
               ++counters_.pagings_deferred;
               engine_.after(defer, [this, key]() {
@@ -664,12 +638,11 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
 void MmeApp::page_ue(std::uint64_t key) {
   UeContext* c = ctx_of(key);
   if (c == nullptr) return;
-  if (!hooks_.paging_enbs) return;
   proto::Paging page;
   page.m_tmsi = c->rec.guti.m_tmsi;
   page.tac = c->rec.tac;
-  for (NodeId enb : hooks_.paging_enbs(c->rec.tac))
-    hooks_.to_enb(enb, proto::S1apMessage{page});
+  for (NodeId enb : host_.paging_enbs(c->rec.tac))
+    host_.to_enb(enb, proto::S1apMessage{page});
   ++counters_.pagings_sent;
 }
 
@@ -721,7 +694,7 @@ void MmeApp::send_downlink_nas(const Txn& txn, const UeContext& ctx,
   dl.enb_ue_id = txn.enb_ue_id;
   dl.mme_ue_id = ctx.rec.mme_ue_id;
   dl.nas = std::move(nas);
-  hooks_.to_enb(txn.enb_node, proto::S1apMessage{std::move(dl)});
+  host_.to_enb(txn.enb_node, proto::S1apMessage{std::move(dl)});
 }
 
 void MmeApp::send_reject(NodeId enb, proto::EnbUeId enb_ue_id,
@@ -732,7 +705,7 @@ void MmeApp::send_reject(NodeId enb, proto::EnbUeId enb_ue_id,
   dl.enb_ue_id = enb_ue_id;
   dl.mme_ue_id = proto::MmeUeId::make(cfg_.vm_code, 0);
   dl.nas = proto::NasMessage{proto::NasServiceReject{.cause = cause}};
-  hooks_.to_enb(enb, proto::S1apMessage{std::move(dl)});
+  host_.to_enb(enb, proto::S1apMessage{std::move(dl)});
 }
 
 void MmeApp::touch(UeContext& ctx) {
@@ -762,31 +735,34 @@ void MmeApp::inactivity_fired(std::uint64_t key) {
     UeContext* c = ctx_of(key);
     if (c == nullptr || !c->rec.active) return;
     if (!c->rec.sgw_teid.valid()) {
-      proto::UeContextReleaseCommand rel;
-      rel.enb_id = c->rec.enb_id;
-      rel.enb_ue_id = c->rec.enb_ue_id;
-      rel.mme_ue_id = c->rec.mme_ue_id;
-      rel.cause = proto::ReleaseCause::kUserInactivity;
-      hooks_.to_enb(c->rec.enb_id, proto::S1apMessage{rel});
-      c->rec.active = false;
-      c->rec.version++;
-      ++counters_.idle_transitions;
-      if (hooks_.on_idle) hooks_.on_idle(*c);
+      go_idle(*c);
       return;
     }
     proto::ReleaseAccessBearersRequest req;
     req.sgw_teid = c->rec.sgw_teid;
     req.mme_teid = c->rec.mme_teid;
-    hooks_.to_sgw(*c, proto::S11Message{req});
+    host_.to_sgw(*c, proto::S11Message{req});
   });
+}
+
+void MmeApp::go_idle(UeContext& ctx) {
+  proto::UeContextReleaseCommand rel;
+  rel.enb_id = ctx.rec.enb_id;
+  rel.enb_ue_id = ctx.rec.enb_ue_id;
+  rel.mme_ue_id = ctx.rec.mme_ue_id;
+  rel.cause = proto::ReleaseCause::kUserInactivity;
+  host_.to_enb(ctx.rec.enb_id, proto::S1apMessage{rel});
+  ctx.rec.active = false;
+  ctx.rec.version++;
+  ++counters_.idle_transitions;
+  host_.on_idle(ctx);
 }
 
 void MmeApp::finish_procedure(std::uint64_t key, ProcedureType type) {
   ++counters_.procedures[static_cast<int>(type)];
   txns_.erase(key);
   UeContext* ctx = ctx_of(key);
-  if (ctx != nullptr && hooks_.after_procedure)
-    hooks_.after_procedure(*ctx, type);
+  if (ctx != nullptr) host_.after_procedure(*ctx, type);
 }
 
 }  // namespace scale::mme

@@ -3,11 +3,13 @@
 //
 //   * mme::MmeNode         — a classic standalone 3GPP MME (baseline),
 //   * mme::SimpleVm        — a VM of the SIMPLE virtual-MME baseline,
+//   * mme::DmmeNode        — a stateless dMME processing node,
 //   * core::MmpNode        — a SCALE MMP VM.
 //
-// The host injects I/O and policy through MmeAppHooks; MmeApp never touches
-// the fabric directly, so the same FSMs run identically whether replies go
-// straight to the eNodeB or are tunneled through an MLB.
+// Every one of them is an mme::MmeHost (mme/mme_host.h), which implements
+// MmeApp::Host: the app sends and consults policy only through that
+// interface and never touches the fabric, so the same FSMs run identically
+// whether replies go straight to the eNodeB or are tunneled through an MLB.
 //
 // Every inbound message costs CPU (ServiceProfile) on the host-provided
 // CpuModel, so overload manifests as queueing delay exactly as on real
@@ -16,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -35,39 +36,45 @@ using epc::UeContext;
 using epc::UeContextStore;
 using sim::NodeId;
 
-struct MmeAppHooks {
-  /// Send an S1AP message to an eNodeB (required).
-  std::function<void(NodeId enb, proto::S1apMessage)> to_enb;
-  /// Send an S11 message to the device's S-GW (required). The context is
-  /// passed so hosts can target the device's *home* S-GW when processing a
-  /// geo-replicated device from another DC (rec.sgw_node).
-  std::function<void(const UeContext&, proto::S11Message)> to_sgw;
-  /// Send an S6 message to the HSS (required).
-  std::function<void(proto::S6Message)> to_hss;
-  /// eNodeBs to page for a tracking area (optional; paging skipped if
-  /// unset).
-  std::function<std::vector<NodeId>(proto::Tac)> paging_enbs;
-  /// Extra delay before the paging fan-out (optional; zero/unset pages
-  /// immediately). Overload governors stretch paging retries through this.
-  std::function<Duration()> paging_defer;
-  /// Admission gate, called before processing an InitialUeMessage. Return
-  /// false if the host consumed the request (e.g. 3GPP overload redirect).
-  std::function<bool(NodeId enb, const proto::InitialUeMessage&,
-                     UeContext* existing)>
-      admission;
-  /// Called after a procedure completes on a context (replication point —
-  /// §5: "the master MMP replicates the state of a device after it
-  /// processes its initial attach request").
-  std::function<void(UeContext&, proto::ProcedureType)> after_procedure;
-  /// Called when a device transitions Active → Idle (bulk replica sync
-  /// point, E2).
-  std::function<void(UeContext&)> on_idle;
-  /// Called just before a detached context is erased.
-  std::function<void(UeContext&)> before_detach;
-};
-
 class MmeApp {
  public:
+  /// The node an MmeApp runs on: its I/O (required) and its policy points
+  /// (defaults do nothing).
+  class Host {
+   public:
+    virtual ~Host() = default;
+
+    /// Send an S1AP message to an eNodeB.
+    virtual void to_enb(NodeId enb, proto::S1apMessage msg) = 0;
+    /// Send an S11 message to the device's S-GW. The context is passed so
+    /// hosts can target the device's *home* S-GW when processing a
+    /// geo-replicated device from another DC (rec.sgw_node).
+    virtual void to_sgw(const UeContext& ctx, proto::S11Message msg) = 0;
+    /// Send an S6 message to the HSS.
+    virtual void to_hss(proto::S6Message msg) = 0;
+
+    /// eNodeBs to page for a tracking area.
+    virtual std::vector<NodeId> paging_enbs(proto::Tac) const { return {}; }
+    /// Extra delay before the paging fan-out (zero pages immediately).
+    /// Overload governors stretch paging retries through this.
+    virtual Duration paging_defer() const { return Duration::zero(); }
+    /// Admission gate, called before processing an InitialUeMessage. Return
+    /// false if the host consumed the request (e.g. 3GPP overload redirect).
+    virtual bool admit(NodeId /*enb*/, const proto::InitialUeMessage&,
+                       UeContext* /*existing*/) {
+      return true;
+    }
+    /// Called after a procedure other than detach completes on a context
+    /// (replication point — §5: "the master MMP replicates the state of a
+    /// device after it processes its initial attach request").
+    virtual void after_procedure(UeContext&, proto::ProcedureType) {}
+    /// Called when a device transitions Active → Idle (bulk replica sync
+    /// point, E2).
+    virtual void on_idle(UeContext&) {}
+    /// Called just before a detached context is erased.
+    virtual void before_detach(UeContext&) {}
+  };
+
   struct Config {
     std::uint8_t mme_code = 1;  ///< logical MME id inside assigned GUTIs
     std::uint8_t vm_code = 1;   ///< VM id embedded in MmeUeId/Teid (§5)
@@ -98,8 +105,8 @@ class MmeApp {
     std::uint64_t idle_transitions = 0;
   };
 
-  MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg,
-         MmeAppHooks hooks);
+  /// `host` must outlive the app.
+  MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg, Host& host);
 
   UeContextStore& store() { return store_; }
   const UeContextStore& store() const { return store_; }
@@ -147,7 +154,9 @@ class MmeApp {
     bool skip_auth = false;
   };
 
-  // NAS-level initial handlers.
+  // NAS-level initial handlers, behind the host's admission gate.
+  void handle_initial(NodeId enb, const proto::InitialUeMessage& msg,
+                      const proto::Guti* guti_hint);
   void start_attach(NodeId enb, const proto::InitialUeMessage& msg,
                     const proto::NasAttachRequest& nas,
                     const proto::Guti* guti_hint);
@@ -177,6 +186,8 @@ class MmeApp {
   void disarm_inactivity(UeContext& ctx);
   void inactivity_fired(std::uint64_t key);
   void page_ue(std::uint64_t key);
+  /// Active → Idle: release the radio connection, then host_.on_idle().
+  void go_idle(UeContext& ctx);
   void finish_procedure(std::uint64_t key, proto::ProcedureType type);
   proto::MmeUeId next_mme_ue_id();
   proto::Teid next_teid();
@@ -185,7 +196,7 @@ class MmeApp {
   sim::Engine& engine_;
   sim::CpuModel& cpu_;
   Config cfg_;
-  MmeAppHooks hooks_;
+  Host& host_;
   UeContextStore store_;
   std::unordered_map<std::uint64_t, Txn> txns_;
   Counters counters_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
+#include "common/check.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -13,54 +13,30 @@ namespace {
 constexpr Duration kOverloadCheckInterval = Duration::ms(200.0);
 /// Active devices shed per overload check.
 constexpr std::size_t kShedBatch = 8;
+
+/// One VM == one logical MME: the MME code doubles as the VM code.
+MmeHost::Config one_vm(MmeHost::Config cfg) {
+  cfg.app.vm_code = cfg.app.mme_code;
+  return cfg;
+}
 }  // namespace
 
 MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
-    : fabric_(fabric), cfg_(cfg), node_(fabric.add_endpoint(this)),
-      rel_(fabric, node_),
-      cpu_(fabric.engine(), cfg.cpu_speed),
-      util_(fabric.engine(), cpu_),
-      app_(fabric.engine(), cpu_,
-           [this] {
-             MmeApp::Config c = cfg_.app;
-             c.vm_code = cfg_.app.mme_code;  // one VM == one logical MME
-             c.hop_ref = node_;
-             c.sgw_node = cfg_.sgw;
-             return c;
-           }(),
-           MmeAppHooks{
-               .to_enb =
-                   [this](NodeId enb, proto::S1apMessage m) {
-                     rel_.send(enb, proto::make_pdu(std::move(m)));
-                   },
-               .to_sgw =
-                   [this](const UeContext&, proto::S11Message m) {
-                     rel_.send(cfg_.sgw, proto::make_pdu(std::move(m)));
-                   },
-               .to_hss =
-                   [this](proto::S6Message m) {
-                     rel_.send(cfg_.hss, proto::make_pdu(std::move(m)));
-                   },
-               .paging_enbs =
-                   [this](proto::Tac tac) {
-                     return paging_fn_storage_ ? paging_fn_storage_(tac)
-                                               : std::vector<NodeId>{};
-                   },
-               .admission =
-                   [this](NodeId enb, const proto::InitialUeMessage& msg,
-                          UeContext* existing) {
-                     return admission_gate(enb, msg, existing);
-                   },
-               .after_procedure = nullptr,
-               .on_idle = nullptr,
-               .before_detach = nullptr,
-           }) {
+    : MmeHost(fabric, one_vm(cfg)), cfg_(cfg) {
   if (cfg_.overload_protection) enable_overload(cfg_.overload_threshold);
 }
 
-MmeNode::~MmeNode() {
-  util_.stop();
-  fabric_.remove_endpoint(node_);
+void MmeNode::to_enb(NodeId enb, proto::S1apMessage msg) {
+  rel_.send(enb, proto::make_pdu(std::move(msg)));
+}
+
+void MmeNode::to_sgw(const UeContext& ctx, proto::S11Message msg) {
+  (void)ctx;
+  rel_.send(cfg_.sgw, proto::make_pdu(std::move(msg)));
+}
+
+void MmeNode::to_hss(proto::S6Message msg) {
+  rel_.send(cfg_.hss, proto::make_pdu(std::move(msg)));
 }
 
 void MmeNode::add_peer(MmeNode* peer) {
@@ -76,70 +52,45 @@ void MmeNode::enable_overload(double threshold) {
   fabric_.engine().after(kOverloadCheckInterval, [this] { overload_tick(); });
 }
 
-void MmeNode::set_paging_enbs(
-    std::function<std::vector<NodeId>(proto::Tac)>&& fn) {
-  // MmeAppHooks are wired at construction; route through a member so the
-  // hook stays valid.
-  paging_fn_storage_ = std::move(fn);
-}
-
 void MmeNode::receive(NodeId from, const proto::Pdu& pdu) {
   const proto::Pdu* unwrapped = rel_.unwrap(from, pdu);
   if (unwrapped == nullptr) return;  // shim traffic (ack / duplicate)
-  std::visit(
-      [this, from](const auto& family) {
-        using T = std::decay_t<decltype(family)>;
-        if constexpr (std::is_same_v<T, proto::S1apMessage>) {
-          app_.handle_s1ap(from, family);
-        } else if constexpr (std::is_same_v<T, proto::S11Message>) {
-          app_.handle_s11(family);
-        } else if constexpr (std::is_same_v<T, proto::S6Message>) {
-          app_.handle_s6(family);
-        } else if constexpr (std::is_same_v<T, proto::ClusterMessage>) {
-          if (const auto* xfer =
-                  std::get_if<proto::StateTransfer>(&family)) {
-            // Installing shed state costs CPU on the receiving MME too —
-            // half of the Fig. 2(c) overhead story.
-            const proto::UeContextRecord rec = xfer->rec;
-            cpu_.execute(app_.config().profile.state_transfer_rx,
-                         [this, rec, from]() {
-                           ++transfers_received_;
-                           app_.adopt(rec, epc::ContextRole::kMaster);
-                           proto::StateTransferAck ack;
-                           ack.guti = rec.guti;
-                           rel_.send(from, proto::make_pdu(ack));
-                         });
-          }
-          // StateTransferAck and other cluster messages: bookkeeping only.
-        } else {
-          SCALE_WARN("MME ignoring unexpected PDU family");
-        }
-      },
-      *unwrapped);
+  const auto* cluster = std::get_if<proto::ClusterMessage>(unwrapped);
+  if (cluster == nullptr) {
+    dispatch(from, *unwrapped);
+  } else if (const auto* xfer = std::get_if<proto::StateTransfer>(cluster)) {
+    // Installing shed state costs CPU on the receiving MME too — half of
+    // the Fig. 2(c) overhead story.
+    install_transfer(from, xfer->rec);
+  }
+  // StateTransferAck and other cluster messages: bookkeeping only.
 }
 
-bool MmeNode::admission_gate(NodeId enb, const proto::InitialUeMessage& msg,
-                             UeContext* existing) {
-  if (!cfg_.overload_protection || peers_.empty()) return true;
-  if (util_.utilization() < cfg_.overload_threshold) return true;
+void MmeNode::on_state_adopted(UeContext&) { ++transfers_received_; }
+
+bool MmeNode::admit(NodeId enb, const proto::InitialUeMessage& msg,
+                    UeContext* existing) {
+  if (!cfg_.overload_protection) return true;
   // Only devices with retained state can be redirected with a transfer;
   // brand-new registrations must be served (nobody else has them yet).
-  if (existing == nullptr) return true;
-  if (app_.has_transaction(existing->key())) return true;
-  MmeNode* peer = least_loaded_peer();
-  // Redirecting onto an equally overloaded peer just ping-pongs devices
-  // (and still burns transfer signaling) — serve locally instead.
-  if (peer == nullptr || peer->utilization() >= cfg_.overload_threshold)
+  if (existing == nullptr || app_.has_transaction(existing->key()))
     return true;
+  MmeNode* peer = shed_target();
+  if (peer == nullptr) return true;
   shed_context(*existing, *peer, enb, msg.enb_ue_id);
   return false;
 }
 
-MmeNode* MmeNode::least_loaded_peer() {
+MmeNode* MmeNode::shed_target() {
+  if (util_.utilization() < cfg_.overload_threshold) return nullptr;
   MmeNode* best = nullptr;
   for (MmeNode* p : peers_) {
     if (best == nullptr || p->utilization() < best->utilization()) best = p;
   }
+  // Redirecting onto an equally overloaded peer just ping-pongs devices
+  // (and still burns transfer signaling) — serve locally instead.
+  if (best == nullptr || best->utilization() >= cfg_.overload_threshold)
+    return nullptr;
   return best;
 }
 
@@ -150,15 +101,12 @@ void MmeNode::shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
     obs::Json args = obs::Json::object();
     args.set("peer", peer.node());
     args.set("guti", ctx.rec.guti.str());
-    tr->instant(node_, "reactive_shed", fabric_.engine().now(),
+    tr->instant(node(), "reactive_shed", fabric_.engine().now(),
                 std::move(args));
   }
-  const proto::UeContextRecord rec = [&] {
-    proto::UeContextRecord r = ctx.rec;
-    r.active = false;
-    r.version++;
-    return r;
-  }();
+  proto::UeContextRecord rec = ctx.rec;
+  rec.active = false;
+  rec.version++;
   const std::uint64_t key = ctx.key();
   const NodeId peer_node = peer.node();
   cpu_.execute(
@@ -178,22 +126,18 @@ void MmeNode::shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
 }
 
 void MmeNode::overload_tick() {
-  if (util_.utilization() >= cfg_.overload_threshold && !peers_.empty()) {
-    MmeNode* peer = least_loaded_peer();
-    if (peer != nullptr &&
-        peer->utilization() < cfg_.overload_threshold) {
-      // Proactively shed a batch of Active devices (reactive rebalancing).
-      const auto keys = app_.store().keys_if([this](const UeContext& c) {
-        return c.rec.active && !app_.has_transaction(c.rec.guti.key());
-      });
-      std::size_t shed = 0;
-      for (std::uint64_t key : keys) {
-        if (shed >= kShedBatch) break;
-        UeContext* ctx = app_.store().find(key);
-        if (ctx == nullptr) continue;
-        shed_context(*ctx, *peer, ctx->rec.enb_id, ctx->rec.enb_ue_id);
-        ++shed;
-      }
+  if (MmeNode* peer = shed_target()) {
+    // Proactively shed a batch of Active devices (reactive rebalancing).
+    const auto keys = app_.store().keys_if([this](const UeContext& c) {
+      return c.rec.active && !app_.has_transaction(c.rec.guti.key());
+    });
+    std::size_t shed = 0;
+    for (std::uint64_t key : keys) {
+      if (shed >= kShedBatch) break;
+      UeContext* ctx = app_.store().find(key);
+      if (ctx == nullptr) continue;
+      shed_context(*ctx, *peer, ctx->rec.enb_id, ctx->rec.enb_ue_id);
+      ++shed;
     }
   }
   fabric_.engine().after(kOverloadCheckInterval, [this] { overload_tick(); });
@@ -201,11 +145,9 @@ void MmeNode::overload_tick() {
 
 void MmeNode::export_metrics(obs::MetricsRegistry& reg,
                              const std::string& prefix) const {
+  MmeHost::export_metrics(reg, prefix);
   reg.set_counter(prefix + ".devices_shed", devices_shed_);
   reg.set_counter(prefix + ".transfers_received", transfers_received_);
-  reg.set(prefix + ".utilization", util_.utilization());
-  reg.set(prefix + ".contexts", static_cast<double>(app_.store().size()));
-  rel_.export_metrics(reg, prefix + ".transport");
 }
 
 }  // namespace scale::mme

@@ -19,8 +19,7 @@ MmeNode& MmePool::add_mme(double weight) {
   node_cfg.weight = weight;
   auto node = std::make_unique<MmeNode>(fabric_, node_cfg);
   MmeNode& ref = *node;
-  ref.set_paging_enbs(
-      [this](proto::Tac tac) { return paging_targets(tac); });
+  ref.set_paging_enbs(enbs_);
   // Mutual peering for reactive reassignment.
   for (auto& existing : mmes_) {
     existing->add_peer(&ref);
@@ -41,14 +40,6 @@ void MmePool::connect_enb(epc::EnodeB& enb) {
 
 void MmePool::enable_overload_protection(double threshold) {
   for (auto& node : mmes_) node->enable_overload(threshold);
-}
-
-std::vector<NodeId> MmePool::paging_targets(proto::Tac tac) const {
-  std::vector<NodeId> out;
-  out.reserve(enbs_.size());
-  for (const epc::EnodeB* enb : enbs_)
-    if (enb->tac() == tac) out.push_back(enb->node());
-  return out;
 }
 
 void MmePool::export_metrics(obs::MetricsRegistry& reg,

@@ -49,8 +49,6 @@ class MmePool {
                       const std::string& prefix) const;
 
  private:
-  std::vector<NodeId> paging_targets(proto::Tac tac) const;
-
   epc::Fabric& fabric_;
   Config cfg_;
   std::vector<std::unique_ptr<MmeNode>> mmes_;

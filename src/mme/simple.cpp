@@ -4,18 +4,18 @@ namespace scale::mme {
 
 // ------------------------------------------------------------------ SimpleVm
 
-void SimpleVm::on_procedure_done(UeContext& ctx, proto::ProcedureType type) {
+void SimpleVm::after_procedure(UeContext& ctx, proto::ProcedureType type) {
   (void)type;
   if (buddy_ != 0 && ctx.role == ContextRole::kMaster)
     push_replica(buddy_, ctx.rec, /*geo=*/false);
 }
 
-void SimpleVm::on_idle_transition(UeContext& ctx) {
+void SimpleVm::on_idle(UeContext& ctx) {
   if (buddy_ != 0 && ctx.role == ContextRole::kMaster)
     push_replica(buddy_, ctx.rec, /*geo=*/false);
 }
 
-void SimpleVm::on_detach(UeContext& ctx) {
+void SimpleVm::before_detach(UeContext& ctx) {
   if (buddy_ != 0) {
     proto::ReplicaDelete del;
     del.guti = ctx.rec.guti;

@@ -30,9 +30,9 @@ class SimpleVm final : public ClusterVm {
   NodeId buddy() const { return buddy_; }
 
  protected:
-  void on_procedure_done(UeContext& ctx, proto::ProcedureType type) override;
-  void on_idle_transition(UeContext& ctx) override;
-  void on_detach(UeContext& ctx) override;
+  void after_procedure(UeContext& ctx, proto::ProcedureType type) override;
+  void on_idle(UeContext& ctx) override;
+  void before_detach(UeContext& ctx) override;
 
  private:
   NodeId buddy_ = 0;

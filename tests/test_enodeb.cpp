@@ -14,10 +14,7 @@ namespace {
 
 class MmeProbe : public Endpoint {
  public:
-  explicit MmeProbe(Fabric& fabric) : fabric_(fabric) {
-    node_ = fabric.add_endpoint(this);
-  }
-  ~MmeProbe() override { fabric_.remove_endpoint(node_); }
+  explicit MmeProbe(Fabric& fabric) : Endpoint(fabric) {}
 
   void receive(NodeId, const proto::Pdu& pdu) override {
     if (const auto* s1ap = std::get_if<proto::S1apMessage>(&pdu)) {
@@ -26,12 +23,7 @@ class MmeProbe : public Endpoint {
     }
   }
 
-  NodeId node() const { return node_; }
   int initial_count = 0;
-
- private:
-  Fabric& fabric_;
-  NodeId node_ = 0;
 };
 
 struct World {

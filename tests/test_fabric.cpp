@@ -17,21 +17,12 @@ namespace scale {
 namespace {
 
 struct Probe final : epc::Endpoint {
-  epc::Fabric& fabric;
-  sim::NodeId node;
   std::vector<proto::Imsi> got;
-  bool alive = true;
 
-  explicit Probe(epc::Fabric& f) : fabric(f), node(f.add_endpoint(this)) {}
-  ~Probe() override {
-    if (alive) fabric.remove_endpoint(node);
-  }
-  void deregister() {
-    fabric.remove_endpoint(node);
-    alive = false;
-  }
+  explicit Probe(epc::Fabric& f) : Endpoint(f) {}
+  void deregister() { leave(); }
   void receive(sim::NodeId, const proto::Pdu& pdu) override {
-    ASSERT_TRUE(alive) << "delivery to a deregistered endpoint";
+    ASSERT_TRUE(registered()) << "delivery to a deregistered endpoint";
     const auto* s11 = std::get_if<proto::S11Message>(&pdu);
     ASSERT_NE(s11, nullptr);
     const auto* req = std::get_if<proto::CreateSessionRequest>(s11);
@@ -54,7 +45,7 @@ struct FabricTest : ::testing::Test {
 
 TEST_F(FabricTest, InFlightPduToDeregisteredNodeIsDropped) {
   Probe a(fabric), b(fabric);
-  fabric.send(a.node, b.node, ping(1));
+  fabric.send(a.node(), b.node(), ping(1));
   // The PDU is on the wire (delivery at +500us); the destination vanishes
   // before it lands — e.g. an MMP VM de-provisioned mid-flight.
   b.deregister();
@@ -63,12 +54,27 @@ TEST_F(FabricTest, InFlightPduToDeregisteredNodeIsDropped) {
   EXPECT_EQ(fabric.dropped(), 1u);
 }
 
+TEST_F(FabricTest, EndpointsRegisterInOrderAndLeaveOnce) {
+  auto a = std::make_unique<Probe>(fabric);
+  Probe b(fabric);
+  EXPECT_EQ(b.node(), a->node() + 1) << "NodeIds follow construction order";
+  EXPECT_TRUE(fabric.is_registered(a->node()));
+  const sim::NodeId gone = a->node();
+  // A crash leaves early; leaving again, and the destructor, are no-ops.
+  a->deregister();
+  a->deregister();
+  EXPECT_FALSE(fabric.is_registered(gone));
+  a.reset();
+  EXPECT_TRUE(fabric.is_registered(b.node()));
+}
+
 TEST_F(FabricTest, WireLossIsNotAnEndpointDrop) {
   Probe a(fabric), b(fabric);
   sim::LinkFaults f;
   f.drop_prob = 1.0;
   net.set_global_faults(f);
-  for (proto::Imsi i = 1; i <= 5; ++i) fabric.send(a.node, b.node, ping(i));
+  for (proto::Imsi i = 1; i <= 5; ++i)
+    fabric.send(a.node(), b.node(), ping(i));
   engine.run_until(Time::from_sec(1.0));
   EXPECT_TRUE(b.got.empty());
   // Drops happened on the wire: fault counters, not the dead-endpoint one.
@@ -83,7 +89,7 @@ TEST_F(FabricTest, DuplicateFaultDeliversTwice) {
   sim::LinkFaults f;
   f.dup_prob = 1.0;
   net.set_global_faults(f);
-  fabric.send(a.node, b.node, ping(9));
+  fabric.send(a.node(), b.node(), ping(9));
   engine.run_until(Time::from_sec(1.0));
   ASSERT_EQ(b.got.size(), 2u);
   EXPECT_EQ(b.got[0], 9u);
@@ -97,7 +103,7 @@ TEST_F(FabricTest, ReorderFaultDelaysDelivery) {
   f.reorder_prob = 1.0;
   f.reorder_window = Duration::ms(5.0);
   net.set_global_faults(f);
-  fabric.send(a.node, b.node, ping(3));
+  fabric.send(a.node(), b.node(), ping(3));
   // Normal latency alone is not enough...
   engine.run_until(Time::zero() + Duration::ms(4.0));
   EXPECT_TRUE(b.got.empty());
@@ -109,13 +115,13 @@ TEST_F(FabricTest, ReorderFaultDelaysDelivery) {
 
 TEST_F(FabricTest, PartitionWindowSeversThenHeals) {
   Probe a(fabric), b(fabric);
-  net.set_node_dc(a.node, 0);
-  net.set_node_dc(b.node, 1);
+  net.set_node_dc(a.node(), 0);
+  net.set_node_dc(b.node(), 1);
   net.schedule_partition(0, 1, Time::from_sec(1.0), Time::from_sec(3.0));
   engine.after(Duration::sec(2.0),
-               [&]() { fabric.send(a.node, b.node, ping(1)); });  // cut
+               [&]() { fabric.send(a.node(), b.node(), ping(1)); });  // cut
   engine.after(Duration::sec(4.0),
-               [&]() { fabric.send(a.node, b.node, ping(2)); });  // healed
+               [&]() { fabric.send(a.node(), b.node(), ping(2)); });  // healed
   engine.run_until(Time::from_sec(5.0));
   ASSERT_EQ(b.got.size(), 1u);
   EXPECT_EQ(b.got[0], 2u);
@@ -126,18 +132,18 @@ TEST_F(FabricTest, ResetCountersZeroesEverythingTogether) {
   Probe a(fabric), b(fabric);
   // One dead-endpoint drop...
   auto dead = std::make_unique<Probe>(fabric);
-  const sim::NodeId dead_node = dead->node;
-  fabric.send(a.node, dead_node, ping(1));
+  const sim::NodeId dead_node = dead->node();
+  fabric.send(a.node(), dead_node, ping(1));
   dead.reset();
   // ...one wire drop + one duplicate...
   sim::LinkFaults f;
   f.drop_prob = 1.0;
-  net.set_link_faults(a.node, b.node, f, /*symmetric=*/false);
-  fabric.send(a.node, b.node, ping(2));
+  net.set_link_faults(a.node(), b.node(), f, /*symmetric=*/false);
+  fabric.send(a.node(), b.node(), ping(2));
   sim::LinkFaults d;
   d.dup_prob = 1.0;
-  net.set_link_faults(b.node, a.node, d, /*symmetric=*/false);
-  fabric.send(b.node, a.node, ping(3));
+  net.set_link_faults(b.node(), a.node(), d, /*symmetric=*/false);
+  fabric.send(b.node(), a.node(), ping(3));
   engine.run_until(Time::from_sec(1.0));
 
   ASSERT_EQ(fabric.dropped(), 1u);
@@ -150,7 +156,7 @@ TEST_F(FabricTest, ResetCountersZeroesEverythingTogether) {
   EXPECT_EQ(fabric.dropped(), 0u);
   EXPECT_EQ(net.messages_sent(), 0u);
   EXPECT_EQ(net.bytes_sent(), 0u);
-  EXPECT_EQ(net.messages_between(a.node, b.node), 0u);
+  EXPECT_EQ(net.messages_between(a.node(), b.node()), 0u);
   EXPECT_EQ(net.fault_counters(), sim::FaultCounters{});
 }
 
@@ -161,7 +167,8 @@ TEST_F(FabricTest, ResetCountersZeroesEverythingTogether) {
 
 TEST_F(FabricTest, SameDestinationSameTickSendsShareOneEvent) {
   Probe a(fabric), b(fabric);
-  for (proto::Imsi i = 1; i <= 8; ++i) fabric.send(a.node, b.node, ping(i));
+  for (proto::Imsi i = 1; i <= 8; ++i)
+    fabric.send(a.node(), b.node(), ping(i));
   EXPECT_EQ(fabric.delivery_batches(), 1u);
   EXPECT_EQ(fabric.batched_pdus(), 7u);
   engine.run_until(Time::from_sec(1.0));
@@ -171,11 +178,11 @@ TEST_F(FabricTest, SameDestinationSameTickSendsShareOneEvent) {
 
 TEST_F(FabricTest, DestinationSwitchClosesBatch) {
   Probe a(fabric), b(fabric), c(fabric);
-  fabric.send(a.node, b.node, ping(1));
-  fabric.send(a.node, c.node, ping(2));
+  fabric.send(a.node(), b.node(), ping(1));
+  fabric.send(a.node(), c.node(), ping(2));
   // Same (to, at) as the first send, but c's event was scheduled in
   // between — appending here would skip a seq, so a fresh event is correct.
-  fabric.send(a.node, b.node, ping(3));
+  fabric.send(a.node(), b.node(), ping(3));
   EXPECT_EQ(fabric.delivery_batches(), 3u);
   EXPECT_EQ(fabric.batched_pdus(), 0u);
   engine.run_until(Time::from_sec(1.0));
@@ -188,9 +195,9 @@ TEST_F(FabricTest, DestinationSwitchClosesBatch) {
 
 TEST_F(FabricTest, UnrelatedEventBetweenSendsClosesBatch) {
   Probe a(fabric), b(fabric);
-  fabric.send(a.node, b.node, ping(1));
+  fabric.send(a.node(), b.node(), ping(1));
   engine.after(Duration::ms(10.0), [] {});
-  fabric.send(a.node, b.node, ping(2));
+  fabric.send(a.node(), b.node(), ping(2));
   EXPECT_EQ(fabric.delivery_batches(), 2u);
   EXPECT_EQ(fabric.batched_pdus(), 0u);
   engine.run_until(Time::from_sec(1.0));

@@ -14,21 +14,13 @@ namespace {
 
 class Probe : public Endpoint {
  public:
-  explicit Probe(Fabric& fabric) : fabric_(fabric) {
-    node_ = fabric.add_endpoint(this);
-  }
-  ~Probe() override { fabric_.remove_endpoint(node_); }
+  explicit Probe(Fabric& fabric) : Endpoint(fabric) {}
 
   void receive(NodeId, const proto::Pdu& pdu) override {
     inbox.push_back(pdu);
   }
 
-  NodeId node() const { return node_; }
   std::vector<proto::Pdu> inbox;
-
- private:
-  Fabric& fabric_;
-  NodeId node_ = 0;
 };
 
 struct World {

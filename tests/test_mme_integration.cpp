@@ -3,6 +3,7 @@
 // §2 procedure over the real message exchanges.
 #include <gtest/gtest.h>
 
+#include "mme/cluster_vm.h"
 #include "mme/pool.h"
 #include "testbed/testbed.h"
 
@@ -177,6 +178,69 @@ TEST(MmeIntegration, StaticAssignmentPinsDeviceToOneMme) {
   for (auto& node : w.pool->mmes())
     if (node->app().store().size() > 0) ++with_devices;
   EXPECT_EQ(with_devices, 3u);
+}
+
+// The StateTransfer install lives in mme::MmeHost, so the classic MME and
+// a cluster VM must take a transferred context the same way.
+
+/// Sends StateTransfers and counts the acks that come back.
+struct TransferPeer final : epc::Endpoint {
+  explicit TransferPeer(epc::Fabric& f) : Endpoint(f) {}
+  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+    const auto* c = std::get_if<proto::ClusterMessage>(&pdu);
+    if (c != nullptr && std::holds_alternative<proto::StateTransferAck>(*c))
+      ++acks;
+  }
+  int acks = 0;
+};
+
+/// A ClusterVm that counts the contexts its install hands over.
+struct ObservedVm final : mme::ClusterVm {
+  using ClusterVm::ClusterVm;
+  int adopted = 0;
+
+ protected:
+  void on_state_adopted(mme::UeContext&) override { ++adopted; }
+};
+
+TEST(MmeIntegration, StateTransferInstallsMasterAndAcksOnceOnBothHosts) {
+  sim::Engine engine;
+  const Duration hop = Duration::us(500);
+  sim::Network net{hop};
+  epc::Fabric fabric{engine, net};
+  TransferPeer peer(fabric);
+  mme::MmeNode classic(fabric, mme::MmeNode::Config{});
+  ObservedVm vm(fabric, mme::ClusterVm::Config{});
+  const Duration rx = mme::ServiceProfile{}.state_transfer_rx;
+
+  proto::UeContextRecord rec;
+  rec.imsi = 4242;
+  rec.guti = proto::Guti{1, 1, 9, 77};
+  rec.version = 3;
+  for (mme::MmeHost* host : {static_cast<mme::MmeHost*>(&classic),
+                             static_cast<mme::MmeHost*>(&vm)}) {
+    SCOPED_TRACE(host == &classic ? "MmeNode" : "ClusterVm");
+    peer.acks = 0;
+    const Time t0 = engine.now();
+    const Duration busy0 = host->cpu().cumulative_busy();
+    proto::StateTransfer xfer;
+    xfer.rec = rec;
+    fabric.send(peer.node(), host->node(),
+                proto::pdu_of(proto::ClusterMessage{xfer}));
+    // Delivered, but not installed until state_transfer_rx of CPU has run.
+    engine.run_until(t0 + hop + rx - Duration::us(1));
+    EXPECT_FALSE(host->app().store().contains(rec.guti.key()));
+    engine.run_until(t0 + hop + rx);
+    const mme::UeContext* ctx = host->app().store().find(rec.guti.key());
+    ASSERT_NE(ctx, nullptr);
+    EXPECT_EQ(ctx->role, epc::ContextRole::kMaster);
+    EXPECT_EQ(ctx->rec.version, 3u);
+    EXPECT_EQ(host->cpu().cumulative_busy() - busy0, rx);
+    engine.run_until(t0 + hop + rx + hop + Duration::ms(10.0));
+    EXPECT_EQ(peer.acks, 1);
+  }
+  EXPECT_EQ(classic.transfers_received(), 1u);
+  EXPECT_EQ(vm.adopted, 1);
 }
 
 }  // namespace

@@ -164,14 +164,10 @@ TEST(ObsTracer, CurrentInstallRestores) {
 // "rto_retransmit" instants and the hop events still record exactly one
 // application-level delivery.
 struct TracedRelNode final : epc::Endpoint {
-  epc::Fabric& fabric;
-  sim::NodeId node;
   epc::ReliableChannel rel;
   int delivered = 0;
 
-  explicit TracedRelNode(epc::Fabric& f)
-      : fabric(f), node(f.add_endpoint(this)), rel(f, node) {}
-  ~TracedRelNode() override { fabric.remove_endpoint(node); }
+  explicit TracedRelNode(epc::Fabric& f) : Endpoint(f), rel(f, node()) {}
 
   void receive(sim::NodeId from, const proto::Pdu& pdu) override {
     if (rel.unwrap(from, pdu) != nullptr) ++delivered;
@@ -189,10 +185,10 @@ TEST(ObsTracer, RetransmissionAnnotationsUnderLinkFault) {
   obs::Tracer tr;
   obs::Tracer* prev = obs::Tracer::install(&tr);
   TracedRelNode a(fabric), b(fabric);
-  net.schedule_link_down(a.node, b.node, Time::zero(), Time::from_sec(1.0));
+  net.schedule_link_down(a.node(), b.node(), Time::zero(), Time::from_sec(1.0));
   proto::CreateSessionRequest req;
   req.imsi = 77;
-  a.rel.send(b.node, proto::make_pdu(req));
+  a.rel.send(b.node(), proto::make_pdu(req));
   engine.run_until(Time::from_sec(30.0));
   obs::Tracer::install(prev);
 

@@ -234,8 +234,7 @@ TEST(OverloadIntegration, GovernedClusterShedsDeferrableNeverAttach) {
 /// Stands in for the node a message is sent to and keeps every `T` it gets.
 template <typename T>
 struct WireProbe final : epc::Endpoint {
-  explicit WireProbe(epc::Fabric& f) : fabric(f), node(f.add_endpoint(this)) {}
-  ~WireProbe() override { fabric.remove_endpoint(node); }
+  explicit WireProbe(epc::Fabric& f) : epc::Endpoint(f) {}
   void receive(sim::NodeId, const proto::Pdu& pdu) override {
     std::visit(
         [this](const auto& family) {
@@ -248,8 +247,6 @@ struct WireProbe final : epc::Endpoint {
         },
         pdu);
   }
-  epc::Fabric& fabric;
-  sim::NodeId node;
   std::vector<T> seen;
 };
 
@@ -263,14 +260,14 @@ TEST(OverloadIntegration, ShedRejectsCarryA200MsBackoff) {
     cfg.shed_backlog = Duration::ms(5.0);
     if (governed) cfg.governor = governor_cfg();  // 60 ms: TAU shed
     core::MmpNode mmp(tb.fabric(), cfg);
-    mmp.attach_lb(mlb.node);
+    mmp.attach_lb(mlb.node());
     mmp.cpu().consume(Duration::ms(60.0));
 
     proto::ClusterForward fwd;
     fwd.guti = proto::Guti{1, 1, 1, 42};
     fwd.inner = proto::box(proto::make_pdu(
         proto::InitialUeMessage{.nas = proto::NasTauRequest{fwd.guti, 1}}));
-    mmp.receive(mlb.node, proto::make_pdu(fwd));
+    mmp.receive(mlb.node(), proto::make_pdu(fwd));
     tb.run_for(Duration::ms(10.0));
     ASSERT_EQ(mlb.seen.size(), 1u);
     EXPECT_EQ(mlb.seen[0].level, governed ? 1 : 0);  // which path shed
@@ -291,7 +288,7 @@ TEST(OverloadIntegration, EdgeBackpressureSignalsA250MsWindow) {
                                    .backoff_us = 10'000'000};
   mlb.receive(hint.mmp_node, proto::pdu_of(proto::ClusterMessage{hint}));
   for (std::uint32_t tmsi = 1; tmsi <= 2; ++tmsi)
-    mlb.receive(enb.node, proto::make_pdu(proto::InitialUeMessage{
+    mlb.receive(enb.node(), proto::make_pdu(proto::InitialUeMessage{
         .nas = proto::NasServiceRequest{mlb.mme_code(), tmsi, 0}}));
   w.tb.run_for(Duration::ms(5.0));
   ASSERT_EQ(enb.seen.size(), 1u);

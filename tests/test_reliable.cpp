@@ -15,25 +15,14 @@ namespace scale {
 namespace {
 
 struct RelNode final : epc::Endpoint {
-  epc::Fabric& fabric;
-  sim::NodeId node;
   epc::ReliableChannel rel;
   std::vector<proto::Imsi> got;
 
-  bool alive = true;
-
-  explicit RelNode(epc::Fabric& f)
-      : fabric(f), node(f.add_endpoint(this)), rel(f, node) {}
-  ~RelNode() override {
-    if (alive) fabric.remove_endpoint(node);
-  }
+  explicit RelNode(epc::Fabric& f) : Endpoint(f), rel(f, node()) {}
   /// Crash semantics (cf. ScaleCluster::retired_): the endpoint leaves the
   /// fabric but the object survives — armed retransmit timers capture the
   /// channel and must find it alive when they fire.
-  void crash() {
-    fabric.remove_endpoint(node);
-    alive = false;
-  }
+  void crash() { leave(); }
 
   void receive(sim::NodeId from, const proto::Pdu& pdu) override {
     const proto::Pdu* app = rel.unwrap(from, pdu);
@@ -67,7 +56,7 @@ struct ReliableTest : ::testing::Test {
 TEST_F(ReliableTest, DisabledShimIsPassThrough) {
   RelNode a(fabric), b(fabric);
   ASSERT_FALSE(a.rel.enabled());
-  a.rel.send(b.node, ping(7));
+  a.rel.send(b.node(), ping(7));
   engine.run_until(Time::from_sec(1.0));
   ASSERT_EQ(b.got.size(), 1u);
   EXPECT_EQ(b.got[0], 7u);
@@ -79,7 +68,7 @@ TEST_F(ReliableTest, DisabledShimIsPassThrough) {
 TEST_F(ReliableTest, CleanPathDeliversOnceAndAcks) {
   enable_transport();
   RelNode a(fabric), b(fabric);
-  a.rel.send(b.node, ping(1));
+  a.rel.send(b.node(), ping(1));
   engine.run_until(Time::from_sec(1.0));
   ASSERT_EQ(b.got.size(), 1u);
   // Segment + ack; no retransmission on a clean link.
@@ -98,7 +87,7 @@ TEST_F(ReliableTest, DeliversEverythingThroughHeavyLoss) {
   const int kCount = 50;
   for (int i = 0; i < kCount; ++i) {
     engine.after(Duration::ms(static_cast<double>(i)),
-                 [&a, &b, i]() { a.rel.send(b.node, ping(100 + i)); });
+                 [&a, &b, i]() { a.rel.send(b.node(), ping(100 + i)); });
   }
   engine.run_until(Time::from_sec(120.0));
   ASSERT_EQ(b.got.size(), static_cast<std::size_t>(kCount))
@@ -117,7 +106,7 @@ TEST_F(ReliableTest, FaultDuplicatesAreSuppressed) {
   sim::LinkFaults f;
   f.dup_prob = 1.0;  // every PDU (segment AND ack) arrives twice
   net.set_global_faults(f);
-  for (int i = 0; i < 10; ++i) a.rel.send(b.node, ping(200 + i));
+  for (int i = 0; i < 10; ++i) a.rel.send(b.node(), ping(200 + i));
   engine.run_until(Time::from_sec(30.0));
   ASSERT_EQ(b.got.size(), 10u);
   EXPECT_GT(b.rel.duplicates_suppressed(), 0u);
@@ -126,8 +115,8 @@ TEST_F(ReliableTest, FaultDuplicatesAreSuppressed) {
 TEST_F(ReliableTest, RetransmitsAcrossLinkDownWindow) {
   enable_transport();
   RelNode a(fabric), b(fabric);
-  net.schedule_link_down(a.node, b.node, Time::zero(), Time::from_sec(1.0));
-  a.rel.send(b.node, ping(5));
+  net.schedule_link_down(a.node(), b.node(), Time::zero(), Time::from_sec(1.0));
+  a.rel.send(b.node(), ping(5));
   engine.run_until(Time::from_sec(30.0));
   ASSERT_EQ(b.got.size(), 1u);
   EXPECT_GE(a.rel.retransmits(), 1u);
@@ -139,9 +128,9 @@ TEST_F(ReliableTest, AbandonsAfterMaxRetransmits) {
   RelNode a(fabric), b(fabric);
   // Dead for far longer than the whole backoff budget
   // (250ms * 2^k capped at 4s, 8 retransmits ≈ 20s of trying).
-  net.schedule_link_down(a.node, b.node, Time::zero(),
+  net.schedule_link_down(a.node(), b.node(), Time::zero(),
                          Time::from_sec(1000.0));
-  a.rel.send(b.node, ping(6));
+  a.rel.send(b.node(), ping(6));
   engine.run_until(Time::from_sec(100.0));
   EXPECT_TRUE(b.got.empty());
   EXPECT_EQ(a.rel.abandoned(), 1u);
@@ -151,9 +140,9 @@ TEST_F(ReliableTest, AbandonsAfterMaxRetransmits) {
 TEST_F(ReliableTest, BackoffScheduleIsJitterlessAndCapped) {
   enable_transport();
   RelNode a(fabric), b(fabric);
-  net.schedule_link_down(a.node, b.node, Time::zero(),
+  net.schedule_link_down(a.node(), b.node(), Time::zero(),
                          Time::from_sec(1000.0));
-  a.rel.send(b.node, ping(9));
+  a.rel.send(b.node(), ping(9));
 
   // Defaults: 250 ms initial, ×2 backoff, capped at 4 s — the k-th
   // retransmit fires exactly at the prefix sum 250, 750, 1750, 3750, 7750,
@@ -190,8 +179,8 @@ TEST_F(ReliableTest, RetryHorizonMatchesBackoffSchedule) {
 TEST_F(ReliableTest, CrashedSenderStopsRetransmitting) {
   enable_transport();
   RelNode a(fabric), b(fabric);
-  net.schedule_link_down(a.node, b.node, Time::zero(), Time::from_sec(50.0));
-  a.rel.send(b.node, ping(8));
+  net.schedule_link_down(a.node(), b.node(), Time::zero(), Time::from_sec(50.0));
+  a.rel.send(b.node(), ping(8));
   engine.run_until(Time::from_sec(1.0));  // a few retransmits already burned
   const std::uint64_t before = a.rel.retransmits();
   a.crash();  // VM crash: the endpoint leaves the fabric
@@ -206,7 +195,7 @@ TEST_F(ReliableTest, CrashedSenderStopsRetransmitting) {
 TEST_F(ReliableTest, UnreliableSendBypassesShim) {
   enable_transport();
   RelNode a(fabric), b(fabric);
-  a.rel.send_unreliable(b.node, ping(4));
+  a.rel.send_unreliable(b.node(), ping(4));
   engine.run_until(Time::from_sec(1.0));
   ASSERT_EQ(b.got.size(), 1u);
   // Unwrapped on the wire: one message, no ack, nothing pending.
