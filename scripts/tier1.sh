@@ -55,27 +55,31 @@ build/tools/obs/bench_json_check --compare-capacity BENCH_core.json \
   build/BENCH_core_now.json
 
 # WholeRun leg (DESIGN.md §8): build the standalone wholerun/ benchmark
-# project into build-wholerun and run each workload once at its tuning seed.
-# Any digest that differs from wholerun/seeds.json, or any nonzero
-# check_failures, fails tier-1 — so "a speed-up changes no simulated output"
-# is a gate, not a manual check.
+# project into build-wholerun and run each workload once at its tuning seed
+# (1) and once at its held-out seed (90001). Any digest that differs from
+# wholerun/seeds.json, or any nonzero check_failures, fails tier-1 — so "a
+# speed-up changes no simulated output" is a gate, not a manual check.
 cmake -S wholerun -B build-wholerun -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-wholerun -j"${JOBS}"
 for w in iot_periodic geo_offload attach_churn; do
-  build-wholerun/wholerun --workload "${w}" --seed 1 | tail -n 1 \
-    > "build-wholerun/${w}.json"
+  for seed in 1 90001; do
+    build-wholerun/wholerun --workload "${w}" --seed "${seed}" | tail -n 1 \
+      > "build-wholerun/${w}.${seed}.json"
+  done
 done
 python3 - <<'PY'
 import json, sys
 want = json.load(open("wholerun/seeds.json"))["workloads"]
 bad = 0
 for w, seeds in want.items():
-    got = json.load(open(f"build-wholerun/{w}.json"))
-    ok = got["digest"] == seeds["1"]["digest"] and got["check_failures"] == 0
-    print(f"wholerun: {w}: digest {got['digest']} "
-          f"(want {seeds['1']['digest']}), check_failures "
-          f"{got['check_failures']}: {'OK' if ok else 'FAIL'}")
-    bad += not ok
+    for seed in ("1", "90001"):
+        got = json.load(open(f"build-wholerun/{w}.{seed}.json"))
+        ok = (got["digest"] == seeds[seed]["digest"]
+              and got["check_failures"] == 0)
+        print(f"wholerun: {w} seed {seed}: digest {got['digest']} "
+              f"(want {seeds[seed]['digest']}), check_failures "
+              f"{got['check_failures']}: {'OK' if ok else 'FAIL'}")
+        bad += not ok
 sys.exit(1 if bad else 0)
 PY
 

@@ -43,21 +43,29 @@ void Endpoint::leave() {
 }
 
 Fabric::Fabric(sim::Engine& engine, sim::Network& network)
-    : engine_(engine), network_(network) {}
+    : engine_(engine), network_(network) {
+  // Room for a typical world's endpoints in one allocation; slot 0 stays
+  // empty (NodeId 0 is never assigned).
+  endpoints_.reserve(64);
+  endpoints_.push_back(nullptr);
+}
 
 NodeId Fabric::add_endpoint(Endpoint* ep) {
   SCALE_CHECK(ep != nullptr);
-  const NodeId id = next_id_++;
-  endpoints_.emplace(id, ep);
+  const auto id = static_cast<NodeId>(endpoints_.size());
+  endpoints_.push_back(ep);
+  ++live_endpoints_;
   return id;
 }
 
 void Fabric::remove_endpoint(NodeId id) {
-  SCALE_CHECK_MSG(endpoints_.erase(id) == 1, "removing unknown endpoint");
+  SCALE_CHECK_MSG(is_registered(id), "removing unknown endpoint");
+  endpoints_[id] = nullptr;
+  --live_endpoints_;
 }
 
 bool Fabric::is_registered(NodeId id) const {
-  return endpoints_.count(id) > 0;
+  return id < endpoints_.size() && endpoints_[id] != nullptr;
 }
 
 void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
@@ -141,8 +149,8 @@ void Fabric::drain_batch(NodeId to, DeliveryBatch* b) {
     // Per-item lookup, not hoisted: a receive() may deregister this very
     // endpoint (crash mid-batch), and the remaining items must then drop
     // exactly as individually scheduled deliveries would have.
-    const auto it = endpoints_.find(to);
-    if (it == endpoints_.end()) {
+    Endpoint* ep = to < endpoints_.size() ? endpoints_[to] : nullptr;
+    if (ep == nullptr) {
       ++dropped_;
       SCALE_DEBUG("dropped " << proto::pdu_name(p->value)
                              << " to departed node " << to);
@@ -154,7 +162,7 @@ void Fabric::drain_batch(NodeId to, DeliveryBatch* b) {
       }
       continue;
     }
-    it->second->receive(from, p->value);
+    ep->receive(from, p->value);
   }
   if (b->items.size() > 1) engine_.credit_batched(b->items.size() - 1);
   b->items.clear();
@@ -172,7 +180,7 @@ void Fabric::export_metrics(obs::MetricsRegistry& reg,
   reg.set_counter(prefix + ".late_arrivals", late_arrivals());
   reg.set_counter(prefix + ".delivery_batches", batches_);
   reg.set_counter(prefix + ".batched_pdus", batched_pdus_);
-  reg.set(prefix + ".endpoints", static_cast<double>(endpoints_.size()));
+  reg.set(prefix + ".endpoints", static_cast<double>(live_endpoints_));
 }
 
 }  // namespace scale::epc

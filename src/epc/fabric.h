@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -150,8 +149,11 @@ class Fabric {
 
   sim::Engine& engine_;
   sim::Network& network_;
-  std::unordered_map<NodeId, Endpoint*> endpoints_;
-  NodeId next_id_ = 1;
+  /// Registered endpoints indexed by NodeId; nullptr for id 0 (never
+  /// assigned) and for ids that left. Ids are never reused, so the table
+  /// grows by one slot per endpoint ever built.
+  std::vector<Endpoint*> endpoints_;
+  std::size_t live_endpoints_ = 0;
   std::uint64_t dropped_ = 0;
   TransportConfig transport_;
 

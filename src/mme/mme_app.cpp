@@ -7,8 +7,9 @@ namespace scale::mme {
 using proto::ProcedureType;
 
 MmeApp::MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg,
-               Host& host)
-    : engine_(engine), cpu_(cpu), cfg_(cfg), host_(host) {}
+               Host& host, NodeId hop_ref, NodeId sgw_node)
+    : engine_(engine), cpu_(cpu), cfg_(cfg), hop_ref_(hop_ref),
+      sgw_node_(sgw_node), host_(host) {}
 
 proto::Guti MmeApp::allocate_guti() {
   return guti_from_s_tmsi(cfg_.mme_code, next_tmsi_++);
@@ -109,7 +110,7 @@ void MmeApp::start_attach(NodeId enb, const proto::InitialUeMessage& msg,
     rec.guti = guti;
     rec.tac = msg.tac;
     rec.home_dc = cfg_.home_dc;
-    rec.sgw_node = cfg_.sgw_node;
+    rec.sgw_node = sgw_node_;
     rec.state_bytes = cfg_.default_state_bytes;
     // Neutral access-probability prior for a brand-new device; the epoch
     // EWMA refines it (§4.5: "SCALE keeps track of the average access
@@ -152,7 +153,7 @@ void MmeApp::attach_request_auth(std::uint64_t key) {
   }
   proto::AuthInfoRequest req;
   req.imsi = ctx->rec.imsi;
-  req.hop_ref = cfg_.hop_ref;
+  req.hop_ref = hop_ref_;
   host_.to_hss(proto::S6Message{req});
 }
 
@@ -251,7 +252,7 @@ void MmeApp::attach_create_session(std::uint64_t key) {
   proto::UpdateLocationRequest ulr;
   ulr.imsi = ctx->rec.imsi;
   ulr.mme_id = cfg_.vm_code;
-  ulr.hop_ref = cfg_.hop_ref;
+  ulr.hop_ref = hop_ref_;
   host_.to_hss(proto::S6Message{ulr});
 
   ctx->rec.mme_teid = next_teid();

@@ -84,11 +84,7 @@ class MmeApp {
     /// Classic MMEs assign GUTIs themselves; SCALE MMPs receive them from
     /// the MLB (ClusterForward.guti).
     bool assign_guti_locally = true;
-    /// Echo tag for S6 answers (Diameter hop-by-hop id); hosts set this to
-    /// their NodeId so proxies can route answers back statelessly.
-    std::uint32_t hop_ref = 0;
     std::uint32_t home_dc = 0;
-    std::uint32_t sgw_node = 0;  ///< recorded into contexts for geo routing
     std::uint32_t default_state_bytes = 2048;
     /// When false the inactivity timer never fires (workloads that manage
     /// Idle transitions explicitly).
@@ -105,8 +101,12 @@ class MmeApp {
     std::uint64_t idle_transitions = 0;
   };
 
-  /// `host` must outlive the app.
-  MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg, Host& host);
+  /// `host` must outlive the app. `hop_ref` is the echo tag for S6 answers
+  /// (Diameter hop-by-hop id): hosts pass their NodeId so proxies can route
+  /// answers back statelessly. `sgw_node` is the S-GW recorded into new
+  /// contexts for geo routing.
+  MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg, Host& host,
+         NodeId hop_ref, NodeId sgw_node);
 
   UeContextStore& store() { return store_; }
   const UeContextStore& store() const { return store_; }
@@ -196,6 +196,8 @@ class MmeApp {
   sim::Engine& engine_;
   sim::CpuModel& cpu_;
   Config cfg_;
+  NodeId hop_ref_;
+  NodeId sgw_node_;
   Host& host_;
   UeContextStore store_;
   std::unordered_map<std::uint64_t, Txn> txns_;

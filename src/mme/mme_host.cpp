@@ -11,14 +11,7 @@ MmeHost::MmeHost(epc::Fabric& fabric, const Config& cfg,
     : Endpoint(fabric), rel_(fabric, node()),
       cpu_(fabric.engine(), cfg.cpu_speed),
       util_(fabric.engine(), cpu_, util_sample_interval),
-      app_(fabric.engine(), cpu_,
-           [&] {
-             MmeApp::Config app = cfg.app;
-             app.hop_ref = node();
-             app.sgw_node = cfg.sgw;
-             return app;
-           }(),
-           *this) {}
+      app_(fabric.engine(), cpu_, cfg.app, *this, node(), cfg.sgw) {}
 
 std::vector<NodeId> MmeHost::paging_enbs(proto::Tac tac) const {
   std::vector<NodeId> out;

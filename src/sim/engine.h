@@ -7,26 +7,39 @@
 //
 // The hot path is allocation-free (DESIGN.md §8): events live in a
 // slab-allocated slot pool threaded with a free list, their callbacks in
-// InlineAction's 40-byte inline storage. The ready queue has two tiers of
-// 16-byte (time, seq|slot) entries, each an implicit 4-ary min-heap —
-// shallower and more cache-friendly than a binary heap, with no per-node
-// pointers. The *near* heap holds every deadline before a moving horizon
-// (~65 ms past the earliest pending event when it was last refilled) and is
-// the only tier events fire from; the *far* heap holds everything later and
-// refills the near heap, in order, whenever the near heap runs dry. Most
-// events (message hops, CPU completions) never leave the small near heap;
-// only long timers pay the big heap's cache misses, once each.
+// InlineAction's 40-byte inline storage. The ready queue is an exact
+// hierarchical timing wheel (Varghese & Lauck, SOSP '87) with three levels:
+//
+//   * the *fine* level: 2^16 buckets of 1 µs covering the current window
+//     [cur·2^16, (cur+1)·2^16) µs — the only level events fire from;
+//   * the *ring*: 1024 coarse slots of 2^16 µs (~65.5 ms) covering the next
+//     1024 windows (~67 s), each emptied into the fine level when the clock
+//     reaches it;
+//   * the *overflow* heap: a 4-ary (time, seq) heap for anything later
+//     (Time::max(), timers past the ring), pulled into the ring as the
+//     windows it covers come into range.
+//
+// Every bucket and ring slot is a FIFO chain threaded through the slot pool
+// itself (circular, doubly linked: two indices per slot), so the queue owns
+// no per-bucket storage and pop is three count-trailing-zeros bitmap scans
+// plus one unlink. FIFO order within a 1 µs bucket equals seq order: a
+// direct schedule appends in seq order, and every move down a level (ring
+// slot → fine buckets, overflow → ring) runs in FIFO or (time, seq) order
+// before any later schedule can append to the slots it exposes.
 //
 // Cancellation is O(1) via generation-tagged EventIds: the handle packs
 // (generation, slot), a slot's generation bumps on every release, so a stale
 // handle can never touch a recycled slot (and cancel() after the event fired
-// reports false). A cancelled entry stays queued until it is popped, moved
-// from the far to the near tier (where it is dropped), or swept by an O(n)
-// rebuild of both tiers once cancelled entries outnumber live ones — so a
-// cancelled 30 s guard timer leaves the queue long before its deadline.
+// reports false). A cancelled wheel entry is unlinked on the spot and its
+// slot reused at once; a cancelled overflow entry stays queued until the
+// heap pops it or a sweep (once cancelled entries outnumber live ones there)
+// removes it.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,10 +63,7 @@ class Engine {
  public:
   using Action = InlineAction;
 
-  Engine() {
-    pool_.reserve(kInitialCapacity);
-    near_.reserve(kInitialCapacity);
-  }
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -76,14 +86,17 @@ class Engine {
       s.action = std::forward<F>(fn);
     else
       s.action.emplace(std::forward<F>(fn));
-    s.seq = seq;
     const EventId id = make_id(s.generation, slot);
     ++live_;
-    const HeapEntry e{t.count_us(), (seq << kSlotBits) | slot};
-    if (e.at_us < horizon_us_)
-      heap_push(near_, e);
+    // cur_ <= now_ >> kFineBits always holds, so the window distance is >= 0.
+    const std::int64_t at_us = t.count_us();
+    const std::int64_t d = (at_us >> kFineBits) - cur_;
+    if (d == 0)
+      fine_push(slot, at_us & kFineMask);
+    else if (d <= kRingSlots)
+      ring_push(slot, at_us);
     else
-      push_far(e);
+      push_overflow(slot, at_us, seq);
     return id;
   }
 
@@ -124,29 +137,42 @@ class Engine {
 
  private:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-  /// seq value a released slot is poisoned with; never equals a real seq,
-  /// so one compare answers "is this heap entry still live?".
-  static constexpr std::uint64_t kFreeSeq = UINT64_MAX;
 
-  /// Pooled event state, exactly one cacheline (48 + 8 + 4 + 4). A heap
-  /// entry is live iff its slot still holds the same seq — release poisons
-  /// seq and bumps the generation, so stale heap entries and stale EventIds
-  /// each fail their single compare. No separate `armed` flag needed: the
-  /// generation only matches an EventId while that exact event is armed.
+  /// Fine level: 2^kFineBits buckets of 1 µs; one window is one ring slot.
+  static constexpr int kFineBits = 16;
+  static constexpr std::int64_t kFineSlots = std::int64_t{1} << kFineBits;
+  static constexpr std::int64_t kFineMask = kFineSlots - 1;
+  /// Ring: the kRingSlots windows after the current one.
+  static constexpr std::int64_t kRingSlots = 1024;
+  static constexpr std::int64_t kRingMask = kRingSlots - 1;
+
+  /// Slot::where of a queued event: a fine bucket index (< kInRing), a ring
+  /// slot (kInRing | ring index << kFineBits | fine offset — the offset is
+  /// the bucket it drops into when its window opens), or one of the two
+  /// overflow tags.
+  static constexpr std::uint32_t kInRing = 1u << 30;
+  static constexpr std::uint32_t kInOverflow = 0xFFFF'FFFEu;
+  /// Cancelled but still referenced by an overflow heap entry: the slot
+  /// rejoins the free list when that entry is popped or swept.
+  static constexpr std::uint32_t kCancelledInOverflow = 0xFFFF'FFFFu;
+
+  /// Pooled event state, exactly one cacheline (48 + 4 × 4). While queued,
+  /// next/prev link the slot into its bucket's chain; while free, next links
+  /// the free list. The generation only matches an EventId while that exact
+  /// event is armed, so no separate `armed` flag is needed.
   struct Slot {
     InlineAction action;
-    std::uint64_t seq = kFreeSeq;
+    std::uint32_t next = kNoSlot;
+    std::uint32_t prev = kNoSlot;
     std::uint32_t generation = 1;  ///< bumped on release; part of EventId
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t where = 0;       ///< queue position, see kInRing
   };
   static_assert(sizeof(Slot) == 64, "Slot should stay one cacheline");
 
-  /// Heap entries pack to 16 bytes so all four children of a 4-ary node
-  /// share one cacheline and the sift loops move half the data. seq and
-  /// slot share a word: slot in the low 24 bits (≤ 16.7M concurrent
-  /// events, checked in acquire_slot), seq in the high 40 (≥ 10^12 events
-  /// per engine, checked in at()). seq is unique, so ordering by the packed
-  /// word equals ordering by seq — slot bits never influence the order.
+  /// Overflow heap entries pack to 16 bytes: slot in the low 24 bits
+  /// (≤ 16.7M concurrent events, checked in acquire_slot), seq in the high
+  /// 40 (≥ 10^12 events per engine, checked in at()). seq is unique, so
+  /// ordering by the packed word equals ordering by seq.
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ull << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
@@ -154,10 +180,21 @@ class Engine {
   struct HeapEntry {
     std::int64_t at_us;      ///< Time::count_us of the deadline
     std::uint64_t seq_slot;  ///< (seq << kSlotBits) | pool index
-    std::uint64_t seq() const { return seq_slot >> kSlotBits; }
     std::uint32_t slot() const {
       return static_cast<std::uint32_t>(seq_slot & (kMaxSlots - 1));
     }
+  };
+
+  /// Bucket heads and occupancy bitmaps of the fine level and the ring, in
+  /// one block. A head is read only while its bitmap bit is set, so the
+  /// head arrays are never initialised (and their pages never touched
+  /// before a bucket is used).
+  struct Wheel {
+    std::array<std::uint32_t, kFineSlots> fine_head;
+    std::array<std::uint64_t, kFineSlots / 64> fine_bits;
+    std::array<std::uint64_t, kFineSlots / 64 / 64> fine_mid;
+    std::array<std::uint32_t, kRingSlots> ring_head;
+    std::array<std::uint64_t, kRingSlots / 64> ring_bits;
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -170,37 +207,15 @@ class Engine {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
-  /// Fires at equal `at` resolve by schedule order — the exact total order
-  /// of the old priority_queue comparator (seq is unique). Written with
-  /// bitwise ops so the sift loops compile to cmovs instead of branches:
-  /// child-vs-child time comparisons are coin flips the predictor loses.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    return (a.at_us < b.at_us) |
-           ((a.at_us == b.at_us) & (a.seq_slot < b.seq_slot));
-  }
-
-  /// c ? a : b as mask arithmetic. The ternary spelling leaves the choice to
-  /// the compiler, which (measured, gcc -O2) emits compare-and-branch inside
-  /// the sift loop — exactly the unpredictable branch earlier() exists to
-  /// avoid. Masks force branch-free selection.
-  static HeapEntry blend(bool c, const HeapEntry& a, const HeapEntry& b) {
-    const std::uint64_t m = 0ull - static_cast<std::uint64_t>(c);
-    HeapEntry r;
-    r.at_us = static_cast<std::int64_t>(
-        (static_cast<std::uint64_t>(a.at_us) & m) |
-        (static_cast<std::uint64_t>(b.at_us) & ~m));
-    r.seq_slot = (a.seq_slot & m) | (b.seq_slot & ~m);
-    return r;
-  }
-  static std::size_t iblend(bool c, std::size_t a, std::size_t b) {
-    const std::size_t m = 0ull - static_cast<std::size_t>(c);
-    return (a & m) | (b & ~m);
-  }
+  /// The slot pool and the overflow heap (on first use) start with room
+  /// for this many events: one up-front allocation replaces the doubling
+  /// ladder a default-constructed vector climbs.
+  static constexpr std::size_t kInitialCapacity = 512;
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
       const std::uint32_t slot = free_head_;
-      free_head_ = pool_[slot].next_free;
+      free_head_ = pool_[slot].next;
       return slot;
     }
     SCALE_CHECK_MSG(pool_.size() < kMaxSlots, "event pool exhausted");
@@ -208,149 +223,149 @@ class Engine {
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
 
-  void release_slot(std::uint32_t slot) {
-    Slot& s = pool_[slot];
-    s.action.reset();
-    s.seq = kFreeSeq;   // stale heap entries now fail their liveness compare
-    ++s.generation;     // stale EventIds now fail cancel()'s compare
-    s.next_free = free_head_;
-    free_head_ = slot;
+  /// The event in `slot` is no longer armed (its action was moved out):
+  /// stale EventIds now fail cancel()'s compare.
+  void retire(std::uint32_t slot) {
+    ++pool_[slot].generation;
     --live_;
   }
 
-  using Heap = std::vector<HeapEntry>;
-
-  /// Width of the near tier: a refill moves every far entry due within this
-  /// span of the earliest one. Long enough that message hops and CPU
-  /// completions scheduled inside it stay near; short enough that the near
-  /// heap stays small next to the population's long timers.
-  static constexpr std::int64_t kNearSpanUs = std::int64_t{1} << 16;
-
-  /// The slot pool and each tier start with room for this many events
-  /// (32 KiB of slots, 8 KiB per tier; the far tier on first use): the near
-  /// heap routinely holds a few hundred entries, so one up-front allocation
-  /// per vector replaces the doubling ladder a default-constructed vector
-  /// climbs.
-  static constexpr std::size_t kInitialCapacity = 512;
-
-  bool is_live(const HeapEntry& e) const {
-    return pool_[e.slot()].seq == e.seq();
+  void free_slot(std::uint32_t slot) {
+    pool_[slot].next = free_head_;
+    free_head_ = slot;
   }
 
-  // Both sifts move the displaced entry through a "hole" and write it once
-  // at its final position — half the copies of swap-based sifting.
-  static void heap_push(Heap& heap, HeapEntry e) {
-    std::size_t i = heap.size();
-    heap.push_back(e);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!earlier(e, heap[parent])) break;
-      heap[i] = heap[parent];
-      i = parent;
+  /// Append `x` to the chain at `head` (circular: the head's prev is the
+  /// tail); `empty` says the chain has no entries yet.
+  void chain_append(std::uint32_t& head, bool empty, std::uint32_t x) {
+    Slot& n = pool_[x];
+    if (empty) {
+      n.next = n.prev = x;
+      head = x;
+      return;
     }
-    heap[i] = e;
+    Slot& h = pool_[head];
+    const std::uint32_t tail = h.prev;
+    n.prev = tail;
+    n.next = head;
+    pool_[tail].next = x;
+    h.prev = x;
   }
 
-  /// Bottom-up (Wegener) deletion: sink the hole to a leaf taking the min
-  /// child unconditionally — no displaced-entry compare per level, which
-  /// would be a coin-flip branch — then bubble the ex-leaf entry up (it
-  /// nearly always belongs back near the bottom, so that loop exits after
-  /// one predictable compare). Full nodes pick their min with a branchless
-  /// blend tree of independent loads; the tail node (at most one per pop)
-  /// falls back to the scalar loop.
-  static void heap_pop_top(Heap& heap) {
-    const HeapEntry e = heap.back();
-    heap.pop_back();
-    const std::size_t n = heap.size();
-    if (n == 0) return;
-    HeapEntry* h = heap.data();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first + 4 <= n) {
-        const HeapEntry e0 = h[first];
-        const HeapEntry e1 = h[first + 1];
-        const HeapEntry e2 = h[first + 2];
-        const HeapEntry e3 = h[first + 3];
-        const bool b01 = earlier(e1, e0);
-        const bool b23 = earlier(e3, e2);
-        const HeapEntry m01 = blend(b01, e1, e0);
-        const HeapEntry m23 = blend(b23, e3, e2);
-        const bool bb = earlier(m23, m01);
-        h[i] = blend(bb, m23, m01);
-        i = iblend(bb, first + 2 + static_cast<std::size_t>(b23),
-                   first + static_cast<std::size_t>(b01));
-        continue;
-      }
-      if (first >= n) break;
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (earlier(h[c], h[best])) best = c;
-      }
-      h[i] = h[best];
-      i = best;
-    }
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!earlier(e, h[parent])) break;
-      h[i] = h[parent];
-      i = parent;
-    }
-    h[i] = e;
+  /// Unlink `x` from the chain at `head`; true if the chain is now empty.
+  bool chain_unlink(std::uint32_t& head, std::uint32_t x) {
+    const Slot& n = pool_[x];
+    if (n.next == x) return true;
+    pool_[n.prev].next = n.next;
+    pool_[n.next].prev = n.prev;
+    if (head == x) head = n.next;
+    return false;
   }
 
-  /// Make near_[0] the earliest live event: pop cancelled tops and refill
-  /// the near tier from the far one when it runs dry. False when nothing
-  /// live remains. Fires nothing.
-  bool settle() {
-    for (;;) {
-      if (near_.empty()) {
-        if (far_.empty()) return false;
-        refill_near();
-        continue;
-      }
-      // stale_ counts cancelled entries still queued; when it is zero the
-      // top is live by construction and the random pool load for the
-      // liveness compare is skipped entirely.
-      if (stale_ == 0 || is_live(near_[0])) return true;
-      heap_pop_top(near_);
-      --stale_;
-    }
+  void fine_push(std::uint32_t x, std::int64_t b) {
+    Wheel& w = *wheel_;
+    pool_[x].where = static_cast<std::uint32_t>(b);
+    std::uint64_t& word = w.fine_bits[static_cast<std::size_t>(b >> 6)];
+    const std::uint64_t bit = 1ull << (b & 63);
+    chain_append(w.fine_head[static_cast<std::size_t>(b)], (word & bit) == 0,
+                 x);
+    word |= bit;
+    w.fine_mid[static_cast<std::size_t>(b >> 12)] |= 1ull << ((b >> 6) & 63);
+    fine_top_ |= 1ull << (b >> 12);
   }
 
-  /// Fire the near heap's top entry (must be live). Detaches the callback
-  /// and frees the slot before invoking it, so the callback can freely
-  /// schedule into (and grow) the pool and the queue.
-  void fire_top() {
-    const HeapEntry top = near_[0];
-    SCALE_CHECK(top.at_us >= now_.count_us());
-    now_ = Time::from_us(top.at_us);
-    const std::uint32_t slot = top.slot();
-    InlineAction action = std::move(pool_[slot].action);
-    release_slot(slot);
-    heap_pop_top(near_);
+  void fine_unlink(std::uint32_t x, std::int64_t b) {
+    Wheel& w = *wheel_;
+    if (!chain_unlink(w.fine_head[static_cast<std::size_t>(b)], x)) return;
+    std::uint64_t& word = w.fine_bits[static_cast<std::size_t>(b >> 6)];
+    word &= ~(1ull << (b & 63));
+    if (word != 0) return;
+    std::uint64_t& mid = w.fine_mid[static_cast<std::size_t>(b >> 12)];
+    mid &= ~(1ull << ((b >> 6) & 63));
+    if (mid == 0) fine_top_ &= ~(1ull << (b >> 12));
+  }
+
+  /// Index of the earliest non-empty fine bucket (fine_top_ != 0).
+  std::int64_t fine_first() const {
+    const Wheel& w = *wheel_;
+    const int top = std::countr_zero(fine_top_);
+    const std::int64_t mid =
+        top * 64 + std::countr_zero(w.fine_mid[static_cast<std::size_t>(top)]);
+    return mid * 64 +
+           std::countr_zero(w.fine_bits[static_cast<std::size_t>(mid)]);
+  }
+
+  void ring_push(std::uint32_t x, std::int64_t at_us) {
+    Wheel& w = *wheel_;
+    const std::int64_t i = (at_us >> kFineBits) & kRingMask;
+    pool_[x].where = kInRing | static_cast<std::uint32_t>(
+                                   (i << kFineBits) | (at_us & kFineMask));
+    std::uint64_t& word = w.ring_bits[static_cast<std::size_t>(i >> 6)];
+    const std::uint64_t bit = 1ull << (i & 63);
+    chain_append(w.ring_head[static_cast<std::size_t>(i)], (word & bit) == 0,
+                 x);
+    word |= bit;
+    ring_top_ |= 1ull << (i >> 6);
+  }
+
+  /// Ring slot `i` is now empty.
+  void ring_clear(std::size_t i) {
+    std::uint64_t& word = wheel_->ring_bits[i >> 6];
+    word &= ~(1ull << (i & 63));
+    if (word == 0) ring_top_ &= ~(1ull << (i >> 6));
+  }
+
+  /// Earliest live event's fine bucket if its deadline is <= limit_us, else
+  /// -1. Opens ring slots (and pulls overflow entries) only for windows
+  /// that start at or before limit_us, so the current window never starts
+  /// after the clock run_until parks at. Fires nothing.
+  std::int64_t next_due(std::int64_t limit_us) {
+    while (fine_top_ == 0) {
+      const std::int64_t k = next_window();
+      if (k < 0 || (k << kFineBits) > limit_us) return -1;
+      open_window(k);
+    }
+    const std::int64_t b = fine_first();
+    return base_us_ + b <= limit_us ? b : -1;
+  }
+
+  /// Fire the head of fine bucket `b`. Detaches the callback and frees the
+  /// slot before invoking it, so the callback can freely schedule into (and
+  /// grow) the pool and the queue.
+  void fire(std::int64_t b) {
+    now_ = Time::from_us(base_us_ + b);
+    const std::uint32_t x = wheel_->fine_head[static_cast<std::size_t>(b)];
+    fine_unlink(x, b);
+    InlineAction action = std::move(pool_[x].action);
+    retire(x);
+    free_slot(x);
     ++processed_;
     action();
   }
 
-  void push_far(HeapEntry e);
-  void refill_near();
-  void compact();
+  std::int64_t next_window();
+  void open_window(std::int64_t k);
+  void push_overflow(std::uint32_t slot, std::int64_t at_us, std::uint64_t seq);
+  void pop_overflow();
+  void sweep_overflow();
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t live_ = 0;   ///< armed (scheduled, not fired/cancelled) events
-  std::uint64_t stale_ = 0;  ///< cancelled entries still queued (either tier)
+  std::uint64_t stale_ = 0;  ///< cancelled entries still in the overflow heap
   std::vector<Slot> pool_;
   std::uint32_t free_head_ = kNoSlot;
-  /// Tier boundary: near_ holds exactly the entries with at_us below it,
-  /// far_ the rest, so near_'s top is the global minimum whenever near_ is
-  /// non-empty. Moves only while near_ is empty: on a refill, or when a
-  /// schedule lands in an empty queue.
-  std::int64_t horizon_us_ = kNearSpanUs;
-  Heap near_;  ///< implicit 4-ary min-heap, deadlines < horizon_us_
-  Heap far_;   ///< implicit 4-ary min-heap, deadlines >= horizon_us_
+  /// The current window: the fine level holds deadlines in
+  /// [base_us_, base_us_ + kFineSlots), base_us_ == cur_ << kFineBits, and
+  /// the ring the windows cur_ + 1 .. cur_ + kRingSlots.
+  std::int64_t cur_ = 0;
+  std::int64_t base_us_ = 0;
+  std::uint64_t fine_top_ = 0;  ///< bit i: Wheel::fine_mid[i] != 0
+  std::uint64_t ring_top_ = 0;  ///< bit i: Wheel::ring_bits[i] != 0
+  std::unique_ptr<Wheel> wheel_;
+  /// Implicit 4-ary (time, seq) min-heap of deadlines past the ring.
+  std::vector<HeapEntry> overflow_;
 };
 
 }  // namespace scale::sim

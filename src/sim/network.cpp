@@ -25,6 +25,9 @@ namespace {
 constexpr std::uint64_t kFaultSeedSalt = 0xFA517EDB17E5ull;
 // DC ids index a dense matrix; anything this large is a config bug.
 constexpr std::uint32_t kMaxDcId = 4096;
+// Node ids index dense per-node tables. Fabric numbers endpoints from 1, so
+// an id this large is a corrupt id, not a world with that many nodes.
+constexpr NodeId kMaxNodeId = NodeId{1} << 20;
 }  // namespace
 
 Network::Network(Duration default_latency, std::uint64_t jitter_seed)
@@ -45,13 +48,16 @@ void Network::set_jitter(double fraction) {
 
 void Network::set_node_dc(NodeId node, std::uint32_t dc) {
   SCALE_CHECK(dc < kMaxDcId);
+  if (node >= node_dc_.size()) {
+    SCALE_CHECK(node < kMaxNodeId);
+    node_dc_.resize(std::size_t{node} + 1, 0);
+  }
   node_dc_[node] = dc;
   grow_dc_matrix(dc + 1);
 }
 
 std::uint32_t Network::dc_of(NodeId node) const {
-  const auto it = node_dc_.find(node);
-  return it == node_dc_.end() ? 0 : it->second;
+  return node < node_dc_.size() ? node_dc_[node] : 0;
 }
 
 void Network::grow_dc_matrix(std::uint32_t need_dim) {
@@ -100,20 +106,31 @@ Duration Network::delay(NodeId a, NodeId b) {
 }
 
 void Network::record_transfer(NodeId a, NodeId b, std::size_t bytes) {
+  if (a >= pair_messages_.size()) {
+    SCALE_CHECK(a < kMaxNodeId);
+    pair_messages_.resize(std::size_t{a} + 1);
+  }
+  std::vector<std::uint64_t>& row = pair_messages_[a];
+  if (b >= row.size()) {
+    SCALE_CHECK(b < kMaxNodeId);
+    row.resize(std::size_t{b} + 1, 0);
+  }
+  ++row[b];
   ++messages_;
   bytes_ += bytes;
-  ++pair_messages_[pair_key(a, b)];
 }
 
 std::uint64_t Network::messages_between(NodeId a, NodeId b) const {
-  const auto it = pair_messages_.find(pair_key(a, b));
-  return it == pair_messages_.end() ? 0 : it->second;
+  if (a >= pair_messages_.size()) return 0;
+  const std::vector<std::uint64_t>& row = pair_messages_[a];
+  return b < row.size() ? row[b] : 0;
 }
 
 void Network::reset_counters() {
   messages_ = 0;
   bytes_ = 0;
-  pair_messages_.clear();
+  for (std::vector<std::uint64_t>& row : pair_messages_)
+    std::fill(row.begin(), row.end(), 0);
   faults_.reset();
 }
 

@@ -167,7 +167,8 @@ class Network {
   Duration default_latency_;
   double jitter_ = 0.0;
   std::unordered_map<std::uint64_t, Duration> latency_;
-  std::unordered_map<NodeId, std::uint32_t> node_dc_;
+  /// DC of each node, indexed by NodeId; ids past the end are in DC 0.
+  std::vector<std::uint32_t> node_dc_;
 
   /// DC latency matrix, dense row-major [a * dc_dim_ + b] in microseconds
   /// (kDcUnset = no entry). Sized to the highest DC id seen in
@@ -181,7 +182,11 @@ class Network {
   Rng fault_rng_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> pair_messages_;
+  /// Messages sent a -> b at [a][b]. Node ids are dense (Fabric numbers
+  /// endpoints from 1), so a row per sender, grown to the largest receiver
+  /// it has sent to, turns the per-PDU count into two bounds checks and an
+  /// increment.
+  std::vector<std::vector<std::uint64_t>> pair_messages_;
   FaultCounters faults_;
 
   // FaultPlane specs and scripted windows.

@@ -240,15 +240,17 @@ TEST(Engine, HeapOrderingMatchesReferenceComparator) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential checks of the two-tier queue against a reference model: an
+// Differential checks of the timing wheel against a reference model: an
 // ordered set of (at_us, seq) keys, i.e. exactly the total order the engine
 // promises. Every fired callback asserts it is the model's minimum, so any
-// misordering across the near/far boundary, a lost or resurrected cancel, or
-// a wrong clock shows up at the first event it affects.
+// misordering across a level boundary, a lost or resurrected cancel, or a
+// wrong clock shows up at the first event it affects.
 
-/// Delay classes relative to the near tier's span (2^16 us): same
-/// microsecond, a hop, around the horizon, and far-future timers.
+/// One fine-level window (2^16 buckets of 1 us), which is also one ring slot.
 constexpr std::int64_t kSpan = std::int64_t{1} << 16;
+/// Ring slots: windows past cur + kRing go to the overflow heap.
+constexpr std::int64_t kRing = 1024;
+constexpr auto kRingU = static_cast<std::uint64_t>(kRing);
 
 class EngineModel {
  public:
@@ -262,14 +264,32 @@ class EngineModel {
   }
   std::uint64_t below(std::uint64_t n) { return next() % n; }
 
+  /// Delay classes: same microsecond, a hop, about one window, a few
+  /// windows, far-future timers, and three that land within 2 us of a
+  /// window start — the next few (fine → ring edge), the ring's last slots,
+  /// its wrap and the first overflow windows, and anywhere over three ring
+  /// laps (overflow entries that re-enter the ring on a later lap).
   std::int64_t random_delay() {
-    switch (below(5)) {
+    switch (below(8)) {
       case 0: return 0;
       case 1: return 1 + static_cast<std::int64_t>(below(1000));
       case 2: return kSpan - 500 + static_cast<std::int64_t>(below(1000));
       case 3: return static_cast<std::int64_t>(below(3 * kSpan));
-      default: return 3 * kSpan + static_cast<std::int64_t>(below(30'000'000));
+      case 4: return 3 * kSpan + static_cast<std::int64_t>(below(30'000'000));
+      case 5: return to_window_edge(1 + below(3));
+      case 6: return to_window_edge(kRingU - 2 + below(5));
+      default: return to_window_edge(below(3 * kRingU));
     }
+  }
+
+  /// Delay to within 2 us of the start of the window `windows` after the
+  /// clock's own (never negative).
+  std::int64_t to_window_edge(std::uint64_t windows) {
+    const std::int64_t now = eng.now().count_us();
+    const std::int64_t edge =
+        ((now / kSpan) + static_cast<std::int64_t>(windows)) * kSpan;
+    return std::max<std::int64_t>(
+        0, edge - now - 2 + static_cast<std::int64_t>(below(5)));
   }
 
   /// Schedule at now + delay, or — one time in four — exactly at (or one
@@ -538,6 +558,199 @@ TEST(EngineTest, StaleIdsNeverCancelAcrossTiers) {
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(eng.cancel(far_id));
   EXPECT_FALSE(eng.cancel(near_id));
+}
+
+// ---------------------------------------------------------------------------
+// Timing-wheel edges: window openings, level migrations and the clock.
+
+TEST(EngineTest, RandomizedDifferentialAcrossRingLaps) {
+  // run_until steps of up to two ring laps, so windows open after long
+  // idle stretches, overflow entries re-enter the ring on every lap, and
+  // schedules land on slots the previous lap used.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EngineModel m(seed * 0xA0761D6478BD642Full);
+    for (int step = 0; step < 800; ++step) {
+      switch (m.below(6)) {
+        case 0:
+        case 1:
+          for (std::uint64_t k = 1 + m.below(6); k > 0; --k) m.schedule();
+          break;
+        case 2:
+          m.cancel_random();
+          break;
+        case 3:
+          m.run_until(m.eng.now() +
+                      Duration::us(static_cast<std::int64_t>(
+                          m.below(2 * kRingU * static_cast<std::uint64_t>(kSpan)))));
+          break;
+        case 4:
+          m.run(1 + m.below(8));
+          break;
+        default:
+          m.check_idle_state();
+          break;
+      }
+      if (HasFailure()) return;
+    }
+    m.run(UINT64_MAX);
+    m.check_idle_state();
+    EXPECT_EQ(m.pending(), 0u);
+  }
+}
+
+TEST(EngineTest, ScheduleBeforeTheFirstQueuedEventOfAnEmptyQueue) {
+  // World setup arms far timers first and earlier work after them; the
+  // wheel must not anchor on the first event it is given.
+  for (const std::int64_t first : {std::int64_t{40'000'000},
+                                   (kRing + 3) * kSpan + 5, std::int64_t{70}}) {
+    SCOPED_TRACE("first at " + std::to_string(first));
+    Engine eng;
+    std::vector<int> order;
+    eng.at(Time::from_us(first), [&] { order.push_back(3); });
+    eng.at(Time::from_us(1), [&] { order.push_back(1); });
+    eng.at(Time::from_us(first - 1), [&] { order.push_back(2); });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eng.now(), Time::from_us(first));
+  }
+  // The same after the clock moved on through an empty queue.
+  Engine eng;
+  std::vector<int> order;
+  eng.run_until(Time::from_us(5 * kSpan + 17));
+  eng.at(eng.now() + Duration::sec(100.0), [&] { order.push_back(2); });
+  eng.at(eng.now() + Duration::us(1), [&] { order.push_back(1); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EngineTest, RunUntilShortOfAnUnopenedWindowThenScheduleNext) {
+  // Stopping short of a queued event's window must leave that window
+  // unopened: the clock parks before it, so a schedule at now() + 1 lands
+  // in the window the clock is in and still fires first.
+  for (const std::int64_t start :
+       {3 * kSpan, kRing * kSpan, (kRing + 9) * kSpan}) {
+    SCOPED_TRACE("window at " + std::to_string(start));
+    Engine eng;
+    std::vector<int> order;
+    eng.at(Time::from_us(start + 3), [&] { order.push_back(4); });
+    eng.run_until(Time::from_us(start - 2));
+    EXPECT_TRUE(order.empty());
+    eng.at(eng.now() + Duration::us(1), [&] { order.push_back(1); });
+    eng.at(eng.now() + Duration::us(2), [&] { order.push_back(2); });
+    // Stopping inside the event's (now open) window, short of the event.
+    eng.run_until(Time::from_us(start + 1));
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    eng.at(eng.now() + Duration::us(1), [&] { order.push_back(3); });
+    eng.at(eng.now() + Duration::us(4), [&] { order.push_back(5); });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(eng.now(), Time::from_us(start + 5));
+  }
+}
+
+TEST(EngineTest, ScheduleAfterRunDrainedOnlyCancelledEntries) {
+  // run() over a queue whose every entry (fine, ring and overflow) was
+  // cancelled fires nothing and keeps the clock; what is scheduled next,
+  // at any distance, still fires in order.
+  Engine eng;
+  eng.run_until(Time::from_us(7));
+  std::vector<EventId> doomed;
+  for (const std::int64_t d : {std::int64_t{1}, kSpan - 7, 2 * kSpan,
+                               (kRing - 1) * kSpan, (kRing + 1) * kSpan,
+                               std::int64_t{100'000'000}})
+    doomed.push_back(eng.after(Duration::us(d), [] { FAIL(); }));
+  doomed.push_back(eng.at(Time::max(), [] { FAIL(); }));
+  for (const EventId id : doomed) EXPECT_TRUE(eng.cancel(id));
+  EXPECT_TRUE(eng.idle());
+  eng.run();
+  EXPECT_EQ(eng.now(), Time::from_us(7));
+  EXPECT_EQ(eng.events_processed(), 0u);
+  std::vector<int> order;
+  eng.after(Duration::us(100'000'000), [&] { order.push_back(3); });
+  eng.after(Duration::us(3 * kSpan), [&] { order.push_back(2); });
+  eng.after(Duration::us(1), [&] { order.push_back(1); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.now(), Time::from_us(7 + 100'000'000));
+  EXPECT_TRUE(eng.idle());
+}
+
+TEST(EngineTest, MigratedEntriesPrecedeSameMicrosecondDirectSchedules) {
+  // Same-us ties between entries moved down a level and entries scheduled
+  // straight into that level afterwards: the earlier schedule fires first.
+  Engine eng;
+  std::vector<int> order;
+  // Ring -> fine: `a` waits in the ring until window 3 opens; `b` is then
+  // scheduled straight into the fine bucket `a` moved into.
+  const Time t1 = Time::from_us(3 * kSpan + 7);
+  eng.at(t1, [&] { order.push_back(1); });
+  eng.at(Time::from_us(3 * kSpan), [&] { order.push_back(0); });
+  eng.run_until(Time::from_us(3 * kSpan));
+  eng.at(t1, [&] { order.push_back(2); });
+  // Overflow -> ring -> fine: `x` sits in the overflow heap until the ring
+  // reaches its window, `y` is appended to that ring slot afterwards, and
+  // `z` goes straight into the fine bucket once the window is open.
+  const Time t2 = Time::from_us((kRing + 6) * kSpan + 7);
+  eng.at(t2, [&] { order.push_back(3); });
+  eng.at(Time::from_us(6 * kSpan), [] {});
+  eng.run_until(Time::from_us(6 * kSpan));
+  eng.at(t2, [&] { order.push_back(4); });
+  eng.run_until(t2 - Duration::us(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  eng.at(t2, [&] { order.push_back(5); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EngineTest, CancelStormsOnEveryLevelKeepOrder) {
+  // For each level — a fine window's buckets, ring slots, the overflow heap
+  // and all three at once — arm a dense batch (many per bucket, so heads,
+  // tails and middles of chains all get unlinked), cancel three quarters in
+  // random order, then check the survivors against the model.
+  struct Band {
+    const char* name;
+    std::int64_t from;
+    std::int64_t width;
+  };
+  const Band bands[] = {
+      {"fine", 10, 64},
+      {"ring", 2 * kSpan, 40 * kSpan},
+      {"ring wrap", (kRing - 2) * kSpan, 4 * kSpan},
+      {"overflow", (kRing + 2) * kSpan, 50 * kSpan},
+      {"all", 10, (kRing + 60) * kSpan},
+  };
+  for (const Band& band : bands) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(band.name) + " seed " + std::to_string(seed));
+      EngineModel m(seed * 0x9FB21C651E98DF25ull);
+      m.reentrant = false;
+      std::vector<EventId> ids;
+      for (int i = 0; i < 600; ++i) {
+        // Few distinct times per band, so chains run long.
+        const std::int64_t at =
+            band.from + static_cast<std::int64_t>(m.below(48)) *
+                            (band.width / 48);
+        ids.push_back(m.schedule_at(at));
+      }
+      for (std::size_t i = ids.size(); i > 1; --i)
+        std::swap(ids[i - 1], ids[m.below(i)]);
+      for (std::size_t i = 0; i < ids.size() * 3 / 4; ++i) m.cancel(ids[i]);
+      m.check_idle_state();
+      // Half-way through the band, then a second storm over what is left
+      // plus fresh entries in the windows still to come.
+      m.run_until(Time::from_us(band.from + band.width / 2));
+      for (int i = 0; i < 200; ++i)
+        ids.push_back(m.schedule_at(
+            band.from + band.width / 2 + 1 +
+            static_cast<std::int64_t>(m.below(static_cast<std::uint64_t>(band.width)))));
+      for (std::size_t i = 0; i < ids.size(); i += 2) m.cancel(ids[i]);
+      m.run(UINT64_MAX);
+      m.check_idle_state();
+      EXPECT_EQ(m.pending(), 0u);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

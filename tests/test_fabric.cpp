@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "epc/fabric.h"
+#include "obs/registry.h"
 #include "proto/s11.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -66,6 +67,41 @@ TEST_F(FabricTest, EndpointsRegisterInOrderAndLeaveOnce) {
   EXPECT_FALSE(fabric.is_registered(gone));
   a.reset();
   EXPECT_TRUE(fabric.is_registered(b.node()));
+}
+
+TEST_F(FabricTest, DropsPdusToUnknownIds) {
+  // The endpoint table is indexed by NodeId: id 0 (never assigned), ids
+  // past its end and ids that left all drop as dead-endpoint deliveries.
+  Probe a(fabric), b(fabric);
+  const sim::NodeId gone = b.node();
+  b.deregister();
+  for (const sim::NodeId to : {sim::NodeId{0}, gone, a.node() + 1,
+                               a.node() + 1000}) {
+    EXPECT_FALSE(fabric.is_registered(to));
+    fabric.send(a.node(), to, ping(to));
+  }
+  engine.run_until(Time::from_sec(1.0));
+  EXPECT_EQ(fabric.dropped(), 4u);
+  EXPECT_TRUE(b.got.empty());
+  EXPECT_TRUE(fabric.is_registered(a.node()));
+}
+
+TEST_F(FabricTest, EndpointsMetricCountsRegisteredEndpoints) {
+  auto metric = [this] {
+    obs::MetricsRegistry reg;
+    fabric.export_metrics(reg, "fabric");
+    return reg.gauge("fabric.endpoints");
+  };
+  EXPECT_EQ(metric(), 0.0);
+  Probe a(fabric), b(fabric);
+  auto c = std::make_unique<Probe>(fabric);
+  EXPECT_EQ(metric(), 3.0);
+  b.deregister();
+  EXPECT_EQ(metric(), 2.0);
+  c.reset();
+  EXPECT_EQ(metric(), 1.0);
+  b.deregister();  // idempotent
+  EXPECT_EQ(metric(), 1.0);
 }
 
 TEST_F(FabricTest, WireLossIsNotAnEndpointDrop) {

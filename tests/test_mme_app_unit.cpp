@@ -31,9 +31,9 @@ struct Harness final : MmeApp::Host {
   /// engine.run() drains to empty; unless `inactivity` is set the 5 s
   /// inactivity timer is off, so it stays out of the step-by-step sequences.
   explicit Harness(MmeApp::Config cfg = {}, bool inactivity = false) {
-    cfg.hop_ref = 42;
     cfg.enable_inactivity_timer = inactivity;
-    app = std::make_unique<MmeApp>(engine, cpu, cfg, *this);
+    app = std::make_unique<MmeApp>(engine, cpu, cfg, *this, /*hop_ref=*/42,
+                                   /*sgw_node=*/0);
   }
 
   void to_enb(sim::NodeId, proto::S1apMessage m) override {

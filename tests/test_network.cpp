@@ -60,6 +60,58 @@ TEST(Network, JitterBoundsDelay) {
   }
 }
 
+TEST(Network, MessagesBetweenAcrossGrowingNodeIds) {
+  // Per-pair counts live in per-sender rows grown on demand: senders and
+  // receivers far past any row seen so far, and lookups past a row's end
+  // or past the last row, must all read exactly.
+  Network net;
+  net.record_transfer(3, 1, 10);
+  net.record_transfer(1, 3, 10);
+  net.record_transfer(4000, 2, 10);
+  net.record_transfer(2, 4000, 10);
+  net.record_transfer(2, 4000, 10);
+  net.record_transfer(3, 900, 10);
+  EXPECT_EQ(net.messages_between(3, 1), 1u);
+  EXPECT_EQ(net.messages_between(1, 3), 1u);
+  EXPECT_EQ(net.messages_between(4000, 2), 1u);
+  EXPECT_EQ(net.messages_between(2, 4000), 2u);
+  EXPECT_EQ(net.messages_between(3, 900), 1u);
+  EXPECT_EQ(net.messages_between(3, 2), 0u);     // inside row 3
+  EXPECT_EQ(net.messages_between(3, 901), 0u);   // past row 3's end
+  EXPECT_EQ(net.messages_between(1, 4000), 0u);  // past row 1's end
+  EXPECT_EQ(net.messages_between(5, 1), 0u);     // a row never written
+  EXPECT_EQ(net.messages_between(4001, 1), 0u);  // past the last row
+  EXPECT_EQ(net.messages_between(0, 0), 0u);
+
+  net.reset_counters();
+  EXPECT_EQ(net.messages_between(2, 4000), 0u);
+  EXPECT_EQ(net.messages_between(3, 900), 0u);
+  net.record_transfer(2, 4000, 10);
+  net.record_transfer(7000, 7000, 10);
+  EXPECT_EQ(net.messages_between(2, 4000), 1u);
+  EXPECT_EQ(net.messages_between(7000, 7000), 1u);
+  EXPECT_EQ(net.messages_between(4000, 2), 0u);
+  EXPECT_EQ(net.messages_sent(), 2u);
+
+  // A corrupt id is rejected, not turned into a giant table.
+  EXPECT_THROW(net.record_transfer(1, 0xFFFF'FFFFu, 10), scale::CheckError);
+  EXPECT_THROW(net.record_transfer(0xFFFF'FFFFu, 1, 10), scale::CheckError);
+  EXPECT_THROW(net.set_node_dc(0xFFFF'FFFFu, 1), scale::CheckError);
+  EXPECT_EQ(net.messages_sent(), 2u);
+}
+
+TEST(Network, DcOfReadsZeroPastTheTable) {
+  Network net;
+  net.set_node_dc(1000, 2);
+  EXPECT_EQ(net.dc_of(1000), 2u);
+  EXPECT_EQ(net.dc_of(999), 0u);
+  EXPECT_EQ(net.dc_of(1001), 0u);
+  EXPECT_EQ(net.dc_of(0), 0u);
+  net.set_node_dc(5, 1);
+  EXPECT_EQ(net.dc_of(5), 1u);
+  EXPECT_EQ(net.dc_of(1000), 2u);
+}
+
 TEST(Network, JitterValidation) {
   Network net;
   EXPECT_THROW(net.set_jitter(-0.1), scale::CheckError);
