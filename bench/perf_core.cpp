@@ -425,7 +425,7 @@ struct CapacityOut {
 CapacityOut run_capacity(bool quick) {
   const std::uint64_t kUes = quick ? 100'000 : 1'000'000;
   const std::uint64_t kStorm = quick ? 20'000 : 200'000;
-  constexpr double kBudgetBytesPerUe = 512.0;  // DESIGN.md §12 budget
+  constexpr double kBudgetBytesPerUe = 256.0;  // DESIGN.md §12 budget
   CapacityOut out;
   out.ues = kUes;
 
@@ -626,7 +626,7 @@ int main(int argc, char** argv) {
       "regression gate (tier1.sh); wall times are informational only.\n"
       "fig10_1m_capacity holds 10^6 UE contexts on 8 MMP VMs (100k under "
       "--quick): bytes_per_ue gates the DESIGN.md \xC2\xA7""12 slab/SoA "
-      "budget (<=512 B/UE resident); peak_rss_bytes and ops_per_s are "
+      "budget (<=256 B/UE resident); peak_rss_bytes and ops_per_s are "
       "baseline-gated via bench_json_check --compare-capacity. This run: " +
       std::to_string(cap.footprint_bytes / (cap.ues ? cap.ues : 1)) +
       " intrinsic store B/UE, " + std::to_string(cap.accepts) + "/" +

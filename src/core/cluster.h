@@ -141,7 +141,7 @@ class ScaleCluster {
   /// when available").
   void for_each_master(const std::function<void(mme::UeContext&)>& fn);
   /// Overload passing the owning store too, for callers that need the SoA
-  /// runtime columns (epoch hits, last activity) alongside the record.
+  /// runtime columns (epoch hits, inactivity timer) alongside the record.
   void for_each_master(
       const std::function<void(epc::UeContextStore&, mme::UeContext&)>& fn);
   const EpochReport& last_epoch() const { return last_report_; }

@@ -1,12 +1,18 @@
-// FlatIndex — open-addressing hash index from a 64-bit key to a 32-bit slot
-// number, used by UeContextStore for its GUTI/IMSI/TEID/MME-UE-id indices.
+// FlatIndex — open-addressing hash index from an integer key to a 32-bit
+// slot number, used by UeContextStore for its GUTI/IMSI/TEID/MME-UE-id
+// indices.
 //
 // Robin-hood linear probing over one flat power-of-two array: lookups touch
 // one cache line in the common case instead of chasing an unordered_map
-// bucket node, and the table stores plain 16-byte entries, so holding 10⁶
-// keys costs ~16 MB per index at full load instead of ~48 MB of node heap
-// (ROADMAP item 2; DESIGN.md §12). Deletion uses backward-shift so there are
-// no tombstones and probe distances stay minimal under churn.
+// bucket node, and the table stores plain {key, slot} entries — 16 B for a
+// 64-bit key (GUTI, IMSI), 8 B for a 32-bit one (TEID, MME-UE-id) — so
+// holding 10⁶ keys costs ~16 MB (resp. ~8 MB) per index at full load instead
+// of ~48 MB of node heap (ROADMAP item 2; DESIGN.md §12). Deletion uses
+// backward-shift so there are no tombstones and probe distances stay minimal
+// under churn.
+//
+// Both key widths hash the zero-extended 64-bit key, so a 32-bit table
+// probes exactly as a 64-bit table holding the same keys would.
 //
 // Determinism note: the table layout (and hence for_each_entry order)
 // depends on insertion history, never on pointer values or a per-process
@@ -16,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,13 +30,18 @@
 
 namespace scale::epc {
 
-class FlatIndex {
+template <class Key>
+class BasicFlatIndex {
+  static_assert(std::is_same_v<Key, std::uint32_t> ||
+                    std::is_same_v<Key, std::uint64_t>,
+                "FlatIndex keys are u32 or u64");
+
  public:
   /// Sentinel "no slot": also the only illegal value argument to insert().
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
   /// Slot mapped to `key`, or kNone.
-  std::uint32_t find(std::uint64_t key) const {
+  std::uint32_t find(Key key) const {
     if (size_ == 0) return kNone;
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = bucket(key);
@@ -45,10 +57,10 @@ class FlatIndex {
     }
   }
 
-  bool contains(std::uint64_t key) const { return find(key) != kNone; }
+  bool contains(Key key) const { return find(key) != kNone; }
 
   /// Maps `key` to `value`. Precondition: key absent, value != kNone.
-  void insert(std::uint64_t key, std::uint32_t value) {
+  void insert(Key key, std::uint32_t value) {
     SCALE_CHECK_MSG(value != kNone, "FlatIndex value is the empty sentinel");
     if (cap_ == 0 || (size_ + 1) * 8 > static_cast<std::size_t>(cap_) * 7)
       grow();
@@ -57,7 +69,7 @@ class FlatIndex {
   }
 
   /// Removes `key`; returns false if it was absent.
-  bool erase(std::uint64_t key) {
+  bool erase(Key key) {
     if (size_ == 0) return false;
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = bucket(key);
@@ -97,7 +109,7 @@ class FlatIndex {
 
  private:
   struct Entry {
-    std::uint64_t key = 0;
+    Key key = 0;
     std::uint32_t value = kNone;
   };
 
@@ -110,15 +122,15 @@ class FlatIndex {
     return x ^ (x >> 31);
   }
 
-  std::uint32_t bucket(std::uint64_t key) const {
+  std::uint32_t bucket(Key key) const {
     return static_cast<std::uint32_t>(mix(key)) & (cap_ - 1);
   }
 
-  std::uint32_t probe_dist(std::uint64_t key, std::uint32_t at) const {
+  std::uint32_t probe_dist(Key key, std::uint32_t at) const {
     return (at + cap_ - bucket(key)) & (cap_ - 1);
   }
 
-  void insert_unchecked(std::uint64_t key, std::uint32_t value) {
+  void insert_unchecked(Key key, std::uint32_t value) {
     const std::uint32_t mask = cap_ - 1;
     Entry cur{key, value};
     std::uint32_t i = bucket(cur.key);
@@ -149,5 +161,10 @@ class FlatIndex {
   std::uint32_t cap_ = 0;
   std::size_t size_ = 0;
 };
+
+/// GUTI-key and IMSI indices: 16-byte entries.
+using FlatIndex = BasicFlatIndex<std::uint64_t>;
+/// TEID and MME-UE-id indices (32-bit raw identifiers): 8-byte entries.
+using FlatIndex32 = BasicFlatIndex<std::uint32_t>;
 
 }  // namespace scale::epc

@@ -28,7 +28,6 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             const proto::Teid teid{next_teid_++};
             sessions_[teid.raw] =
                 Session{m.imsi, m.mme_teid, from, 0, false};
-            teid_by_imsi_[m.imsi] = teid.raw;
             proto::CreateSessionResponse resp;
             resp.mme_teid = m.mme_teid;
             resp.sgw_teid = teid;
@@ -58,10 +57,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
           cpu_.execute(cfg_.session_service_time, [this, from, m]() {
             const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) {
-              teid_by_imsi_.erase(it->second.imsi);
-              sessions_.erase(it);
-            }
+            if (it != sessions_.end()) sessions_.erase(it);
             proto::DeleteSessionResponse resp;
             resp.mme_teid = m.mme_teid;
             rel_.send(from, proto::make_pdu(resp));
@@ -94,8 +90,11 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
 }
 
 proto::Teid Sgw::teid_for(proto::Imsi imsi) const {
-  const auto it = teid_by_imsi_.find(imsi);
-  return it == teid_by_imsi_.end() ? proto::Teid{} : proto::Teid{it->second};
+  std::uint32_t newest = 0;  // TEID 0 is never issued
+  // lint: order-independent — a max over the IMSI's sessions.
+  for (const auto& [teid, session] : sessions_)
+    if (session.imsi == imsi && teid > newest) newest = teid;
+  return proto::Teid{newest};
 }
 
 }  // namespace scale::epc

@@ -34,7 +34,9 @@ class Sgw : public Endpoint {
   /// if the session is unknown.
   bool inject_downlink_data(proto::Teid sgw_teid);
 
-  /// Find the S-GW TEID for an IMSI (test/bench convenience).
+  /// The S-GW TEID of the IMSI's newest live session (the highest TEID,
+  /// since TEIDs are issued in increasing order); invalid if the IMSI has
+  /// none. A linear scan over sessions: test/bench convenience only.
   proto::Teid teid_for(proto::Imsi imsi) const;
 
   std::size_t session_count() const { return sessions_.size(); }
@@ -55,7 +57,6 @@ class Sgw : public Endpoint {
   ReliableChannel rel_;
   sim::CpuModel cpu_;
   std::unordered_map<std::uint32_t, Session> sessions_;  // by sgw teid
-  std::unordered_map<proto::Imsi, std::uint32_t> teid_by_imsi_;
   std::uint32_t next_teid_ = 1;
   std::uint64_t ddn_sent_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "epc/ue_context.h"
 
+#include <memory>
 #include <utility>
 
 namespace scale::epc {
@@ -21,9 +22,9 @@ std::uint32_t UeContextStore::alloc_slot() {
   }
   const auto slot = static_cast<std::uint32_t>(live_.size());
   if ((slot & (kChunkSize - 1)) == 0)
-    chunks_.push_back(std::make_unique<UeContext[]>(kChunkSize));
+    chunks_.emplace_back(std::allocator<UeContext>().allocate(kChunkSize));
+  std::construct_at(slot_ptr(slot));
   live_.push_back(0);
-  last_activity_.push_back(Time::zero());
   epoch_hits_.push_back(0);
   timer_.push_back(0);
   indexed_imsi_.push_back(0);
@@ -47,7 +48,6 @@ UeContext& UeContextStore::insert(proto::UeContextRecord rec,
   ctx.serving_mmp = 0;
   ctx.slot_ = slot;
   live_[slot] = 1;
-  last_activity_[slot] = Time::zero();
   epoch_hits_[slot] = 0;
   timer_[slot] = 0;
   by_key_.insert(key, slot);
@@ -197,9 +197,8 @@ void UeContextStore::erase(std::uint64_t guti_key) {
 }
 
 std::size_t UeContextStore::footprint_bytes() const {
-  std::size_t bytes = chunks_.size() * kChunkSize * sizeof(UeContext);
+  std::size_t bytes = live_.size() * sizeof(UeContext);
   bytes += live_.capacity() * sizeof(std::uint8_t);
-  bytes += last_activity_.capacity() * sizeof(Time);
   bytes += epoch_hits_.capacity() * sizeof(std::uint32_t);
   bytes += timer_.capacity() * sizeof(sim::EventId);
   bytes += indexed_imsi_.capacity() * sizeof(std::uint64_t);

@@ -9,23 +9,25 @@
 // Layout (DESIGN.md §12, "Memory layout at scale"): records live in a
 // chunked slab — fixed-size chunks that never move, so `insert()`'s
 // stable-reference contract survives growth to 10⁶+ contexts — addressed by
-// a 32-bit slot number. All four lookup paths (GUTI key, IMSI, MME TEID,
-// MME-UE-S1AP id) are open-addressing FlatIndex tables mapping key → slot.
-// Scan-heavy runtime fields (last-activity, epoch hits, inactivity timer)
-// are struct-of-arrays columns indexed by slot, so the per-epoch wᵢ sweep
-// and inactivity scans walk dense u32/u64 arrays instead of striding
-// 150-byte records.
+// a 32-bit slot number. A chunk is raw storage; a slot is constructed the
+// first time it is handed out, so the untouched tail of the newest chunk
+// costs no resident memory. All four lookup paths (GUTI key, IMSI, MME
+// TEID, MME-UE-S1AP id) are open-addressing FlatIndex tables mapping key →
+// slot, with 8-byte entries for the two 32-bit identifiers. Per-slot
+// runtime fields (epoch hits, inactivity timer) are struct-of-arrays
+// columns indexed by slot, so the per-epoch wᵢ sweep walks a dense u32
+// array instead of striding 104-byte records.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/time.h"
 #include "epc/flat_index.h"
 #include "proto/cluster.h"
 #include "sim/engine.h"
@@ -41,9 +43,9 @@ enum class ContextRole : std::uint8_t {
 const char* context_role_name(ContextRole role);
 
 /// One device's state as held by an MME/MMP VM: the serializable record
-/// plus the runtime bookkeeping that travels with the record. Scan-heavy
-/// runtime state (last activity, epoch hits, inactivity timer) lives in
-/// UeContextStore columns — access it through the store.
+/// plus the runtime bookkeeping that travels with the record. Per-slot
+/// runtime state (epoch hits, inactivity timer) lives in UeContextStore
+/// columns — access it through the store.
 struct UeContext {
   proto::UeContextRecord rec;
   ContextRole role = ContextRole::kMaster;
@@ -58,6 +60,9 @@ struct UeContext {
   friend class UeContextStore;
   std::uint32_t slot_ = 0xFFFFFFFFu;  ///< slab slot; column row id
 };
+
+// Slab chunks are released without running destructors (see ChunkFree).
+static_assert(std::is_trivially_destructible_v<UeContext>);
 
 /// Container for UeContexts with secondary indices (IMSI, MME TEID,
 /// MME-UE-S1AP id) and byte-level memory accounting.
@@ -121,19 +126,16 @@ class UeContextStore {
     return role_bytes_[role_index(role)];
   }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  /// Actual container memory: slab chunks + SoA columns + index tables
-  /// (the denominator of the bytes-per-UE budget, DESIGN.md §12). Excludes
-  /// the heap the records' own state_bytes model.
+  /// Actual container memory: constructed slab slots + SoA columns + index
+  /// tables (the denominator of the bytes-per-UE budget, DESIGN.md §12).
+  /// The never-handed-out tail of the newest chunk is not counted: it is
+  /// never written, so it is never resident. Excludes the heap the
+  /// records' own state_bytes model.
   std::size_t footprint_bytes() const;
 
   // --- SoA runtime columns ------------------------------------------------
   // Indexed by the context's slab slot; accessed through the store so the
   // hot sweeps can touch the dense columns without loading records.
-  Time last_activity(const UeContext& ctx) const {
-    return last_activity_[ctx.slot_];
-  }
-  void touch(UeContext& ctx, Time now) { last_activity_[ctx.slot_] = now; }
-
   std::uint32_t epoch_hits(const UeContext& ctx) const {
     return epoch_hits_[ctx.slot_];
   }
@@ -212,10 +214,19 @@ class UeContextStore {
   void audit() const;
 
  private:
-  // 8192 records per chunk: ~1.2 MB chunks, 123 chunks at 10⁶ UEs. Chunks
+  // 8192 records per chunk: 852 KB chunks, 123 chunks at 10⁶ UEs. Chunks
   // never move or shrink; freed slots are recycled LIFO.
   static constexpr std::uint32_t kChunkShift = 13;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+
+  // A chunk is uninitialized storage for kChunkSize records; alloc_slot
+  // constructs each slot on first hand-out. UeContext is trivially
+  // destructible, so releasing the storage is all a chunk's teardown needs.
+  struct ChunkFree {
+    void operator()(UeContext* chunk) const {
+      std::allocator<UeContext>().deallocate(chunk, kChunkSize);
+    }
+  };
 
   static std::size_t role_index(ContextRole role) {
     const auto i = static_cast<std::size_t>(role);
@@ -238,12 +249,11 @@ class UeContextStore {
   void sync_teid(UeContext& ctx);
   void sync_ue_id(UeContext& ctx);
 
-  std::vector<std::unique_ptr<UeContext[]>> chunks_;
+  std::vector<std::unique_ptr<UeContext[], ChunkFree>> chunks_;
   std::vector<std::uint32_t> free_;  ///< dead slots, reused LIFO
 
   // SoA columns, slot-indexed (sized with the slab, never shrunk):
-  std::vector<std::uint8_t> live_;
-  std::vector<Time> last_activity_;
+  std::vector<std::uint8_t> live_;  ///< also counts the constructed slots
   std::vector<std::uint32_t> epoch_hits_;
   std::vector<sim::EventId> timer_;
   // What each slot currently has indexed (0 = nothing) — the exact-erase /
@@ -260,8 +270,8 @@ class UeContextStore {
 
   FlatIndex by_key_;
   FlatIndex by_imsi_;
-  FlatIndex by_teid_;
-  FlatIndex by_ue_id_;
+  FlatIndex32 by_teid_;
+  FlatIndex32 by_ue_id_;
 
   std::size_t size_ = 0;
   std::uint64_t total_bytes_ = 0;

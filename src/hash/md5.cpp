@@ -1,6 +1,7 @@
 #include "hash/md5.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
@@ -37,6 +38,41 @@ inline std::uint32_t rotl32(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
 
+// One MD5 step (RFC 1321 §3.4), step I of 64. The four working words
+// rotate roles every step; indexing v by (I - role) mod 4 instead of moving
+// them lets the fully unrolled rounds keep all four in registers.
+template <int I>
+inline void md5_step(std::uint32_t (&v)[4], const std::uint32_t (&m)[16]) {
+  std::uint32_t& a = v[(64 - I) & 3];
+  const std::uint32_t b = v[(65 - I) & 3];
+  const std::uint32_t c = v[(66 - I) & 3];
+  const std::uint32_t d = v[(67 - I) & 3];
+  constexpr int kRound = I / 16;
+  constexpr int kWord = kRound == 0   ? I
+                        : kRound == 1 ? (5 * I + 1) % 16
+                        : kRound == 2 ? (3 * I + 5) % 16
+                                      : (7 * I) % 16;
+  const std::uint32_t f = kRound == 0   ? (b & c) | (~b & d)
+                          : kRound == 1 ? (d & b) | (~d & c)
+                          : kRound == 2 ? b ^ c ^ d
+                                        : c ^ (b | ~d);
+  a = b + rotl32(a + f + kSine[I] + m[kWord], kShift[I]);
+}
+
+template <std::size_t... I>
+inline void md5_steps(std::uint32_t (&v)[4], const std::uint32_t (&m)[16],
+                      std::index_sequence<I...>) {
+  (md5_step<static_cast<int>(I)>(v, m), ...);
+}
+
+/// The MD5 compression function: folds one 16-word block into `state`.
+inline void md5_compress(std::uint32_t (&state)[4],
+                         const std::uint32_t (&m)[16]) {
+  std::uint32_t v[4] = {state[0], state[1], state[2], state[3]};
+  md5_steps(v, m, std::make_index_sequence<64>{});
+  for (int i = 0; i < 4; ++i) state[i] += v[i];
+}
+
 inline std::uint32_t load_le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -63,36 +99,7 @@ Md5::Md5() {
 void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl32(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
+  md5_compress(state_, m);
 }
 
 void Md5::update(std::span<const std::uint8_t> data) {
@@ -181,11 +188,18 @@ std::uint64_t Md5::to_u64(const Md5Digest& d) {
   return v;
 }
 
+// The 8 little-endian key bytes fit one block with their padding: the key
+// words, the 0x80 terminator, zeros, and the 64-bit message length (64
+// bits). One compression, no buffering; the result is the digest's first 8
+// bytes read little-endian, i.e. state words 0 and 1.
 std::uint64_t md5_u64(std::uint64_t key) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i)
-    bytes[i] = static_cast<std::uint8_t>((key >> (8 * i)) & 0xFF);
-  return Md5::to_u64(Md5::digest(std::span<const std::uint8_t>(bytes, 8)));
+  std::uint32_t m[16] = {static_cast<std::uint32_t>(key),
+                         static_cast<std::uint32_t>(key >> 32), 0x80u};
+  m[14] = 64;
+  std::uint32_t state[4] = {kInit[0], kInit[1], kInit[2], kInit[3]};
+  md5_compress(state, m);
+  return static_cast<std::uint64_t>(state[0]) |
+         (static_cast<std::uint64_t>(state[1]) << 32);
 }
 
 }  // namespace scale::hash

@@ -51,7 +51,9 @@ class Md5 {
   bool finished_ = false;
 };
 
-/// Hash a 64-bit key (e.g. a GUTI's M-TMSI) to a ring position via MD5.
+/// Hash a 64-bit key (e.g. a GUTI's M-TMSI) to a ring position via MD5:
+/// equals Md5::to_u64(Md5::digest(the key's 8 little-endian bytes)),
+/// computed as a single compression of the one padded block.
 std::uint64_t md5_u64(std::uint64_t key);
 
 /// FNV-1a 64-bit — cheap non-cryptographic alternative used where hashing

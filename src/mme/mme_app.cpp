@@ -710,7 +710,6 @@ void MmeApp::send_reject(NodeId enb, proto::EnbUeId enb_ue_id,
 }
 
 void MmeApp::touch(UeContext& ctx) {
-  store_.touch(ctx, engine_.now());
   if (ctx.rec.active && store_.timer_armed(ctx)) arm_inactivity(ctx);
 }
 

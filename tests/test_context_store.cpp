@@ -132,6 +132,52 @@ TEST(ContextStore, ForEachAndKeysIf) {
   EXPECT_EQ(masters.size(), 5u);
 }
 
+// Slab chunks are raw storage: a slot is constructed — and so becomes
+// resident — only when first handed out, so footprint_bytes() follows the
+// slots in use rather than whole 8192-slot chunks.
+TEST(ContextStore, FreshChunkTailsAreNeverConstructed) {
+  constexpr std::uint32_t kChunkSlots = 8192;
+  constexpr std::size_t kChunkBytes = kChunkSlots * sizeof(UeContext);
+  UeContextStore store;
+  EXPECT_EQ(store.footprint_bytes(), 0u);
+
+  // One context: one record, its column cells and two 64-entry index
+  // tables — not the 852 KB chunk it was carved from.
+  UeContext& first = store.insert(rec_for(1, 1), ContextRole::kMaster);
+  const std::size_t one = store.footprint_bytes();
+  EXPECT_GE(one, sizeof(UeContext));
+  EXPECT_LT(one, kChunkBytes / 64);
+
+  // Erased slots are recycled LIFO: the same record comes back and no new
+  // slot is built, so the footprint stays put.
+  const UeContext* recycled = &first;
+  store.erase(first.key());
+  const std::size_t after_erase = store.footprint_bytes();
+  for (std::uint32_t i = 2; i < 100; ++i) {
+    UeContext& ctx = store.insert(rec_for(i, i), ContextRole::kMaster);
+    EXPECT_EQ(&ctx, recycled);
+    store.erase(ctx.key());
+    EXPECT_EQ(store.footprint_bytes(), after_erase);
+  }
+
+  // Fill the first chunk exactly, then open the second one.
+  for (std::uint32_t i = 0; i < kChunkSlots; ++i)
+    store.insert(rec_for(1000 + i, 1000 + i), ContextRole::kMaster);
+  const std::size_t full = store.footprint_bytes();
+  store.insert(rec_for(100000, 100000), ContextRole::kMaster);
+  const std::size_t opened = store.footprint_bytes();
+  // The new chunk adds one record; the rest of the step is the columns'
+  // capacity doubling (37 B per slot at most), never a whole chunk.
+  EXPECT_GE(opened - full, sizeof(UeContext));
+  EXPECT_LT(opened - full, kChunkBytes / 2);
+  // Within the chunk, each handed-out slot costs exactly one record: the
+  // columns and index tables have room for these ten.
+  for (std::uint32_t i = 1; i <= 10; ++i)
+    store.insert(rec_for(100000 + i, 100000 + i), ContextRole::kMaster);
+  EXPECT_EQ(store.footprint_bytes(), opened + 10 * sizeof(UeContext));
+  store.audit();
+}
+
 // --- Randomized churn at MillionUE scale (DESIGN.md §12) -------------------
 //
 // Grows the store past 100 K live contexts through a weighted mix of

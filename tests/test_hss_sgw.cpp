@@ -134,6 +134,46 @@ TEST(Sgw, SessionLifecycle) {
   EXPECT_FALSE(w.sgw.teid_for(7).valid());
 }
 
+// teid_for answers with the IMSI's highest live TEID. Deleting the older of
+// two live sessions leaves the newer one visible; deleting the newer one
+// falls back to the older.
+TEST(Sgw, TeidForIsHighestLiveSession) {
+  const auto create = [](World& w) {
+    proto::CreateSessionRequest req;
+    req.imsi = 7;
+    req.mme_teid = proto::Teid::make(1, 5);
+    w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(req));
+    w.engine.run();
+    return std::get<proto::CreateSessionResponse>(
+               std::get<proto::S11Message>(w.probe.inbox.back()))
+        .sgw_teid;
+  };
+  const auto remove = [](World& w, proto::Teid sgw_teid) {
+    proto::DeleteSessionRequest del;
+    del.sgw_teid = sgw_teid;
+    w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(del));
+    w.engine.run();
+  };
+
+  World older_first;
+  const proto::Teid a = create(older_first);
+  const proto::Teid b = create(older_first);
+  ASSERT_GT(b.raw, a.raw);
+  EXPECT_EQ(older_first.sgw.teid_for(7), b);
+  remove(older_first, a);
+  EXPECT_EQ(older_first.sgw.session_count(), 1u);
+  EXPECT_EQ(older_first.sgw.teid_for(7), b);
+  remove(older_first, b);
+  EXPECT_FALSE(older_first.sgw.teid_for(7).valid());
+
+  World newer_first;
+  const proto::Teid c = create(newer_first);
+  const proto::Teid d = create(newer_first);
+  remove(newer_first, d);
+  EXPECT_EQ(newer_first.sgw.teid_for(7), c);
+  EXPECT_FALSE(newer_first.sgw.teid_for(8).valid());
+}
+
 TEST(Sgw, DownlinkDataForUnknownSessionReturnsFalse) {
   World w;
   EXPECT_FALSE(w.sgw.inject_downlink_data(proto::Teid{999}));

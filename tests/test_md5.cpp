@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/rng.h"
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "hash/md5.h"
@@ -77,6 +80,24 @@ TEST(Md5, KeyHashingIsDeterministicAndSpread) {
   for (std::uint64_t k = 0; k < 64; ++k)
     total_bits += __builtin_popcountll(md5_u64(k) ^ md5_u64(k + 1));
   EXPECT_GT(total_bits / 64, 20);
+}
+
+// md5_u64 builds the single padded block itself; the incremental path
+// (update + finish padding) is the oracle.
+TEST(Md5, KeyHashMatchesIncrementalDigest) {
+  const auto reference = [](std::uint64_t key) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i)
+      bytes[i] = static_cast<std::uint8_t>(key >> (8 * i));
+    return Md5::to_u64(Md5::digest(std::span<const std::uint8_t>(bytes, 8)));
+  };
+  EXPECT_EQ(md5_u64(0), reference(0));
+  EXPECT_EQ(md5_u64(~0ull), reference(~0ull));
+  Rng rng(0xD16E57ull);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = rng.next_u64();
+    ASSERT_EQ(md5_u64(key), reference(key)) << "key=" << key;
+  }
 }
 
 TEST(Fnv1a, KnownValues) {
