@@ -11,6 +11,11 @@
 // numbers are reported for humans and for the BENCH_core.json trajectory,
 // but never gated on.
 //
+// The scale_warm_sr_tau phase runs whole Service Request and TAU procedures
+// on a small SCALE world (UE → eNodeB → MLB → MMP → S-GW, replica push and
+// apply) after a warm-up round: its allocation count is 0, so any heap call
+// that creeps back onto the per-procedure path fails the gate.
+//
 // The fig10_1m_capacity section is the MillionUE gate (ROADMAP item 2): a
 // full ScaleCluster holding 10⁶ UE contexts (fig 10's world at the paper's
 // original scale), measuring load rate, resident bytes per UE against the
@@ -40,6 +45,7 @@
 #include "sim/cpu.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "testbed/crash_world.h"
 
 // ------------------------------------------------------------------------
 // Counting allocator interposer: every global new/delete in this binary is
@@ -322,6 +328,54 @@ PhaseResult phase_buffer_pool(std::uint64_t div) {
   });
 }
 
+/// Warmed procedures on a small SCALE world: 200 registered UEs on one
+/// eNodeB, a 4-MMP cluster with two local copies. Each round staggers one
+/// procedure per UE 2 ms apart, then runs past the 5 s inactivity timeout
+/// so every UE is Idle again. Four SR+TAU rounds warm every table (eNB
+/// connections, MMP transactions, S-GW sessions, fabric batches, engine
+/// and pools) to its high-water size; the two measured rounds must then
+/// make no heap call.
+PhaseResult phase_warm_sr_tau() {
+  constexpr std::size_t kUes = 200;
+  constexpr Duration kStagger = Duration::ms(2.0);
+  testbed::CrashWorld w(testbed::CrashWorld::Options{});
+  const std::vector<epc::Ue*> ues =
+      w.tb.make_ues(*w.site, kUes, std::vector<double>{0.5});
+  if (w.tb.register_all(*w.site, Duration::sec(1.0)) != kUes)
+    std::fprintf(stderr, "warm_sr_tau: not every UE registered\n");
+  std::uint64_t completed = 0;
+  for (epc::Ue* ue : ues)
+    ue->set_completion_sink(
+        [&completed](epc::Ue&, proto::ProcedureType, Duration) {
+          ++completed;
+        });
+  const auto round = [&](bool tau) {
+    for (std::size_t i = 0; i < ues.size(); ++i) {
+      epc::Ue* ue = ues[i];
+      w.tb.engine().after(kStagger * static_cast<double>(i), [ue, tau] {
+        if (tau)
+          ue->tracking_area_update();
+        else
+          ue->service_request();
+      });
+    }
+    w.tb.run_for(kStagger * static_cast<double>(ues.size()) +
+                 Duration::sec(6.0));
+  };
+  for (int i = 0; i < 4; ++i) {
+    round(false);
+    round(true);
+  }
+  const std::uint64_t warm = completed;
+  return run_phase([&](PhaseResult& r) {
+    for (int i = 0; i < 2; ++i) {
+      round(false);
+      round(true);
+    }
+    r.ops = completed - warm;
+  });
+}
+
 // ------------------------------------------------------------- fig10 @ 1M
 
 /// Kernel-reported memory figure from /proc/self/status ("VmRSS" = current
@@ -586,6 +640,7 @@ int main(int argc, char** argv) {
       {"codec_decode", phase_codec_decode(div)},
       {"fabric_hop", phase_fabric_hop(div)},
       {"buffer_pool", phase_buffer_pool(div)},
+      {"scale_warm_sr_tau", phase_warm_sr_tau()},
   };
 
   auto& thr = bm.report().section("throughput");

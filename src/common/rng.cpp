@@ -165,7 +165,7 @@ double Rng::pareto(double xm, double alpha) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+std::size_t Rng::weighted_index(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
     SCALE_CHECK(w >= 0.0);

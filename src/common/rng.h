@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -69,7 +70,7 @@ class Rng {
 
   /// Sample an index from a discrete distribution given non-negative
   /// weights (need not be normalized). Requires a positive total weight.
-  std::size_t weighted_index(const std::vector<double>& weights);
+  std::size_t weighted_index(std::span<const double> weights);
 
  private:
   std::uint64_t s_[4];

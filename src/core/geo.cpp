@@ -1,8 +1,10 @@
 #include "core/geo.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/check.h"
 #include "proto/pdu.h"
@@ -15,6 +17,7 @@ GeoManager::GeoManager(Fabric& fabric, NodeId local_mlb, Config cfg)
 void GeoManager::add_peer(std::uint32_t dc_id, NodeId mlb,
                           Duration propagation) {
   SCALE_CHECK(dc_id != cfg_.dc_id);
+  SCALE_CHECK_MSG(peers_.size() < kMaxPeers, "too many peer DCs");
   peers_.push_back(PeerDc{dc_id, mlb, propagation, 0.0});
 }
 
@@ -65,16 +68,17 @@ std::optional<GeoManager::PeerDc> GeoManager::choose_remote(Rng& rng) const {
     // Baseline: fixed uniform spread, blind to budget and distance.
     return peers_[static_cast<std::size_t>(rng.next_below(peers_.size()))];
   }
-  std::vector<double> weights;
-  std::vector<const PeerDc*> eligible;
+  std::array<double, kMaxPeers> weights{};
+  std::array<const PeerDc*, kMaxPeers> eligible{};
+  std::size_t n = 0;
   for (const auto& p : peers_) {
     if (p.known_available <= 0.0) continue;
     const double delay_sec = std::max(1e-6, p.propagation.to_sec());
-    eligible.push_back(&p);
-    weights.push_back(1.0 / delay_sec);
+    eligible[n] = &p;
+    weights[n++] = 1.0 / delay_sec;
   }
-  if (eligible.empty()) return std::nullopt;
-  return *eligible[rng.weighted_index(weights)];
+  if (n == 0) return std::nullopt;
+  return *eligible[rng.weighted_index(std::span(weights).first(n))];
 }
 
 std::uint64_t GeoManager::per_vm_external_quota(std::size_t vm_count) const {

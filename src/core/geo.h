@@ -116,6 +116,10 @@ class GeoManager {
   double used() const { return used_; }
 
   // --- remote choice (§4.5.2 MMP-level (2)) ----------------------------
+  /// Peer DCs a manager tracks at most (choose_remote() weighs them on
+  /// the stack).
+  static constexpr std::size_t kMaxPeers = 32;
+
   /// Probabilistic pick among peers with known Ŝ > 0; nullopt if none.
   std::optional<PeerDc> choose_remote(Rng& rng) const;
 

@@ -82,14 +82,14 @@ bool MmpNode::is_master_of(std::uint64_t guti_key) const {
 }
 
 std::optional<NodeId> MmpNode::local_replica_target(
-    std::uint64_t guti_key) const {
+    std::uint64_t guti_key) {
   if (ring_ == nullptr || ring_->empty()) return std::nullopt;
   // Master's replica lives at the next distinct node clockwise; if *we*
   // are the replica serving an Active run, sync back to the master.
-  const auto prefs = ring_->preference_list(guti_key, 2);
-  if (prefs.size() < 2) return std::nullopt;
-  if (prefs[0] == node()) return prefs[1];
-  return prefs[0];
+  ring_->preference_list(guti_key, 2, prefs_);
+  if (prefs_.size() < 2) return std::nullopt;
+  if (prefs_[0] == node()) return prefs_[1];
+  return prefs_[0];
 }
 
 void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
@@ -340,10 +340,8 @@ void MmpNode::migrate_master(std::uint64_t guti_key, NodeId new_owner) {
   const proto::UeContextRecord rec = ctx->rec;
   // Keep a demoted copy only if this VM is the new ring-replica target.
   bool keep_as_replica = false;
-  if (ring_ != nullptr && !ring_->empty()) {
-    const auto prefs = ring_->preference_list(guti_key, 2);
-    keep_as_replica = prefs.size() == 2 && prefs[1] == node();
-  }
+  if (ring_ != nullptr && !ring_->empty())
+    keep_as_replica = ring_->replica_of(guti_key) == node();
   if (keep_as_replica) {
     app().store().set_role(*ctx, ContextRole::kReplica);
   } else {

@@ -99,14 +99,15 @@ class MmpNode final : public mme::ClusterVm {
  private:
   PressureSignals pressure_signals() const;
   void replicate_local(mme::UeContext& ctx);
-  std::optional<NodeId> local_replica_target(std::uint64_t guti_key) const;
+  std::optional<NodeId> local_replica_target(std::uint64_t guti_key);
 
   Config mmp_cfg_;
   OverloadGovernor governor_;
   Rng rng_;
   const hash::ConsistentHashRing* ring_ = nullptr;
   /// Reused preference-list buffer for replicate_local(), which runs after
-  /// every procedure and at every Idle transition.
+  /// every procedure and at every Idle transition, and for
+  /// local_replica_target().
   std::vector<hash::RingNodeId> prefs_;
   const ReplicationPolicy* policy_ = nullptr;
   GeoManager* geo_ = nullptr;

@@ -24,32 +24,39 @@ void EnodeB::set_mme_weight(NodeId mme, double weight) {
     if (e.node == mme) e.weight = weight;
 }
 
+template <class Pred>
+void EnodeB::collect_weights(Pred take) {
+  weights_.clear();
+  for (const auto& e : mmes_)
+    if (take(e)) weights_.push_back(e.weight);
+}
+
+template <class Pred>
+NodeId EnodeB::nth_member(std::size_t k, Pred take) const {
+  for (const auto& e : mmes_)
+    if (take(e) && k-- == 0) return e.node;
+  return 0;
+}
+
 NodeId EnodeB::route_by_code(std::uint8_t code) {
   // Several pool members may expose the same MME code (e.g. multiple MLB
   // VMs fronting one logical MME, Figure 4 of the paper): weighted-pick
   // among them.
-  std::vector<double> weights;
-  std::vector<NodeId> nodes;
-  for (const auto& e : mmes_) {
-    if (e.code != code) continue;
-    weights.push_back(e.weight);
-    nodes.push_back(e.node);
-  }
-  if (nodes.empty()) return 0;
-  if (nodes.size() == 1) return nodes.front();
-  return nodes[rng_.weighted_index(weights)];
+  const auto take = [code](const MmeEntry& e) { return e.code == code; };
+  collect_weights(take);
+  if (weights_.empty()) return 0;
+  if (weights_.size() == 1) return nth_member(0, take);
+  return nth_member(rng_.weighted_index(weights_), take);
 }
 
 NodeId EnodeB::weighted_pick(std::optional<NodeId> exclude) {
-  std::vector<double> weights;
-  std::vector<NodeId> nodes;
-  for (const auto& e : mmes_) {
-    if (exclude && e.node == *exclude && mmes_.size() > 1) continue;
-    weights.push_back(e.weight);
-    nodes.push_back(e.node);
-  }
-  SCALE_CHECK_MSG(!nodes.empty(), "eNodeB has no connected MME");
-  return nodes[rng_.weighted_index(weights)];
+  const bool may_exclude = exclude.has_value() && mmes_.size() > 1;
+  const auto take = [&](const MmeEntry& e) {
+    return !(may_exclude && e.node == *exclude);
+  };
+  collect_weights(take);
+  SCALE_CHECK_MSG(!weights_.empty(), "eNodeB has no connected MME");
+  return nth_member(rng_.weighted_index(weights_), take);
 }
 
 NodeId EnodeB::select_mme(const proto::NasMessage& nas,
@@ -117,8 +124,7 @@ void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
 void EnodeB::send_initial(Ue& ue, proto::NasMessage nas,
                           std::optional<NodeId> exclude_mme) {
   // Reuse an existing S1 connection if the UE still has one.
-  auto it = conns_.find(ue.s1_conn());
-  if (it != conns_.end() && it->second.ue == &ue) conns_.erase(it);
+  drop_connection(ue);
   const proto::EnbUeId id = next_ue_id_++;
   const NodeId mme = select_mme(nas, exclude_mme);
   conns_[id] = Conn{&ue, mme, proto::MmeUeId{}, fabric_.engine().now()};
@@ -135,18 +141,18 @@ void EnodeB::send_initial(Ue& ue, proto::NasMessage nas,
 void EnodeB::ue_uplink_nas(Ue& ue, proto::NasMessage nas) {
   fabric_.engine().after(cfg_.radio_delay, [this, &ue,
                                             nas = std::move(nas)]() mutable {
-    const auto it = conns_.find(ue.s1_conn());
-    if (it == conns_.end() || it->second.ue != &ue) {
+    Conn* conn = conns_.find(ue.s1_conn());
+    if (conn == nullptr || conn->ue != &ue) {
       SCALE_DEBUG("uplink NAS without S1 connection, dropping");
       return;
     }
-    it->second.last_activity = fabric_.engine().now();
+    conn->last_activity = fabric_.engine().now();
     proto::UplinkNasTransport msg;
     msg.enb_id = node();
-    msg.enb_ue_id = it->first;
-    msg.mme_ue_id = it->second.mme_ue_id;
+    msg.enb_ue_id = ue.s1_conn();
+    msg.mme_ue_id = conn->mme_ue_id;
     msg.nas = std::move(nas);
-    rel_.send(it->second.mme_node, proto::make_pdu(std::move(msg)));
+    rel_.send(conn->mme_node, proto::make_pdu(std::move(msg)));
   });
 }
 
@@ -172,14 +178,14 @@ void EnodeB::camp(Ue& ue) {
 
 void EnodeB::decamp(Ue& ue) {
   if (ue.guti()) {
-    const auto it = camped_.find(ue.guti()->m_tmsi);
-    if (it != camped_.end() && it->second == &ue) camped_.erase(it);
+    Ue* const* camped = camped_.find(ue.guti()->m_tmsi);
+    if (camped != nullptr && *camped == &ue) camped_.erase(ue.guti()->m_tmsi);
   }
 }
 
 void EnodeB::drop_connection(Ue& ue) {
-  const auto it = conns_.find(ue.s1_conn());
-  if (it != conns_.end() && it->second.ue == &ue) conns_.erase(it);
+  const Conn* conn = conns_.find(ue.s1_conn());
+  if (conn != nullptr && conn->ue == &ue) conns_.erase(ue.s1_conn());
 }
 
 void EnodeB::ensure_rrc_sweep() {
@@ -193,13 +199,14 @@ void EnodeB::rrc_sweep() {
   const Time now = fabric_.engine().now();
   std::vector<proto::EnbUeId> stale;
   // lint: order-independent — stale ids are sorted before any release fires.
-  for (const auto& [id, conn] : conns_)
+  conns_.for_each([&](proto::EnbUeId id, const Conn& conn) {
     if (now - conn.last_activity >= cfg_.rrc_inactivity) stale.push_back(id);
+  });
   // Release in ascending connection-id order: each release schedules an
-  // event, so hash order here would reshuffle event ids across runs.
+  // event, so table order here would reshuffle event ids across runs.
   std::sort(stale.begin(), stale.end());
   for (proto::EnbUeId id : stale) {
-    Ue& ue = *conns_.at(id).ue;
+    Ue& ue = *conns_.find(id)->ue;
     conns_.erase(id);
     ++rrc_releases_;
     fabric_.engine().after(cfg_.radio_delay, [&ue, this]() {
@@ -207,11 +214,6 @@ void EnodeB::rrc_sweep() {
     });
   }
   if (!conns_.empty()) ensure_rrc_sweep();
-}
-
-EnodeB::Conn* EnodeB::conn_by_enb_ue_id(proto::EnbUeId id) {
-  const auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : &it->second;
 }
 
 void EnodeB::to_ue(Ue& ue, proto::NasMessage nas) {
@@ -236,7 +238,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
       [this, from](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::DownlinkNasTransport>) {
-          Conn* conn = conn_by_enb_ue_id(m.enb_ue_id);
+          Conn* conn = conns_.find(m.enb_ue_id);
           if (conn == nullptr) {
             SCALE_DEBUG("downlink NAS for unknown connection");
             return;
@@ -253,7 +255,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
           to_ue(ue, m.nas);
         } else if constexpr (std::is_same_v<T,
                                             proto::InitialContextSetupRequest>) {
-          Conn* conn = conn_by_enb_ue_id(m.enb_ue_id);
+          Conn* conn = conns_.find(m.enb_ue_id);
           if (conn == nullptr) return;
           conn->mme_ue_id = m.mme_ue_id;
           conn->ue->learn_serving_mme(conn->mme_node, m.mme_ue_id);
@@ -272,7 +274,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
           resp.enb_id = node();
           resp.enb_ue_id = m.enb_ue_id;
           resp.mme_ue_id = m.mme_ue_id;
-          Conn* conn = conn_by_enb_ue_id(m.enb_ue_id);
+          Conn* conn = conns_.find(m.enb_ue_id);
           if (conn == nullptr &&
               m.cause == proto::ReleaseCause::kLoadBalancingTauRequired) {
             SCALE_DEBUG("rebalance release for dead connection "
@@ -289,15 +291,14 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
           }
           rel_.send(from, proto::make_pdu(resp));
         } else if constexpr (std::is_same_v<T, proto::Paging>) {
-          const auto it = camped_.find(m.m_tmsi);
-          if (it != camped_.end()) {
+          if (Ue* const* camped = camped_.find(m.m_tmsi)) {
             ++paging_hits_;
-            Ue& ue = *it->second;
+            Ue& ue = **camped;
             fabric_.engine().after(cfg_.radio_delay,
                                    [&ue]() { ue.on_paging(); });
           }
         } else if constexpr (std::is_same_v<T, proto::PathSwitchAck>) {
-          Conn* conn = conn_by_enb_ue_id(m.enb_ue_id);
+          Conn* conn = conns_.find(m.enb_ue_id);
           if (conn == nullptr) return;
           conn->mme_ue_id = m.mme_ue_id;
           conn->ue->learn_serving_mme(conn->mme_node, m.mme_ue_id);

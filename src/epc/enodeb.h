@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "epc/fabric.h"
+#include "epc/flat_index.h"
 #include "epc/reliable.h"
 #include "proto/pdu.h"
 
@@ -115,7 +115,12 @@ class EnodeB : public Endpoint {
                     std::optional<NodeId> exclude);
   NodeId route_by_code(std::uint8_t code);
   NodeId weighted_pick(std::optional<NodeId> exclude);
-  Conn* conn_by_enb_ue_id(proto::EnbUeId id);
+  /// Fills weights_ with the weights of the members `take` accepts.
+  template <class Pred>
+  void collect_weights(Pred take);
+  /// The `k`-th member (0-based) that `take` accepts.
+  template <class Pred>
+  NodeId nth_member(std::size_t k, Pred take) const;
   void to_ue(Ue& ue, proto::NasMessage nas);
   void handle_s1ap(NodeId from, const proto::S1apMessage& msg);
   /// Open the S1 connection and send the InitialUeMessage (post-pacing).
@@ -126,8 +131,9 @@ class EnodeB : public Endpoint {
   ReliableChannel rel_;
   Rng rng_;
   std::vector<MmeEntry> mmes_;
-  std::unordered_map<proto::EnbUeId, Conn> conns_;
-  std::unordered_map<std::uint32_t, Ue*> camped_;  // m_tmsi -> idle UE
+  std::vector<double> weights_;  ///< MME-selection scratch, reused
+  FlatMap<proto::EnbUeId, Conn> conns_;
+  FlatMap<std::uint32_t, Ue*> camped_;  // m_tmsi -> idle UE
   proto::EnbUeId next_ue_id_ = 1;
   bool rrc_sweep_running_ = false;
   /// OverloadStart pacing state: initials arriving before the deadline are

@@ -14,14 +14,22 @@
 // Both key widths hash the zero-extended 64-bit key, so a 32-bit table
 // probes exactly as a 64-bit table holding the same keys would.
 //
-// Determinism note: the table layout (and hence for_each_entry order)
-// depends on insertion history, never on pointer values or a per-process
-// seed — the same trajectory always produces the same layout. Callers that
-// surface iteration order (UeContextStore::for_each/keys_if) still sort by
-// key so no layout detail leaks into trajectories.
+// FlatMap<Key, Value> puts a value store behind the same index: the
+// per-PDU node tables (eNB connections and camped UEs, S-GW sessions, MME
+// transactions) that were std::unordered_maps paying one heap node per
+// insert (DESIGN.md §8, HotLoop III).
+//
+// Determinism note: the table layout (and hence for_each_entry / for_each
+// order) depends on insertion history, never on pointer values or a
+// per-process seed — the same trajectory always produces the same layout.
+// Callers that surface iteration order (UeContextStore::for_each/keys_if,
+// EnodeB::rrc_sweep) still sort by key so no layout detail leaks into
+// trajectories; ScaleLint L2 flags every unannotated walk.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -166,5 +174,101 @@ class BasicFlatIndex {
 using FlatIndex = BasicFlatIndex<std::uint64_t>;
 /// TEID and MME-UE-id indices (32-bit raw identifiers): 8-byte entries.
 using FlatIndex32 = BasicFlatIndex<std::uint32_t>;
+
+/// Key → Value table: a BasicFlatIndex maps the key to a slot in a value
+/// store of chunks that double in size and never move, so a reference to a
+/// value stays valid until its own key is erased, across any growth. Erased
+/// slots are recycled LIFO through a free list: a table at steady size
+/// makes no heap call.
+template <class Key, class Value>
+class FlatMap {
+ public:
+  Value* find(Key key) {
+    const std::uint32_t slot = index_.find(key);
+    return slot == kNone ? nullptr : &at(slot);
+  }
+  const Value* find(Key key) const {
+    const std::uint32_t slot = index_.find(key);
+    return slot == kNone ? nullptr : &at(slot);
+  }
+  bool contains(Key key) const { return index_.contains(key); }
+
+  /// The value mapped to `key`; inserts a value-initialized one if absent.
+  Value& operator[](Key key) {
+    const std::uint32_t found = index_.find(key);
+    if (found != kNone) return at(found);
+    const std::uint32_t slot = alloc_slot();
+    index_.insert(key, slot);
+    return at(slot) = Value{};
+  }
+
+  /// Removes `key`; returns false if it was absent.
+  bool erase(Key key) {
+    const std::uint32_t slot = index_.find(key);
+    if (slot == kNone) return false;
+    index_.erase(key);
+    free_.push_back(slot);
+    return true;
+  }
+
+  std::size_t size() const { return index_.size(); }
+  bool empty() const { return index_.empty(); }
+
+  /// Visit every (key, value) in table order — insertion-history-dependent,
+  /// like BasicFlatIndex::for_each_entry: use only for order-independent
+  /// work, or collect and sort. No insert or erase during the walk.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    // lint: order-independent — pass-through; L2 checks each caller.
+    index_.for_each_entry([&](Key key, std::uint32_t slot) {
+      fn(key, at(slot));
+    });
+  }
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    // lint: order-independent — pass-through; L2 checks each caller.
+    index_.for_each_entry([&](Key key, std::uint32_t slot) {
+      fn(key, at(slot));
+    });
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = BasicFlatIndex<Key>::kNone;
+  // Chunk c holds kFirst << c slots and starts at slot kFirst·(2^c − 1).
+  static constexpr std::uint32_t kFirstShift = 4;
+  static constexpr std::uint32_t kFirst = 1u << kFirstShift;
+
+  /// (chunk, offset) of a slot.
+  static std::pair<std::size_t, std::uint32_t> locate(std::uint32_t slot) {
+    const std::uint32_t j = slot + kFirst;
+    const auto c = static_cast<std::uint32_t>(std::bit_width(j)) - 1 -
+                   kFirstShift;
+    return {c, j - (kFirst << c)};
+  }
+  Value& at(std::uint32_t slot) {
+    const auto [c, off] = locate(slot);
+    return chunks_[c][off];
+  }
+  const Value& at(std::uint32_t slot) const {
+    const auto [c, off] = locate(slot);
+    return chunks_[c][off];
+  }
+
+  std::uint32_t alloc_slot() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    if (slots_ == (kFirst << chunks_.size()) - kFirst)
+      chunks_.push_back(std::make_unique<Value[]>(kFirst << chunks_.size()));
+    return slots_++;
+  }
+
+  BasicFlatIndex<Key> index_;
+  std::vector<std::unique_ptr<Value[]>> chunks_;
+  std::vector<std::uint32_t> free_;  ///< erased slots, reused LIFO
+  std::uint32_t slots_ = 0;          ///< slots handed out so far
+};
 
 }  // namespace scale::epc

@@ -35,11 +35,10 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
           });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerRequest>) {
           cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) {
-              it->second.enb_id = m.enb_id;
-              it->second.bearer_active = true;
-              it->second.mme_teid = m.mme_teid;
+            if (Session* session = sessions_.find(m.sgw_teid.raw)) {
+              session->enb_id = m.enb_id;
+              session->bearer_active = true;
+              session->mme_teid = m.mme_teid;
             }
             proto::ModifyBearerResponse resp;
             resp.mme_teid = m.mme_teid;
@@ -48,16 +47,15 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
         } else if constexpr (std::is_same_v<T,
                                             proto::ReleaseAccessBearersRequest>) {
           cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) it->second.bearer_active = false;
+            if (Session* session = sessions_.find(m.sgw_teid.raw))
+              session->bearer_active = false;
             proto::ReleaseAccessBearersResponse resp;
             resp.mme_teid = m.mme_teid;
             rel_.send(from, proto::make_pdu(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
           cpu_.execute(cfg_.session_service_time, [this, from, m]() {
-            const auto it = sessions_.find(m.sgw_teid.raw);
-            if (it != sessions_.end()) sessions_.erase(it);
+            sessions_.erase(m.sgw_teid.raw);
             proto::DeleteSessionResponse resp;
             resp.mme_teid = m.mme_teid;
             rel_.send(from, proto::make_pdu(resp));
@@ -73,13 +71,12 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
 }
 
 bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
-  const auto it = sessions_.find(sgw_teid.raw);
-  if (it == sessions_.end()) return false;
-  const Session& session = it->second;
-  if (session.bearer_active) return true;  // delivered directly; no paging
-  // Capture by value: the session map may rehash before the CPU slice runs.
-  const proto::Teid mme_teid = session.mme_teid;
-  const NodeId control_node = session.control_node;
+  const Session* session = sessions_.find(sgw_teid.raw);
+  if (session == nullptr) return false;
+  if (session->bearer_active) return true;  // delivered directly; no paging
+  // Capture by value: the session may be deleted before the CPU slice runs.
+  const proto::Teid mme_teid = session->mme_teid;
+  const NodeId control_node = session->control_node;
   cpu_.execute(cfg_.bearer_service_time, [this, mme_teid, control_node]() {
     proto::DownlinkDataNotification ddn;
     ddn.mme_teid = mme_teid;
@@ -92,8 +89,9 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
 proto::Teid Sgw::teid_for(proto::Imsi imsi) const {
   std::uint32_t newest = 0;  // TEID 0 is never issued
   // lint: order-independent — a max over the IMSI's sessions.
-  for (const auto& [teid, session] : sessions_)
+  sessions_.for_each([&](std::uint32_t teid, const Session& session) {
     if (session.imsi == imsi && teid > newest) newest = teid;
+  });
   return proto::Teid{newest};
 }
 

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "epc/fabric.h"
+#include "epc/flat_index.h"
 #include "epc/reliable.h"
 #include "sim/cpu.h"
 
@@ -56,7 +56,7 @@ class Sgw : public Endpoint {
   Config cfg_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
-  std::unordered_map<std::uint32_t, Session> sessions_;  // by sgw teid
+  FlatMap<std::uint32_t, Session> sessions_;  // by sgw teid
   std::uint32_t next_teid_ = 1;
   std::uint64_t ddn_sent_ = 0;
 };

@@ -27,11 +27,6 @@ std::uint32_t UeContextStore::alloc_slot() {
   live_.push_back(0);
   epoch_hits_.push_back(0);
   timer_.push_back(0);
-  indexed_imsi_.push_back(0);
-  indexed_teid_.push_back(0);
-  indexed_ue_id_.push_back(0);
-  prev_teid_.push_back(0);
-  prev_ue_id_.push_back(0);
   return slot;
 }
 
@@ -77,7 +72,7 @@ UeContext* UeContextStore::find_by_mme_ue_id(proto::MmeUeId id) {
 void UeContextStore::sync_imsi(UeContext& ctx) {
   const std::uint32_t slot = ctx.slot_;
   const std::uint64_t want = ctx.rec.imsi;
-  const std::uint64_t have = indexed_imsi_[slot];
+  const std::uint64_t have = ctx.indexed_imsi_;
   if (have == want) return;
   if (have != 0) by_imsi_.erase(have);
   if (want != 0) {
@@ -87,12 +82,12 @@ void UeContextStore::sync_imsi(UeContext& ctx) {
       // context's IMSI claim (the adopt() duplicate-IMSI guard purges the
       // loser once the procedure settles). Steal the entry and un-shadow
       // the previous owner so its erase stays exact.
-      indexed_imsi_[hit] = 0;
+      slot_ptr(hit)->indexed_imsi_ = 0;
       by_imsi_.erase(want);
     }
     by_imsi_.insert(want, slot);
   }
-  indexed_imsi_[slot] = want;
+  ctx.indexed_imsi_ = want;
 }
 
 // TEID/UE-id reassignment keeps a one-deep alias: procedures hand the MME a
@@ -105,43 +100,43 @@ void UeContextStore::sync_imsi(UeContext& ctx) {
 void UeContextStore::sync_teid(UeContext& ctx) {
   const std::uint32_t slot = ctx.slot_;
   const std::uint32_t want = ctx.rec.mme_teid.valid() ? ctx.rec.mme_teid.raw : 0;
-  const std::uint32_t have = indexed_teid_[slot];
+  const std::uint32_t have = ctx.indexed_teid_;
   if (have == want) return;
-  if (prev_teid_[slot] != 0 && prev_teid_[slot] != want) {
-    by_teid_.erase(prev_teid_[slot]);
-    prev_teid_[slot] = 0;
+  if (ctx.prev_teid_ != 0 && ctx.prev_teid_ != want) {
+    by_teid_.erase(ctx.prev_teid_);
+    ctx.prev_teid_ = 0;
   }
-  if (want != 0 && want == prev_teid_[slot]) {
-    prev_teid_[slot] = 0;  // reassigned back: promote, entry already present
+  if (want != 0 && want == ctx.prev_teid_) {
+    ctx.prev_teid_ = 0;  // reassigned back: promote, entry already present
   } else if (want != 0) {
     const std::uint32_t hit = by_teid_.find(want);
     SCALE_CHECK_MSG(hit == FlatIndex::kNone,
                     "TEID index collision with a live context");
     by_teid_.insert(want, slot);
   }
-  prev_teid_[slot] = have;
-  indexed_teid_[slot] = want;
+  ctx.prev_teid_ = have;
+  ctx.indexed_teid_ = want;
 }
 
 void UeContextStore::sync_ue_id(UeContext& ctx) {
   const std::uint32_t slot = ctx.slot_;
   const std::uint32_t want = ctx.rec.mme_ue_id.raw;
-  const std::uint32_t have = indexed_ue_id_[slot];
+  const std::uint32_t have = ctx.indexed_ue_id_;
   if (have == want) return;
-  if (prev_ue_id_[slot] != 0 && prev_ue_id_[slot] != want) {
-    by_ue_id_.erase(prev_ue_id_[slot]);
-    prev_ue_id_[slot] = 0;
+  if (ctx.prev_ue_id_ != 0 && ctx.prev_ue_id_ != want) {
+    by_ue_id_.erase(ctx.prev_ue_id_);
+    ctx.prev_ue_id_ = 0;
   }
-  if (want != 0 && want == prev_ue_id_[slot]) {
-    prev_ue_id_[slot] = 0;
+  if (want != 0 && want == ctx.prev_ue_id_) {
+    ctx.prev_ue_id_ = 0;
   } else if (want != 0) {
     const std::uint32_t hit = by_ue_id_.find(want);
     SCALE_CHECK_MSG(hit == FlatIndex::kNone,
                     "MME-UE-id index collision with a live context");
     by_ue_id_.insert(want, slot);
   }
-  prev_ue_id_[slot] = have;
-  indexed_ue_id_[slot] = want;
+  ctx.prev_ue_id_ = have;
+  ctx.indexed_ue_id_ = want;
 }
 
 void UeContextStore::set_role(UeContext& ctx, ContextRole role) {
@@ -169,19 +164,19 @@ void UeContextStore::erase(std::uint64_t guti_key) {
   const std::uint32_t slot = by_key_.find(guti_key);
   SCALE_CHECK_MSG(slot != FlatIndex::kNone, "erase of unknown context");
   UeContext& ctx = *slot_ptr(slot);
-  // Exact unindex through the shadow columns: no "is this entry really
+  // Exact unindex through the shadow fields: no "is this entry really
   // ours?" pointer guessing, and re-assigned identifiers cannot strand
   // stale entries.
-  if (indexed_imsi_[slot] != 0) by_imsi_.erase(indexed_imsi_[slot]);
-  if (indexed_teid_[slot] != 0) by_teid_.erase(indexed_teid_[slot]);
-  if (indexed_ue_id_[slot] != 0) by_ue_id_.erase(indexed_ue_id_[slot]);
-  if (prev_teid_[slot] != 0) by_teid_.erase(prev_teid_[slot]);
-  if (prev_ue_id_[slot] != 0) by_ue_id_.erase(prev_ue_id_[slot]);
-  indexed_imsi_[slot] = 0;
-  indexed_teid_[slot] = 0;
-  indexed_ue_id_[slot] = 0;
-  prev_teid_[slot] = 0;
-  prev_ue_id_[slot] = 0;
+  if (ctx.indexed_imsi_ != 0) by_imsi_.erase(ctx.indexed_imsi_);
+  if (ctx.indexed_teid_ != 0) by_teid_.erase(ctx.indexed_teid_);
+  if (ctx.indexed_ue_id_ != 0) by_ue_id_.erase(ctx.indexed_ue_id_);
+  if (ctx.prev_teid_ != 0) by_teid_.erase(ctx.prev_teid_);
+  if (ctx.prev_ue_id_ != 0) by_ue_id_.erase(ctx.prev_ue_id_);
+  ctx.indexed_imsi_ = 0;
+  ctx.indexed_teid_ = 0;
+  ctx.indexed_ue_id_ = 0;
+  ctx.prev_teid_ = 0;
+  ctx.prev_ue_id_ = 0;
   total_bytes_ -= ctx.rec.state_bytes;
   role_bytes_[role_index(ctx.role)] -= ctx.rec.state_bytes;
   role_count_[role_index(ctx.role)] -= 1;
@@ -201,11 +196,6 @@ std::size_t UeContextStore::footprint_bytes() const {
   bytes += live_.capacity() * sizeof(std::uint8_t);
   bytes += epoch_hits_.capacity() * sizeof(std::uint32_t);
   bytes += timer_.capacity() * sizeof(sim::EventId);
-  bytes += indexed_imsi_.capacity() * sizeof(std::uint64_t);
-  bytes += indexed_teid_.capacity() * sizeof(std::uint32_t);
-  bytes += indexed_ue_id_.capacity() * sizeof(std::uint32_t);
-  bytes += prev_teid_.capacity() * sizeof(std::uint32_t);
-  bytes += prev_ue_id_.capacity() * sizeof(std::uint32_t);
   bytes += free_.capacity() * sizeof(std::uint32_t);
   bytes += by_key_.memory_bytes() + by_imsi_.memory_bytes() +
            by_teid_.memory_bytes() + by_ue_id_.memory_bytes();
@@ -223,29 +213,29 @@ void UeContextStore::audit() const {
     const UeContext& ctx = *slot_ptr(s);
     if (!live_[s]) {
       SCALE_CHECK_MSG(ctx.slot_ == 0xFFFFFFFFu, "dead slot left addressed");
-      SCALE_CHECK_MSG(indexed_imsi_[s] == 0 && indexed_teid_[s] == 0 &&
-                          indexed_ue_id_[s] == 0 && prev_teid_[s] == 0 &&
-                          prev_ue_id_[s] == 0,
+      SCALE_CHECK_MSG(ctx.indexed_imsi_ == 0 && ctx.indexed_teid_ == 0 &&
+                          ctx.indexed_ue_id_ == 0 && ctx.prev_teid_ == 0 &&
+                          ctx.prev_ue_id_ == 0,
                       "dead slot still indexed");
       continue;
     }
     ++live_seen;
     SCALE_CHECK_MSG(ctx.slot_ == s, "slot back-reference mismatch");
     SCALE_CHECK_MSG(by_key_.find(ctx.key()) == s, "GUTI index misses context");
-    if (indexed_imsi_[s] != 0)
-      SCALE_CHECK_MSG(by_imsi_.find(indexed_imsi_[s]) == s,
+    if (ctx.indexed_imsi_ != 0)
+      SCALE_CHECK_MSG(by_imsi_.find(ctx.indexed_imsi_) == s,
                       "IMSI shadow/index mismatch");
-    if (indexed_teid_[s] != 0)
-      SCALE_CHECK_MSG(by_teid_.find(indexed_teid_[s]) == s,
+    if (ctx.indexed_teid_ != 0)
+      SCALE_CHECK_MSG(by_teid_.find(ctx.indexed_teid_) == s,
                       "TEID shadow/index mismatch");
-    if (indexed_ue_id_[s] != 0)
-      SCALE_CHECK_MSG(by_ue_id_.find(indexed_ue_id_[s]) == s,
+    if (ctx.indexed_ue_id_ != 0)
+      SCALE_CHECK_MSG(by_ue_id_.find(ctx.indexed_ue_id_) == s,
                       "UE-id shadow/index mismatch");
-    if (prev_teid_[s] != 0)
-      SCALE_CHECK_MSG(by_teid_.find(prev_teid_[s]) == s,
+    if (ctx.prev_teid_ != 0)
+      SCALE_CHECK_MSG(by_teid_.find(ctx.prev_teid_) == s,
                       "TEID alias/index mismatch");
-    if (prev_ue_id_[s] != 0)
-      SCALE_CHECK_MSG(by_ue_id_.find(prev_ue_id_[s]) == s,
+    if (ctx.prev_ue_id_ != 0)
+      SCALE_CHECK_MSG(by_ue_id_.find(ctx.prev_ue_id_) == s,
                       "UE-id alias/index mismatch");
     tb += ctx.rec.state_bytes;
     rb[role_index(ctx.role)] += ctx.rec.state_bytes;
@@ -256,26 +246,33 @@ void UeContextStore::audit() const {
   SCALE_CHECK_MSG(rb == role_bytes_, "per-role byte accounting drifted");
   SCALE_CHECK_MSG(rc == role_count_, "per-role count accounting drifted");
   // Every index entry must round-trip to a live context that claims it.
+  // lint: order-independent — each entry is checked on its own.
   by_key_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
     SCALE_CHECK_MSG(slot < live_.size() && live_[slot],
                     "GUTI index entry points at a dead slot");
     SCALE_CHECK_MSG(slot_ptr(slot)->key() == key, "GUTI index key mismatch");
   });
+  // lint: order-independent — each entry is checked on its own.
   by_imsi_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
     SCALE_CHECK_MSG(slot < live_.size() && live_[slot],
                     "IMSI index entry points at a dead slot");
-    SCALE_CHECK_MSG(indexed_imsi_[slot] == key, "IMSI index not shadowed");
+    SCALE_CHECK_MSG(slot_ptr(slot)->indexed_imsi_ == key,
+                    "IMSI index not shadowed");
   });
+  // lint: order-independent — each entry is checked on its own.
   by_teid_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
     SCALE_CHECK_MSG(slot < live_.size() && live_[slot],
                     "TEID index entry points at a dead slot");
-    SCALE_CHECK_MSG(indexed_teid_[slot] == key || prev_teid_[slot] == key,
+    const UeContext& ctx = *slot_ptr(slot);
+    SCALE_CHECK_MSG(ctx.indexed_teid_ == key || ctx.prev_teid_ == key,
                     "TEID index not shadowed");
   });
+  // lint: order-independent — each entry is checked on its own.
   by_ue_id_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
     SCALE_CHECK_MSG(slot < live_.size() && live_[slot],
                     "UE-id index entry points at a dead slot");
-    SCALE_CHECK_MSG(indexed_ue_id_[slot] == key || prev_ue_id_[slot] == key,
+    const UeContext& ctx = *slot_ptr(slot);
+    SCALE_CHECK_MSG(ctx.indexed_ue_id_ == key || ctx.prev_ue_id_ == key,
                     "UE-id index not shadowed");
   });
 }

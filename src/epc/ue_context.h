@@ -16,7 +16,7 @@
 // slot, with 8-byte entries for the two 32-bit identifiers. Per-slot
 // runtime fields (epoch hits, inactivity timer) are struct-of-arrays
 // columns indexed by slot, so the per-epoch wᵢ sweep walks a dense u32
-// array instead of striding 104-byte records.
+// array instead of striding 128-byte records.
 #pragma once
 
 #include <algorithm>
@@ -59,10 +59,24 @@ struct UeContext {
  private:
   friend class UeContextStore;
   std::uint32_t slot_ = 0xFFFFFFFFu;  ///< slab slot; column row id
+  // What the store has indexed for this context (0 = nothing) — the exact
+  // erase / stale-entry fix: rec identifiers may be overwritten before
+  // re-indexing, so the store remembers the indexed key itself. Kept next
+  // to the record, not in columns: every re-index reads the record too.
+  std::uint64_t indexed_imsi_ = 0;
+  std::uint32_t indexed_teid_ = 0;
+  std::uint32_t indexed_ue_id_ = 0;
+  // One-deep aliases: the identifier indexed *before* the current one —
+  // still routable for in-flight messages, retired on the next
+  // reassignment (see sync_teid in ue_context.cpp).
+  std::uint32_t prev_teid_ = 0;
+  std::uint32_t prev_ue_id_ = 0;
 };
 
 // Slab chunks are released without running destructors (see ChunkFree).
 static_assert(std::is_trivially_destructible_v<UeContext>);
+// Two cache lines: the record plus what the store indexed for it.
+static_assert(sizeof(UeContext) == 128);
 
 /// Container for UeContexts with secondary indices (IMSI, MME TEID,
 /// MME-UE-S1AP id) and byte-level memory accounting.
@@ -85,6 +99,11 @@ class UeContextStore {
   }
 
   UeContext* find_by_imsi(proto::Imsi imsi);
+  /// The IMSI this context holds the index entry for (0 if none). Nonzero
+  /// means find_by_imsi(that IMSI) returns this context.
+  proto::Imsi indexed_imsi(const UeContext& ctx) const {
+    return ctx.indexed_imsi_;
+  }
   UeContext* find_by_teid(proto::Teid mme_teid);
   UeContext* find_by_mme_ue_id(proto::MmeUeId id);
 
@@ -168,6 +187,7 @@ class UeContextStore {
   void for_each(Fn&& fn) {
     std::vector<std::pair<std::uint64_t, std::uint32_t>> snapshot;
     snapshot.reserve(size_);
+    // lint: order-independent — the snapshot is sorted before any visit.
     by_key_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
       snapshot.emplace_back(key, slot);
     });
@@ -181,6 +201,7 @@ class UeContextStore {
   template <class Pred>
   std::vector<std::uint64_t> keys_if(Pred&& pred) const {
     std::vector<std::uint64_t> keys;
+    // lint: order-independent — the keys are sorted before they return.
     by_key_.for_each_entry([&](std::uint64_t key, std::uint32_t slot) {
       if (pred(*slot_ptr(slot))) keys.push_back(key);
     });
@@ -214,7 +235,7 @@ class UeContextStore {
   void audit() const;
 
  private:
-  // 8192 records per chunk: 852 KB chunks, 123 chunks at 10⁶ UEs. Chunks
+  // 8192 records per chunk: 1 MB chunks, 123 chunks at 10⁶ UEs. Chunks
   // never move or shrink; freed slots are recycled LIFO.
   static constexpr std::uint32_t kChunkShift = 13;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
@@ -256,17 +277,6 @@ class UeContextStore {
   std::vector<std::uint8_t> live_;  ///< also counts the constructed slots
   std::vector<std::uint32_t> epoch_hits_;
   std::vector<sim::EventId> timer_;
-  // What each slot currently has indexed (0 = nothing) — the exact-erase /
-  // stale-entry fix: rec identifiers may be overwritten before re-indexing,
-  // so the store remembers the indexed key itself.
-  std::vector<std::uint64_t> indexed_imsi_;
-  std::vector<std::uint32_t> indexed_teid_;
-  std::vector<std::uint32_t> indexed_ue_id_;
-  // One-deep alias columns: the identifier each slot indexed *before* its
-  // current one — still routable for in-flight messages, retired on the
-  // next reassignment (see sync_teid in ue_context.cpp).
-  std::vector<std::uint32_t> prev_teid_;
-  std::vector<std::uint32_t> prev_ue_id_;
 
   FlatIndex by_key_;
   FlatIndex by_imsi_;

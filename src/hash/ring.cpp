@@ -9,6 +9,7 @@ namespace scale::hash {
 ConsistentHashRing::ConsistentHashRing(unsigned tokens_per_node)
     : tokens_per_node_(tokens_per_node) {
   SCALE_CHECK(tokens_per_node_ >= 1);
+  memo_.fill(MemoEntry{0, md5_u64(0)});
 }
 
 std::uint64_t ConsistentHashRing::token_position(RingNodeId node,
@@ -51,7 +52,10 @@ bool ConsistentHashRing::contains(RingNodeId node) const {
 std::vector<RingNodeId> ConsistentHashRing::nodes() const { return nodes_; }
 
 std::uint64_t ConsistentHashRing::position_of_key(std::uint64_t key) const {
-  return md5_u64(key);
+  // Fibonacci hashing spreads near-sequential GUTI keys over the slots.
+  MemoEntry& e = memo_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kMemoBits)];
+  if (e.key != key) e = MemoEntry{key, md5_u64(key)};
+  return e.pos;
 }
 
 std::size_t ConsistentHashRing::first_token_at_or_after(
@@ -66,13 +70,6 @@ std::size_t ConsistentHashRing::first_token_at_or_after(
 RingNodeId ConsistentHashRing::owner(std::uint64_t key) const {
   SCALE_CHECK_MSG(!ring_.empty(), "owner() on empty ring");
   return ring_[first_token_at_or_after(position_of_key(key))].second;
-}
-
-std::vector<RingNodeId> ConsistentHashRing::preference_list(
-    std::uint64_t key, std::size_t n) const {
-  std::vector<RingNodeId> out;
-  preference_list(key, n, out);
-  return out;
 }
 
 void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
@@ -93,9 +90,14 @@ void ConsistentHashRing::preference_list(std::uint64_t key, std::size_t n,
 
 std::optional<RingNodeId> ConsistentHashRing::replica_of(
     std::uint64_t key) const {
-  const auto prefs = preference_list(key, 2);
-  if (prefs.size() < 2) return std::nullopt;
-  return prefs[1];
+  SCALE_CHECK_MSG(!ring_.empty(), "replica_of() on empty ring");
+  if (nodes_.size() < 2) return std::nullopt;
+  // The first token clockwise that belongs to another node than the
+  // master's; one exists since the ring holds two nodes.
+  std::size_t idx = first_token_at_or_after(position_of_key(key));
+  const RingNodeId master = ring_[idx].second;
+  while (ring_[idx].second == master) idx = (idx + 1) % ring_.size();
+  return ring_[idx].second;
 }
 
 double ConsistentHashRing::ownership_fraction(RingNodeId node) const {

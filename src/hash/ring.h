@@ -12,8 +12,14 @@
 //
 // Setting tokens_per_node = 1 yields the "basic consistent hashing" baseline
 // of Fig. 10(a).
+//
+// A procedure asks the cluster ring about the same GUTI several times
+// (master check, replica push, Idle sync), so each ring memoises the key's
+// MD5 position in a small direct-mapped table. md5(key) never changes, so
+// the memo needs no invalidation when nodes come and go (DESIGN.md §8).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -43,7 +49,8 @@ class ConsistentHashRing {
   bool empty() const { return ring_.empty(); }
   std::vector<RingNodeId> nodes() const;
 
-  /// Ring position of an arbitrary 64-bit key (e.g. a GUTI's M-TMSI).
+  /// Ring position of an arbitrary 64-bit key (e.g. a GUTI's M-TMSI):
+  /// md5_u64(key), memoised.
   std::uint64_t position_of_key(std::uint64_t key) const;
 
   /// Master node for a key: first token clockwise from the key's position.
@@ -51,17 +58,15 @@ class ConsistentHashRing {
   RingNodeId owner(std::uint64_t key) const;
 
   /// Master followed by the next n-1 *distinct* nodes clockwise — the
-  /// replica preference list. Returns fewer entries if the ring has fewer
-  /// than n nodes. Precondition: ring not empty.
-  std::vector<RingNodeId> preference_list(std::uint64_t key,
-                                          std::size_t n) const;
-  /// The same list written into `out` (cleared first), so per-request
-  /// callers reuse one buffer instead of allocating on every call.
+  /// replica preference list — written into `out` (cleared first), so
+  /// per-request callers reuse one buffer instead of allocating on every
+  /// call. Yields fewer entries if the ring has fewer than n nodes.
+  /// Precondition: ring not empty.
   void preference_list(std::uint64_t key, std::size_t n,
                        std::vector<RingNodeId>& out) const;
 
   /// The single replica target (second entry of the preference list), or
-  /// nullopt when the ring has only one node.
+  /// nullopt when the ring has only one node. Precondition: ring not empty.
   std::optional<RingNodeId> replica_of(std::uint64_t key) const;
 
   /// All (position, node) tokens in ring order — for tests and debugging.
@@ -77,9 +82,19 @@ class ConsistentHashRing {
   std::uint64_t token_position(RingNodeId node, unsigned index) const;
   std::size_t first_token_at_or_after(std::uint64_t pos) const;
 
+  // 1024 entries × 16 B = 16 KB per ring. A slot caches one (key,
+  // position) pair; every slot starts as key 0's, so no entry is ever
+  // invalid and no key needs a sentinel.
+  static constexpr unsigned kMemoBits = 10;
+  struct MemoEntry {
+    std::uint64_t key;
+    std::uint64_t pos;
+  };
+
   unsigned tokens_per_node_;
   std::vector<std::pair<std::uint64_t, RingNodeId>> ring_;  // sorted by pos
   std::vector<RingNodeId> nodes_;                           // sorted
+  mutable std::array<MemoEntry, std::size_t{1} << kMemoBits> memo_;
 };
 
 }  // namespace scale::hash

@@ -145,9 +145,9 @@ void MmeApp::start_attach(NodeId enb, const proto::InitialUeMessage& msg,
 
 void MmeApp::attach_request_auth(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
-  const auto it = txns_.find(key);
-  if (ctx == nullptr || it == txns_.end()) return;
-  if (it->second.skip_auth) {
+  const Txn* txn = txns_.find(key);
+  if (ctx == nullptr || txn == nullptr) return;
+  if (txn->skip_auth) {
     attach_create_session(key);
     return;
   }
@@ -166,31 +166,31 @@ void MmeApp::handle_s6(const proto::S6Message& msg) {
     return;
   }
   const std::uint64_t key = ctx->key();
-  const auto it = txns_.find(key);
-  if (it == txns_.end() || it->second.type != ProcedureType::kAttach) return;
+  Txn* txn = txns_.find(key);
+  if (txn == nullptr || txn->type != ProcedureType::kAttach) return;
   if (!ans->known_subscriber) {
     cpu_.execute(cfg_.profile.parse, [this, key]() {
-      const auto txn_it = txns_.find(key);
+      const Txn* t = txns_.find(key);
       UeContext* c = ctx_of(key);
-      if (txn_it == txns_.end() || c == nullptr) return;
+      if (t == nullptr || c == nullptr) return;
       ++counters_.auth_failures;
-      send_downlink_nas(txn_it->second, *c,
+      send_downlink_nas(*t, *c,
                         proto::NasMessage{proto::NasServiceReject{.cause = 1}});
-      txns_.erase(txn_it);
+      txns_.erase(key);
     });
     return;
   }
-  it->second.xres = ans->xres;
+  txn->xres = ans->xres;
   const std::uint64_t rand = ans->rand;
   const std::uint64_t autn = ans->autn;
   cpu_.execute(cfg_.profile.parse, [this, key, rand, autn]() {
-    const auto txn_it = txns_.find(key);
+    const Txn* t = txns_.find(key);
     UeContext* c = ctx_of(key);
-    if (txn_it == txns_.end() || c == nullptr) return;
+    if (t == nullptr || c == nullptr) return;
     proto::NasAuthenticationRequest areq;
     areq.rand = rand;
     areq.autn = autn;
-    send_downlink_nas(txn_it->second, *c, proto::NasMessage{areq});
+    send_downlink_nas(*t, *c, proto::NasMessage{areq});
   });
 }
 
@@ -213,28 +213,28 @@ void MmeApp::handle_uplink_nas(NodeId enb,
     const std::uint64_t res = auth->res;
     cpu_.execute(cfg_.profile.parse + cfg_.profile.auth_check,
                  [this, key, res]() {
-                   const auto it = txns_.find(key);
+                   const Txn* t = txns_.find(key);
                    UeContext* c = ctx_of(key);
-                   if (it == txns_.end() || c == nullptr) return;
-                   if (res != it->second.xres) {
+                   if (t == nullptr || c == nullptr) return;
+                   if (res != t->xres) {
                      ++counters_.auth_failures;
                      send_downlink_nas(
-                         it->second, *c,
+                         *t, *c,
                          proto::NasMessage{proto::NasServiceReject{.cause = 3}});
-                     txns_.erase(it);
+                     txns_.erase(key);
                      return;
                    }
                    send_downlink_nas(
-                       it->second, *c,
+                       *t, *c,
                        proto::NasMessage{proto::NasSecurityModeCommand{}});
                  });
   } else if (std::holds_alternative<proto::NasSecurityModeComplete>(msg.nas)) {
     cpu_.execute(cfg_.profile.parse + cfg_.profile.security_setup,
                  [this, key]() {
                    UeContext* c = ctx_of(key);
-                   const auto it = txns_.find(key);
-                   if (it == txns_.end() || c == nullptr) return;
-                   c->rec.kasme = it->second.xres ^ 0x5A5A5A5A5A5A5A5Aull;
+                   const Txn* t = txns_.find(key);
+                   if (t == nullptr || c == nullptr) return;
+                   c->rec.kasme = t->xres ^ 0x5A5A5A5A5A5A5A5Aull;
                    attach_create_session(key);
                  });
   } else if (std::holds_alternative<proto::NasAttachComplete>(msg.nas)) {
@@ -246,7 +246,7 @@ void MmeApp::handle_uplink_nas(NodeId enb,
 
 void MmeApp::attach_create_session(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
-  if (ctx == nullptr || !txns_.count(key)) return;
+  if (ctx == nullptr || !txns_.contains(key)) return;
   // Register this MME as the subscriber's serving node (S6a Update
   // Location); the answer is informational and does not gate the attach.
   proto::UpdateLocationRequest ulr;
@@ -265,18 +265,17 @@ void MmeApp::attach_create_session(std::uint64_t key) {
 
 void MmeApp::attach_finish(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
-  auto it = txns_.find(key);
-  if (ctx == nullptr || it == txns_.end()) return;
+  Txn* txn = txns_.find(key);
+  if (ctx == nullptr || txn == nullptr) return;
   // A classic MME brands adopted devices with its own GUTI so the eNodeB
   // routes future requests here (static assignment).
   if (cfg_.assign_guti_locally &&
       ctx->rec.guti.mme_code != cfg_.mme_code) {
     const proto::Guti fresh = allocate_guti();
-    Txn txn = it->second;
-    txns_.erase(it);
+    const Txn moved_txn = *txn;
+    txns_.erase(key);
     ctx = &store_.rekey(key, fresh);
-    const std::uint64_t new_key = fresh.key();
-    it = txns_.emplace(new_key, txn).first;
+    txn = &(txns_[fresh.key()] = moved_txn);
   }
   const std::uint64_t final_key = ctx->key();
   ctx->rec.active = true;
@@ -284,14 +283,14 @@ void MmeApp::attach_finish(std::uint64_t key) {
 
   proto::NasAttachAccept accept;
   accept.guti = ctx->rec.guti;
-  send_downlink_nas(it->second, *ctx, proto::NasMessage{accept});
+  send_downlink_nas(*txn, *ctx, proto::NasMessage{accept});
 
   proto::InitialContextSetupRequest ics;
-  ics.enb_id = it->second.enb_node;
-  ics.enb_ue_id = it->second.enb_ue_id;
+  ics.enb_id = txn->enb_node;
+  ics.enb_ue_id = txn->enb_ue_id;
   ics.mme_ue_id = ctx->rec.mme_ue_id;
   ics.sgw_teid = ctx->rec.sgw_teid;
-  host_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
+  host_.to_enb(txn->enb_node, proto::S1apMessage{ics});
 
   arm_inactivity(*ctx);
   finish_procedure(final_key, ProcedureType::kAttach);
@@ -335,7 +334,7 @@ void MmeApp::start_service_request(NodeId enb,
   cpu_.execute(cfg_.profile.parse + cfg_.profile.service_restore,
                [this, key]() {
                  UeContext* c = ctx_of(key);
-                 if (c == nullptr || !txns_.count(key)) return;
+                 if (c == nullptr || !txns_.contains(key)) return;
                  if (!c->rec.sgw_teid.valid()) {
                    // No data session to re-activate (stale state): finish
                    // directly.
@@ -354,18 +353,18 @@ void MmeApp::start_service_request(NodeId enb,
 
 void MmeApp::service_request_finish(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
-  const auto it = txns_.find(key);
-  if (ctx == nullptr || it == txns_.end()) return;
+  const Txn* txn = txns_.find(key);
+  if (ctx == nullptr || txn == nullptr) return;
   ctx->rec.active = true;
   ctx->rec.version++;
 
   proto::InitialContextSetupRequest ics;
-  ics.enb_id = it->second.enb_node;
-  ics.enb_ue_id = it->second.enb_ue_id;
+  ics.enb_id = txn->enb_node;
+  ics.enb_ue_id = txn->enb_ue_id;
   ics.mme_ue_id = ctx->rec.mme_ue_id;
   ics.sgw_teid = ctx->rec.sgw_teid;
-  host_.to_enb(it->second.enb_node, proto::S1apMessage{ics});
-  send_downlink_nas(it->second, *ctx,
+  host_.to_enb(txn->enb_node, proto::S1apMessage{ics});
+  send_downlink_nas(*txn, *ctx,
                     proto::NasMessage{proto::NasServiceAccept{}});
   arm_inactivity(*ctx);
   finish_procedure(key, ProcedureType::kServiceRequest);
@@ -398,21 +397,21 @@ void MmeApp::start_tau(NodeId enb, const proto::InitialUeMessage& msg,
 
   cpu_.execute(cfg_.profile.parse + cfg_.profile.tau, [this, key, new_tac]() {
     UeContext* c = ctx_of(key);
-    auto it = txns_.find(key);
-    if (c == nullptr || it == txns_.end()) return;
+    const Txn* t = txns_.find(key);
+    if (c == nullptr || t == nullptr) return;
     c->rec.tac = new_tac;
     c->rec.version++;
     proto::NasTauAccept accept;
     if (cfg_.assign_guti_locally && c->rec.guti.mme_code != cfg_.mme_code) {
       const proto::Guti fresh = allocate_guti();
-      const Txn moved_txn = it->second;
-      txns_.erase(it);
+      const Txn moved_txn = *t;
+      txns_.erase(key);
       c = &store_.rekey(key, fresh);
-      it = txns_.emplace(fresh.key(), moved_txn).first;
+      t = &(txns_[fresh.key()] = moved_txn);
       accept.new_guti = fresh;
     }
     const std::uint64_t final_key = c->key();
-    send_downlink_nas(it->second, *c, proto::NasMessage{accept});
+    send_downlink_nas(*t, *c, proto::NasMessage{accept});
     finish_procedure(final_key, ProcedureType::kTrackingAreaUpdate);
   });
 }
@@ -443,7 +442,7 @@ void MmeApp::handle_path_switch(NodeId enb,
   cpu_.execute(cfg_.profile.parse + cfg_.profile.path_switch,
                [this, key, new_enb_id, new_tac]() {
                  UeContext* c = ctx_of(key);
-                 if (c == nullptr || !txns_.count(key)) return;
+                 if (c == nullptr || !txns_.contains(key)) return;
                  c->rec.tac = new_tac;
                  if (!c->rec.sgw_teid.valid()) {
                    handover_finish(key, new_enb_id);
@@ -461,9 +460,9 @@ void MmeApp::handle_path_switch(NodeId enb,
 
 void MmeApp::handover_finish(std::uint64_t key, std::uint32_t new_enb_id) {
   UeContext* ctx = ctx_of(key);
-  const auto it = txns_.find(key);
-  if (ctx == nullptr || it == txns_.end()) return;
-  const Txn& txn = it->second;
+  const Txn* t = txns_.find(key);
+  if (ctx == nullptr || t == nullptr) return;
+  const Txn& txn = *t;
 
   proto::PathSwitchAck ack;
   ack.enb_id = txn.enb_node;
@@ -517,7 +516,7 @@ void MmeApp::start_detach(NodeId enb, proto::EnbUeId enb_ue_id,
 
   cpu_.execute(cfg_.profile.parse + cfg_.profile.detach, [this, key]() {
     UeContext* c = ctx_of(key);
-    if (c == nullptr || !txns_.count(key)) return;
+    if (c == nullptr || !txns_.contains(key)) return;
     if (!c->rec.sgw_teid.valid()) {
       detach_finish(key);
       return;
@@ -535,9 +534,9 @@ void MmeApp::start_detach(NodeId enb, proto::EnbUeId enb_ue_id,
 
 void MmeApp::detach_finish(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
-  const auto it = txns_.find(key);
-  if (ctx == nullptr || it == txns_.end()) return;
-  send_downlink_nas(it->second, *ctx,
+  const Txn* txn = txns_.find(key);
+  if (ctx == nullptr || txn == nullptr) return;
+  send_downlink_nas(*txn, *ctx,
                     proto::NasMessage{proto::NasDetachAccept{}});
   host_.before_detach(*ctx);
   ++counters_.procedures[static_cast<int>(ProcedureType::kDetach)];
@@ -562,7 +561,7 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
           cpu_.execute(cfg_.profile.parse + cfg_.profile.session_mgmt,
                        [this, key, sgw_teid]() {
                          UeContext* c = ctx_of(key);
-                         if (c == nullptr || !txns_.count(key)) return;
+                         if (c == nullptr || !txns_.contains(key)) return;
                          c->rec.sgw_teid = sgw_teid;
                          attach_finish(key);
                        });
@@ -573,13 +572,13 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
             return;
           }
           const std::uint64_t key = ctx->key();
-          const auto it = txns_.find(key);
-          if (it == txns_.end()) return;
-          if (it->second.type == ProcedureType::kServiceRequest) {
+          const Txn* txn = txns_.find(key);
+          if (txn == nullptr) return;
+          if (txn->type == ProcedureType::kServiceRequest) {
             cpu_.execute(cfg_.profile.parse + cfg_.profile.service_finalize,
                          [this, key]() { service_request_finish(key); });
-          } else if (it->second.type == ProcedureType::kHandover) {
-            const std::uint32_t new_enb = it->second.enb_node;
+          } else if (txn->type == ProcedureType::kHandover) {
+            const std::uint32_t new_enb = txn->enb_node;
             cpu_.execute(cfg_.profile.parse + cfg_.profile.handover_finish,
                          [this, key, new_enb]() {
                            handover_finish(key, new_enb);
@@ -651,19 +650,23 @@ void MmeApp::page_ue(std::uint64_t key) {
 
 UeContext* MmeApp::adopt(const proto::UeContextRecord& rec, ContextRole role) {
   const std::uint64_t key = rec.guti.key();
+  UeContext* existing = store_.find(key);
   // Duplicate-IMSI guard: a reassignment transfer can race with the same
   // device re-attaching here under a fresh GUTI. The copy a live
   // transaction is running on must win, or the in-flight procedure
   // strands (its HSS answer routes by IMSI). Otherwise the stale duplicate
-  // is purged so the subscriber has one context.
-  if (rec.imsi != 0) {
+  // is purged so the subscriber has one context. When the context under
+  // this GUTI already holds rec.imsi's index entry, no other context can
+  // (the index maps an IMSI to one slot; audit() checks it), so the probe
+  // is skipped — the common case of a replica push refreshing its copy.
+  if (rec.imsi != 0 &&
+      (existing == nullptr || store_.indexed_imsi(*existing) != rec.imsi)) {
     UeContext* same_imsi = store_.find_by_imsi(rec.imsi);
     if (same_imsi != nullptr && same_imsi->rec.guti.key() != key) {
-      if (txns_.count(same_imsi->rec.guti.key()) > 0) return same_imsi;
+      if (txns_.contains(same_imsi->rec.guti.key())) return same_imsi;
       remove_context(same_imsi->rec.guti.key());
     }
   }
-  UeContext* existing = store_.find(key);
   if (existing != nullptr) {
     if (existing->rec.version > rec.version) return existing;  // stale push
     // Adopted copies are passive: only the VM actively serving the device
@@ -730,7 +733,7 @@ void MmeApp::inactivity_fired(std::uint64_t key) {
   UeContext* ctx = ctx_of(key);
   if (ctx == nullptr) return;
   store_.disarm_timer(*ctx);  // fired, not cancelled: just clear the cell
-  if (!ctx->rec.active || txns_.count(key)) return;
+  if (!ctx->rec.active || txns_.contains(key)) return;
   cpu_.execute(cfg_.profile.idle_release, [this, key]() {
     UeContext* c = ctx_of(key);
     if (c == nullptr || !c->rec.active) return;

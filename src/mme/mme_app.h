@@ -19,9 +19,9 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "epc/flat_index.h"
 #include "epc/ue_context.h"
 #include "mme/service_profile.h"
 #include "proto/pdu.h"
@@ -134,7 +134,7 @@ class MmeApp {
 
   /// True if a procedure transaction is in flight for this context.
   bool has_transaction(std::uint64_t guti_key) const {
-    return txns_.count(guti_key) > 0;
+    return txns_.contains(guti_key);
   }
 
   /// Number of procedure transactions currently in flight (an overload
@@ -200,7 +200,7 @@ class MmeApp {
   NodeId sgw_node_;
   Host& host_;
   UeContextStore store_;
-  std::unordered_map<std::uint64_t, Txn> txns_;
+  epc::FlatMap<std::uint64_t, Txn> txns_;
   Counters counters_;
   std::uint32_t next_tmsi_ = 1;
   std::uint32_t next_ue_seq_ = 1;

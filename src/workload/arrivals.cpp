@@ -1,5 +1,7 @@
 #include "workload/arrivals.h"
 
+#include <array>
+
 #include "common/check.h"
 
 namespace scale::workload {
@@ -66,9 +68,10 @@ bool OpenLoopDriver::try_procedure(Ue& ue, int which) {
 }
 
 bool OpenLoopDriver::fire_one() {
-  const std::vector<double> weights = {cfg_.mix.attach,
-                                       cfg_.mix.service_request, cfg_.mix.tau,
-                                       cfg_.mix.handover, cfg_.mix.detach};
+  const std::array<double, 5> weights = {cfg_.mix.attach,
+                                         cfg_.mix.service_request,
+                                         cfg_.mix.tau, cfg_.mix.handover,
+                                         cfg_.mix.detach};
   // Resample while the device cannot run the procedure (busy, wrong
   // state); after this many draws the arrival is dropped.
   constexpr unsigned kResampleAttempts = 8;

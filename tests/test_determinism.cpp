@@ -126,10 +126,13 @@ TEST(Determinism, Md5RingPlacementStable) {
   for (hash::RingNodeId n = 1; n <= 10; ++n) ring.add_node(n);
   EXPECT_EQ(ring.owner(g.key()), ring.owner(g.key()));
   // Placement is insensitive to unrelated process state.
-  const auto first = ring.preference_list(g.key(), 3);
+  std::vector<hash::RingNodeId> first;
+  std::vector<hash::RingNodeId> second;
+  ring.preference_list(g.key(), 3, first);
   hash::ConsistentHashRing ring2(5);
   for (hash::RingNodeId n = 10; n >= 1; --n) ring2.add_node(n);
-  EXPECT_EQ(ring2.preference_list(g.key(), 3), first);
+  ring2.preference_list(g.key(), 3, second);
+  EXPECT_EQ(second, first);
 }
 
 }  // namespace

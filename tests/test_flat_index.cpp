@@ -1,5 +1,6 @@
-// Randomized differential tests of FlatIndex at both key widths against
-// std::unordered_map: insert, find, backward-shift erase and growth.
+// Randomized differential tests of FlatIndex at both key widths, and of the
+// FlatMap built on it, against std::unordered_map: insert, find,
+// backward-shift erase, growth, slot reuse and reference stability.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -164,6 +165,119 @@ TEST(FlatIndex, EmptySentinelValueRejected) {
   EXPECT_THROW(index.insert(7, FlatIndex32::kNone), scale::CheckError);
   EXPECT_FALSE(index.erase(7));
   EXPECT_EQ(index.find(7), FlatIndex32::kNone);
+}
+
+// ----------------------------------------------------------------- FlatMap
+
+/// A value wider than a pointer, so a torn or stale slot shows.
+struct Payload {
+  std::uint64_t a = 0;
+  std::uint32_t b = 0;
+  bool operator==(const Payload&) const = default;
+};
+
+/// Drives a FlatMap and std::unordered_map through the same seeded mix of
+/// assign (fresh and overwrite), erase and find. Every live value's address
+/// is recorded when it is inserted and must stay put across every later
+/// growth; a periodic for_each must visit each live key exactly once.
+template <class Key>
+void run_map_differential(std::uint64_t seed, Key base, Key window,
+                          std::size_t steps) {
+  FlatMap<Key, Payload> map;
+  std::unordered_map<Key, Payload> ref;
+  std::unordered_map<Key, const Payload*> addr;
+  Rng rng(seed);
+  const auto draw = [&]() {
+    return static_cast<Key>(base + rng.next_below(window));
+  };
+  const auto check_all = [&]() {
+    ASSERT_EQ(map.size(), ref.size());
+    ASSERT_EQ(map.empty(), ref.empty());
+    std::size_t seen = 0;
+    map.for_each([&](Key key, Payload& value) {
+      ++seen;
+      const auto it = ref.find(key);
+      ASSERT_NE(it, ref.end()) << "stray key " << key;
+      EXPECT_EQ(value, it->second) << "key " << key;
+      EXPECT_EQ(&value, addr.at(key)) << "value moved, key " << key;
+    });
+    EXPECT_EQ(seen, ref.size());
+  };
+
+  for (std::size_t step = 0; step < steps; ++step) {
+    const Key key = draw();
+    const std::uint64_t op = rng.next_below(100);
+    // Grow for the first half, then churn at a steady size.
+    const std::uint64_t assign_share = step < steps / 2 ? 70 : 40;
+    if (op < assign_share) {
+      const Payload value{rng.next_u64(), static_cast<std::uint32_t>(step)};
+      const bool fresh = !ref.contains(key);
+      Payload& slot = map[key];
+      if (fresh) {
+        EXPECT_EQ(slot, Payload{}) << "reused slot not reset, key " << key;
+        addr[key] = &slot;
+      } else {
+        EXPECT_EQ(&slot, addr.at(key)) << "overwrite moved, key " << key;
+      }
+      slot = value;
+      ref[key] = value;
+    } else if (op < 80) {
+      ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "key " << key;
+      addr.erase(key);
+    } else {
+      const Payload* got = map.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << key;
+      EXPECT_EQ(map.contains(key), it != ref.end());
+      if (got != nullptr) EXPECT_EQ(*got, it->second);
+    }
+    if (step % (steps / 16) == 0) check_all();
+  }
+  check_all();
+}
+
+TEST(FlatMap, DifferentialU64Keys) {
+  run_map_differential<std::uint64_t>(0xF1B0ull, 1ull << 40, 20000, 120000);
+}
+
+TEST(FlatMap, DifferentialU32Keys) {
+  run_map_differential<std::uint32_t>(0xF1B1ull, 1u, 20000u, 120000);
+}
+
+TEST(FlatMap, ErasedSlotIsReusedAndReset) {
+  FlatMap<std::uint32_t, Payload> map;
+  for (std::uint32_t k = 1; k <= 100; ++k) map[k] = Payload{k, k};
+  const Payload* freed = map.find(37);
+  ASSERT_NE(freed, nullptr);
+  EXPECT_TRUE(map.erase(37));
+  EXPECT_FALSE(map.erase(37));
+  EXPECT_EQ(map.find(37), nullptr);
+  // The next insertion takes the freed slot instead of growing the store,
+  // and hands it out value-initialized.
+  Payload& reused = map[1000];
+  EXPECT_EQ(&reused, freed);
+  EXPECT_EQ(reused, Payload{});
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_EQ(map.find(36)->a, 36u);
+  EXPECT_EQ(map.find(38)->a, 38u);
+}
+
+TEST(FlatMap, ReferencesSurviveGrowth) {
+  FlatMap<std::uint64_t, Payload> map;
+  Payload& first = map[7];
+  first.a = 0xAB;
+  std::vector<Payload*> held{&first};
+  for (std::uint64_t k = 8; k < 5000; ++k) {
+    Payload& v = map[k];
+    v.a = k;
+    held.push_back(&v);
+  }
+  EXPECT_EQ(map.find(7), &first);
+  EXPECT_EQ(first.a, 0xABu);
+  for (std::uint64_t k = 8; k < 5000; ++k) {
+    ASSERT_EQ(map.find(k), held[k - 7]) << "key " << k;
+    ASSERT_EQ(held[k - 7]->a, k);
+  }
 }
 
 }  // namespace

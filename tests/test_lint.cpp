@@ -53,7 +53,7 @@ TEST(ScaleLint, FixtureTreeYieldsExactPerRuleCounts) {
   const LintRun r = run_lint(kFixtures + " src bench");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_EQ(r.count("[L1]"), 6u) << r.output;
-  EXPECT_EQ(r.count("[L2]"), 6u) << r.output;
+  EXPECT_EQ(r.count("[L2]"), 8u) << r.output;
   EXPECT_EQ(r.count("[L3]"), 3u) << r.output;
   EXPECT_EQ(r.count("[L4]"), 3u) << r.output;
   EXPECT_EQ(r.count("[L5]"), 2u) << r.output;
@@ -67,6 +67,7 @@ TEST(ScaleLint, PositiveFixturesFlagTheRightFiles) {
   EXPECT_EQ(r.count("src/sim/l2_bad.cpp"), 2u) << r.output;
   EXPECT_EQ(r.count("src/obs/l2_bad.cpp"), 2u) << r.output;
   EXPECT_EQ(r.count("src/core/l2_bad.cpp"), 2u) << r.output;
+  EXPECT_EQ(r.count("src/epc/l2_flat_bad.cpp"), 2u) << r.output;
   EXPECT_EQ(r.count("src/proto/l3_bad.h"), 3u) << r.output;
   EXPECT_EQ(r.count("src/mme/l4_bad.cpp"), 3u) << r.output;
   EXPECT_EQ(r.count("src/epc/l5_bad.cpp"), 2u) << r.output;
@@ -78,6 +79,7 @@ TEST(ScaleLint, NegativeFixturesAreCleanAndExitZero) {
   const LintRun r =
       run_lint(kFixtures +
                " src/common/l1_ok.cpp src/sim/l2_ok.cpp src/core/l2_ok.cpp"
+               " src/epc/l2_flat_ok.cpp"
                " src/proto/l3_ok.h"
                " src/mme/l4_ok.cpp src/epc/l5_ok.cpp"
                " src/core/l6_ok.cpp src/core/l7_ok.cpp"
@@ -178,13 +180,13 @@ TEST(ScaleLintJson, ReportValidatesAndCountsMatchFixtures) {
   EXPECT_EQ(doc->find("schema")->as_string(), "scale-lint-v1");
   const auto* by_rule = doc->find("counts")->find("by_rule");
   EXPECT_EQ(by_rule->find("L1")->as_int(), 6);
-  EXPECT_EQ(by_rule->find("L2")->as_int(), 6);
+  EXPECT_EQ(by_rule->find("L2")->as_int(), 8);
   EXPECT_EQ(by_rule->find("L3")->as_int(), 3);
   EXPECT_EQ(by_rule->find("L4")->as_int(), 3);
   EXPECT_EQ(by_rule->find("L5")->as_int(), 2);
   EXPECT_EQ(by_rule->find("L6")->as_int(), 5);
   EXPECT_EQ(by_rule->find("L7")->as_int(), 2);
-  EXPECT_EQ(doc->find("counts")->find("findings")->as_int(), 27);
+  EXPECT_EQ(doc->find("counts")->find("findings")->as_int(), 29);
   // The fixture tree carries waivers too (l2_ok waivers, l6_ok contract).
   EXPECT_GT(doc->find("counts")->find("waivers")->as_int(), 0);
 }

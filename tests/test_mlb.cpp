@@ -74,7 +74,8 @@ TEST(Mlb, DeviceLandsOnPreferenceListVm) {
   w.tb.run_for(Duration::sec(2.0));
   ASSERT_TRUE(ue.registered());
   const std::uint64_t key = ue.guti()->key();
-  const auto prefs = w.cluster->ring().preference_list(key, 2);
+  std::vector<hash::RingNodeId> prefs;
+  w.cluster->ring().preference_list(key, 2, prefs);
   // The context must live on the master or the replica target VM.
   bool found = false;
   for (auto& mmp : w.cluster->mmps()) {
@@ -290,7 +291,8 @@ ShedCase shed_case(ScaleWorld& w, std::uint32_t m_tmsi) {
   const core::Mlb& mlb = w.cluster->mlb();
   ShedCase c;
   c.guti = proto::Guti{1, 1, mlb.mme_code(), m_tmsi};
-  const auto prefs = mlb.ring().preference_list(c.guti.key(), 2);
+  std::vector<hash::RingNodeId> prefs;
+  mlb.ring().preference_list(c.guti.key(), 2, prefs);
   c.shedder = prefs.at(0);
   c.alternative = prefs.at(1);
   return c;

@@ -440,5 +440,77 @@ TEST(MmeAppUnit, DeferredPageSkippedOnceTheDeviceIsActive) {
   EXPECT_EQ(std::count(h.outbox.begin(), h.outbox.end(), "s1ap:Paging"), 0);
 }
 
+// --- adopt(): replica apply and the duplicate-IMSI guard. A subscriber can
+// briefly hold two contexts here: a pushed/transferred copy under its old
+// GUTI and a fresh one from re-attaching under a new GUTI. adopt() must
+// leave one context per subscriber, unless a live transaction runs on the
+// other copy — then that copy wins.
+
+TEST(MmeAppUnit, AdoptRefreshesACopyThatHoldsItsImsi) {
+  Harness h;
+  auto& store = h.app->store();
+  proto::UeContextRecord rec = idle_device(50, /*session=*/false);
+  UeContext* first = h.app->adopt(rec, epc::ContextRole::kReplica);
+  rec.version = 3;
+  rec.tac = 11;
+  UeContext* second = h.app->adopt(rec, epc::ContextRole::kMaster);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(second->rec.version, 3u);
+  EXPECT_EQ(second->rec.tac, 11u);
+  EXPECT_EQ(second->role, epc::ContextRole::kMaster);
+  EXPECT_EQ(store.find_by_imsi(rec.imsi), second);
+  EXPECT_EQ(store.size(), 1u);
+  store.audit();
+}
+
+TEST(MmeAppUnit, AdoptPurgesAStaleDuplicateUnderAnotherGuti) {
+  Harness h;
+  auto& store = h.app->store();
+  proto::UeContextRecord pushed = idle_device(50, /*session=*/false);
+  h.app->adopt(pushed, epc::ContextRole::kMaster);
+  // The same subscriber under another GUTI takes over the IMSI index entry
+  // (as a re-attach's insert does), with no transaction left running on it.
+  proto::UeContextRecord other = idle_device(51, /*session=*/false);
+  other.imsi = pushed.imsi;
+  store.insert(other, epc::ContextRole::kMaster);
+  ASSERT_EQ(store.find_by_imsi(pushed.imsi)->key(), other.guti.key());
+  // A newer push for the first GUTI: its context exists but no longer
+  // holds the IMSI entry, so the guard must look, and purge the other copy.
+  pushed.version = 5;
+  UeContext* got = h.app->adopt(pushed, epc::ContextRole::kMaster);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->key(), pushed.guti.key());
+  EXPECT_EQ(got->rec.version, 5u);
+  EXPECT_FALSE(store.contains(other.guti.key()));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.find_by_imsi(pushed.imsi), got);
+  store.audit();
+}
+
+TEST(MmeAppUnit, AdoptYieldsToALiveTransactionOnTheDuplicate) {
+  Harness h;
+  auto& store = h.app->store();
+  proto::UeContextRecord pushed = idle_device(50, /*session=*/false);
+  pushed.kasme = 0;  // no security context: the re-attach waits on the HSS
+  h.app->adopt(pushed, epc::ContextRole::kMaster);
+  proto::NasAttachRequest attach;
+  attach.imsi = pushed.imsi;
+  h.s1ap(proto::S1apMessage{h.initial(proto::NasMessage{attach})});
+  UeContext* fresh = store.find_by_imsi(pushed.imsi);
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_NE(fresh->key(), pushed.guti.key());
+  ASSERT_TRUE(h.app->has_transaction(fresh->key()));
+  // The pushed copy still carries the IMSI in its record, but the index
+  // entry is the attach's: the attach must keep running on its copy.
+  const std::uint64_t version_before =
+      store.find(pushed.guti.key())->rec.version;
+  pushed.version = version_before + 1;
+  EXPECT_EQ(h.app->adopt(pushed, epc::ContextRole::kMaster), fresh);
+  EXPECT_EQ(store.find(pushed.guti.key())->rec.version, version_before);
+  EXPECT_TRUE(h.app->has_transaction(fresh->key()));
+  EXPECT_EQ(store.size(), 2u);
+  store.audit();
+}
+
 }  // namespace
 }  // namespace scale::mme

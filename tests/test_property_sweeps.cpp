@@ -72,15 +72,18 @@ TEST_P(RingReplicaSweep, PreferenceListStableUnderUnrelatedChurn) {
   hash::ConsistentHashRing ring(tokens);
   for (hash::RingNodeId n = 1; n <= 12; ++n) ring.add_node(n);
 
-  std::vector<std::vector<hash::RingNodeId>> before;
+  std::vector<std::vector<hash::RingNodeId>> before(200);
   for (std::uint64_t key = 0; key < 200; ++key)
-    before.push_back(ring.preference_list(key, R));
+    ring.preference_list(key, R, before[key]);
 
   ring.add_node(777);
   ring.remove_node(777);
 
-  for (std::uint64_t key = 0; key < 200; ++key)
-    EXPECT_EQ(ring.preference_list(key, R), before[key]) << "key " << key;
+  std::vector<hash::RingNodeId> after;
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    ring.preference_list(key, R, after);
+    EXPECT_EQ(after, before[key]) << "key " << key;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

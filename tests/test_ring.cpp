@@ -4,7 +4,9 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "hash/md5.h"
 #include "hash/ring.h"
 
 namespace scale::hash {
@@ -16,11 +18,19 @@ ConsistentHashRing make_ring(unsigned tokens, std::initializer_list<RingNodeId> 
   return ring;
 }
 
+std::vector<RingNodeId> prefs_of(const ConsistentHashRing& ring,
+                                 std::uint64_t key, std::size_t n) {
+  std::vector<RingNodeId> out;
+  ring.preference_list(key, n, out);
+  return out;
+}
+
 TEST(Ring, EmptyRingRejectsLookups) {
   ConsistentHashRing ring;
   EXPECT_TRUE(ring.empty());
   EXPECT_THROW(ring.owner(1), scale::CheckError);
-  EXPECT_THROW(ring.preference_list(1, 2), scale::CheckError);
+  EXPECT_THROW(prefs_of(ring, 1, 2), scale::CheckError);
+  EXPECT_THROW((void)ring.replica_of(1), scale::CheckError);
 }
 
 TEST(Ring, AddRemoveMembership) {
@@ -53,7 +63,7 @@ TEST(Ring, OwnerIsDeterministic) {
 TEST(Ring, PreferenceListDistinctAndStartsAtOwner) {
   auto ring = make_ring(5, {10, 20, 30, 40, 50});
   for (std::uint64_t key = 0; key < 500; ++key) {
-    const auto prefs = ring.preference_list(key, 3);
+    const auto prefs = prefs_of(ring, key, 3);
     ASSERT_EQ(prefs.size(), 3u);
     EXPECT_EQ(prefs[0], ring.owner(key));
     std::set<RingNodeId> uniq(prefs.begin(), prefs.end());
@@ -63,7 +73,7 @@ TEST(Ring, PreferenceListDistinctAndStartsAtOwner) {
 
 TEST(Ring, PreferenceListCappedByNodeCount) {
   auto ring = make_ring(5, {1, 2});
-  const auto prefs = ring.preference_list(7, 10);
+  const auto prefs = prefs_of(ring, 7, 10);
   EXPECT_EQ(prefs.size(), 2u);
 }
 
@@ -72,7 +82,7 @@ TEST(Ring, PreferenceListIntoBufferReplacesItsContents) {
   std::vector<RingNodeId> out{99, 98, 97, 96, 95, 94};
   for (std::uint64_t key = 0; key < 200; ++key) {
     ring.preference_list(key, 3, out);
-    EXPECT_EQ(out, ring.preference_list(key, 3)) << "key " << key;
+    EXPECT_EQ(out, prefs_of(ring, key, 3)) << "key " << key;
   }
   ring.preference_list(7, 10, out);
   EXPECT_EQ(out.size(), 5u);
@@ -89,6 +99,7 @@ TEST(Ring, ReplicaDiffersFromOwner) {
     const auto rep = ring.replica_of(key);
     ASSERT_TRUE(rep.has_value());
     EXPECT_NE(*rep, ring.owner(key));
+    EXPECT_EQ(*rep, prefs_of(ring, key, 2).at(1)) << "key " << key;
   }
 }
 
@@ -163,6 +174,51 @@ TEST(Ring, OwnershipFractionMatchesEmpiricalShare) {
   }
 }
 
+// The position memo is direct-mapped with far fewer slots than the keys
+// below, so these passes evict and refill every slot many times: any key
+// answered from a slot another key owns shows up as a wrong position.
+TEST(RingMemo, CollidingKeysEachGetTheirOwnPosition) {
+  auto ring = make_ring(5, {1, 2, 3});
+  for (int pass = 0; pass < 3; ++pass)
+    for (std::uint64_t key = 0; key < 4096; ++key)
+      ASSERT_EQ(ring.position_of_key(key), md5_u64(key))
+          << "pass " << pass << " key " << key;
+  // Two keys forced into one slot: of any 1025 keys, two share one of the
+  // 1024 slots, so alternating over them hits at least one shared slot.
+  for (std::uint64_t a = 0; a < 1025; ++a) {
+    const std::uint64_t b = (a * 7919 + 13) % 1025;
+    ASSERT_EQ(ring.position_of_key(a), md5_u64(a));
+    ASSERT_EQ(ring.position_of_key(b), md5_u64(b));
+    ASSERT_EQ(ring.position_of_key(a), md5_u64(a));
+  }
+}
+
+TEST(RingMemo, ExtremeKeysOnAFreshRing) {
+  // A fresh memo holds no sentinel a real key could be mistaken for: the
+  // first lookup of key 0 and of key ~0 both compute their own MD5.
+  for (const std::uint64_t key : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+    auto ring = make_ring(5, {1, 2});
+    EXPECT_EQ(ring.position_of_key(key), md5_u64(key)) << key;
+    EXPECT_EQ(ring.position_of_key(key), md5_u64(key)) << key;
+  }
+}
+
+TEST(RingMemo, OwnersMatchAFreshRingAfterMembershipChanges) {
+  // Warm the memo, change membership, and compare every answer with a ring
+  // built from scratch with the final membership: the memo caches key
+  // positions only, which membership never moves.
+  auto ring = make_ring(5, {1, 2, 3, 4});
+  for (std::uint64_t key = 0; key < 3000; ++key) (void)ring.owner(key);
+  ring.add_node(9);
+  ring.remove_node(2);
+  const auto fresh = make_ring(5, {1, 3, 4, 9});
+  for (std::uint64_t key = 0; key < 3000; ++key) {
+    ASSERT_EQ(ring.owner(key), fresh.owner(key)) << "key " << key;
+    ASSERT_EQ(prefs_of(ring, key, 3), prefs_of(fresh, key, 3)) << key;
+    ASSERT_EQ(ring.replica_of(key), fresh.replica_of(key)) << "key " << key;
+  }
+}
+
 class RingTokenSweep : public ::testing::TestWithParam<unsigned> {};
 
 // Property sweep: for any token count, preference lists are duplicate-free
@@ -172,7 +228,7 @@ TEST_P(RingTokenSweep, PreferenceListInvariants) {
   ConsistentHashRing ring(tokens);
   for (RingNodeId n = 1; n <= 8; ++n) ring.add_node(n);
   for (std::uint64_t key = 1; key < 400; key += 7) {
-    const auto prefs = ring.preference_list(key, 4);
+    const auto prefs = prefs_of(ring, key, 4);
     ASSERT_EQ(prefs.size(), 4u);
     std::set<RingNodeId> uniq(prefs.begin(), prefs.end());
     EXPECT_EQ(uniq.size(), prefs.size());

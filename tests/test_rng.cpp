@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -144,7 +145,8 @@ TEST(Rng, WeightedIndexDistribution) {
 
 TEST(Rng, WeightedIndexRejectsAllZero) {
   Rng rng(41);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), CheckError);
+  const std::array<double, 2> zeros{0.0, 0.0};
+  EXPECT_THROW(rng.weighted_index(zeros), CheckError);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -3,6 +3,8 @@
 // forward-to-master, and fine-grained load balancing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/cluster.h"
 #include "testbed/testbed.h"
 #include "workload/arrivals.h"
@@ -76,7 +78,8 @@ TEST(ScaleIntegration, MasterPlacedByRingAndReplicatedToNeighbor) {
   ASSERT_TRUE(ue.registered());
 
   const std::uint64_t key = ue.guti()->key();
-  const auto prefs = w.cluster->ring().preference_list(key, 2);
+  std::vector<hash::RingNodeId> prefs;
+  w.cluster->ring().preference_list(key, 2, prefs);
   ASSERT_EQ(prefs.size(), 2u);
 
   core::MmpNode* master = w.holder_of(key, ContextRole::kMaster);

@@ -27,10 +27,11 @@
 //   L1  nondeterminism sources: std::rand/srand, wall-clock reads (time(),
 //       gettimeofday, chrono system/steady/high_resolution clocks) outside
 //       src/common/time.h, std::random_device, default-seeded std::mt19937.
-//   L2  range-for / .begin() iteration over std::unordered_{map,set} in the
-//       determinism-critical dirs (src/sim, src/core, src/epc, src/mme,
-//       src/obs) unless the line (or the line above) carries
-//       `// lint: order-independent`.
+//   L2  table-order iteration in the determinism-critical dirs (src/sim,
+//       src/core, src/epc, src/mme, src/obs): range-for / .begin() over a
+//       std::unordered_{map,set}, .for_each() over an epc::FlatMap, and
+//       any .for_each_entry() walk of a FlatIndex — unless the line (or the
+//       line above) carries `// lint: order-independent`.
 //   L3  every decode*/parse*/try_* declaration in src/proto and
 //       src/epc/reliable.* must be [[nodiscard]] — dropped decode results
 //       are how truncated-PDU bugs hide.
@@ -745,12 +746,13 @@ void check_l1(const std::string& rel, const LexedFile& f,
   }
 }
 
-/// Collect the names of variables/members/params declared with an unordered
-/// container type. Template arguments may nest (maps of vectors, maps of
-/// maps), so the angle brackets are matched by depth, not by regex.
-std::vector<std::string> unordered_decl_names(const std::string& code) {
+/// Collect the names of variables/members/params declared with a templated
+/// type matching `decl_re` (which ends at the opening '<'). Template
+/// arguments may nest (maps of vectors, maps of maps), so the angle
+/// brackets are matched by depth, not by regex.
+std::vector<std::string> decl_names(const std::string& code,
+                                    const std::regex& decl_re) {
   std::vector<std::string> names;
-  static const std::regex decl_re(R"(\bstd\s*::\s*unordered_(map|set)\s*<)");
   for (auto it = std::sregex_iterator(code.begin(), code.end(), decl_re);
        it != std::sregex_iterator(); ++it) {
     std::size_t p = static_cast<std::size_t>(it->position() + it->length());
@@ -782,43 +784,80 @@ std::vector<std::string> unordered_decl_names(const std::string& code) {
   return names;
 }
 
-void check_l2(const std::string& rel, const LexedFile& f,
-              const std::vector<std::string>& extra_decls,
-              std::vector<Finding>& out) {
-  if (!in_l2_scope(rel)) return;
-  std::vector<std::string> names = unordered_decl_names(f.code);
-  names.insert(names.end(), extra_decls.begin(), extra_decls.end());
+/// Names declared as std::unordered_{map,set}.
+std::vector<std::string> unordered_decl_names(const std::string& code) {
+  static const std::regex decl_re(R"(\bstd\s*::\s*unordered_(map|set)\s*<)");
+  return decl_names(code, decl_re);
+}
+
+/// Names declared as (epc::)FlatMap.
+std::vector<std::string> flat_map_decl_names(const std::string& code) {
+  static const std::regex decl_re(R"(\bFlatMap\s*<)");
+  return decl_names(code, decl_re);
+}
+
+/// Declarations L2 tracks; a .cpp also sees its paired header's members.
+struct L2Decls {
+  std::vector<std::string> unordered;
+  std::vector<std::string> flat_maps;
+};
+
+L2Decls l2_decls(const std::string& code) {
+  return {unordered_decl_names(code), flat_map_decl_names(code)};
+}
+
+void merge_names(std::vector<std::string>& names,
+                 const std::vector<std::string>& extra) {
+  names.insert(names.end(), extra.begin(), extra.end());
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
+}
+
+/// One L2 finding per unannotated match of `re`.
+void flag_l2(const std::string& rel, const LexedFile& f, const std::regex& re,
+             const std::string& message, std::vector<Finding>& out) {
+  for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), re);
+       it != std::sregex_iterator(); ++it) {
+    const std::size_t line =
+        line_of(f.code, static_cast<std::size_t>(it->position()));
+    if (annotated_order_independent(f, line)) continue;
+    out.push_back({rel, line, "L2", message});
+  }
+}
+
+void check_l2(const std::string& rel, const LexedFile& f,
+              const L2Decls& sibling, std::vector<Finding>& out) {
+  if (!in_l2_scope(rel)) return;
+  const std::string fix =
+      " — use an ordered container, a sorted snapshot, or annotate "
+      "`// lint: order-independent`";
+  // FlatMap / FlatIndex walks visit entries in table order, which depends
+  // on insertion history: the same hazard as hash order.
+  std::vector<std::string> flat_maps = flat_map_decl_names(f.code);
+  merge_names(flat_maps, sibling.flat_maps);
+  for (const auto& name : flat_maps)
+    flag_l2(rel, f,
+            std::regex("\\b" + name + "\\s*\\.\\s*for_each\\s*\\("),
+            "table-order walk of FlatMap '" + name + "'" + fix, out);
+  flag_l2(rel, f, std::regex(R"((\.|->)\s*for_each_entry\s*\()"),
+          "table-order walk of a FlatIndex (for_each_entry)" + fix, out);
+
+  std::vector<std::string> names = unordered_decl_names(f.code);
+  merge_names(names, sibling.unordered);
   for (const auto& name : names) {
+    const std::string hazard = "unordered container '" + name +
+                               "' — hash order leaks into the trajectory; "
+                               "use an ordered container, a sorted "
+                               "snapshot, or annotate "
+                               "`// lint: order-independent`";
     // Range-for over the container (possibly spanning lines).
-    const std::regex for_re("for\\s*\\([^;()]*:\\s*&?\\s*" + name +
-                            "\\s*\\)");
-    for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), for_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t line =
-          line_of(f.code, static_cast<std::size_t>(it->position()));
-      if (annotated_order_independent(f, line)) continue;
-      out.push_back({rel, line, "L2",
-                     "iteration over unordered container '" + name +
-                         "' — hash order leaks into the trajectory; use an "
-                         "ordered container, a sorted snapshot, or annotate "
-                         "`// lint: order-independent`"});
-    }
+    flag_l2(rel, f,
+            std::regex("for\\s*\\([^;()]*:\\s*&?\\s*" + name + "\\s*\\)"),
+            "iteration over " + hazard, out);
     // Iterator walk: name.begin() / name.cbegin(). (.find/.end-compare
     // lookups are fine and deliberately not matched.)
-    const std::regex beg_re("\\b" + name + "\\s*\\.\\s*c?begin\\s*\\(");
-    for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), beg_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t line =
-          line_of(f.code, static_cast<std::size_t>(it->position()));
-      if (annotated_order_independent(f, line)) continue;
-      out.push_back({rel, line, "L2",
-                     "iterator over unordered container '" + name +
-                         "' — hash order leaks into the trajectory; use an "
-                         "ordered container, a sorted snapshot, or annotate "
-                         "`// lint: order-independent`"});
-    }
+    flag_l2(rel, f, std::regex("\\b" + name + "\\s*\\.\\s*c?begin\\s*\\("),
+            "iterator over " + hazard, out);
   }
 }
 
@@ -1199,18 +1238,18 @@ int main(int argc, char** argv) {
   for (const auto& fi : index) {
     // L2 needs member declarations from the paired header: `conns_` is
     // declared in enodeb.h but iterated in enodeb.cpp.
-    std::vector<std::string> sibling_decls;
+    L2Decls sibling_decls;
     if (fi.rel.size() > 4 &&
         (fi.rel.compare(fi.rel.size() - 4, 4, ".cpp") == 0 ||
          fi.rel.compare(fi.rel.size() - 3, 3, ".cc") == 0)) {
       std::string header = fi.rel.substr(0, fi.rel.rfind('.')) + ".h";
       const auto hit = by_rel.find(header);
       if (hit != by_rel.end()) {
-        sibling_decls = unordered_decl_names(hit->second->lexed.code);
+        sibling_decls = l2_decls(hit->second->lexed.code);
       } else {
         fs::path hp = root / header;
         if (fs::is_regular_file(hp))
-          sibling_decls = unordered_decl_names(lex(read_file(hp)).code);
+          sibling_decls = l2_decls(lex(read_file(hp)).code);
       }
     }
     const std::size_t before = findings.size();
