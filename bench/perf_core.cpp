@@ -287,10 +287,10 @@ struct EchoEndpoint final : epc::Endpoint {
   std::uint64_t* remaining = nullptr;
 
   explicit EchoEndpoint(epc::Fabric& f) : Endpoint(f) {}
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+  void receive(sim::NodeId, const proto::PduRef& ref) override {
     if (*remaining == 0) return;
     --*remaining;
-    fabric_.send(node(), peer, pdu);
+    fabric_.send(node(), peer, ref);
   }
 };
 
@@ -306,7 +306,7 @@ PhaseResult phase_fabric_hop(std::uint64_t div) {
     b.peer = a.node();
     a.remaining = &remaining;
     b.remaining = &remaining;
-    fabric.send(a.node(), b.node(), attach_pdu());
+    fabric.send(a.node(), b.node(), proto::box(attach_pdu()));
     eng.run();
     r.ops = net.messages_sent();
     r.bytes = net.bytes_sent();
@@ -331,7 +331,7 @@ PhaseResult phase_buffer_pool(std::uint64_t div) {
 /// Warmed procedures on a small SCALE world: 200 registered UEs on one
 /// eNodeB, a 4-MMP cluster with two local copies. Each round staggers one
 /// procedure per UE 2 ms apart, then runs past the 5 s inactivity timeout
-/// so every UE is Idle again. Four SR+TAU rounds warm every table (eNB
+/// so every UE is Idle again. Two SR+TAU rounds warm every table (eNB
 /// connections, MMP transactions, S-GW sessions, fabric batches, engine
 /// and pools) to its high-water size; the two measured rounds must then
 /// make no heap call.
@@ -362,7 +362,7 @@ PhaseResult phase_warm_sr_tau() {
     w.tb.run_for(kStagger * static_cast<double>(ues.size()) +
                  Duration::sec(6.0));
   };
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 2; ++i) {
     round(false);
     round(true);
   }
@@ -403,7 +403,7 @@ std::uint64_t proc_status_bytes(const char* field) {
 struct SinkEndpoint final : epc::Endpoint {
   explicit SinkEndpoint(epc::Fabric& f) : Endpoint(f) {}
   std::uint64_t received = 0;
-  void receive(sim::NodeId, const proto::Pdu&) override { ++received; }
+  void receive(sim::NodeId, const proto::PduRef&) override { ++received; }
 };
 
 /// The storm's eNodeB stand-in: fires seeded Service Requests at the MLB
@@ -433,12 +433,13 @@ struct StormEnb final : epc::Endpoint {
     msg.enb_ue_id = static_cast<proto::EnbUeId>(sent + 1);
     msg.tac = 7;
     msg.nas = proto::NasMessage{sr};
-    fabric_.send(node(), mlb, proto::make_pdu(msg));
+    fabric_.send(node(), mlb, proto::box(msg));
     if (++sent < budget)
       fabric_.engine().after(interval, [this] { send_one(); });
   }
 
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+  void receive(sim::NodeId, const proto::PduRef& ref) override {
+    const proto::Pdu& pdu = ref->value;
     const auto* s1 = std::get_if<proto::S1apMessage>(&pdu);
     if (s1 == nullptr) return;
     if (const auto* dl = std::get_if<proto::DownlinkNasTransport>(s1)) {

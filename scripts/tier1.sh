@@ -8,7 +8,9 @@
 # front-end relay lambdas; the codec and byte reader/writer suites
 # (CodecFuzz included) run the generic field visitor over untrusted bytes;
 # the MmeApp, ClusterVm and MME integration suites cover the MmeHost
-# callbacks and the StateTransfer install.
+# callbacks and the StateTransfer install; the OneBox, eNodeB and HSS/S-GW
+# suites cover boxes shared by relays, CPU-queue captures and the eNodeB's
+# parked radio-leg NAS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,7 +88,7 @@ PY
 cmake -B build-asan -S . -DSCALE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"${JOBS}" --target scale_tests perf_core
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" \
-  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme|Codec|ByteWriter|ByteReader|ByteRoundTrip|MmeApp|ClusterVm|MmeIntegration')
+  -R 'Chaos|ReliableTest|FabricTest|FaultPlane|FailureInjection|Network|Obs|Engine|BufferPool|BoxAlloc|OverloadGovernor|OverloadIntegration|OverloadTokenBucket|Mlb|PoolOverload|SimpleBaseline|SimpleEdge|Dmme|Codec|ByteWriter|ByteReader|ByteRoundTrip|MmeApp|ClusterVm|MmeIntegration|OneBox|EnodeB|Hss|Sgw')
 # MillionUE smoke under ASan+UBSan: the same capacity phases at 100 K UEs
 # (--quick skips the absolute bytes-per-UE assert — sanitizer shadow memory
 # inflates RSS) — slab growth, FlatIndex churn, and the storm's index

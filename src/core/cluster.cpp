@@ -395,9 +395,9 @@ void ScaleCluster::enforce_geo_budget() {
   proto::GeoEvictRequest req;
   req.dc_id = cfg_.home_dc;
   req.fraction = fraction;
+  const proto::PduRef pdu = proto::box(req);  // one box for every peer
   for (const auto& peer : geo_->peers())
-    fabric_.send(mlbs_.front()->node(), peer.mlb,
-                 proto::pdu_of(proto::ClusterMessage{req}));
+    fabric_.send(mlbs_.front()->node(), peer.mlb, pdu);
 }
 
 void ScaleCluster::on_evict_request(const proto::GeoEvictRequest& evict) {

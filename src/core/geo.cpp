@@ -41,10 +41,10 @@ void GeoManager::gossip_tick() {
   gossip.available_budget = available();
   gossip.cpu_load = load_probe_ ? load_probe_() : 0.0;
   gossip.backlog_sec = backlog_probe_ ? backlog_probe_() : 0.0;
+  const proto::PduRef pdu = proto::box(gossip);  // one box for every peer
   for (const auto& p : peers_) {
     ++gossips_sent_;
-    fabric_.send(local_mlb_, p.mlb,
-                 proto::pdu_of(proto::ClusterMessage{gossip}));
+    fabric_.send(local_mlb_, p.mlb, pdu);
   }
   fabric_.engine().after(cfg_.gossip_interval, [this] { gossip_tick(); });
 }

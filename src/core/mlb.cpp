@@ -116,7 +116,8 @@ double Mlb::load_of(NodeId mmp) const { return view_.load_of(mmp); }
 
 bool Mlb::has_load_report(NodeId mmp) const { return view_.has_report(mmp); }
 
-void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
+void Mlb::handle_overload_reject(proto::PduRef pdu) {
+  const auto& rej = proto::message<proto::OverloadReject>(pdu);
   ++overload_rejects_;
   if (rej.procedure < proto::kProcedureTypeCount)
     ++rejects_by_type_[static_cast<std::size_t>(rej.procedure)];
@@ -178,8 +179,7 @@ void Mlb::handle_overload_reject(const proto::OverloadReject& rej) {
     tr->instant(node(), "shed_resteer", fabric_.engine().now(),
                 std::move(args));
   }
-  forward(target, rej.origin, rej.guti, rej.inner->value,
-          /*no_offload=*/true);
+  forward(target, rej.origin, rej.guti, rej.inner, /*no_offload=*/true);
 }
 
 bool Mlb::under_pressure(Time now) const {
@@ -206,7 +206,7 @@ void Mlb::maybe_backpressure(NodeId from) {
       static_cast<std::uint64_t>(kEnbBackoffWindow.count_us());
   // Advisory: a lost signal just means the eNB keeps sending and the next
   // dry take re-signals; retransmitting a stale window would be worse.
-  rel_.send_unreliable(from, proto::make_pdu(proto::S1apMessage{start}));
+  rel_.send_unreliable(from, proto::box(start));
 }
 
 NodeId Mlb::pick(NodeId enb, const proto::Guti& guti) {
@@ -218,18 +218,20 @@ NodeId Mlb::pick(NodeId enb, const proto::Guti& guti) {
   return least_loaded(prefs_, view_, fabric_.engine().now());
 }
 
-void Mlb::route_geo_forward(const proto::GeoForward& gf) {
+void Mlb::route_geo_forward(proto::PduRef pdu) {
   if (ring_.empty()) {
     ++unroutable_;
     return;
   }
   // Deliver to the VM the local ring maps this GUTI to; it holds the
   // external replica (or answers GeoReject if it was evicted).
-  const NodeId mmp = ring_.owner(gf.guti.key());
-  rel_.send(mmp, proto::pdu_of(proto::ClusterMessage{gf}));
+  const NodeId mmp =
+      ring_.owner(proto::message<proto::GeoForward>(pdu).guti.key());
+  rel_.send(mmp, std::move(pdu));
 }
 
-void Mlb::route_geo_reject(const proto::GeoReject& rej) {
+void Mlb::route_geo_reject(proto::PduRef pdu) {
+  const auto& rej = proto::message<proto::GeoReject>(pdu);
   if (ring_.empty() || rej.inner == nullptr) {
     ++unroutable_;
     return;
@@ -238,38 +240,40 @@ void Mlb::route_geo_reject(const proto::GeoReject& rej) {
   // again (loop guard).
   ring_.preference_list(rej.guti.key(), cfg_.choices, prefs_);
   forward(least_loaded(prefs_, view_, fabric_.engine().now()), rej.origin,
-          rej.guti, rej.inner->value,
-          /*no_offload=*/true);
+          rej.guti, rej.inner, /*no_offload=*/true);
 }
 
-void Mlb::on_cluster(NodeId from, const proto::ClusterMessage& msg) {
+void Mlb::on_cluster(NodeId from, const proto::PduRef& pdu,
+                     const proto::ClusterMessage& msg) {
   if (const auto* load = std::get_if<proto::LoadReport>(&msg)) {
     view_.on_report(load->mmp_node, load->cpu_util);
   } else if (const auto* ring_update = std::get_if<proto::RingUpdate>(&msg)) {
     apply_membership(ring_update->members, ring_update->version);
-  } else if (const auto* gf = std::get_if<proto::GeoForward>(&msg)) {
-    const proto::GeoForward copy = *gf;
-    cpu_.execute(kRouteCost, [this, copy]() { route_geo_forward(copy); });
-  } else if (const auto* rej = std::get_if<proto::GeoReject>(&msg)) {
-    const proto::GeoReject copy = *rej;
-    cpu_.execute(kRouteCost, [this, copy]() { route_geo_reject(copy); });
-  } else if (const auto* push = std::get_if<proto::ReplicaPush>(&msg)) {
+  } else if (std::holds_alternative<proto::GeoForward>(msg)) {
+    cpu_.execute(kRouteCost, [this, pdu]() mutable {
+      route_geo_forward(std::move(pdu));
+    });
+  } else if (std::holds_alternative<proto::GeoReject>(msg)) {
+    cpu_.execute(kRouteCost, [this, pdu]() mutable {
+      route_geo_reject(std::move(pdu));
+    });
+  } else if (std::holds_alternative<proto::ReplicaPush>(msg)) {
     // Geo replica arriving from a remote DC: place it on the local ring
     // (§4.5.2: "the replication is done using a MLB VM of the remote DC,
     // which selects the MMP VM based on the hash ring of that DC").
-    const proto::ReplicaPush copy = *push;
-    cpu_.execute(kRelayCost, [this, copy]() {
+    cpu_.execute(kRelayCost, [this, pdu]() mutable {
       if (ring_.empty()) {
         ++unroutable_;
         return;
       }
-      const NodeId mmp = ring_.owner(copy.rec.guti.key());
-      rel_.send(mmp, proto::pdu_of(proto::ClusterMessage{copy}));
+      const NodeId mmp = ring_.owner(
+          proto::message<proto::ReplicaPush>(pdu).rec.guti.key());
+      rel_.send(mmp, std::move(pdu));
     });
-  } else if (const auto* shed = std::get_if<proto::OverloadReject>(&msg)) {
-    const proto::OverloadReject copy = *shed;
-    cpu_.execute(kRouteCost,
-                 [this, copy]() { handle_overload_reject(copy); });
+  } else if (std::holds_alternative<proto::OverloadReject>(msg)) {
+    cpu_.execute(kRouteCost, [this, pdu]() mutable {
+      handle_overload_reject(std::move(pdu));
+    });
   } else if (std::holds_alternative<proto::GeoBudgetGossip>(msg) ||
              std::holds_alternative<proto::GeoEvictRequest>(msg)) {
     if (geo_sink_) geo_sink_(from, msg);

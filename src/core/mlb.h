@@ -160,12 +160,15 @@ class Mlb : public mme::FrontEnd {
   NodeId pick(NodeId enb, const proto::Guti& guti) override;
   /// LoadReport, RingUpdate, OverloadReject, the geo protocol and geo
   /// replica placement.
-  void on_cluster(NodeId from, const proto::ClusterMessage& msg) override;
+  void on_cluster(NodeId from, const proto::PduRef& pdu,
+                  const proto::ClusterMessage& msg) override;
 
  private:
-  void route_geo_forward(const proto::GeoForward& gf);
-  void route_geo_reject(const proto::GeoReject& rej);
-  void handle_overload_reject(const proto::OverloadReject& rej);
+  // Each takes the received box (holding the named message), so the relay
+  // forwards it, or the request it carries, without copying.
+  void route_geo_forward(proto::PduRef pdu);   // a GeoForward
+  void route_geo_reject(proto::PduRef pdu);    // a GeoReject
+  void handle_overload_reject(proto::PduRef pdu);  // an OverloadReject
   /// True while any MMP is inside a shed-backoff window or reports load at
   /// or above the pressure limit.
   bool under_pressure(Time now) const;

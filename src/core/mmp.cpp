@@ -92,7 +92,8 @@ std::optional<NodeId> MmpNode::local_replica_target(
   return prefs_[0];
 }
 
-void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
+void MmpNode::handle_forward(NodeId from, const proto::PduRef& pdu,
+                             const proto::ClusterForward& fwd) {
   const proto::Pdu& inner = fwd.inner->value;
 
   // Only Initial UE messages participate in forward-to-master / offload
@@ -120,7 +121,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
         // Fast path: redirects happen at ingestion (dispatcher thread),
         // ahead of the worker queue — a redirect must not wait behind the
         // very backlog it is escaping.
-        rel_.send(master, proto::pdu_of(proto::ClusterMessage{fwd}));
+        rel_.send(master, pdu);
         return;
       }
     }
@@ -169,7 +170,7 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
         gf.guti = fwd.guti;
         gf.inner = fwd.inner;
         // Fast path (see forward-to-master above).
-        rel_.send(remote_mlb, proto::pdu_of(proto::ClusterMessage{gf}));
+        rel_.send(remote_mlb, proto::box(std::move(gf)));
         return;
       }
     }
@@ -219,13 +220,13 @@ void MmpNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
         rej.inner = fwd.inner;
         // Fast path, but reliable: losing the reject would strand the
         // request.
-        rel_.send(lb(), proto::pdu_of(proto::ClusterMessage{rej}));
+        rel_.send(lb(), proto::box(std::move(rej)));
         return;
       }
     }
   }
 
-  ClusterVm::handle_forward(from, fwd);
+  ClusterVm::handle_forward(from, pdu, fwd);
 }
 
 void MmpNode::handle_other_cluster(NodeId from,
@@ -241,7 +242,7 @@ void MmpNode::handle_other_cluster(NodeId from,
       rej.inner = gf->inner;
       rej.origin = gf->origin;
       if (gf->home_mlb != 0)
-        rel_.send(gf->home_mlb, proto::pdu_of(proto::ClusterMessage{rej}));
+        rel_.send(gf->home_mlb, proto::box(std::move(rej)));
       return;
     }
     ++geo_served_;
@@ -337,7 +338,7 @@ void MmpNode::replicate_local(UeContext& ctx) {
 void MmpNode::migrate_master(std::uint64_t guti_key, NodeId new_owner) {
   UeContext* ctx = app().store().find(guti_key);
   if (ctx == nullptr || new_owner == node()) return;
-  const proto::UeContextRecord rec = ctx->rec;
+  proto::PduRef xfer = proto::box(proto::StateTransfer{ctx->rec});
   // Keep a demoted copy only if this VM is the new ring-replica target.
   bool keep_as_replica = false;
   if (ring_ != nullptr && !ring_->empty())
@@ -348,11 +349,8 @@ void MmpNode::migrate_master(std::uint64_t guti_key, NodeId new_owner) {
     app().remove_context(guti_key);
   }
   cpu().execute(app().config().profile.state_transfer_tx,
-                [this, rec, new_owner]() {
-                  proto::StateTransfer xfer;
-                  xfer.rec = rec;
-                  rel_.send(new_owner,
-                            proto::pdu_of(proto::ClusterMessage{xfer}));
+                [this, new_owner, xfer = std::move(xfer)]() mutable {
+                  rel_.send(new_owner, std::move(xfer));
                 });
 }
 

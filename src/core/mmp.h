@@ -82,7 +82,8 @@ class MmpNode final : public mme::ClusterVm {
                       const std::string& prefix) const override;
 
  protected:
-  void handle_forward(NodeId from, const proto::ClusterForward& fwd) override;
+  void handle_forward(NodeId from, const proto::PduRef& pdu,
+                      const proto::ClusterForward& fwd) override;
   void handle_other_cluster(NodeId from,
                             const proto::ClusterMessage& msg) override;
   epc::ContextRole classify_replica(

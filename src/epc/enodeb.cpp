@@ -93,8 +93,9 @@ NodeId EnodeB::select_mme(const proto::NasMessage& nas,
 void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
                             std::optional<NodeId> exclude_mme) {
   // Radio leg UE -> eNB, then S1AP InitialUeMessage to the selected MME.
-  fabric_.engine().after(cfg_.radio_delay, [this, &ue, nas = std::move(nas),
-                                            exclude_mme]() mutable {
+  const std::uint32_t parked =
+      radio_.park(Uplink{std::move(nas), exclude_mme});
+  fabric_.engine().after(cfg_.radio_delay, [this, &ue, parked]() {
     const Time now = fabric_.engine().now();
     if (now < mme_backoff_until_ && cfg_.overload_pace > Duration::zero()) {
       // Core signalled OverloadStart: serialize initials onto a spaced
@@ -109,24 +110,22 @@ void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
       if (slot - now <= kOverloadPaceHorizon) {
         next_paced_slot_ = slot;
         ++paced_initials_;
-        fabric_.engine().after(
-            slot - now,
-            [this, &ue, nas = std::move(nas), exclude_mme]() mutable {
-              send_initial(ue, std::move(nas), exclude_mme);
-            });
+        fabric_.engine().after(slot - now, [this, &ue, parked]() {
+          send_initial(ue, parked);
+        });
         return;
       }
     }
-    send_initial(ue, std::move(nas), exclude_mme);
+    send_initial(ue, parked);
   });
 }
 
-void EnodeB::send_initial(Ue& ue, proto::NasMessage nas,
-                          std::optional<NodeId> exclude_mme) {
+void EnodeB::send_initial(Ue& ue, std::uint32_t parked) {
+  Uplink up = radio_.take(parked);
   // Reuse an existing S1 connection if the UE still has one.
   drop_connection(ue);
   const proto::EnbUeId id = next_ue_id_++;
-  const NodeId mme = select_mme(nas, exclude_mme);
+  const NodeId mme = select_mme(up.nas, up.exclude_mme);
   conns_[id] = Conn{&ue, mme, proto::MmeUeId{}, fabric_.engine().now()};
   ue.set_s1_conn(id);
   ensure_rrc_sweep();
@@ -134,13 +133,14 @@ void EnodeB::send_initial(Ue& ue, proto::NasMessage nas,
   msg.enb_id = node();
   msg.enb_ue_id = id;
   msg.tac = cfg_.tac;
-  msg.nas = std::move(nas);
-  rel_.send(mme, proto::make_pdu(std::move(msg)));
+  msg.nas = std::move(up.nas);
+  rel_.send(mme, proto::box(std::move(msg)));
 }
 
 void EnodeB::ue_uplink_nas(Ue& ue, proto::NasMessage nas) {
-  fabric_.engine().after(cfg_.radio_delay, [this, &ue,
-                                            nas = std::move(nas)]() mutable {
+  const std::uint32_t parked = radio_.park(Uplink{std::move(nas), {}});
+  fabric_.engine().after(cfg_.radio_delay, [this, &ue, parked]() {
+    Uplink up = radio_.take(parked);
     Conn* conn = conns_.find(ue.s1_conn());
     if (conn == nullptr || conn->ue != &ue) {
       SCALE_DEBUG("uplink NAS without S1 connection, dropping");
@@ -151,8 +151,8 @@ void EnodeB::ue_uplink_nas(Ue& ue, proto::NasMessage nas) {
     msg.enb_id = node();
     msg.enb_ue_id = ue.s1_conn();
     msg.mme_ue_id = conn->mme_ue_id;
-    msg.nas = std::move(nas);
-    rel_.send(conn->mme_node, proto::make_pdu(std::move(msg)));
+    msg.nas = std::move(up.nas);
+    rel_.send(conn->mme_node, proto::box(std::move(msg)));
   });
 }
 
@@ -168,7 +168,7 @@ void EnodeB::ue_arrive_handover(Ue& ue) {
     msg.enb_ue_id = id;
     msg.mme_ue_id = ue.mme_ue_id();
     msg.tac = cfg_.tac;
-    rel_.send(ue.serving_mme(), proto::make_pdu(msg));
+    rel_.send(ue.serving_mme(), proto::box(msg));
   });
 }
 
@@ -216,26 +216,28 @@ void EnodeB::rrc_sweep() {
   if (!conns_.empty()) ensure_rrc_sweep();
 }
 
-void EnodeB::to_ue(Ue& ue, proto::NasMessage nas) {
-  fabric_.engine().after(cfg_.radio_delay, [&ue, nas = std::move(nas)]() {
-    ue.deliver_nas(nas);
+void EnodeB::to_ue(Ue& ue, proto::PduRef pdu) {
+  fabric_.engine().after(cfg_.radio_delay, [&ue, pdu = std::move(pdu)]() {
+    ue.deliver_nas(proto::message<proto::DownlinkNasTransport>(pdu).nas);
   });
 }
 
-void EnodeB::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* app = rel_.unwrap(from, pdu);
+void EnodeB::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
   if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
-  const auto* s1ap = std::get_if<proto::S1apMessage>(app);
+  const auto* s1ap = std::get_if<proto::S1apMessage>(&(*app)->value);
   if (s1ap == nullptr) {
-    SCALE_WARN("eNodeB received non-S1AP PDU: " << proto::pdu_name(*app));
+    SCALE_WARN("eNodeB received non-S1AP PDU: "
+               << proto::pdu_name((*app)->value));
     return;
   }
-  handle_s1ap(from, *s1ap);
+  handle_s1ap(from, *app, *s1ap);
 }
 
-void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
+void EnodeB::handle_s1ap(NodeId from, const proto::PduRef& pdu,
+                         const proto::S1apMessage& msg) {
   std::visit(
-      [this, from](const auto& m) {
+      [this, from, &pdu](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::DownlinkNasTransport>) {
           Conn* conn = conns_.find(m.enb_ue_id);
@@ -252,7 +254,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
               std::holds_alternative<proto::NasTauAccept>(m.nas) ||
               std::holds_alternative<proto::NasDetachAccept>(m.nas);
           if (final_msg) conns_.erase(m.enb_ue_id);
-          to_ue(ue, m.nas);
+          to_ue(ue, pdu);
         } else if constexpr (std::is_same_v<T,
                                             proto::InitialContextSetupRequest>) {
           Conn* conn = conns_.find(m.enb_ue_id);
@@ -264,7 +266,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
           resp.enb_ue_id = m.enb_ue_id;
           resp.mme_ue_id = m.mme_ue_id;
           resp.enb_teid = proto::Teid::make(0, m.enb_ue_id);
-          rel_.send(from, proto::make_pdu(resp));
+          rel_.send(from, proto::box(resp));
           Ue& ue = *conn->ue;
           fabric_.engine().after(cfg_.radio_delay,
                                  [&ue]() { ue.on_connection_established(); });
@@ -289,7 +291,7 @@ void EnodeB::handle_s1ap(NodeId from, const proto::S1apMessage& msg) {
               ue.on_release(cause, releasing);
             });
           }
-          rel_.send(from, proto::make_pdu(resp));
+          rel_.send(from, proto::box(resp));
         } else if constexpr (std::is_same_v<T, proto::Paging>) {
           if (Ue* const* camped = camped_.find(m.m_tmsi)) {
             ++paging_hits_;

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "epc/fabric.h"
 #include "epc/flat_index.h"
+#include "epc/parking_lot.h"
 #include "epc/reliable.h"
 #include "proto/pdu.h"
 
@@ -86,7 +87,7 @@ class EnodeB : public Endpoint {
   /// Tear down the UE's S1 connection locally (handover source side).
   void drop_connection(Ue& ue);
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
   std::size_t connection_count() const { return conns_.size(); }
   std::uint64_t paging_hits() const { return paging_hits_; }
@@ -100,6 +101,13 @@ class EnodeB : public Endpoint {
     NodeId node = 0;
     std::uint8_t code = 0;
     double weight = 1.0;
+  };
+
+  /// A UE's NAS message on the uplink radio leg (parked in radio_ while
+  /// the radio delay runs).
+  struct Uplink {
+    proto::NasMessage nas;
+    std::optional<NodeId> exclude_mme;
   };
 
   struct Conn {
@@ -121,17 +129,22 @@ class EnodeB : public Endpoint {
   /// The `k`-th member (0-based) that `take` accepts.
   template <class Pred>
   NodeId nth_member(std::size_t k, Pred take) const;
-  void to_ue(Ue& ue, proto::NasMessage nas);
-  void handle_s1ap(NodeId from, const proto::S1apMessage& msg);
-  /// Open the S1 connection and send the InitialUeMessage (post-pacing).
-  void send_initial(Ue& ue, proto::NasMessage nas,
-                    std::optional<NodeId> exclude_mme);
+  /// Radio leg eNB -> UE of the NAS inside `pdu`, a DownlinkNasTransport
+  /// box.
+  void to_ue(Ue& ue, proto::PduRef pdu);
+  /// `pdu` holds `msg`.
+  void handle_s1ap(NodeId from, const proto::PduRef& pdu,
+                   const proto::S1apMessage& msg);
+  /// Open the S1 connection and send the InitialUeMessage of the Uplink
+  /// parked under `parked` (post-pacing).
+  void send_initial(Ue& ue, std::uint32_t parked);
 
   Config cfg_;
   ReliableChannel rel_;
   Rng rng_;
   std::vector<MmeEntry> mmes_;
   std::vector<double> weights_;  ///< MME-selection scratch, reused
+  ParkingLot<Uplink> radio_;     ///< uplink NAS in flight on the radio leg
   FlatMap<proto::EnbUeId, Conn> conns_;
   FlatMap<std::uint32_t, Ue*> camped_;  // m_tmsi -> idle UE
   proto::EnbUeId next_ue_id_ = 1;

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "proto/codec.h"
 
 namespace scale::epc {
 
@@ -68,24 +67,24 @@ bool Fabric::is_registered(NodeId id) const {
   return id < endpoints_.size() && endpoints_[id] != nullptr;
 }
 
-void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
-  network_.record_transfer(from, to, proto::wire_size(pdu));
+void Fabric::send(NodeId from, NodeId to, proto::PduRef pdu) {
+  network_.record_transfer(from, to, pdu->wire_bytes);
   Duration latency = network_.delay(from, to);
   if (network_.faults_enabled()) {
     const sim::FaultVerdict v =
         network_.fault_verdict(from, to, engine_.now());
     if (!v.deliver) {
-      SCALE_DEBUG("fault-dropped " << proto::pdu_name(pdu) << " " << from
-                                   << " -> " << to);
+      SCALE_DEBUG("fault-dropped " << proto::pdu_name(pdu->value) << " "
+                                   << from << " -> " << to);
       if (obs::Tracer::current() != nullptr)
-        trace_fault(from, to, pdu, engine_.now(), v.cause);
+        trace_fault(from, to, pdu->value, engine_.now(), v.cause);
       return;  // lost on the wire; counted in network().fault_counters()
     }
     if (v.latency_factor != 1.0) latency = latency * v.latency_factor;
     latency = latency + v.extra_delay;
     if (v.cause != sim::FaultCause::kNone &&
         obs::Tracer::current() != nullptr)
-      trace_fault(from, to, pdu, engine_.now(), v.cause);
+      trace_fault(from, to, pdu->value, engine_.now(), v.cause);
     if (v.duplicate) {
       // The duplicate trails the original by one (deterministic) configured
       // latency — no extra Rng draw, so replays stay byte-identical.
@@ -93,16 +92,14 @@ void Fabric::send(NodeId from, NodeId to, proto::Pdu pdu) {
     }
   }
   if (obs::Tracer::current() != nullptr)
-    trace_hop(from, to, pdu, engine_.now(), latency);
+    trace_hop(from, to, pdu->value, engine_.now(), latency);
   deliver(from, to, std::move(pdu), latency);
 }
 
-void Fabric::deliver(NodeId from, NodeId to, proto::Pdu pdu,
+void Fabric::deliver(NodeId from, NodeId to, proto::PduRef p,
                      Duration latency) {
-  // Box the in-flight PDU (a recycled BoxAlloc block, not a fresh heap
-  // allocation): the batch holds 16-byte refs, and the drain event captures
-  // only (this, to, batch) — well inside InlineAction's inline budget.
-  proto::PduRef p = proto::box(std::move(pdu));
+  // The batch holds the sender's box; the drain event captures only
+  // (this, to, batch).
   const Time at = engine_.now() + latency;
   const std::int64_t at_us = at.count_us();
   // Same-destination, same-timestamp coalescing. The scheduled-event
@@ -119,10 +116,7 @@ void Fabric::deliver(NodeId from, NodeId to, proto::Pdu pdu,
   }
   DeliveryBatch* b = alloc_batch();
   b->items.emplace_back(from, std::move(p));
-  auto fn = [this, to, b]() { drain_batch(to, b); };
-  static_assert(sim::InlineAction::fits_inline<decltype(fn)>,
-                "fabric hop capture must stay within the inline budget");
-  engine_.at(at, std::move(fn));
+  engine_.at(at, [this, to, b]() { drain_batch(to, b); });
   ++batches_;
   open_batch_ = b;
   open_to_ = to;
@@ -136,7 +130,11 @@ Fabric::DeliveryBatch* Fabric::alloc_batch() {
     batch_free_.pop_back();
     return b;
   }
+  // A fresh batch starts with room for a few folded PDUs, so a steady
+  // workload stops growing batch storage once it has its batches, instead
+  // of each one reaching a new high-water mark the first time it folds.
   batch_pool_.push_back(std::make_unique<DeliveryBatch>());
+  batch_pool_.back()->items.reserve(kBatchReserve);
   return batch_pool_.back().get();
 }
 
@@ -162,7 +160,7 @@ void Fabric::drain_batch(NodeId to, DeliveryBatch* b) {
       }
       continue;
     }
-    ep->receive(from, p->value);
+    ep->receive(from, p);
   }
   if (b->items.size() > 1) engine_.credit_batched(b->items.size() - 1);
   b->items.clear();

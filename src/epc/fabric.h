@@ -73,9 +73,12 @@ class Endpoint {
 
   NodeId node() const { return node_; }
 
-  /// Handle a PDU delivered from `from`. Implementations must not assume
-  /// sender honesty beyond what the codecs guarantee.
-  virtual void receive(NodeId from, const proto::Pdu& pdu) = 0;
+  /// Handle a PDU delivered from `from`. The box is shared with the sender
+  /// and every other holder: keep or forward the PduRef itself (a relay
+  /// wraps it into its envelope as is) instead of copying the message.
+  /// Implementations must not assume sender honesty beyond what the codecs
+  /// guarantee.
+  virtual void receive(NodeId from, const proto::PduRef& pdu) = 0;
 
  protected:
   /// Unregister now (a crash): PDUs in flight to node() are dropped. The
@@ -96,10 +99,11 @@ class Fabric {
 
   bool is_registered(NodeId id) const;
 
-  /// Send a PDU from -> to with network delay + accounting. When the
-  /// network's FaultPlane is enabled the PDU may be dropped, duplicated, or
-  /// delayed according to the fault verdict for this link.
-  void send(NodeId from, NodeId to, proto::Pdu pdu);
+  /// Send a boxed PDU from -> to with network delay + accounting (the box's
+  /// memoised wire_bytes). When the network's FaultPlane is enabled the PDU
+  /// may be dropped, duplicated (the same box delivered twice), or delayed
+  /// according to the fault verdict for this link.
+  void send(NodeId from, NodeId to, proto::PduRef pdu);
 
   /// Reliability-shim policy; endpoints snapshot this at construction, so
   /// set it before building the world.
@@ -141,9 +145,11 @@ class Fabric {
   struct DeliveryBatch {
     std::vector<std::pair<NodeId, proto::PduRef>> items;
   };
+  /// Items a new batch reserves room for.
+  static constexpr std::size_t kBatchReserve = 2;
 
   /// Schedule (or fold into the open batch) one delivery, post fault verdict.
-  void deliver(NodeId from, NodeId to, proto::Pdu pdu, Duration latency);
+  void deliver(NodeId from, NodeId to, proto::PduRef pdu, Duration latency);
   DeliveryBatch* alloc_batch();
   void drain_batch(NodeId to, DeliveryBatch* b);
 

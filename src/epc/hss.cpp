@@ -14,13 +14,9 @@ void Hss::provision_subscriber(proto::Imsi imsi, std::uint64_t key,
   subscribers_[imsi] = Subscriber{key, profile_id, 0};
 }
 
-bool Hss::has_subscriber(proto::Imsi imsi) const {
-  return subscribers_.count(imsi) > 0;
-}
-
 std::uint32_t Hss::serving_mme_of(proto::Imsi imsi) const {
-  const auto it = subscribers_.find(imsi);
-  return it == subscribers_.end() ? 0 : it->second.serving_mme;
+  const Subscriber* sub = subscribers_.find(imsi);
+  return sub == nullptr ? 0 : sub->serving_mme;
 }
 
 std::uint64_t Hss::f_autn(std::uint64_t key, std::uint64_t rand) {
@@ -31,12 +27,12 @@ std::uint64_t Hss::f_res(std::uint64_t key, std::uint64_t rand) {
   return hash::fnv1a_u64((key * 0xC2B2AE3D27D4EB4Full) ^ rand);
 }
 
-void Hss::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* app = rel_.unwrap(from, pdu);
+void Hss::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
   if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
-  const auto* s6 = std::get_if<proto::S6Message>(app);
+  const auto* s6 = std::get_if<proto::S6Message>(&(*app)->value);
   if (s6 == nullptr) {
-    SCALE_WARN("HSS received non-S6 PDU: " << proto::pdu_name(*app));
+    SCALE_WARN("HSS received non-S6 PDU: " << proto::pdu_name((*app)->value));
     return;
   }
   std::visit(
@@ -58,17 +54,17 @@ void Hss::handle_auth(NodeId from, const proto::AuthInfoRequest& req) {
     proto::AuthInfoAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;
-    const auto it = subscribers_.find(req.imsi);
-    if (it == subscribers_.end()) {
+    const Subscriber* sub = subscribers_.find(req.imsi);
+    if (sub == nullptr) {
       ans.known_subscriber = false;
     } else {
       ans.known_subscriber = true;
       ans.rand = ++rand_counter_ * 0x2545F4914F6CDD1Dull;
-      ans.autn = f_autn(it->second.key, ans.rand);
-      ans.xres = f_res(it->second.key, ans.rand);
+      ans.autn = f_autn(sub->key, ans.rand);
+      ans.xres = f_res(sub->key, ans.rand);
     }
     ++auth_served_;
-    rel_.send(from, proto::make_pdu(ans));
+    rel_.send(from, proto::box(ans));
   });
 }
 
@@ -78,15 +74,15 @@ void Hss::handle_location(NodeId from,
     proto::UpdateLocationAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;
-    const auto it = subscribers_.find(req.imsi);
-    if (it == subscribers_.end()) {
+    Subscriber* sub = subscribers_.find(req.imsi);
+    if (sub == nullptr) {
       ans.ok = false;
     } else {
-      it->second.serving_mme = req.mme_id;
+      sub->serving_mme = req.mme_id;
       ans.ok = true;
-      ans.profile_id = it->second.profile_id;
+      ans.profile_id = sub->profile_id;
     }
-    rel_.send(from, proto::make_pdu(ans));
+    rel_.send(from, proto::box(ans));
   });
 }
 

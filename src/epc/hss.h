@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "epc/fabric.h"
+#include "epc/flat_index.h"
 #include "epc/reliable.h"
 #include "sim/cpu.h"
 
@@ -31,8 +31,6 @@ class Hss : public Endpoint {
   /// Register a subscriber with its permanent key K.
   void provision_subscriber(proto::Imsi imsi, std::uint64_t key,
                             std::uint32_t profile_id = 1);
-  bool has_subscriber(proto::Imsi imsi) const;
-  std::size_t subscriber_count() const { return subscribers_.size(); }
 
   /// MME id recorded by the last Update Location for this subscriber
   /// (0 = never registered / unknown IMSI).
@@ -42,7 +40,7 @@ class Hss : public Endpoint {
   static std::uint64_t f_autn(std::uint64_t key, std::uint64_t rand);
   static std::uint64_t f_res(std::uint64_t key, std::uint64_t rand);
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
   std::uint64_t auth_requests_served() const { return auth_served_; }
 
@@ -59,7 +57,7 @@ class Hss : public Endpoint {
   Config cfg_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
-  std::unordered_map<proto::Imsi, Subscriber> subscribers_;
+  FlatMap<proto::Imsi, Subscriber> subscribers_;
   std::uint64_t rand_counter_ = 0x1234'5678;
   std::uint64_t auth_served_ = 0;
 };

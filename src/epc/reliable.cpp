@@ -11,36 +11,33 @@ namespace scale::epc {
 ReliableChannel::ReliableChannel(Fabric& fabric, NodeId self)
     : fabric_(fabric), self_(self), cfg_(fabric.transport()) {}
 
-void ReliableChannel::send(NodeId to, proto::Pdu pdu) {
+void ReliableChannel::send(NodeId to, proto::PduRef pdu) {
   if (!cfg_.reliable) {
     fabric_.send(self_, to, std::move(pdu));
     return;
   }
   const std::uint64_t seq = ++next_seq_[to];
-  Pending p{proto::box(std::move(pdu)), /*attempt=*/0, cfg_.rto_initial};
+  Pending p{std::move(pdu), /*attempt=*/0, cfg_.rto_initial};
   transmit(to, seq, p);
   arm_timer(to, seq, p.rto);
   pending_[to].emplace(seq, std::move(p));
 }
 
-void ReliableChannel::send_unreliable(NodeId to, proto::Pdu pdu) {
+void ReliableChannel::send_unreliable(NodeId to, proto::PduRef pdu) {
   fabric_.send(self_, to, std::move(pdu));
 }
 
 void ReliableChannel::transmit(NodeId to, std::uint64_t seq,
                                const Pending& p) {
   fabric_.send(self_, to,
-               proto::make_pdu(proto::TransportData{
+               proto::box(proto::TransportData{
                    .seq = seq, .attempt = p.attempt, .inner = p.inner}));
 }
 
 void ReliableChannel::arm_timer(NodeId to, std::uint64_t seq, Duration rto) {
   // No cancellation: the timer fires and finds the entry gone when the ack
   // beat it — cheaper than tracking EventIds per segment.
-  auto fn = [this, to, seq]() { on_timeout(to, seq); };
-  static_assert(sim::InlineAction::fits_inline<decltype(fn)>,
-                "retransmit timer capture must stay within the inline budget");
-  fabric_.engine().after(rto, std::move(fn));
+  fabric_.engine().after(rto, [this, to, seq]() { on_timeout(to, seq); });
 }
 
 void ReliableChannel::on_timeout(NodeId to, std::uint64_t seq) {
@@ -98,9 +95,9 @@ bool ReliableChannel::register_seq(PeerRx& rx, std::uint64_t seq) {
   return true;
 }
 
-const proto::Pdu* ReliableChannel::unwrap(NodeId from,
-                                          const proto::Pdu& pdu) {
-  const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu);
+const proto::PduRef* ReliableChannel::unwrap(NodeId from,
+                                             const proto::PduRef& pdu) {
+  const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu->value);
   if (cluster == nullptr) return &pdu;
   if (const auto* ack = std::get_if<proto::TransportAck>(cluster)) {
     const auto peer_it = pending_.find(from);
@@ -110,13 +107,12 @@ const proto::Pdu* ReliableChannel::unwrap(NodeId from,
   if (const auto* data = std::get_if<proto::TransportData>(cluster)) {
     // Ack unconditionally: the duplicate we are about to suppress may be a
     // retransmission caused by our earlier ack getting dropped.
-    send_unreliable(from, proto::make_pdu(proto::TransportAck{
-                              .seq = data->seq}));
+    send_unreliable(from, proto::box(proto::TransportAck{.seq = data->seq}));
     if (!register_seq(rx_[from], data->seq)) {
       ++dups_suppressed_;
       return nullptr;
     }
-    return &data->inner->value;
+    return &data->inner;
   }
   return &pdu;
 }

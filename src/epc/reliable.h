@@ -34,20 +34,24 @@ class ReliableChannel {
   bool enabled() const { return cfg_.reliable; }
 
   /// Reliable send: wrapped, sequenced, retransmitted until acked or
-  /// abandoned after max_retransmits attempts. Pass-through when disabled.
-  void send(NodeId to, proto::Pdu pdu);
+  /// abandoned after max_retransmits attempts. Every (re)transmission's
+  /// TransportData carries `pdu` itself as its inner box. Pass-through when
+  /// disabled.
+  void send(NodeId to, proto::PduRef pdu);
 
   /// Fire-and-forget send bypassing the shim even when enabled — used for
   /// acks (an ack of an ack would regress) and periodic load reports, which
   /// are superseded by the next report anyway.
-  void send_unreliable(NodeId to, proto::Pdu pdu);
+  void send_unreliable(NodeId to, proto::PduRef pdu);
 
   /// Filter an incoming PDU through the shim. Returns nullptr when the PDU
   /// was consumed (a TransportAck, or a duplicate segment) — the caller must
-  /// stop processing. Otherwise returns the application PDU: either `pdu`
-  /// itself (unwrapped traffic) or the segment's inner PDU, which aliases
-  /// storage inside `pdu` and stays valid for the caller's receive() scope.
-  [[nodiscard]] const proto::Pdu* unwrap(NodeId from, const proto::Pdu& pdu);
+  /// stop processing. Otherwise returns the application PDU's box: either
+  /// `pdu` itself (unwrapped traffic) or the segment's inner box, which
+  /// `pdu` keeps alive for the caller's receive() scope (copy the PduRef to
+  /// keep it longer).
+  [[nodiscard]] const proto::PduRef* unwrap(NodeId from,
+                                            const proto::PduRef& pdu);
 
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t abandoned() const { return abandoned_; }

@@ -8,12 +8,13 @@ Sgw::Sgw(Fabric& fabric, Config cfg)
     : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()),
       cpu_(fabric.engine()) {}
 
-void Sgw::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* app = rel_.unwrap(from, pdu);
+void Sgw::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
   if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
-  const auto* s11 = std::get_if<proto::S11Message>(app);
+  const auto* s11 = std::get_if<proto::S11Message>(&(*app)->value);
   if (s11 == nullptr) {
-    SCALE_WARN("S-GW received non-S11 PDU: " << proto::pdu_name(*app));
+    SCALE_WARN("S-GW received non-S11 PDU: "
+               << proto::pdu_name((*app)->value));
     return;
   }
   handle_s11(from, *s11);
@@ -31,7 +32,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             proto::CreateSessionResponse resp;
             resp.mme_teid = m.mme_teid;
             resp.sgw_teid = teid;
-            rel_.send(from, proto::make_pdu(resp));
+            rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerRequest>) {
           cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
@@ -42,7 +43,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             }
             proto::ModifyBearerResponse resp;
             resp.mme_teid = m.mme_teid;
-            rel_.send(from, proto::make_pdu(resp));
+            rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T,
                                             proto::ReleaseAccessBearersRequest>) {
@@ -51,14 +52,14 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
               session->bearer_active = false;
             proto::ReleaseAccessBearersResponse resp;
             resp.mme_teid = m.mme_teid;
-            rel_.send(from, proto::make_pdu(resp));
+            rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
           cpu_.execute(cfg_.session_service_time, [this, from, m]() {
             sessions_.erase(m.sgw_teid.raw);
             proto::DeleteSessionResponse resp;
             resp.mme_teid = m.mme_teid;
-            rel_.send(from, proto::make_pdu(resp));
+            rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T,
                                             proto::DownlinkDataNotificationAck>) {
@@ -81,7 +82,7 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
     proto::DownlinkDataNotification ddn;
     ddn.mme_teid = mme_teid;
     ++ddn_sent_;
-    rel_.send(control_node, proto::make_pdu(ddn));
+    rel_.send(control_node, proto::box(ddn));
   });
   return true;
 }

@@ -26,7 +26,7 @@ class Sgw : public Endpoint {
   sim::CpuModel& cpu() { return cpu_; }
   const ReliableChannel& transport() const { return rel_; }
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
   /// Simulate arrival of a downlink packet for the device with this S-GW
   /// TEID. If its bearer is released (device Idle) a DownlinkDataNotifica-

@@ -11,17 +11,17 @@ ClusterVm::ClusterVm(epc::Fabric& fabric, Config cfg)
     : MmeHost(fabric, cfg, cfg.util_sample_interval), cfg_(cfg) {}
 
 void ClusterVm::to_enb(NodeId enb, proto::S1apMessage msg) {
-  send_via_lb(enb, proto::make_pdu(std::move(msg)));
+  send_via_lb(enb, proto::box(std::move(msg)));
 }
 
 void ClusterVm::to_sgw(const UeContext& ctx, proto::S11Message msg) {
   // Geo-processed devices target their home S-GW.
   const NodeId sgw = ctx.rec.sgw_node != 0 ? ctx.rec.sgw_node : cfg_.sgw;
-  send_via_lb(sgw, proto::make_pdu(std::move(msg)));
+  send_via_lb(sgw, proto::box(std::move(msg)));
 }
 
 void ClusterVm::to_hss(proto::S6Message msg) {
-  send_via_lb(cfg_.hss, proto::make_pdu(std::move(msg)));
+  send_via_lb(cfg_.hss, proto::box(std::move(msg)));
 }
 
 std::uint64_t ClusterVm::requests_handled() const {
@@ -56,36 +56,38 @@ void ClusterVm::report_load() {
         app_.store().count(ContextRole::kMaster));
     // Unreliable by design: a lost report is superseded by the next one;
     // retransmitting stale load would actively mislead the balancer.
-    rel_.send_unreliable(lb_, proto::make_pdu(report));
+    rel_.send_unreliable(lb_, proto::box(report));
   }
   fabric_.engine().after(cfg_.load_report_interval, [this] { report_load(); });
 }
 
-void ClusterVm::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* inner = rel_.unwrap(from, pdu);
-  if (inner == nullptr) return;  // shim traffic (ack / suppressed duplicate)
-  const auto* cluster = std::get_if<proto::ClusterMessage>(inner);
+void ClusterVm::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
+  if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
+  const auto* cluster = std::get_if<proto::ClusterMessage>(&(*app)->value);
   if (cluster == nullptr) {
-    SCALE_WARN("cluster VM received bare " << proto::pdu_name(*inner)
+    SCALE_WARN("cluster VM received bare " << proto::pdu_name((*app)->value)
                                            << "; expected envelope");
     return;
   }
   if (const auto* fwd = std::get_if<proto::ClusterForward>(cluster)) {
     SCALE_CHECK_MSG(fwd->inner != nullptr, "forward without payload");
-    handle_forward(from, *fwd);
-  } else if (const auto* push = std::get_if<proto::ReplicaPush>(cluster)) {
-    const proto::UeContextRecord rec = push->rec;
-    cpu_.execute(app_.config().profile.replica_apply, [this, rec, from]() {
+    handle_forward(from, *app, *fwd);
+  } else if (std::holds_alternative<proto::ReplicaPush>(*cluster)) {
+    cpu_.execute(app_.config().profile.replica_apply, [this, from,
+                                                        push = *app]() {
+      const proto::UeContextRecord& rec =
+          proto::message<proto::ReplicaPush>(push).rec;
       ++replicas_applied_;
       app_.adopt(rec, classify_replica(rec));
       proto::ReplicaAck ack;
       ack.guti = rec.guti;
       ack.version = rec.version;
       ack.holder_dc = app_.config().home_dc;
-      rel_.send(from, proto::make_pdu(ack));
+      rel_.send(from, proto::box(ack));
     });
-  } else if (const auto* xfer = std::get_if<proto::StateTransfer>(cluster)) {
-    install_transfer(from, xfer->rec);
+  } else if (std::holds_alternative<proto::StateTransfer>(*cluster)) {
+    install_transfer(from, *app);
   } else if (const auto* del = std::get_if<proto::ReplicaDelete>(cluster)) {
     const std::uint64_t key = del->guti.key();
     cpu_.execute(Duration::us(20), [this, key]() {
@@ -99,8 +101,10 @@ void ClusterVm::receive(NodeId from, const proto::Pdu& pdu) {
   }
 }
 
-void ClusterVm::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
+void ClusterVm::handle_forward(NodeId from, const proto::PduRef& pdu,
+                               const proto::ClusterForward& fwd) {
   (void)from;  // forwards are self-describing (origin travels inside)
+  (void)pdu;
   dispatch(fwd.origin, fwd.inner->value,
            fwd.guti.valid() ? &fwd.guti : nullptr);
 }
@@ -124,31 +128,30 @@ double ClusterVm::load_score() const {
   return util_.utilization() + cpu_.backlog().to_sec();
 }
 
-void ClusterVm::send_via_lb(NodeId target, proto::Pdu inner) {
+void ClusterVm::send_via_lb(NodeId target, proto::PduRef inner) {
   if (!registered()) return;  // a crashed VM stops talking mid-sentence
   SCALE_CHECK_MSG(lb_ != 0, "VM has no LB attached");
   proto::ClusterReply reply;
   reply.target = target;
-  reply.inner = proto::box(std::move(inner));
-  rel_.send(lb_, proto::make_pdu(std::move(reply)));
+  reply.inner = std::move(inner);
+  rel_.send(lb_, proto::box(std::move(reply)));
 }
 
 void ClusterVm::send_direct(NodeId target, proto::ClusterMessage msg) {
   if (!registered()) return;
-  rel_.send(target, proto::pdu_of(std::move(msg)));
+  rel_.send(target, proto::box(std::move(msg)));
 }
 
 void ClusterVm::push_replica(NodeId target, const proto::UeContextRecord& rec,
                              bool geo) {
   if (!registered()) return;
-  cpu_.execute(app_.config().profile.replica_push, [this, target, rec,
-                                                    geo]() {
-    ++replicas_pushed_;
-    proto::ReplicaPush push;
-    push.rec = rec;
-    push.geo = geo;
-    rel_.send(target, proto::pdu_of(proto::ClusterMessage{push}));
-  });
+  // Boxed now: the push carries the record as it is at this call.
+  cpu_.execute(app_.config().profile.replica_push,
+               [this, target, push = proto::box(proto::ReplicaPush{
+                                  .rec = rec, .geo = geo})]() mutable {
+                 ++replicas_pushed_;
+                 rel_.send(target, std::move(push));
+               });
 }
 
 void ClusterVm::export_metrics(obs::MetricsRegistry& reg,

@@ -53,7 +53,7 @@ class ClusterVm : public MmeHost {
   void export_metrics(obs::MetricsRegistry& reg,
                       const std::string& prefix) const override;
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
   // MmeApp::Host: every send leaves through the LB.
   void to_enb(NodeId enb, proto::S1apMessage msg) override;
@@ -61,11 +61,13 @@ class ClusterVm : public MmeHost {
   void to_hss(proto::S6Message msg) override;
 
  protected:
-  /// Handle an inbound ClusterForward (its inner PDU is never null); the
-  /// default dispatches the inner PDU to the MmeApp. SCALE's MMP overrides
-  /// it to forward-to-master and geo-offload first. `no_offload` disables
-  /// re-offloading (loop guard).
-  virtual void handle_forward(NodeId from, const proto::ClusterForward& fwd);
+  /// Handle an inbound ClusterForward `fwd`, the message `pdu` holds (its
+  /// inner PDU is never null); the default dispatches the inner PDU to the
+  /// MmeApp. SCALE's MMP overrides it to forward-to-master (relaying `pdu`
+  /// itself) and geo-offload first. `no_offload` disables re-offloading
+  /// (loop guard).
+  virtual void handle_forward(NodeId from, const proto::PduRef& pdu,
+                              const proto::ClusterForward& fwd);
 
   /// Cluster messages other than Forward/ReplicaPush/StateTransfer land
   /// here (geo protocol in the MMP subclass).
@@ -81,7 +83,7 @@ class ClusterVm : public MmeHost {
   virtual double load_score() const;
 
   /// Send a standard-interface PDU out through the LB.
-  void send_via_lb(NodeId target, proto::Pdu inner);
+  void send_via_lb(NodeId target, proto::PduRef inner);
   /// Send a cluster message directly to another VM.
   void send_direct(NodeId target, proto::ClusterMessage msg);
   /// Push a context replica to `target` (ClusterMessage over the fabric),

@@ -9,8 +9,8 @@ namespace scale::mme {
 DmmeStateStore::DmmeStateStore(epc::Fabric& fabric, Config cfg)
     : Endpoint(fabric), cfg_(cfg), cpu_(fabric.engine(), cfg.cpu_speed) {}
 
-void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
-  const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu);
+void DmmeStateStore::receive(NodeId from, const proto::PduRef& pdu) {
+  const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu->value);
   if (cluster == nullptr) {
     SCALE_WARN("state store received non-cluster PDU");
     return;
@@ -26,11 +26,12 @@ void DmmeStateStore::receive(NodeId from, const proto::Pdu& pdu) {
         resp.found = true;
         resp.rec = ctx->rec;
       }
-      fabric_.send(node(), from, proto::pdu_of(proto::ClusterMessage{resp}));
+      fabric_.send(node(), from, proto::box(resp));
     });
-  } else if (const auto* write = std::get_if<proto::StateTransfer>(cluster)) {
-    const proto::UeContextRecord rec = write->rec;
-    cpu_.execute(cfg_.write_cost, [this, rec]() {
+  } else if (std::holds_alternative<proto::StateTransfer>(*cluster)) {
+    cpu_.execute(cfg_.write_cost, [this, write = pdu]() {
+      const proto::UeContextRecord& rec =
+          proto::message<proto::StateTransfer>(write).rec;
       ++writes_;
       auto* existing = store_.find(rec.guti.key());
       if (existing != nullptr) {
@@ -56,7 +57,8 @@ DmmeNode::DmmeNode(epc::Fabric& fabric, Config cfg)
   SCALE_CHECK_MSG(store_ != 0, "dMME node needs a state store");
 }
 
-void DmmeNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
+void DmmeNode::handle_forward(NodeId from, const proto::PduRef& pdu,
+                              const proto::ClusterForward& fwd) {
   const auto* s1ap = std::get_if<proto::S1apMessage>(&fwd.inner->value);
   const bool initial =
       s1ap != nullptr &&
@@ -68,18 +70,17 @@ void DmmeNode::handle_forward(NodeId from, const proto::ClusterForward& fwd) {
       // Stateless node: the context (if any) lives in the central store.
       // Park the request and fetch — this round trip is dMME's cost.
       auto& queue = pending_[key];
-      queue.push_back(fwd);
+      queue.push_back(pdu);
       if (queue.size() == 1) {
         ++fetches_issued_;
         proto::StateFetch fetch;
         fetch.guti = fwd.guti;
-        fabric_.send(node(), store_,
-                     proto::pdu_of(proto::ClusterMessage{fetch}));
+        fabric_.send(node(), store_, proto::box(fetch));
       }
       return;
     }
   }
-  ClusterVm::handle_forward(from, fwd);
+  ClusterVm::handle_forward(from, pdu, fwd);
 }
 
 void DmmeNode::handle_other_cluster(NodeId from,
@@ -93,18 +94,20 @@ void DmmeNode::handle_other_cluster(NodeId from,
   if (resp->found) app().adopt(resp->rec, epc::ContextRole::kMaster);
   const auto it = pending_.find(key);
   if (it == pending_.end()) return;
-  std::deque<proto::ClusterForward> queued = std::move(it->second);
+  std::deque<proto::PduRef> queued = std::move(it->second);
   pending_.erase(it);
   // Not found → dispatch anyway: an attach creates the context, anything
   // else is rejected by the MmeApp (device unknown network-wide).
-  for (const auto& fwd : queued) ClusterVm::handle_forward(from, fwd);
+  for (const auto& fwd : queued)
+    ClusterVm::handle_forward(from, fwd,
+                              proto::message<proto::ClusterForward>(fwd));
 }
 
 void DmmeNode::write_back(const UeContext& ctx) {
   ++writebacks_;
   proto::StateTransfer write;
   write.rec = ctx.rec;
-  fabric_.send(node(), store_, proto::pdu_of(proto::ClusterMessage{write}));
+  fabric_.send(node(), store_, proto::box(write));
 }
 
 void DmmeNode::after_procedure(UeContext& ctx, proto::ProcedureType type) {
@@ -124,7 +127,7 @@ void DmmeNode::on_idle(UeContext& ctx) {
 void DmmeNode::before_detach(UeContext& ctx) {
   proto::ReplicaDelete del;
   del.guti = ctx.rec.guti;
-  fabric_.send(node(), store_, proto::pdu_of(proto::ClusterMessage{del}));
+  fabric_.send(node(), store_, proto::box(del));
 }
 
 // --------------------------------------------------------------------- DmmeLb

@@ -38,7 +38,7 @@ class DmmeStateStore : public epc::Endpoint {
   std::uint64_t fetches() const { return fetches_; }
   std::uint64_t writes() const { return writes_; }
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
  private:
   Config cfg_;
@@ -64,7 +64,8 @@ class DmmeNode final : public ClusterVm {
   std::uint64_t writebacks() const { return writebacks_; }
 
  protected:
-  void handle_forward(NodeId from, const proto::ClusterForward& fwd) override;
+  void handle_forward(NodeId from, const proto::PduRef& pdu,
+                      const proto::ClusterForward& fwd) override;
   void handle_other_cluster(NodeId from,
                             const proto::ClusterMessage& msg) override;
   void after_procedure(UeContext& ctx, proto::ProcedureType type) override;
@@ -75,9 +76,9 @@ class DmmeNode final : public ClusterVm {
   void write_back(const UeContext& ctx);
 
   NodeId store_;
-  /// Requests parked while their context fetch is in flight.
-  std::unordered_map<std::uint64_t, std::deque<proto::ClusterForward>>
-      pending_;
+  /// Requests (ClusterForward boxes) parked while their context fetch is
+  /// in flight.
+  std::unordered_map<std::uint64_t, std::deque<proto::PduRef>> pending_;
   std::uint64_t fetches_issued_ = 0;
   std::uint64_t writebacks_ = 0;
 };

@@ -10,22 +10,25 @@ FrontEnd::FrontEnd(epc::Fabric& fabric, const proto::Guti& identity,
       cpu_(fabric.engine(), cpu_speed), route_cost_(route_cost),
       next_guti_(identity) {}
 
-void FrontEnd::on_cluster(NodeId from, const proto::ClusterMessage& msg) {
+void FrontEnd::on_cluster(NodeId from, const proto::PduRef& pdu,
+                          const proto::ClusterMessage& msg) {
   (void)from;
+  (void)pdu;
   SCALE_DEBUG("front end ignoring " << proto::cluster_name(msg));
 }
 
 void FrontEnd::forward(NodeId vm, NodeId origin, const proto::Guti& guti,
-                       proto::Pdu inner, bool no_offload) {
+                       proto::PduRef inner, bool no_offload) {
   proto::ClusterForward fwd;
   fwd.origin = origin;
   fwd.guti = guti;
   fwd.no_offload = no_offload;
-  fwd.inner = proto::box(std::move(inner));
-  rel_.send(vm, proto::pdu_of(proto::ClusterMessage{std::move(fwd)}));
+  fwd.inner = std::move(inner);
+  rel_.send(vm, proto::box(std::move(fwd)));
 }
 
-void FrontEnd::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
+void FrontEnd::route_initial(NodeId from, proto::PduRef pdu) {
+  const auto& msg = proto::message<proto::InitialUeMessage>(pdu);
   proto::Guti guti;
   if (const auto* a = std::get_if<proto::NasAttachRequest>(&msg.nas)) {
     // "In case of a request from an unregistered device, the MLB first
@@ -55,11 +58,11 @@ void FrontEnd::route_initial(NodeId from, const proto::InitialUeMessage& msg) {
     return;
   }
   ++initial_routed_;
-  forward(vm, from, guti, proto::make_pdu(msg));
+  forward(vm, from, guti, std::move(pdu));
 }
 
 void FrontEnd::route_by_code(NodeId from, std::uint8_t code,
-                             const proto::Pdu& pdu) {
+                             proto::PduRef pdu) {
   const NodeId vm = code_to_node_[code];
   if (vm == 0) {
     ++unroutable_;
@@ -67,21 +70,21 @@ void FrontEnd::route_by_code(NodeId from, std::uint8_t code,
     return;
   }
   ++sticky_routed_;
-  forward(vm, from, proto::Guti{}, pdu);
+  forward(vm, from, proto::Guti{}, std::move(pdu));
 }
 
-void FrontEnd::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* app = rel_.unwrap(from, pdu);
+void FrontEnd::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
   if (app == nullptr) return;  // shim traffic (ack / suppressed duplicate)
+  // Every relay below holds the received box and forwards it as is.
   std::visit(
-      [this, from](const auto& family) {
+      [this, from, &ref = *app](const auto& family) {
         using T = std::decay_t<decltype(family)>;
         if constexpr (std::is_same_v<T, proto::S1apMessage>) {
-          if (const auto* init =
-                  std::get_if<proto::InitialUeMessage>(&family)) {
-            const proto::InitialUeMessage msg = *init;
-            cpu_.execute(route_cost_,
-                         [this, from, msg]() { route_initial(from, msg); });
+          if (std::holds_alternative<proto::InitialUeMessage>(family)) {
+            cpu_.execute(route_cost_, [this, from, ref]() mutable {
+              route_initial(from, std::move(ref));
+            });
             return;
           }
           std::uint8_t code = 0;
@@ -97,9 +100,8 @@ void FrontEnd::receive(NodeId from, const proto::Pdu& pdu) {
           else if (const auto* c =
                        std::get_if<proto::UeContextReleaseComplete>(&family))
             code = c->mme_ue_id.mmp_id();
-          const proto::Pdu copy{family};
-          cpu_.execute(kRelayCost, [this, from, code, copy]() {
-            route_by_code(from, code, copy);
+          cpu_.execute(kRelayCost, [this, from, code, ref]() mutable {
+            route_by_code(from, code, std::move(ref));
           });
         } else if constexpr (std::is_same_v<T, proto::S11Message>) {
           std::uint8_t code = 0;
@@ -109,9 +111,8 @@ void FrontEnd::receive(NodeId from, const proto::Pdu& pdu) {
                   code = m.mme_teid.owner_id();
               },
               family);
-          const proto::Pdu copy{family};
-          cpu_.execute(kRelayCost, [this, from, code, copy]() {
-            route_by_code(from, code, copy);
+          cpu_.execute(kRelayCost, [this, from, code, ref]() mutable {
+            route_by_code(from, code, std::move(ref));
           });
         } else if constexpr (std::is_same_v<T, proto::S6Message>) {
           std::uint32_t hop = 0;
@@ -120,31 +121,30 @@ void FrontEnd::receive(NodeId from, const proto::Pdu& pdu) {
           else if (const auto* u =
                        std::get_if<proto::UpdateLocationAnswer>(&family))
             hop = u->hop_ref;
-          const proto::Pdu copy{family};
-          cpu_.execute(kRelayCost, [this, from, hop, copy]() {
+          cpu_.execute(kRelayCost, [this, from, hop, ref]() mutable {
             // hop_ref is the VM's NodeId (Diameter hop-by-hop echo).
             if (hop == 0 || !fabric_.is_registered(hop)) {
               ++unroutable_;
               return;
             }
             ++relays_;
-            forward(hop, from, proto::Guti{}, copy);
+            forward(hop, from, proto::Guti{}, std::move(ref));
           });
         } else if constexpr (std::is_same_v<T, proto::ClusterMessage>) {
           if (const auto* reply = std::get_if<proto::ClusterReply>(&family)) {
             SCALE_CHECK(reply->inner != nullptr);
             const NodeId target = reply->target;
-            const proto::PduRef inner = reply->inner;
-            cpu_.execute(kRelayCost, [this, target, inner]() {
-              ++relays_;
-              rel_.send(target, inner->value);
-            });
+            cpu_.execute(kRelayCost,
+                         [this, target, inner = reply->inner]() mutable {
+                           ++relays_;
+                           rel_.send(target, std::move(inner));
+                         });
           } else {
-            on_cluster(from, family);
+            on_cluster(from, ref, family);
           }
         }
       },
-      *app);
+      (*app)->value);
 }
 
 }  // namespace scale::mme

@@ -42,7 +42,7 @@ class FrontEnd : public epc::Endpoint {
   sim::CpuModel& cpu() { return cpu_; }
   const epc::ReliableChannel& transport() const { return rel_; }
 
-  void receive(NodeId from, const proto::Pdu& pdu) final;
+  void receive(NodeId from, const proto::PduRef& pdu) final;
 
   // Statistics.
   std::uint64_t initial_routed() const { return initial_routed_; }
@@ -57,12 +57,15 @@ class FrontEnd : public epc::Endpoint {
   /// The VM that serves this Idle→Active request from eNodeB `enb`, or 0
   /// when none can (counted unroutable).
   virtual NodeId pick(NodeId enb, const proto::Guti& guti) = 0;
-  /// Every cluster message other than a ClusterReply. Default: ignored.
-  virtual void on_cluster(NodeId from, const proto::ClusterMessage& msg);
+  /// Every cluster message other than a ClusterReply: `msg` is the message
+  /// `pdu` holds. Default: ignored.
+  virtual void on_cluster(NodeId from, const proto::PduRef& pdu,
+                          const proto::ClusterMessage& msg);
 
-  /// Send `inner` to VM `vm` wrapped in a ClusterForward.
+  /// Send `inner` to VM `vm` wrapped in a ClusterForward (the box itself,
+  /// not a copy).
   void forward(NodeId vm, NodeId origin, const proto::Guti& guti,
-               proto::Pdu inner, bool no_offload = false);
+               proto::PduRef inner, bool no_offload = false);
 
   epc::ReliableChannel rel_;
   sim::CpuModel cpu_;
@@ -71,8 +74,9 @@ class FrontEnd : public epc::Endpoint {
   std::uint64_t unroutable_ = 0;
 
  private:
-  void route_initial(NodeId from, const proto::InitialUeMessage& msg);
-  void route_by_code(NodeId from, std::uint8_t code, const proto::Pdu& pdu);
+  /// `pdu` holds an InitialUeMessage.
+  void route_initial(NodeId from, proto::PduRef pdu);
+  void route_by_code(NodeId from, std::uint8_t code, proto::PduRef pdu);
 
   Duration route_cost_;
   /// Identity of the next GUTI to assign; m_tmsi counts up.

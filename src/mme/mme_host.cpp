@@ -35,15 +35,16 @@ void MmeHost::dispatch(NodeId origin, const proto::Pdu& pdu,
   }
 }
 
-void MmeHost::install_transfer(NodeId from,
-                               const proto::UeContextRecord& rec) {
+void MmeHost::install_transfer(NodeId from, proto::PduRef xfer) {
   cpu_.execute(app_.config().profile.state_transfer_rx,
-               [this, rec, from]() {
+               [this, from, xfer = std::move(xfer)]() {
+                 const proto::UeContextRecord& rec =
+                     proto::message<proto::StateTransfer>(xfer).rec;
                  UeContext* ctx = app_.adopt(rec, ContextRole::kMaster);
                  if (ctx != nullptr) on_state_adopted(*ctx);
                  proto::StateTransferAck ack;
                  ack.guti = rec.guti;
-                 rel_.send(from, proto::make_pdu(ack));
+                 rel_.send(from, proto::box(ack));
                });
 }
 

@@ -57,9 +57,10 @@ class MmeHost : public epc::Endpoint, public MmeApp::Host {
   /// `guti_hint`: the GUTI a front end resolved for it, if any.
   void dispatch(NodeId origin, const proto::Pdu& pdu,
                 const proto::Guti* guti_hint = nullptr);
-  /// Install a context a peer transferred here: state_transfer_rx of CPU,
-  /// adopt it as master, on_state_adopted(), then ack to `from`.
-  void install_transfer(NodeId from, const proto::UeContextRecord& rec);
+  /// Install the context a peer transferred here (`xfer` holds a
+  /// StateTransfer): state_transfer_rx of CPU, adopt it as master,
+  /// on_state_adopted(), then ack to `from`.
+  void install_transfer(NodeId from, proto::PduRef xfer);
   /// Called after install_transfer() adopts a context.
   virtual void on_state_adopted(UeContext&) {}
 

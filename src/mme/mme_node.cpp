@@ -27,16 +27,16 @@ MmeNode::MmeNode(epc::Fabric& fabric, Config cfg)
 }
 
 void MmeNode::to_enb(NodeId enb, proto::S1apMessage msg) {
-  rel_.send(enb, proto::make_pdu(std::move(msg)));
+  rel_.send(enb, proto::box(std::move(msg)));
 }
 
 void MmeNode::to_sgw(const UeContext& ctx, proto::S11Message msg) {
   (void)ctx;
-  rel_.send(cfg_.sgw, proto::make_pdu(std::move(msg)));
+  rel_.send(cfg_.sgw, proto::box(std::move(msg)));
 }
 
 void MmeNode::to_hss(proto::S6Message msg) {
-  rel_.send(cfg_.hss, proto::make_pdu(std::move(msg)));
+  rel_.send(cfg_.hss, proto::box(std::move(msg)));
 }
 
 void MmeNode::add_peer(MmeNode* peer) {
@@ -52,16 +52,16 @@ void MmeNode::enable_overload(double threshold) {
   fabric_.engine().after(kOverloadCheckInterval, [this] { overload_tick(); });
 }
 
-void MmeNode::receive(NodeId from, const proto::Pdu& pdu) {
-  const proto::Pdu* unwrapped = rel_.unwrap(from, pdu);
-  if (unwrapped == nullptr) return;  // shim traffic (ack / duplicate)
-  const auto* cluster = std::get_if<proto::ClusterMessage>(unwrapped);
+void MmeNode::receive(NodeId from, const proto::PduRef& pdu) {
+  const proto::PduRef* app = rel_.unwrap(from, pdu);
+  if (app == nullptr) return;  // shim traffic (ack / duplicate)
+  const auto* cluster = std::get_if<proto::ClusterMessage>(&(*app)->value);
   if (cluster == nullptr) {
-    dispatch(from, *unwrapped);
-  } else if (const auto* xfer = std::get_if<proto::StateTransfer>(cluster)) {
+    dispatch(from, (*app)->value);
+  } else if (std::holds_alternative<proto::StateTransfer>(*cluster)) {
     // Installing shed state costs CPU on the receiving MME too — half of
     // the Fig. 2(c) overhead story.
-    install_transfer(from, xfer->rec);
+    install_transfer(from, *app);
   }
   // StateTransferAck and other cluster messages: bookkeeping only.
 }
@@ -104,24 +104,22 @@ void MmeNode::shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
     tr->instant(node(), "reactive_shed", fabric_.engine().now(),
                 std::move(args));
   }
-  proto::UeContextRecord rec = ctx.rec;
-  rec.active = false;
-  rec.version++;
-  const std::uint64_t key = ctx.key();
-  const NodeId peer_node = peer.node();
+  Shed shed{ctx.rec, peer.node(), enb, enb_ue_id};
+  shed.rec.active = false;
+  shed.rec.version++;
+  const std::uint32_t parked = sheds_.park(std::move(shed));
   cpu_.execute(
       app_.config().profile.parse + app_.config().profile.state_transfer_tx,
-      [this, rec, key, peer_node, enb, enb_ue_id]() {
-        proto::StateTransfer xfer;
-        xfer.rec = rec;
-        rel_.send(peer_node, proto::make_pdu(xfer));
+      [this, parked]() {
+        const Shed s = sheds_.take(parked);
+        rel_.send(s.peer, proto::box(proto::StateTransfer{s.rec}));
         proto::UeContextReleaseCommand rel;
-        rel.enb_id = enb;
-        rel.enb_ue_id = enb_ue_id;
-        rel.mme_ue_id = rec.mme_ue_id;
+        rel.enb_id = s.enb;
+        rel.enb_ue_id = s.enb_ue_id;
+        rel.mme_ue_id = s.rec.mme_ue_id;
         rel.cause = proto::ReleaseCause::kLoadBalancingTauRequired;
-        rel_.send(enb, proto::make_pdu(rel));
-        app_.remove_context(key);
+        rel_.send(s.enb, proto::box(rel));
+        app_.remove_context(s.rec.guti.key());
       });
 }
 

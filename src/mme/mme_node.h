@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "epc/parking_lot.h"
 #include "mme/mme_host.h"
 
 namespace scale::mme {
@@ -41,7 +42,7 @@ class MmeNode : public MmeHost {
   /// threshold when it is already on. Starts the overload tick once.
   void enable_overload(double threshold);
 
-  void receive(NodeId from, const proto::Pdu& pdu) override;
+  void receive(NodeId from, const proto::PduRef& pdu) override;
 
   std::uint64_t devices_shed() const { return devices_shed_; }
   std::uint64_t transfers_received() const { return transfers_received_; }
@@ -67,7 +68,16 @@ class MmeNode : public MmeHost {
   void shed_context(UeContext& ctx, MmeNode& peer, NodeId enb,
                     proto::EnbUeId enb_ue_id);
 
+  /// A shed waiting for its state_transfer_tx CPU slice.
+  struct Shed {
+    proto::UeContextRecord rec;  ///< the transferred (deactivated) state
+    NodeId peer = 0;
+    NodeId enb = 0;
+    proto::EnbUeId enb_ue_id = 0;
+  };
+
   Config cfg_;
+  epc::ParkingLot<Shed> sheds_;
   std::vector<MmeNode*> peers_;
   bool ticking_ = false;
   std::uint64_t devices_shed_ = 0;

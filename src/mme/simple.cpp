@@ -65,8 +65,10 @@ NodeId SimpleLb::pick(NodeId enb, const proto::Guti& guti) {
   return vms_[chosen].vm->node();
 }
 
-void SimpleLb::on_cluster(NodeId from, const proto::ClusterMessage& msg) {
+void SimpleLb::on_cluster(NodeId from, const proto::PduRef& pdu,
+                          const proto::ClusterMessage& msg) {
   (void)from;
+  (void)pdu;
   const auto* load = std::get_if<proto::LoadReport>(&msg);
   if (load == nullptr) return;
   for (auto& e : vms_)

@@ -62,7 +62,8 @@ class SimpleLb final : public FrontEnd {
  protected:
   NodeId pick(NodeId enb, const proto::Guti& guti) override;
   /// LoadReports feed the spill-over decision.
-  void on_cluster(NodeId from, const proto::ClusterMessage& msg) override;
+  void on_cluster(NodeId from, const proto::PduRef& pdu,
+                  const proto::ClusterMessage& msg) override;
 
  private:
   struct VmEntry {

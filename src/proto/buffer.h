@@ -69,6 +69,14 @@ class ByteWriter {
   /// length prefix whose value is known only after the payload is written.
   void patch_u32(std::size_t pos, std::uint32_t v);
 
+  /// A counting writer's "advance by n bytes" (a span already sized
+  /// elsewhere, e.g. a boxed inner PDU's memoised length).
+  void skip(std::size_t n) {
+    if (!counting_) throw CodecError("skip on a storing writer");
+    counted_ += n;
+  }
+  bool is_counting() const { return counting_; }
+
   const std::vector<std::uint8_t>& data() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
   std::size_t size() const { return counting_ ? counted_ : out_.size(); }

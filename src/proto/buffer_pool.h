@@ -1,9 +1,9 @@
 // BufferPool — free-list recycling for the PDU byte buffers and PduBox
 // heap blocks on the simulator hot path.
 //
-// Every fabric send encodes the PDU once for byte accounting, and every
-// envelope hop (MLB forward, MMP reply, reliability-shim segment) boxes a
-// Pdu behind a shared_ptr. Unpooled, that is two-plus heap allocations per
+// Every message is boxed once, by the code that creates it, behind a
+// shared_ptr (proto::box, pdu.h), and the codec tests and WholeRun's replay
+// encode into byte buffers. Unpooled, that is a heap allocation per
 // simulated message — at the million-procedure scales of Figs. 7-11 the
 // allocator dominates the profile. The pools below recycle both:
 //

@@ -125,9 +125,20 @@ void tagged(IO& io, V& v) {
 
 /// Nested PDU as a u32 length + its encoding, written in place: the length
 /// is reserved, the inner PDU encoded straight into `w`, then the length
-/// back-patched — no temporary buffer per nesting level.
+/// back-patched — no temporary buffer per nesting level. A counting writer
+/// adds the length word and the box's memoised size instead of re-walking
+/// the inner PDU. An absent PDU (a null ref, e.g. the OverloadReject that is
+/// a pure backoff hint) is a zero length word: every encoded PDU is at least
+/// its one-byte family tag, so the two cannot be confused.
 void encode_boxed(const PduRef& ref, ByteWriter& w) {
-  if (!ref) throw CodecError("cannot encode null inner PDU");
+  if (!ref) {
+    w.u32(0);
+    return;
+  }
+  if (w.is_counting()) {
+    w.skip(4 + ref->wire_bytes);
+    return;
+  }
   const std::size_t len_at = w.size();
   w.u32(0);
   encode_pdu_into(ref->value, w);
@@ -138,6 +149,7 @@ void encode_boxed(const PduRef& ref, ByteWriter& w) {
 
 PduRef decode_boxed(ByteReader& r) {
   const std::uint32_t len = r.u32();
+  if (len == 0) return nullptr;
   const auto bytes = r.bytes(len);
   return box(decode_pdu(bytes));
 }

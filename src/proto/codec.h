@@ -6,10 +6,10 @@
 // against a ByteWriter to encode, against a counting ByteWriter to size, and
 // against a ByteReader to decode, so the three cannot disagree on a layout.
 //
-// The simulator only sizes PDUs: wire_size feeds network byte accounting
-// without materializing a buffer. encode_pdu/decode_pdu round-trip every
-// message for the codec tests and fuzzers, perf_core's codec phases and
-// WholeRun's replay.
+// The simulator only sizes PDUs, once per box and without materializing a
+// buffer (PduBox::wire_bytes feeds network byte accounting).
+// encode_pdu/decode_pdu round-trip every message for the codec tests and
+// fuzzers, perf_core's codec phases and WholeRun's replay.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,10 @@ void encode_pdu_into(const Pdu& pdu, ByteWriter& w);
 /// steady state. The handle recycles the storage when it goes out of scope.
 PooledBuffer encode_pdu_pooled(const Pdu& pdu);
 
-/// Encoded size in bytes: encode_pdu_into against a counting ByteWriter, so
-/// it always equals encode_pdu(pdu).size() and never allocates.
-std::size_t wire_size(const Pdu& pdu);
+// std::size_t wire_size(const Pdu&) is declared in pdu.h, because every
+// PduBox sizes itself once, when it is built: encode_pdu_into against a
+// counting ByteWriter, where a nested PduRef counts as its length word plus
+// the inner box's memoised wire_bytes. It always equals
+// encode_pdu(pdu).size() and never allocates.
 
 }  // namespace scale::proto

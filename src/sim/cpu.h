@@ -7,6 +7,7 @@
 // resulting in high and unpredictable delays").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -18,6 +19,11 @@ namespace scale::sim {
 
 class CpuModel {
  public:
+  /// Capture budget of an execute() callback: InlineAction's inline buffer
+  /// less the model pointer the completion event adds.
+  static constexpr std::size_t kCallbackBytes =
+      InlineAction::kInlineBytes - sizeof(CpuModel*);
+
   /// speed_factor scales service times: 2.0 halves every execution time
   /// (a faster VM flavor).
   CpuModel(Engine& engine, double speed_factor = 1.0);
@@ -29,8 +35,13 @@ class CpuModel {
   /// behind everything already queued). Takes any void() callable by
   /// forwarding reference — the old by-value std::function signature boxed
   /// every completion lambda on the busiest path in the tree (ScaleLint L5).
+  /// The completion event holds `on_done` next to this model's pointer, so
+  /// `on_done` may capture at most kCallbackBytes.
   template <typename F>
   void execute(Duration work, F&& on_done) {
+    static_assert(sizeof(std::decay_t<F>) <= kCallbackBytes,
+                  "CPU completion capture exceeds its 32-byte budget: hold a "
+                  "message as a proto::PduRef or a handle, not by value");
     const Time done_at = enqueue(work);
     if constexpr (std::is_null_pointer_v<std::decay_t<F>>) {
       engine_.at(done_at, [this] { ++completed_; });

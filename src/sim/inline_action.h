@@ -1,5 +1,5 @@
-// InlineAction — the engine's type-erased event callback, built so that the
-// common case allocates nothing.
+// InlineAction — the engine's type-erased event callback. It never
+// allocates: every callable lives in a 40-byte inline buffer.
 //
 // std::function cost the old engine one heap allocation per scheduled event:
 // its inline buffer (16 bytes on libstdc++) is too small for the tree's
@@ -9,16 +9,13 @@
 // std::function carries that the engine never uses: copyability, target
 // introspection, empty-call exceptions.
 //
-// Storage contract:
-//   * A callable F lives inline iff sizeof(F) <= kInlineBytes,
-//     alignof(F) <= alignof(std::max_align_t), and F is nothrow-move
-//     constructible (moves must not throw: slots relocate when the event
-//     pool grows). `InlineAction::fits_inline<F>` exposes the predicate so
-//     hot call sites can static_assert their captures never regress into
-//     the fallback path.
-//   * Oversized callables fall back to a per-thread free list of fixed
-//     256-byte blocks (rare captures bigger than that get an exact-size
-//     allocation, unpooled). Correct either way, just not allocation-free.
+// Storage contract: a callable F is accepted iff sizeof(F) <= kInlineBytes,
+// alignof(F) <= alignof(std::max_align_t), and F is nothrow-move
+// constructible (moves must not throw: slots relocate when the event pool
+// grows). Anything else is a compile error (`fits_inline<F>`), not a slower
+// path: a capture that carries a message holds its PDU as a 16-byte
+// proto::PduRef, or a small handle into its owner's table, never the
+// message by value (DESIGN.md §8, "One box per PDU").
 //
 // Move-only; a moved-from InlineAction is empty. Invoking an empty action is
 // a checked error, not std::bad_function_call.
@@ -29,78 +26,21 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 
 namespace scale::sim {
 
-namespace detail {
-
-/// Fallback block size: generous enough that every realistic capture pools.
-inline constexpr std::size_t kActionBlockBytes = 256;
-inline constexpr std::size_t kMaxIdleActionBlocks = 1024;
-
-/// Per-thread free list of kActionBlockBytes blocks (the engine is
-/// single-threaded; thread_local keeps any future parallel engines safe).
-/// Parked blocks are real heap allocations: the destructor returns them at
-/// thread exit so the cache is not a leak report under the ASan tier-1 leg.
-struct ActionBlockCache {
-  std::vector<void*> blocks;
-  ~ActionBlockCache() {
-    for (void* p : blocks)
-      std::allocator<std::byte>{}.deallocate(static_cast<std::byte*>(p),
-                                             kActionBlockBytes);
-  }
-};
-
-inline std::vector<void*>& action_block_freelist() {
-  // lint: shard-local — thread_local: each thread recycles its own action
-  // blocks; no cross-thread free-list traffic.
-  static thread_local ActionBlockCache cache;
-  return cache.blocks;
-}
-
-inline void* acquire_action_block(std::size_t bytes) {
-  if (bytes <= kActionBlockBytes) {
-    auto& cache = action_block_freelist();
-    if (!cache.empty()) {
-      void* p = cache.back();
-      cache.pop_back();
-      return p;
-    }
-    return std::allocator<std::byte>{}.allocate(kActionBlockBytes);
-  }
-  return std::allocator<std::byte>{}.allocate(bytes);
-}
-
-inline void release_action_block(void* p, std::size_t bytes) noexcept {
-  if (bytes <= kActionBlockBytes) {
-    auto& cache = action_block_freelist();
-    if (cache.size() < kMaxIdleActionBlocks) {
-      cache.push_back(p);
-      return;
-    }
-    std::allocator<std::byte>{}.deallocate(static_cast<std::byte*>(p),
-                                           kActionBlockBytes);
-    return;
-  }
-  std::allocator<std::byte>{}.deallocate(static_cast<std::byte*>(p), bytes);
-}
-
-}  // namespace detail
-
 class InlineAction {
  public:
   /// 40 inline bytes + the vtable pointer = a 48-byte InlineAction, which
   /// keeps the engine's event Slot at exactly one 64-byte cacheline. The
-  /// hot captures measured across the tree top out at 32 bytes
-  /// ([this, from, to, PduRef] on the fabric deliver path; std::function
-  /// itself is 32), so 40 leaves headroom without spilling the Slot.
+  /// largest captures in the tree are CpuModel completions: the model's
+  /// `this` plus a callback of up to 32 bytes such as a front end's
+  /// [this, from, code, PduRef].
   static constexpr std::size_t kInlineBytes = 40;
 
-  /// True when F rides the inline buffer (no allocation). Hot call sites
-  /// static_assert this so a fattened capture shows up at compile time.
+  /// True when F fits the inline buffer — the only storage there is.
   template <typename F>
   static constexpr bool fits_inline =
       sizeof(F) <= kInlineBytes &&
@@ -123,19 +63,12 @@ class InlineAction {
   template <typename F, typename D = std::decay_t<F>>
   void emplace(F&& fn) {
     static_assert(std::is_invocable_r_v<void, D&>);
-    static_assert(alignof(D) <= alignof(std::max_align_t),
-                  "over-aligned callables are not supported");
+    static_assert(fits_inline<D>,
+                  "capture exceeds InlineAction's 40-byte budget: hold a "
+                  "message as a proto::PduRef or a handle, not by value");
     reset();
-    if constexpr (fits_inline<D>) {
-      std::construct_at(reinterpret_cast<D*>(storage_),
-                        std::forward<F>(fn));
-      vt_ = &InlineOps<D>::vt;
-    } else {
-      void* block = detail::acquire_action_block(sizeof(D));
-      std::construct_at(static_cast<D*>(block), std::forward<F>(fn));
-      std::memcpy(storage_, &block, sizeof(block));
-      vt_ = &HeapOps<D>::vt;
-    }
+    std::construct_at(reinterpret_cast<D*>(storage_), std::forward<F>(fn));
+    vt_ = &Ops<D>::vt;
   }
 
   InlineAction(InlineAction&& o) noexcept : vt_(o.vt_) {
@@ -197,7 +130,7 @@ class InlineAction {
   }
 
   template <typename F>
-  struct InlineOps {
+  struct Ops {
     static F* self(std::byte* s) {
       return std::launder(reinterpret_cast<F*>(s));
     }
@@ -212,23 +145,6 @@ class InlineAction {
         &invoke,
         std::is_trivially_copyable_v<F> ? nullptr : &relocate,
         std::is_trivially_destructible_v<F> ? nullptr : &destroy};
-  };
-
-  template <typename F>
-  struct HeapOps {
-    static F* self(std::byte* s) {
-      void* p = nullptr;
-      std::memcpy(&p, s, sizeof(p));
-      return static_cast<F*>(p);
-    }
-    static void invoke(std::byte* s) { (*self(s))(); }
-    static void destroy(std::byte* s) noexcept {
-      F* p = self(s);
-      std::destroy_at(p);
-      detail::release_action_block(p, sizeof(F));
-    }
-    // relocate == nullptr: moving the owning pointer is a plain memcpy.
-    static constexpr VTable vt{&invoke, nullptr, &destroy};
   };
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];

@@ -60,7 +60,7 @@ TEST(ClusterVm, StaleReplicaPushIsIgnored) {
   stale.rec.version = 0;
   stale.rec.tac = 4242;  // poison marker
   w.tb.fabric().send(w.cluster->mlb().node(), holder->node(),
-                     proto::pdu_of(proto::ClusterMessage{stale}));
+                     proto::box(stale));
   w.tb.run_for(Duration::sec(1.0));
 
   EXPECT_EQ(holder->app().store().find(key)->rec.version, live_version);
@@ -83,7 +83,7 @@ TEST(ClusterVm, ReplicaDeleteRemovesCopy) {
   del.guti = *ue.guti();
   for (auto& mmp : w.cluster->mmps())
     w.tb.fabric().send(w.cluster->mlb().node(), mmp->node(),
-                       proto::pdu_of(proto::ClusterMessage{del}));
+                       proto::box(del));
   w.tb.run_for(Duration::sec(1.0));
   for (auto& mmp : w.cluster->mmps())
     EXPECT_FALSE(mmp->app().store().contains(key));

@@ -648,6 +648,56 @@ TEST(Codec, EveryPduMatchesGoldenBytes) {
   EXPECT_EQ(hash::Md5::hex(hash::Md5::digest(std::span{all})), "9fcb009e205beb13875307011861884a");
 }
 
+TEST(Codec, BoxWireSizeMatchesEncodedSize) {
+  // PduBox::wire_bytes, sized once when the box is built, is the length its
+  // PDU encodes to: for every golden alternative, for envelopes nested four
+  // deep (each level's size adds the inner box's memo and its length word),
+  // and for an envelope whose inner PDU is absent.
+  std::vector<Pdu> pdus = golden_pdus();
+  EXPECT_EQ(pdus.size(), 58u);
+  ClusterForward fwd;
+  fwd.origin = 1;
+  fwd.guti = test_guti();
+  fwd.inner = box(pdus.front());
+  const PduRef fwd_box = box(fwd);
+  const PduRef reply_box =
+      box(ClusterReply{.target = 2, .inner = fwd_box});
+  const PduRef geo_box = box(GeoForward{.origin = 3,
+                                        .home_dc = 1,
+                                        .home_mlb = 4,
+                                        .guti = test_guti(),
+                                        .inner = reply_box});
+  pdus.push_back(make_pdu(fwd));
+  pdus.push_back(make_pdu(ClusterReply{.target = 2, .inner = fwd_box}));
+  pdus.push_back(make_pdu(TransportData{.seq = 9, .attempt = 1,
+                                        .inner = geo_box}));
+  // One box wrapped by two envelopes, as a relay and a retransmit share it.
+  pdus.push_back(make_pdu(GeoReject{.guti = test_guti(), .inner = fwd_box}));
+  pdus.push_back(make_pdu(OverloadReject{.mmp_node = 5, .backoff_us = 100}));
+  for (const Pdu& pdu : pdus) {
+    SCOPED_TRACE(pdu_name(pdu));
+    const PduRef b = box(pdu);
+    EXPECT_EQ(b->wire_bytes, encode_pdu(b->value).size());
+    EXPECT_EQ(b->wire_bytes, wire_size(b->value));
+  }
+}
+
+TEST(Codec, AbsentInnerPduIsAZeroLengthWord) {
+  // The MLB takes an OverloadReject without a request as a pure backoff
+  // hint; on the wire its absent inner PDU is a zero u32 length.
+  const OverloadReject hint{.mmp_node = 5, .backoff_us = 100};
+  const auto bytes = encode_pdu(make_pdu(hint));
+  ASSERT_GE(bytes.size(), 4u);
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.end() - 4, bytes.end()),
+            std::vector<std::uint8_t>(4, 0));
+  EXPECT_EQ(wire_size(make_pdu(hint)), bytes.size());
+  const Pdu back = decode_pdu(bytes);
+  const auto& rej = std::get<OverloadReject>(std::get<ClusterMessage>(back));
+  EXPECT_EQ(rej.inner, nullptr);
+  EXPECT_EQ(rej.backoff_us, 100u);
+  EXPECT_EQ(encode_pdu(back), bytes);
+}
+
 TEST(Codec, MmeUeIdAndTeidEmbedding) {
   const MmeUeId id = MmeUeId::make(0xAB, 0x123456);
   EXPECT_EQ(id.mmp_id(), 0xAB);

@@ -135,8 +135,7 @@ TEST(Dmme, UnknownDeviceServiceRequestRejected) {
   // Wipe the store behind the system's back.
   proto::ReplicaDelete del;
   del.guti = *ue.guti();
-  w.tb.fabric().send(w.lb->node(), w.store->node(),
-                     proto::pdu_of(proto::ClusterMessage{del}));
+  w.tb.fabric().send(w.lb->node(), w.store->node(), proto::box(del));
   w.tb.run_for(Duration::sec(1.0));
   ASSERT_EQ(w.store->size(), 0u);
 

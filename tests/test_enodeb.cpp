@@ -16,7 +16,8 @@ class MmeProbe : public Endpoint {
  public:
   explicit MmeProbe(Fabric& fabric) : Endpoint(fabric) {}
 
-  void receive(NodeId, const proto::Pdu& pdu) override {
+  void receive(NodeId, const proto::PduRef& ref) override {
+    const proto::Pdu& pdu = ref->value;
     if (const auto* s1ap = std::get_if<proto::S1apMessage>(&pdu)) {
       if (std::holds_alternative<proto::InitialUeMessage>(*s1ap))
         ++initial_count;
@@ -139,7 +140,7 @@ TEST(EnodeB, ConnectionsEraseOnRelease) {
   rel.enb_id = w.enb.node();
   rel.enb_ue_id = ue->s1_conn();
   rel.cause = proto::ReleaseCause::kUserInactivity;
-  w.fabric.send(w.mme_a.node(), w.enb.node(), proto::make_pdu(rel));
+  w.fabric.send(w.mme_a.node(), w.enb.node(), proto::box(rel));
   w.engine.run();
   EXPECT_EQ(w.enb.connection_count(), 0u);
 }

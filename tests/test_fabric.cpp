@@ -22,7 +22,8 @@ struct Probe final : epc::Endpoint {
 
   explicit Probe(epc::Fabric& f) : Endpoint(f) {}
   void deregister() { leave(); }
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+  void receive(sim::NodeId, const proto::PduRef& ref) override {
+    const proto::Pdu& pdu = ref->value;
     ASSERT_TRUE(registered()) << "delivery to a deregistered endpoint";
     const auto* s11 = std::get_if<proto::S11Message>(&pdu);
     ASSERT_NE(s11, nullptr);
@@ -32,10 +33,10 @@ struct Probe final : epc::Endpoint {
   }
 };
 
-proto::Pdu ping(proto::Imsi imsi) {
+proto::PduRef ping(proto::Imsi imsi) {
   proto::CreateSessionRequest req;
   req.imsi = imsi;
-  return proto::make_pdu(req);
+  return proto::box(req);
 }
 
 struct FabricTest : ::testing::Test {

@@ -2,6 +2,8 @@
 // scripted endpoint instead of a full MME.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "epc/fabric.h"
@@ -16,8 +18,8 @@ class Probe : public Endpoint {
  public:
   explicit Probe(Fabric& fabric) : Endpoint(fabric) {}
 
-  void receive(NodeId, const proto::Pdu& pdu) override {
-    inbox.push_back(pdu);
+  void receive(NodeId, const proto::PduRef& pdu) override {
+    inbox.push_back(pdu->value);
   }
 
   std::vector<proto::Pdu> inbox;
@@ -40,7 +42,7 @@ TEST(Hss, AuthVectorVerifiableByUsim) {
   proto::AuthInfoRequest req;
   req.imsi = 1001;
   req.hop_ref = 777;
-  w.fabric.send(w.probe.node(), w.hss.node(), proto::make_pdu(req));
+  w.fabric.send(w.probe.node(), w.hss.node(), proto::box(req));
   w.engine.run();
 
   ASSERT_EQ(w.probe.inbox.size(), 1u);
@@ -58,7 +60,7 @@ TEST(Hss, UnknownSubscriberFlagged) {
   World w;
   proto::AuthInfoRequest req;
   req.imsi = 9999;
-  w.fabric.send(w.probe.node(), w.hss.node(), proto::make_pdu(req));
+  w.fabric.send(w.probe.node(), w.hss.node(), proto::box(req));
   w.engine.run();
   const auto& ans = std::get<proto::AuthInfoAnswer>(
       std::get<proto::S6Message>(w.probe.inbox.at(0)));
@@ -72,7 +74,7 @@ TEST(Hss, UpdateLocationTracksServingMme) {
   req.imsi = 5;
   req.mme_id = 33;
   req.hop_ref = 3;
-  w.fabric.send(w.probe.node(), w.hss.node(), proto::make_pdu(req));
+  w.fabric.send(w.probe.node(), w.hss.node(), proto::box(req));
   w.engine.run();
   const auto& ans = std::get<proto::UpdateLocationAnswer>(
       std::get<proto::S6Message>(w.probe.inbox.at(0)));
@@ -81,13 +83,78 @@ TEST(Hss, UpdateLocationTracksServingMme) {
   EXPECT_EQ(ans.hop_ref, 3u);
 }
 
+TEST(Hss, SubscriberTableMatchesUnorderedMap) {
+  // The subscriber table is an epc::FlatMap. A seeded mix of provisioning
+  // (new and re-provisioned IMSIs), location updates, auth requests and
+  // lookups — dense operator-style IMSIs and sparse 64-bit ones, known and
+  // unknown — must answer exactly as a std::unordered_map reference does.
+  World w;
+  struct Ref {
+    std::uint64_t key = 0;
+    std::uint32_t profile = 0;
+    std::uint32_t serving = 0;
+  };
+  std::unordered_map<proto::Imsi, Ref> ref;
+  std::mt19937_64 rng(2024);
+  std::vector<proto::Imsi> imsis;
+  for (std::uint64_t i = 0; i < 1500; ++i)
+    imsis.push_back(1'010'000'000'000 + i);
+  for (int i = 0; i < 500; ++i) imsis.push_back(rng() | 1);
+  const auto ask = [&w](auto req) {
+    w.probe.inbox.clear();
+    w.fabric.send(w.probe.node(), w.hss.node(), proto::box(req));
+    w.engine.run();
+    EXPECT_EQ(w.probe.inbox.size(), 1u);
+    return std::get<proto::S6Message>(w.probe.inbox.at(0));
+  };
+  for (int op = 0; op < 20'000; ++op) {
+    const proto::Imsi imsi = imsis[rng() % imsis.size()];
+    const auto it = ref.find(imsi);
+    switch (rng() % 4) {
+      case 0: {
+        const Ref r{rng(), static_cast<std::uint32_t>(rng() % 8 + 1), 0};
+        w.hss.provision_subscriber(imsi, r.key, r.profile);
+        ref[imsi] = r;
+        break;
+      }
+      case 1: {
+        const auto mme = static_cast<std::uint32_t>(rng() % 100 + 1);
+        const auto ans = std::get<proto::UpdateLocationAnswer>(ask(
+            proto::UpdateLocationRequest{.imsi = imsi, .mme_id = mme}));
+        ASSERT_EQ(ans.ok, it != ref.end()) << imsi;
+        if (it != ref.end()) {
+          EXPECT_EQ(ans.profile_id, it->second.profile);
+          it->second.serving = mme;
+        }
+        break;
+      }
+      case 2: {
+        const auto ans = std::get<proto::AuthInfoAnswer>(
+            ask(proto::AuthInfoRequest{.imsi = imsi}));
+        ASSERT_EQ(ans.known_subscriber, it != ref.end()) << imsi;
+        if (it != ref.end())
+          EXPECT_EQ(ans.xres, Hss::f_res(it->second.key, ans.rand));
+        break;
+      }
+      default:
+        EXPECT_EQ(w.hss.serving_mme_of(imsi),
+                  it == ref.end() ? 0u : it->second.serving);
+    }
+  }
+  for (const proto::Imsi imsi : imsis) {
+    const auto it = ref.find(imsi);
+    EXPECT_EQ(w.hss.serving_mme_of(imsi),
+              it == ref.end() ? 0u : it->second.serving);
+  }
+}
+
 TEST(Sgw, SessionLifecycle) {
   World w;
   // Create.
   proto::CreateSessionRequest create;
   create.imsi = 7;
   create.mme_teid = proto::Teid::make(1, 5);
-  w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(create));
+  w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(create));
   w.engine.run();
   ASSERT_EQ(w.probe.inbox.size(), 1u);
   const auto resp = std::get<proto::CreateSessionResponse>(
@@ -102,7 +169,7 @@ TEST(Sgw, SessionLifecycle) {
   modify.sgw_teid = resp.sgw_teid;
   modify.mme_teid = create.mme_teid;
   modify.enb_id = 12;
-  w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(modify));
+  w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(modify));
   w.engine.run();
   EXPECT_EQ(w.probe.inbox.size(), 2u);
 
@@ -115,7 +182,7 @@ TEST(Sgw, SessionLifecycle) {
   proto::ReleaseAccessBearersRequest release;
   release.sgw_teid = resp.sgw_teid;
   release.mme_teid = create.mme_teid;
-  w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(release));
+  w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(release));
   w.engine.run();
   EXPECT_TRUE(w.sgw.inject_downlink_data(resp.sgw_teid));
   w.engine.run();
@@ -128,7 +195,7 @@ TEST(Sgw, SessionLifecycle) {
   proto::DeleteSessionRequest del;
   del.sgw_teid = resp.sgw_teid;
   del.mme_teid = create.mme_teid;
-  w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(del));
+  w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(del));
   w.engine.run();
   EXPECT_EQ(w.sgw.session_count(), 0u);
   EXPECT_FALSE(w.sgw.teid_for(7).valid());
@@ -142,7 +209,7 @@ TEST(Sgw, TeidForIsHighestLiveSession) {
     proto::CreateSessionRequest req;
     req.imsi = 7;
     req.mme_teid = proto::Teid::make(1, 5);
-    w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(req));
+    w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(req));
     w.engine.run();
     return std::get<proto::CreateSessionResponse>(
                std::get<proto::S11Message>(w.probe.inbox.back()))
@@ -151,7 +218,7 @@ TEST(Sgw, TeidForIsHighestLiveSession) {
   const auto remove = [](World& w, proto::Teid sgw_teid) {
     proto::DeleteSessionRequest del;
     del.sgw_teid = sgw_teid;
-    w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(del));
+    w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(del));
     w.engine.run();
   };
 
@@ -185,7 +252,7 @@ TEST(Fabric, DeliveryDelayAndAccounting) {
   proto::CreateSessionRequest create;
   create.imsi = 1;
   create.mme_teid = proto::Teid::make(1, 1);
-  w.fabric.send(w.probe.node(), w.sgw.node(), proto::make_pdu(create));
+  w.fabric.send(w.probe.node(), w.sgw.node(), proto::box(create));
   EXPECT_EQ(w.sgw.session_count(), 0u);  // not delivered yet
   w.engine.run_until(Time::from_us(4000));
   EXPECT_EQ(w.sgw.session_count(), 0u);
@@ -203,7 +270,7 @@ TEST(Fabric, SendToDepartedNodeIsCountedDrop) {
     departed = temp.node();
   }  // unregistered here
   w.fabric.send(w.probe.node(), departed,
-                proto::make_pdu(proto::Paging{1, 1}));
+                proto::box(proto::Paging{1, 1}));
   w.engine.run();
   EXPECT_EQ(w.fabric.dropped(), 1u);
 }

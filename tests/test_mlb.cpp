@@ -302,8 +302,7 @@ ShedCase shed_case(ScaleWorld& w, std::uint32_t m_tmsi) {
 /// run the routing slice. All of this happens before the first 100 ms
 /// LoadReport cycle, so the view holds only what the test feeds it.
 void deliver(ScaleWorld& w, const proto::OverloadReject& rej) {
-  w.cluster->mlb().receive(rej.mmp_node,
-                           proto::pdu_of(proto::ClusterMessage{rej}));
+  w.cluster->mlb().receive(rej.mmp_node, proto::box(rej));
   w.tb.run_for(Duration::ms(1.0));
 }
 
@@ -319,7 +318,7 @@ void report_load(ScaleWorld& w, sim::NodeId mmp, double load) {
   proto::LoadReport report;
   report.mmp_node = mmp;
   report.cpu_util = load;
-  w.cluster->mlb().receive(mmp, proto::pdu_of(proto::ClusterMessage{report}));
+  w.cluster->mlb().receive(mmp, proto::box(report));
 }
 
 /// A shed of `c.guti`'s request by `c.shedder`. backoff_us = 0 leaves the
@@ -335,7 +334,7 @@ void shed(ScaleWorld& w, const ShedCase& c, ProcedureType p,
   rej.guti = c.guti;
   rej.procedure = static_cast<std::uint8_t>(p);
   rej.level = static_cast<std::uint8_t>(level);
-  rej.inner = proto::box(proto::make_pdu(proto::S1apMessage{init}));
+  rej.inner = proto::box(init);
   deliver(w, rej);
 }
 

@@ -122,16 +122,15 @@ TEST(MmeEdge, GarbagePdusDoNotCrashEntities) {
   pool.connect_enb(site.enb(0));
 
   // Shower every entity with PDUs it never expects.
-  const std::vector<proto::Pdu> garbage = {
-      proto::make_pdu(proto::Paging{123, 9}),
-      proto::make_pdu(proto::CreateSessionResponse{}),
-      proto::make_pdu(proto::AuthInfoAnswer{}),
-      proto::make_pdu(proto::UplinkNasTransport{
+  const std::vector<proto::PduRef> garbage = {
+      proto::box(proto::Paging{123, 9}),
+      proto::box(proto::CreateSessionResponse{}),
+      proto::box(proto::AuthInfoAnswer{}),
+      proto::box(proto::UplinkNasTransport{
           1, 2, proto::MmeUeId::make(9, 9),
           proto::NasMessage{proto::NasServiceRequest{}}}),
-      proto::pdu_of(proto::ClusterMessage{proto::LoadReport{1, 0.5, 3}}),
-      proto::pdu_of(
-          proto::ClusterMessage{proto::StateTransferAck{proto::Guti{}}}),
+      proto::box(proto::LoadReport{1, 0.5, 3}),
+      proto::box(proto::StateTransferAck{proto::Guti{}}),
   };
   const std::vector<sim::NodeId> targets = {
       pool.mme(0).node(), site.sgw->node(), tb.hss().node(),

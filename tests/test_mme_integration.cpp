@@ -186,7 +186,8 @@ TEST(MmeIntegration, StaticAssignmentPinsDeviceToOneMme) {
 /// Sends StateTransfers and counts the acks that come back.
 struct TransferPeer final : epc::Endpoint {
   explicit TransferPeer(epc::Fabric& f) : Endpoint(f) {}
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+  void receive(sim::NodeId, const proto::PduRef& ref) override {
+    const proto::Pdu& pdu = ref->value;
     const auto* c = std::get_if<proto::ClusterMessage>(&pdu);
     if (c != nullptr && std::holds_alternative<proto::StateTransferAck>(*c))
       ++acks;
@@ -226,7 +227,7 @@ TEST(MmeIntegration, StateTransferInstallsMasterAndAcksOnceOnBothHosts) {
     proto::StateTransfer xfer;
     xfer.rec = rec;
     fabric.send(peer.node(), host->node(),
-                proto::pdu_of(proto::ClusterMessage{xfer}));
+                proto::box(xfer));
     // Delivered, but not installed until state_transfer_rx of CPU has run.
     engine.run_until(t0 + hop + rx - Duration::us(1));
     EXPECT_FALSE(host->app().store().contains(rec.guti.key()));

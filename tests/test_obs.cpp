@@ -169,8 +169,8 @@ struct TracedRelNode final : epc::Endpoint {
 
   explicit TracedRelNode(epc::Fabric& f) : Endpoint(f), rel(f, node()) {}
 
-  void receive(sim::NodeId from, const proto::Pdu& pdu) override {
-    if (rel.unwrap(from, pdu) != nullptr) ++delivered;
+  void receive(sim::NodeId from, const proto::PduRef& ref) override {
+    if (rel.unwrap(from, ref) != nullptr) ++delivered;
   }
 };
 
@@ -188,7 +188,7 @@ TEST(ObsTracer, RetransmissionAnnotationsUnderLinkFault) {
   net.schedule_link_down(a.node(), b.node(), Time::zero(), Time::from_sec(1.0));
   proto::CreateSessionRequest req;
   req.imsi = 77;
-  a.rel.send(b.node(), proto::make_pdu(req));
+  a.rel.send(b.node(), proto::box(req));
   engine.run_until(Time::from_sec(30.0));
   obs::Tracer::install(prev);
 

@@ -235,7 +235,8 @@ TEST(OverloadIntegration, GovernedClusterShedsDeferrableNeverAttach) {
 template <typename T>
 struct WireProbe final : epc::Endpoint {
   explicit WireProbe(epc::Fabric& f) : epc::Endpoint(f) {}
-  void receive(sim::NodeId, const proto::Pdu& pdu) override {
+  void receive(sim::NodeId, const proto::PduRef& ref) override {
+    const proto::Pdu& pdu = ref->value;
     std::visit(
         [this](const auto& family) {
           std::visit(
@@ -265,9 +266,9 @@ TEST(OverloadIntegration, ShedRejectsCarryA200MsBackoff) {
 
     proto::ClusterForward fwd;
     fwd.guti = proto::Guti{1, 1, 1, 42};
-    fwd.inner = proto::box(proto::make_pdu(
-        proto::InitialUeMessage{.nas = proto::NasTauRequest{fwd.guti, 1}}));
-    mmp.receive(mlb.node(), proto::make_pdu(fwd));
+    fwd.inner = proto::box(
+        proto::InitialUeMessage{.nas = proto::NasTauRequest{fwd.guti, 1}});
+    mmp.receive(mlb.node(), proto::box(fwd));
     tb.run_for(Duration::ms(10.0));
     ASSERT_EQ(mlb.seen.size(), 1u);
     EXPECT_EQ(mlb.seen[0].level, governed ? 1 : 0);  // which path shed
@@ -286,9 +287,9 @@ TEST(OverloadIntegration, EdgeBackpressureSignalsA250MsWindow) {
   // second initial then finds the eNB's one-token bucket dry.
   const proto::OverloadReject hint{.mmp_node = w.cluster->mmp(0).node(),
                                    .backoff_us = 10'000'000};
-  mlb.receive(hint.mmp_node, proto::pdu_of(proto::ClusterMessage{hint}));
+  mlb.receive(hint.mmp_node, proto::box(hint));
   for (std::uint32_t tmsi = 1; tmsi <= 2; ++tmsi)
-    mlb.receive(enb.node(), proto::make_pdu(proto::InitialUeMessage{
+    mlb.receive(enb.node(), proto::box(proto::InitialUeMessage{
         .nas = proto::NasServiceRequest{mlb.mme_code(), tmsi, 0}}));
   w.tb.run_for(Duration::ms(5.0));
   ASSERT_EQ(enb.seen.size(), 1u);

@@ -24,10 +24,10 @@ struct RelNode final : epc::Endpoint {
   /// channel and must find it alive when they fire.
   void crash() { leave(); }
 
-  void receive(sim::NodeId from, const proto::Pdu& pdu) override {
-    const proto::Pdu* app = rel.unwrap(from, pdu);
+  void receive(sim::NodeId from, const proto::PduRef& ref) override {
+    const proto::PduRef* app = rel.unwrap(from, ref);
     if (app == nullptr) return;  // shim traffic
-    const auto* s11 = std::get_if<proto::S11Message>(app);
+    const auto* s11 = std::get_if<proto::S11Message>(&(*app)->value);
     ASSERT_NE(s11, nullptr);
     const auto* req = std::get_if<proto::CreateSessionRequest>(s11);
     ASSERT_NE(req, nullptr);
@@ -35,10 +35,10 @@ struct RelNode final : epc::Endpoint {
   }
 };
 
-proto::Pdu ping(proto::Imsi imsi) {
+proto::PduRef ping(proto::Imsi imsi) {
   proto::CreateSessionRequest req;
   req.imsi = imsi;
-  return proto::make_pdu(req);
+  return proto::box(req);
 }
 
 struct ReliableTest : ::testing::Test {
