@@ -31,9 +31,7 @@ Point run_dmme(double rate) {
   auto& site = tb.add_site(1);
   // The store is a VM of the same class as the processing nodes (dMME
   // spends one of its VMs on state; SCALE gets an extra MMP instead).
-  mme::DmmeStateStore::Config store_cfg;
-  store_cfg.cpu_speed = kCpuSpeed;
-  mme::DmmeStateStore store(tb.fabric(), store_cfg);
+  mme::DmmeStateStore store(tb.fabric(), kCpuSpeed);
   mme::DmmeLb::Config lb_cfg;
   mme::DmmeLb lb(tb.fabric(), lb_cfg);
   std::vector<std::unique_ptr<mme::DmmeNode>> nodes;

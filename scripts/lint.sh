@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis leg (DESIGN.md §6): ScaleLint + baseline diff + clang-tidy.
 #
-#   leg 1  scale_lint — repo-specific determinism, invariant and
-#          shard-readiness rules L1–L7 over src/ bench/ tests/ examples/
-#          tools/. Any finding fails. The run also emits the scale-lint-v1
+#   leg 1  scale_lint — repo-specific determinism, invariant,
+#          shard-readiness and reach rules L1–L7 and L9 over src/ bench/
+#          tests/ examples/ tools/ (L9 also indexes wholerun/src/ as reach,
+#          without linting it). Any finding fails. The run also emits the scale-lint-v1
 #          JSON report, which is diffed against the committed
 #          LINT_baseline.json: a NEW finding or NEW `// lint:` waiver fails
 #          tier-1 even when the exit code alone would not (waivers widen the
@@ -25,7 +26,7 @@ JOBS="$(nproc)"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" --target scale_lint bench_json_check -j"${JOBS}"
 
-echo "== lint leg 1: scale_lint (rules L1-L7) =="
+echo "== lint leg 1: scale_lint (rules L1-L7, L9) =="
 "${BUILD_DIR}/tools/lint/scale_lint" --root . \
   --json "${BUILD_DIR}/LINT_now.json" src bench tests examples tools
 "${BUILD_DIR}/tools/obs/bench_json_check" --lint "${BUILD_DIR}/LINT_now.json"

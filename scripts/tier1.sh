@@ -23,8 +23,8 @@ cmake -B build -S . -DSCALE_WERROR=ON >/dev/null
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
-# Lint leg (DESIGN.md §6): ScaleLint rules L1-L7 over the tree — emitting
-# the scale-lint-v1 report and diffing it against the committed
+# Lint leg (DESIGN.md §6): ScaleLint rules L1-L7 and L9 over the tree —
+# emitting the scale-lint-v1 report and diffing it against the committed
 # LINT_baseline.json, so NEW findings and NEW waivers fail tier-1 (not just
 # nonzero exits) — then clang-tidy via the exported compile commands.
 scripts/lint.sh build

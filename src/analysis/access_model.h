@@ -35,7 +35,6 @@ class AccessAwareModel {
 
   explicit AccessAwareModel(Params p);
 
-  const Params& params() const { return p_; }
 
   /// R′ = ⌊V·S′/K⌋, clamped to [0, R].
   unsigned base_replicas() const;

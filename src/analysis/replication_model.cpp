@@ -6,6 +6,13 @@
 
 namespace scale::analysis {
 
+namespace {
+// Truncation of the infinite sums: at most kMaxTerms terms past capacity_N,
+// stopping early once a term falls below kTailEpsilon of the running sum.
+constexpr std::uint64_t kMaxTerms = 200000;
+constexpr double kTailEpsilon = 1e-12;
+}  // namespace
+
 ReplicationModel::ReplicationModel(Params p) : p_(p) {
   SCALE_CHECK(p_.lambda > 0.0);
   SCALE_CHECK(p_.epoch_T > 0.0);
@@ -31,10 +38,10 @@ double ReplicationModel::expected_cost(double wi, unsigned R) const {
 
   double sum = 0.0;
   for (std::uint64_t k = p_.capacity_N;
-       k < p_.capacity_N + p_.max_terms; ++k) {
+       k < p_.capacity_N + kMaxTerms; ++k) {
     const double term = std::exp(term_log_gamma(k, R, log_q));
     sum += term;
-    if (term < p_.tail_epsilon * sum && k > p_.capacity_N + 8) break;
+    if (term < kTailEpsilon * sum && k > p_.capacity_N + 8) break;
   }
   return (p_.cost_C / p_.lambda) * std::pow(wi, static_cast<double>(R)) * sum;
 }
@@ -49,7 +56,7 @@ double ReplicationModel::expected_cost_product_form(double wi,
 
   double sum = 0.0;
   for (std::uint64_t k = p_.capacity_N;
-       k < p_.capacity_N + p_.max_terms; ++k) {
+       k < p_.capacity_N + kMaxTerms; ++k) {
     // Eq. 9: (1/R) Π_{p=0}^{k-1} Π_{q'=0}^{R-1} (1 - q'/((k-p)R)), computed
     // in log space alongside the q^{kR} factor.
     double log_prod = -std::log(Rd);
@@ -62,7 +69,7 @@ double ReplicationModel::expected_cost_product_form(double wi,
     const double term =
         std::exp(static_cast<double>(k) * Rd * std::log(q) + log_prod);
     sum += term;
-    if (term < p_.tail_epsilon * sum && k > p_.capacity_N + 8) break;
+    if (term < kTailEpsilon * sum && k > p_.capacity_N + 8) break;
   }
   return (p_.cost_C / p_.lambda) * std::pow(wi, static_cast<double>(R)) * sum;
 }

@@ -30,14 +30,10 @@ class ReplicationModel {
     double epoch_T = 60.0; ///< epoch length (seconds)
     std::uint64_t capacity_N = 50;  ///< devices a VM can serve per epoch
     double cost_C = 1.0;   ///< cost of an unserved device
-    /// Truncation controls for the infinite sum.
-    std::uint64_t max_terms = 200000;
-    double tail_epsilon = 1e-12;
   };
 
   explicit ReplicationModel(Params p);
 
-  const Params& params() const { return p_; }
 
   /// Eq. 8 via log-gamma (numerically stable for large k, R).
   double expected_cost(double wi, unsigned R) const;

@@ -31,14 +31,10 @@ const char* level_name(LogLevel lvl) {
 }
 }  // namespace
 
-LogLevel& Log::level_ref() {
-  static LogLevel lvl = level_from_env();
+LogLevel Log::level() {
+  static const LogLevel lvl = level_from_env();
   return lvl;
 }
-
-LogLevel Log::level() { return level_ref(); }
-
-void Log::set_level(LogLevel lvl) { level_ref() = lvl; }
 
 void Log::write(LogLevel lvl, const std::string& msg) {
   std::fprintf(stderr, "[%s] %s\n", level_name(lvl), msg.c_str());

@@ -2,7 +2,7 @@
 //
 // The simulator is hot-path sensitive, so log calls compile down to a level
 // check plus a lazily-formatted message. Level comes from the environment
-// (SCALE_LOG=debug|info|warn|error|off) or set_level().
+// (SCALE_LOG=debug|info|warn|error|off), read once.
 #pragma once
 
 #include <sstream>
@@ -17,12 +17,8 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 class Log {
  public:
   static LogLevel level();
-  static void set_level(LogLevel lvl);
   static bool enabled(LogLevel lvl) { return lvl >= level(); }
   static void write(LogLevel lvl, const std::string& msg);
-
- private:
-  static LogLevel& level_ref();
 };
 
 }  // namespace scale

@@ -83,88 +83,6 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  SCALE_CHECK(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= next_double();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double draw = normal(mean, std::sqrt(mean));
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
-double Rng::normal(double mean, double stddev) {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return mean + stddev * spare_normal_;
-  }
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * factor;
-  has_spare_normal_ = true;
-  return mean + stddev * u * factor;
-}
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  SCALE_CHECK(n >= 1);
-  // Rejection-inversion sampler (Hörmann & Derflinger) keeps draws O(1)
-  // without precomputing the full harmonic table.
-  if (n == 1) return 1;
-  const double nd = static_cast<double>(n);
-  auto h_integral = [s](double x) {
-    const double logx = std::log(x);
-    if (std::abs(1.0 - s) < 1e-12) return logx;
-    return (std::exp((1.0 - s) * logx) - 1.0) / (1.0 - s);
-  };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
-  const double hx0 = h_integral(nd + 0.5);
-  const double hx1 = h_integral(1.5) - 1.0;
-  // Shortcut acceptance width (Hörmann & Derflinger).
-  const double shortcut =
-      2.0 - [&] {
-        const double target = h_integral(2.5) - h(2.0);
-        if (std::abs(1.0 - s) < 1e-12) return std::exp(target);
-        return std::exp(std::log1p(target * (1.0 - s)) / (1.0 - s));
-      }();
-  for (;;) {
-    const double u = hx1 + next_double() * (hx0 - hx1);
-    double x;
-    if (std::abs(1.0 - s) < 1e-12) {
-      x = std::exp(u);
-    } else {
-      x = std::exp(std::log1p(u * (1.0 - s)) / (1.0 - s));
-    }
-    double k = std::floor(x + 0.5);
-    k = std::max(1.0, std::min(nd, k));  // clamp, don't reject, edge ranks
-    if (k - x <= shortcut || u >= h_integral(k + 0.5) - h(k))
-      return static_cast<std::uint64_t>(k);
-  }
-}
-
-double Rng::pareto(double xm, double alpha) {
-  SCALE_CHECK(xm > 0.0 && alpha > 0.0);
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-Rng Rng::fork() { return Rng(next_u64()); }
-
 std::size_t Rng::weighted_index(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {

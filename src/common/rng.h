@@ -15,8 +15,8 @@ namespace scale {
 
 /// Seedable xoshiro256++ PRNG with the distributions the workloads need.
 /// Each logical stream (per device class, per scenario) should own its own
-/// Rng, forked from a parent via `fork()`, so adding a consumer never
-/// perturbs the draws seen by another.
+/// Rng, seeded on its own, so adding a consumer never perturbs the draws
+/// seen by another.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
@@ -42,22 +42,6 @@ class Rng {
   /// Exponentially distributed with given rate (mean 1/rate). rate > 0.
   double exponential(double rate);
 
-  /// Poisson-distributed count with given mean (Knuth for small means,
-  /// normal approximation beyond 64 to stay O(1)).
-  std::uint64_t poisson(double mean);
-
-  /// Standard normal via Marsaglia polar method.
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Zipf-distributed rank in [1, n] with exponent s (rejection sampler).
-  std::uint64_t zipf(std::uint64_t n, double s);
-
-  /// Pareto (Lomax)-distributed double with scale xm and shape alpha.
-  double pareto(double xm, double alpha);
-
-  /// Derive an independent child stream; deterministic given parent state.
-  Rng fork();
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -74,8 +58,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool has_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace scale

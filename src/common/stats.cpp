@@ -128,7 +128,7 @@ void PercentileSampler::clear() {
 
 // ----------------------------------------------------------------------- Ewma
 
-Ewma::Ewma(double alpha, double initial) : alpha_(alpha), value_(initial) {
+Ewma::Ewma(double alpha) : alpha_(alpha) {
   SCALE_CHECK(alpha > 0.0 && alpha <= 1.0);
 }
 
@@ -140,11 +140,6 @@ double Ewma::update(double x) {
     value_ = alpha_ * x + (1.0 - alpha_) * value_;
   }
   return value_;
-}
-
-void Ewma::reset(double v) {
-  value_ = v;
-  primed_ = false;
 }
 
 // ----------------------------------------------------------------- TimeSeries

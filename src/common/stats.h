@@ -57,7 +57,6 @@ class PercentileSampler {
 
   /// q in [0,1]; q=0.99 is the paper's "99th %tile". Nearest-rank method.
   [[nodiscard]] double percentile(double q) const;
-  double median() const { return percentile(0.5); }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double max() const;
 
@@ -75,7 +74,6 @@ class PercentileSampler {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
   // reservoir state
-  std::uint64_t reservoir_index_ = 0;
   std::uint64_t rng_state_ = 0x853C49E6748FEA9Bull;
 };
 
@@ -83,16 +81,15 @@ class PercentileSampler {
 /// This is exactly the paper's load estimator L̄(t) (Section 4.4, Eq. 1).
 class Ewma {
  public:
-  explicit Ewma(double alpha, double initial = 0.0);
+  explicit Ewma(double alpha);
 
   double update(double x);
   double value() const { return value_; }
   bool primed() const { return primed_; }
-  void reset(double v = 0.0);
 
  private:
   double alpha_;
-  double value_;
+  double value_ = 0.0;
   bool primed_ = false;
 };
 
@@ -101,7 +98,6 @@ class TimeSeries {
  public:
   void add(Time t, double v);
   std::size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
   const std::vector<std::pair<Time, double>>& points() const {
     return points_;
   }

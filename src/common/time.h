@@ -27,7 +27,6 @@ class Duration {
     return Duration(static_cast<std::int64_t>(v * 1'000'000.0));
   }
   static constexpr Duration zero() { return Duration(0); }
-  static constexpr Duration max() { return Duration(INT64_MAX); }
 
   constexpr std::int64_t count_us() const { return us_; }
   constexpr double to_ms() const { return static_cast<double>(us_) / 1000.0; }
@@ -95,7 +94,6 @@ class Time {
     return *this;
   }
 
-  std::string str() const;
 
  private:
   constexpr explicit Time(std::int64_t v) : us_(v) {}
@@ -107,10 +105,6 @@ inline std::string Duration::str() const {
     return std::to_string(to_sec()) + "s";
   if (us_ >= 1000 || us_ <= -1000) return std::to_string(to_ms()) + "ms";
   return std::to_string(us_) + "us";
-}
-
-inline std::string Time::str() const {
-  return std::to_string(to_sec()) + "s";
 }
 
 /// Monotonic wall-clock read in nanoseconds, for *measuring* the simulator

@@ -157,19 +157,14 @@ void ScaleCluster::push_membership() {
   for (auto& mlb : mlbs_) mlb->apply_membership(update.members, update.version);
 }
 
-std::size_t ScaleCluster::migrate_after_membership_change() {
-  std::size_t moved = 0;
+void ScaleCluster::migrate_after_membership_change() {
   for (const auto& vm : mmps_) {
     const auto keys = vm->app().store().keys_if([&](const UeContext& c) {
       return c.role == ContextRole::kMaster &&
              ring_.owner(c.rec.guti.key()) != vm->node();
     });
-    for (std::uint64_t key : keys) {
-      vm->migrate_master(key, ring_.owner(key));
-      ++moved;
-    }
+    for (std::uint64_t key : keys) vm->migrate_master(key, ring_.owner(key));
   }
-  return moved;
 }
 
 std::uint64_t ScaleCluster::registered_devices() const {
@@ -257,7 +252,7 @@ std::size_t ScaleCluster::resync_replicas() {
 }
 
 std::size_t ScaleCluster::run_geo_selection() {
-  if (geo_->peers().empty()) return 0;
+  if (!geo_->has_peers()) return 0;
   std::size_t pushes = 0;
   const std::uint64_t quota = geo_->per_vm_external_quota(mmps_.size());
   constexpr double kGeoWiThreshold = 0.5;
@@ -292,7 +287,7 @@ std::size_t ScaleCluster::run_geo_selection() {
       if (!rng_.chance(p)) continue;
       const auto remote = geo_->choose_remote(rng_);
       if (!remote) break;
-      vm->geo_replicate(key, remote->dc_id);
+      vm->geo_replicate(key, *remote);
       ++used;
       ++pushes;
     }
@@ -302,7 +297,7 @@ std::size_t ScaleCluster::run_geo_selection() {
 
 ScaleCluster::EpochReport ScaleCluster::run_epoch() {
   EpochReport report;
-  report.epoch_index = ++epoch_index_;
+  ++epoch_index_;
 
   const std::uint64_t total = total_requests();
   report.measured_load = total - requests_snapshot_;
@@ -317,15 +312,13 @@ ScaleCluster::EpochReport ScaleCluster::run_epoch() {
                                         report.registered);
   const std::size_t before = mmps_.size();
   resize(report.decision.vms);
-  report.migrations = before == mmps_.size()
-                          ? 0
-                          : migrate_after_membership_change();
+  if (before != mmps_.size()) migrate_after_membership_change();
 
   // Refresh S_m from the new VM count and Eq. 3's probability scale.
   const double sm = cfg_.geo.budget_fraction *
                     static_cast<double>(mmps_.size()) *
                     static_cast<double>(cfg_.provisioner.devices_per_vm);
-  geo_->set_budget(geo_->peers().empty() ? 0.0 : sm);
+  geo_->set_budget(geo_->has_peers() ? sm : 0.0);
 
   if (policy_.access_aware && report.registered > 0) {
     const double capacity = static_cast<double>(mmps_.size()) *
@@ -360,7 +353,7 @@ ScaleCluster::EpochReport ScaleCluster::run_epoch() {
   report.geo_pushes = run_geo_selection();
   last_report_ = report;
 
-  SCALE_INFO("epoch " << report.epoch_index << ": load="
+  SCALE_INFO("epoch " << epoch_index_ << ": load="
                       << report.measured_load << " K=" << report.registered
                       << " beta=" << report.beta << " V="
                       << report.decision.vms);
@@ -373,7 +366,7 @@ void ScaleCluster::enforce_geo_budget() {
   // share of device states stored in DC i". Evict lowest-wᵢ external
   // contexts until within budget, then tell the owning DCs to drop their
   // now-dangling markers.
-  if (geo_->peers().empty() || geo_->used() <= geo_->budget()) return;
+  if (!geo_->has_peers() || geo_->used() <= geo_->budget()) return;
   const double fraction = 1.0 - geo_->budget() / geo_->used();
 
   std::vector<std::pair<double, std::pair<MmpNode*, std::uint64_t>>> ext;
@@ -395,9 +388,7 @@ void ScaleCluster::enforce_geo_budget() {
   proto::GeoEvictRequest req;
   req.dc_id = cfg_.home_dc;
   req.fraction = fraction;
-  const proto::PduRef pdu = proto::box(req);  // one box for every peer
-  for (const auto& peer : geo_->peers())
-    fabric_.send(mlbs_.front()->node(), peer.mlb, pdu);
+  geo_->send_to_peers(proto::box(req));  // one box for every peer
 }
 
 void ScaleCluster::on_evict_request(const proto::GeoEvictRequest& evict) {
@@ -427,7 +418,7 @@ void ScaleCluster::start() {
   running_ = true;
   // Seed the external-state budget before the first epoch so early gossip
   // advertises real capacity.
-  if (!geo_->peers().empty()) {
+  if (geo_->has_peers()) {
     geo_->set_budget(cfg_.geo.budget_fraction *
                      static_cast<double>(mmps_.size()) *
                      static_cast<double>(cfg_.provisioner.devices_per_vm));
@@ -438,7 +429,6 @@ void ScaleCluster::start() {
 }
 
 void ScaleCluster::epoch_chain() {
-  if (!running_) return;
   run_epoch();
   fabric_.engine().after(cfg_.epoch, [this]() { epoch_chain(); });
 }

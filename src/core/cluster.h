@@ -75,12 +75,10 @@ class ScaleCluster {
   };
 
   struct EpochReport {
-    std::uint64_t epoch_index = 0;
     std::uint64_t measured_load = 0;
     std::uint64_t registered = 0;
     double beta = 1.0;
     Provisioner::Decision decision;
-    std::size_t migrations = 0;
     std::size_t geo_pushes = 0;
     /// Replica copies re-pushed by this epoch's post-churn resync (0 in
     /// steady state — resync only runs after a membership change).
@@ -124,7 +122,6 @@ class ScaleCluster {
   EpochReport run_epoch();
   /// Start auto epochs (cfg.epoch period) and geo gossip.
   void start();
-  void stop() { running_ = false; }
 
   // --- policy & accessors -----------------------------------------------
   ReplicationPolicy& policy() { return policy_; }
@@ -133,7 +130,6 @@ class ScaleCluster {
   void set_geo_budget_fraction(double fraction) {
     cfg_.geo.budget_fraction = fraction;
   }
-  Provisioner& provisioner() { return provisioner_; }
   std::uint64_t registered_devices() const;
   std::uint64_t total_requests() const;
   /// Visit every master context in the cluster (e.g. to seed wᵢ from an
@@ -154,7 +150,7 @@ class ScaleCluster {
   double compute_beta(std::uint64_t registered);
   std::size_t run_geo_selection();
   void push_membership();
-  std::size_t migrate_after_membership_change();
+  void migrate_after_membership_change();
   std::size_t resync_replicas();
 
   epc::Fabric& fabric_;

@@ -11,6 +11,12 @@
 
 namespace scale::core {
 
+namespace {
+/// Peer DCs a manager tracks at most (choose_remote() weighs them on the
+/// stack).
+constexpr std::size_t kMaxPeers = 32;
+}  // namespace
+
 GeoManager::GeoManager(Fabric& fabric, NodeId local_mlb, Config cfg)
     : fabric_(fabric), local_mlb_(local_mlb), cfg_(cfg) {}
 
@@ -28,6 +34,16 @@ NodeId GeoManager::mlb_of_dc(std::uint32_t dc) const {
   return 0;
 }
 
+void GeoManager::send_to_peers(const proto::PduRef& pdu) {
+  for (const auto& p : peers_) fabric_.send(local_mlb_, p.mlb, pdu);
+}
+
+double GeoManager::peer_available(std::uint32_t dc) const {
+  for (const auto& p : peers_)
+    if (p.dc_id == dc) return p.known_available;
+  return 0.0;
+}
+
 void GeoManager::start_gossip() {
   if (gossiping_) return;
   gossiping_ = true;
@@ -35,17 +51,13 @@ void GeoManager::start_gossip() {
 }
 
 void GeoManager::gossip_tick() {
-  if (!gossiping_) return;
   proto::GeoBudgetGossip gossip;
   gossip.dc_id = cfg_.dc_id;
   gossip.available_budget = available();
   gossip.cpu_load = load_probe_ ? load_probe_() : 0.0;
   gossip.backlog_sec = backlog_probe_ ? backlog_probe_() : 0.0;
-  const proto::PduRef pdu = proto::box(gossip);  // one box for every peer
-  for (const auto& p : peers_) {
-    ++gossips_sent_;
-    fabric_.send(local_mlb_, p.mlb, pdu);
-  }
+  gossips_sent_ += peers_.size();
+  send_to_peers(proto::box(gossip));  // one box for every peer
   fabric_.engine().after(cfg_.gossip_interval, [this] { gossip_tick(); });
 }
 
@@ -62,11 +74,12 @@ bool GeoManager::accept_external() {
 
 void GeoManager::release_external() { used_ = std::max(0.0, used_ - 1.0); }
 
-std::optional<GeoManager::PeerDc> GeoManager::choose_remote(Rng& rng) const {
+std::optional<std::uint32_t> GeoManager::choose_remote(Rng& rng) const {
   if (peers_.empty()) return std::nullopt;
   if (cfg_.selection == Selection::kUniform) {
     // Baseline: fixed uniform spread, blind to budget and distance.
-    return peers_[static_cast<std::size_t>(rng.next_below(peers_.size()))];
+    return peers_[static_cast<std::size_t>(rng.next_below(peers_.size()))]
+        .dc_id;
   }
   std::array<double, kMaxPeers> weights{};
   std::array<const PeerDc*, kMaxPeers> eligible{};
@@ -78,7 +91,7 @@ std::optional<GeoManager::PeerDc> GeoManager::choose_remote(Rng& rng) const {
     weights[n++] = 1.0 / delay_sec;
   }
   if (n == 0) return std::nullopt;
-  return *eligible[rng.weighted_index(std::span(weights).first(n))];
+  return eligible[rng.weighted_index(std::span(weights).first(n))]->dc_id;
 }
 
 std::uint64_t GeoManager::per_vm_external_quota(std::size_t vm_count) const {
@@ -90,7 +103,7 @@ std::uint64_t GeoManager::per_vm_external_quota(std::size_t vm_count) const {
 bool GeoManager::peer_accepting(std::uint32_t dc) const {
   if (cfg_.selection == Selection::kUniform) return true;  // baseline: blind
   for (const auto& p : peers_)
-    if (p.dc_id == dc) return p.known_load < load_ceiling_;
+    if (p.dc_id == dc) return p.known_load < kLoadCeiling;
   return false;
 }
 
@@ -98,23 +111,13 @@ double GeoManager::peer_queue_cost(std::uint32_t dc) const {
   for (const auto& p : peers_) {
     if (p.dc_id != dc) continue;
     if (cfg_.selection != Selection::kUniform &&
-        p.known_load >= load_ceiling_)
+        p.known_load >= kLoadCeiling)
       return std::numeric_limits<double>::infinity();
     // Three one-way legs beyond a local request (forward, S11 to the home
     // S-GW, reply) is the marginal propagation cost of remote processing.
     return p.known_backlog + 3.0 * p.propagation.to_sec();
   }
   return std::numeric_limits<double>::infinity();
-}
-
-double GeoManager::peer_headroom(std::uint32_t dc) const {
-  if (cfg_.selection == Selection::kUniform) return 1.0;  // baseline: blind
-  for (const auto& p : peers_) {
-    if (p.dc_id != dc) continue;
-    return std::clamp((load_ceiling_ - p.known_load) / load_ceiling_, 0.0,
-                      1.0);
-  }
-  return 0.0;
 }
 
 void GeoManager::on_gossip(const proto::GeoBudgetGossip& gossip) {

@@ -29,15 +29,6 @@ using sim::NodeId;
 
 class GeoManager {
  public:
-  struct PeerDc {
-    std::uint32_t dc_id = 0;
-    NodeId mlb = 0;
-    Duration propagation = Duration::ms(20.0);
-    double known_available = 0.0;  ///< last gossiped Ŝ of that peer
-    double known_load = 0.0;       ///< last gossiped mean CPU utilization
-    double known_backlog = 0.0;    ///< last gossiped mean queued work (s)
-  };
-
   /// Remote-DC choice strategy. kScale is §4.5.2 (budget-gated, p ∝ 1/D);
   /// the others are the S2 baselines of Fig. 10(b): uniform random choice
   /// that ignores the peers' current utilization and/or propagation delay.
@@ -58,16 +49,18 @@ class GeoManager {
   GeoManager(Fabric& fabric, NodeId local_mlb, Config cfg);
 
   std::uint32_t dc_id() const { return cfg_.dc_id; }
-  NodeId local_mlb() const { return local_mlb_; }
   const Config& config() const { return cfg_; }
 
   void add_peer(std::uint32_t dc_id, NodeId mlb, Duration propagation);
-  const std::vector<PeerDc>& peers() const { return peers_; }
+  bool has_peers() const { return !peers_.empty(); }
   NodeId mlb_of_dc(std::uint32_t dc) const;
+  /// Send `pdu` from the local MLB to every peer DC's MLB.
+  void send_to_peers(const proto::PduRef& pdu);
+  /// Ŝ last gossiped by peer `dc` (0 before its first gossip).
+  double peer_available(std::uint32_t dc) const;
 
   /// Start periodic Ŝm gossip to all peers.
   void start_gossip();
-  void stop_gossip() { gossiping_ = false; }
 
   // --- local external-state budget (Sm / Ŝm) --------------------------
   void set_budget(double sm);
@@ -75,14 +68,13 @@ class GeoManager {
 
   /// Probe for the local cluster's mean CPU utilization. Ŝm "tracks the
   /// average processing load" (§4.5.2 DC-level (iv)): the advertised
-  /// budget shrinks to zero as the DC approaches `load_ceiling`.
+  /// budget shrinks to zero as the DC approaches kLoadCeiling.
   void set_cluster_load_probe(std::function<double()>&& probe) {
     load_probe_ = std::move(probe);
   }
   void set_cluster_backlog_probe(std::function<double()>&& probe) {
     backlog_probe_ = std::move(probe);
   }
-  void set_load_ceiling(double ceiling) { load_ceiling_ = ceiling; }
 
   /// Ŝm: unused state budget scaled by processing headroom.
   double available() const {
@@ -90,7 +82,7 @@ class GeoManager {
     if (!load_probe_) return slots;
     const double util = load_probe_();
     const double headroom =
-        std::clamp((load_ceiling_ - util) / load_ceiling_, 0.0, 1.0);
+        std::clamp((kLoadCeiling - util) / kLoadCeiling, 0.0, 1.0);
     return slots * headroom;
   }
 
@@ -98,12 +90,6 @@ class GeoManager {
   /// offloaded work (its gossiped CPU load is below the ceiling). The
   /// uniform (RDM) baselines ignore this signal — that's their flaw.
   bool peer_accepting(std::uint32_t dc) const;
-
-  /// Smooth form of the same signal in [0, 1]: 1 when the peer is idle,
-  /// falling linearly to 0 as its gossiped load reaches the ceiling. Used
-  /// to scale the offload rate so remote DCs fill gradually instead of
-  /// being flooded and gated bang-bang.
-  double peer_headroom(std::uint32_t dc) const;
 
   /// Estimated cost (seconds) of processing one request at peer `dc` right
   /// now: its gossiped queue depth plus a propagation penalty. +inf when
@@ -116,12 +102,9 @@ class GeoManager {
   double used() const { return used_; }
 
   // --- remote choice (§4.5.2 MMP-level (2)) ----------------------------
-  /// Peer DCs a manager tracks at most (choose_remote() weighs them on
-  /// the stack).
-  static constexpr std::size_t kMaxPeers = 32;
-
-  /// Probabilistic pick among peers with known Ŝ > 0; nullopt if none.
-  std::optional<PeerDc> choose_remote(Rng& rng) const;
+  /// Probabilistic pick of a peer DC id among peers with known Ŝ > 0;
+  /// nullopt if none.
+  std::optional<std::uint32_t> choose_remote(Rng& rng) const;
 
   /// How many devices each of the V local MMPs may replicate externally
   /// this epoch (its share of Sm, conservation across DCs).
@@ -132,6 +115,18 @@ class GeoManager {
   std::uint64_t gossips_sent() const { return gossips_sent_; }
 
  private:
+  struct PeerDc {
+    std::uint32_t dc_id = 0;
+    NodeId mlb = 0;
+    Duration propagation = Duration::ms(20.0);
+    double known_available = 0.0;  ///< last gossiped Ŝ of that peer
+    double known_load = 0.0;       ///< last gossiped mean CPU utilization
+    double known_backlog = 0.0;    ///< last gossiped mean queued work (s)
+  };
+
+  /// Mean CPU utilization at which a DC stops advertising headroom.
+  static constexpr double kLoadCeiling = 0.85;
+
   void gossip_tick();
 
   Fabric& fabric_;
@@ -144,7 +139,6 @@ class GeoManager {
   std::uint64_t gossips_sent_ = 0;
   std::function<double()> load_probe_;
   std::function<double()> backlog_probe_;
-  double load_ceiling_ = 0.85;
 };
 
 }  // namespace scale::core

@@ -24,7 +24,7 @@ constexpr Duration kEnbBackoffWindow = Duration::ms(250.0);
 // ------------------------------------------------------------ MmpLoadView
 
 void MmpLoadView::on_report(NodeId mmp, double load) {
-  MmpLoadInfo& info = mmps_[mmp];
+  Entry& info = mmps_[mmp];
   info.load = load;
   info.reported = true;
 }
@@ -64,6 +64,14 @@ bool MmpLoadView::any_load_at_least(double limit) const {
   for (const auto& [mmp, info] : mmps_)
     if (info.reported && info.load >= limit) return true;
   return false;
+}
+
+void MmpLoadView::export_metrics(obs::MetricsRegistry& reg,
+                                 const std::string& prefix) const {
+  // Keyed by NodeId so names enumerate sorted. Only VMs that have reported
+  // appear — matching the seed's loads_ map surface.
+  for (const auto& [mmp, info] : mmps_)
+    if (info.reported) reg.set(prefix + "." + std::to_string(mmp), info.load);
 }
 
 // ---------------------------------------------------------------- steering
@@ -299,11 +307,7 @@ void Mlb::export_metrics(obs::MetricsRegistry& reg,
   reg.set(prefix + ".utilization", util_.utilization());
   reg.set(prefix + ".ring_version", static_cast<double>(ring_version_));
   rel_.export_metrics(reg, prefix + ".transport");
-  // Per-MMP load scalars, keyed by NodeId so names enumerate sorted. Only
-  // VMs that have reported appear — matching the seed's loads_ map surface.
-  for (const auto& [mmp, info] : view_.entries())
-    if (info.reported)
-      reg.set(prefix + ".load." + std::to_string(mmp), info.load);
+  view_.export_metrics(reg, prefix + ".load");
 }
 
 }  // namespace scale::core

@@ -45,13 +45,6 @@ using sim::NodeId;
 /// how steering treats it).
 inline constexpr double kNoLoadReport = -1.0;
 
-/// Everything the MLB knows about one MMP VM.
-struct MmpLoadInfo {
-  double load = 0.0;      ///< most recent LoadReport value
-  bool reported = false;  ///< at least one LoadReport arrived
-  Time shed_until;        ///< OverloadReject backoff window end
-};
-
 /// The MLB's per-MMP metadata table. Ordered (std::map) so every walk is
 /// deterministic without waivers.
 class MmpLoadView {
@@ -73,10 +66,19 @@ class MmpLoadView {
   /// Any reported load at or above `limit`.
   bool any_load_at_least(double limit) const;
 
-  const std::map<NodeId, MmpLoadInfo>& entries() const { return mmps_; }
+  /// `<prefix>.<mmp>` = latest load, for every VM that has reported.
+  void export_metrics(obs::MetricsRegistry& reg,
+                      const std::string& prefix) const;
 
  private:
-  std::map<NodeId, MmpLoadInfo> mmps_;
+  /// Everything the MLB knows about one MMP VM.
+  struct Entry {
+    double load = 0.0;      ///< most recent LoadReport value
+    bool reported = false;  ///< at least one LoadReport arrived
+    Time shed_until;        ///< OverloadReject backoff window end
+  };
+
+  std::map<NodeId, Entry> mmps_;
 };
 
 /// The §4.6 steering rule over `candidates` (a ring preference list,
@@ -113,7 +115,6 @@ class Mlb : public mme::FrontEnd {
   Mlb(Fabric& fabric, Config cfg);
   ~Mlb() override;
 
-  double utilization() const { return util_.utilization(); }
   const hash::ConsistentHashRing& ring() const { return ring_; }
 
   /// Install the cluster membership (provisioner pushes RingUpdates).
@@ -140,7 +141,6 @@ class Mlb : public mme::FrontEnd {
   std::uint64_t overload_rejects() const { return overload_rejects_; }
   std::uint64_t overload_resteers() const { return overload_resteers_; }
   std::uint64_t overload_drops() const { return overload_drops_; }
-  std::uint64_t backpressure_signals() const { return backpressure_signals_; }
   /// Rejects split by the procedure type the shedding MMP reported.
   std::uint64_t overload_rejects_of(proto::ProcedureType p) const {
     const auto idx = static_cast<std::size_t>(p);

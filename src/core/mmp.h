@@ -48,8 +48,6 @@ class MmpNode final : public mme::ClusterVm {
   void set_policy(const ReplicationPolicy* policy) { policy_ = policy; }
   void set_geo(GeoManager* geo) { geo_ = geo; }
 
-  bool is_master_of(std::uint64_t guti_key) const;
-
   /// Migrate one master context to its new ring owner (ScaleCluster calls
   /// this after membership changes). Charges transfer CPU on this VM and
   /// install CPU at the destination; demotes or erases the local copy.
@@ -98,6 +96,7 @@ class MmpNode final : public mme::ClusterVm {
   double load_score() const override;
 
  private:
+  bool is_master_of(std::uint64_t guti_key) const;
   PressureSignals pressure_signals() const;
   void replicate_local(mme::UeContext& ctx);
   std::optional<NodeId> local_replica_target(std::uint64_t guti_key);

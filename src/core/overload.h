@@ -117,7 +117,6 @@ class OverloadGovernor {
   bool enabled() const { return cfg_.enabled; }
   const Config& config() const { return cfg_; }
   PressureLevel level() const { return level_; }
-  double pressure() const { return pressure_; }
 
   /// Fold fresh signals into the watermark state machine and return the
   /// resulting band. Also called traffic-independently (utilization-sample
@@ -137,7 +136,6 @@ class OverloadGovernor {
   /// Current paging-fanout deferral (zero at nominal / when disabled).
   Duration paging_defer() const;
 
-  std::uint64_t admitted() const { return admitted_; }
   std::uint64_t shed_total() const { return shed_total_; }
   std::uint64_t shed_of(proto::ProcedureType procedure) const {
     const auto idx = static_cast<std::size_t>(procedure);

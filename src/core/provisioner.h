@@ -40,7 +40,6 @@ class Provisioner {
 
   /// β for the next decision (1.0 = replicate everything, Eq. 1 unthrottled).
   void set_beta(double beta);
-  double beta() const { return beta_; }
 
   /// Compute Eq. 2's β(x). Values are in device-state units. Clamped to
   /// (0, 1]; returns 1 when access-awareness frees no memory.
@@ -51,8 +50,6 @@ class Provisioner {
   /// One provisioning step: feed last epoch's measured load and the
   /// currently registered device count; returns the VM target.
   Decision decide(std::uint64_t measured_load, std::uint64_t registered);
-
-  double load_estimate() const { return load_.value(); }
 
  private:
   Config cfg_;

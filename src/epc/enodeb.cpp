@@ -19,11 +19,6 @@ void EnodeB::remove_mme(NodeId mme) {
   std::erase_if(mmes_, [mme](const MmeEntry& e) { return e.node == mme; });
 }
 
-void EnodeB::set_mme_weight(NodeId mme, double weight) {
-  for (auto& e : mmes_)
-    if (e.node == mme) e.weight = weight;
-}
-
 template <class Pred>
 void EnodeB::collect_weights(Pred take) {
   weights_.clear();
@@ -97,13 +92,13 @@ void EnodeB::ue_initial_nas(Ue& ue, proto::NasMessage nas,
       radio_.park(Uplink{std::move(nas), exclude_mme});
   fabric_.engine().after(cfg_.radio_delay, [this, &ue, parked]() {
     const Time now = fabric_.engine().now();
-    if (now < mme_backoff_until_ && cfg_.overload_pace > Duration::zero()) {
+    if (now < mme_backoff_until_ && overload_pace_ > Duration::zero()) {
       // Core signalled OverloadStart: serialize initials onto a spaced
       // grid instead of releasing the herd at once (3GPP access-class
       // barring in spirit, deterministic in mechanism).
-      Time slot = now + cfg_.overload_pace;
-      if (next_paced_slot_ + cfg_.overload_pace > slot)
-        slot = next_paced_slot_ + cfg_.overload_pace;
+      Time slot = now + overload_pace_;
+      if (next_paced_slot_ + overload_pace_ > slot)
+        slot = next_paced_slot_ + overload_pace_;
       // Grid full (200 ms ahead): stop absorbing — the core's admission
       // control owns the excess, or a burst outlives the overload here.
       constexpr Duration kOverloadPaceHorizon = Duration::ms(200.0);

@@ -40,10 +40,6 @@ class EnodeB : public Endpoint {
     /// never answers — how real eNodeBs clean up after a dead core node.
     /// zero() disables it (the MME inactivity timer then owns releases).
     Duration rrc_inactivity = Duration::zero();
-    /// Spacing between Initial UE messages while an MME OverloadStart
-    /// pacing window is active (S1AP overload backoff). The window itself
-    /// only opens when the core sends OverloadStart; zero() ignores it.
-    Duration overload_pace = Duration::ms(2.0);
     std::uint64_t seed = 7;
   };
 
@@ -58,12 +54,12 @@ class EnodeB : public Endpoint {
   /// unregistered devices (3GPP "relative MME capacity").
   void add_mme(NodeId mme, std::uint8_t mme_code, double weight = 1.0);
   void remove_mme(NodeId mme);
-  void set_mme_weight(NodeId mme, double weight);
-  std::size_t mme_count() const { return mmes_.size(); }
 
-  /// Tune the OverloadStart pacing grid after construction (benchmarks
-  /// match it to pool capacity).
-  void set_overload_pace(Duration pace) { cfg_.overload_pace = pace; }
+  /// Spacing between Initial UE messages while an MME OverloadStart pacing
+  /// window is active (S1AP overload backoff; default 2 ms). The window
+  /// itself only opens when the core sends OverloadStart; zero() ignores
+  /// it. Benchmarks match it to pool capacity.
+  void set_overload_pace(Duration pace) { overload_pace_ = pace; }
 
   // --- UE-facing radio interface --------------------------------------
   /// First NAS message of a procedure: opens an S1 connection, selects the
@@ -150,7 +146,8 @@ class EnodeB : public Endpoint {
   proto::EnbUeId next_ue_id_ = 1;
   bool rrc_sweep_running_ = false;
   /// OverloadStart pacing state: initials arriving before the deadline are
-  /// spread overload_pace apart on a shared grid.
+  /// spread overload_pace_ apart on a shared grid.
+  Duration overload_pace_ = Duration::ms(2.0);
   Time mme_backoff_until_ = Time::zero();
   Time next_paced_slot_ = Time::zero();
   std::uint64_t paced_initials_ = 0;

@@ -88,7 +88,7 @@ void Fabric::send(NodeId from, NodeId to, proto::PduRef pdu) {
     if (v.duplicate) {
       // The duplicate trails the original by one (deterministic) configured
       // latency — no extra Rng draw, so replays stay byte-identical.
-      deliver(from, to, pdu, latency + network_.configured_latency(from, to));
+      deliver(from, to, pdu, latency + network_.delay(from, to));
     }
   }
   if (obs::Tracer::current() != nullptr)

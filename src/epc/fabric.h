@@ -130,7 +130,6 @@ class Fabric {
                       const std::string& prefix) const;
 
   sim::Engine& engine() { return engine_; }
-  sim::Network& network() { return network_; }
 
  private:
   friend class Endpoint;  // the only caller of the two below

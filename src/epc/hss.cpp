@@ -5,9 +5,19 @@
 
 namespace scale::epc {
 
-Hss::Hss(Fabric& fabric, Config cfg)
-    : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()),
-      cpu_(fabric.engine()) {}
+namespace {
+/// CPU service time of one Authentication Information / Update Location.
+constexpr Duration kAuthServiceTime = Duration::us(80);
+constexpr Duration kLocationServiceTime = Duration::us(60);
+
+/// Deterministic AKA network-authentication token.
+std::uint64_t f_autn(std::uint64_t key, std::uint64_t rand) {
+  return hash::fnv1a_u64(key ^ (rand * 0x9E3779B97F4A7C15ull));
+}
+}  // namespace
+
+Hss::Hss(Fabric& fabric)
+    : Endpoint(fabric), rel_(fabric, node()), cpu_(fabric.engine()) {}
 
 void Hss::provision_subscriber(proto::Imsi imsi, std::uint64_t key,
                                std::uint32_t profile_id) {
@@ -17,10 +27,6 @@ void Hss::provision_subscriber(proto::Imsi imsi, std::uint64_t key,
 std::uint32_t Hss::serving_mme_of(proto::Imsi imsi) const {
   const Subscriber* sub = subscribers_.find(imsi);
   return sub == nullptr ? 0 : sub->serving_mme;
-}
-
-std::uint64_t Hss::f_autn(std::uint64_t key, std::uint64_t rand) {
-  return hash::fnv1a_u64(key ^ (rand * 0x9E3779B97F4A7C15ull));
 }
 
 std::uint64_t Hss::f_res(std::uint64_t key, std::uint64_t rand) {
@@ -50,7 +56,7 @@ void Hss::receive(NodeId from, const proto::PduRef& pdu) {
 }
 
 void Hss::handle_auth(NodeId from, const proto::AuthInfoRequest& req) {
-  cpu_.execute(cfg_.auth_service_time, [this, from, req]() {
+  cpu_.execute(kAuthServiceTime, [this, from, req]() {
     proto::AuthInfoAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;
@@ -70,7 +76,7 @@ void Hss::handle_auth(NodeId from, const proto::AuthInfoRequest& req) {
 
 void Hss::handle_location(NodeId from,
                           const proto::UpdateLocationRequest& req) {
-  cpu_.execute(cfg_.location_service_time, [this, from, req]() {
+  cpu_.execute(kLocationServiceTime, [this, from, req]() {
     proto::UpdateLocationAnswer ans;
     ans.imsi = req.imsi;
     ans.hop_ref = req.hop_ref;

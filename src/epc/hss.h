@@ -17,13 +17,7 @@ namespace scale::epc {
 
 class Hss : public Endpoint {
  public:
-  struct Config {
-    Duration auth_service_time = Duration::us(80);
-    Duration location_service_time = Duration::us(60);
-  };
-
-  Hss(Fabric& fabric, Config cfg);
-  Hss(Fabric& fabric) : Hss(fabric, Config{}) {}
+  explicit Hss(Fabric& fabric);
 
   sim::CpuModel& cpu() { return cpu_; }
   const ReliableChannel& transport() const { return rel_; }
@@ -36,8 +30,7 @@ class Hss : public Endpoint {
   /// (0 = never registered / unknown IMSI).
   std::uint32_t serving_mme_of(proto::Imsi imsi) const;
 
-  /// Deterministic AKA functions — shared with the USIM side (Ue).
-  static std::uint64_t f_autn(std::uint64_t key, std::uint64_t rand);
+  /// Deterministic AKA response function — shared with the USIM side (Ue).
   static std::uint64_t f_res(std::uint64_t key, std::uint64_t rand);
 
   void receive(NodeId from, const proto::PduRef& pdu) override;
@@ -54,7 +47,6 @@ class Hss : public Endpoint {
   void handle_auth(NodeId from, const proto::AuthInfoRequest& req);
   void handle_location(NodeId from, const proto::UpdateLocationRequest& req);
 
-  Config cfg_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
   FlatMap<proto::Imsi, Subscriber> subscribers_;

@@ -4,9 +4,14 @@
 
 namespace scale::epc {
 
-Sgw::Sgw(Fabric& fabric, Config cfg)
-    : Endpoint(fabric), cfg_(cfg), rel_(fabric, node()),
-      cpu_(fabric.engine()) {}
+namespace {
+/// CPU service time of a session create/delete and a bearer modify/release.
+constexpr Duration kSessionServiceTime = Duration::us(100);
+constexpr Duration kBearerServiceTime = Duration::us(70);
+}  // namespace
+
+Sgw::Sgw(Fabric& fabric)
+    : Endpoint(fabric), rel_(fabric, node()), cpu_(fabric.engine()) {}
 
 void Sgw::receive(NodeId from, const proto::PduRef& pdu) {
   const proto::PduRef* app = rel_.unwrap(from, pdu);
@@ -25,7 +30,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
       [this, from](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::CreateSessionRequest>) {
-          cpu_.execute(cfg_.session_service_time, [this, from, m]() {
+          cpu_.execute(kSessionServiceTime, [this, from, m]() {
             const proto::Teid teid{next_teid_++};
             sessions_[teid.raw] =
                 Session{m.imsi, m.mme_teid, from, 0, false};
@@ -35,7 +40,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerRequest>) {
-          cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
+          cpu_.execute(kBearerServiceTime, [this, from, m]() {
             if (Session* session = sessions_.find(m.sgw_teid.raw)) {
               session->enb_id = m.enb_id;
               session->bearer_active = true;
@@ -47,7 +52,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
           });
         } else if constexpr (std::is_same_v<T,
                                             proto::ReleaseAccessBearersRequest>) {
-          cpu_.execute(cfg_.bearer_service_time, [this, from, m]() {
+          cpu_.execute(kBearerServiceTime, [this, from, m]() {
             if (Session* session = sessions_.find(m.sgw_teid.raw))
               session->bearer_active = false;
             proto::ReleaseAccessBearersResponse resp;
@@ -55,7 +60,7 @@ void Sgw::handle_s11(NodeId from, const proto::S11Message& msg) {
             rel_.send(from, proto::box(resp));
           });
         } else if constexpr (std::is_same_v<T, proto::DeleteSessionRequest>) {
-          cpu_.execute(cfg_.session_service_time, [this, from, m]() {
+          cpu_.execute(kSessionServiceTime, [this, from, m]() {
             sessions_.erase(m.sgw_teid.raw);
             proto::DeleteSessionResponse resp;
             resp.mme_teid = m.mme_teid;
@@ -78,7 +83,7 @@ bool Sgw::inject_downlink_data(proto::Teid sgw_teid) {
   // Capture by value: the session may be deleted before the CPU slice runs.
   const proto::Teid mme_teid = session->mme_teid;
   const NodeId control_node = session->control_node;
-  cpu_.execute(cfg_.bearer_service_time, [this, mme_teid, control_node]() {
+  cpu_.execute(kBearerServiceTime, [this, mme_teid, control_node]() {
     proto::DownlinkDataNotification ddn;
     ddn.mme_teid = mme_teid;
     ++ddn_sent_;

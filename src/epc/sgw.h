@@ -15,13 +15,7 @@ namespace scale::epc {
 
 class Sgw : public Endpoint {
  public:
-  struct Config {
-    Duration session_service_time = Duration::us(100);
-    Duration bearer_service_time = Duration::us(70);
-  };
-
-  Sgw(Fabric& fabric, Config cfg);
-  explicit Sgw(Fabric& fabric) : Sgw(fabric, Config{}) {}
+  explicit Sgw(Fabric& fabric);
 
   sim::CpuModel& cpu() { return cpu_; }
   const ReliableChannel& transport() const { return rel_; }
@@ -53,7 +47,6 @@ class Sgw : public Endpoint {
 
   void handle_s11(NodeId from, const proto::S11Message& msg);
 
-  Config cfg_;
   ReliableChannel rel_;
   sim::CpuModel cpu_;
   FlatMap<std::uint32_t, Session> sessions_;  // by sgw teid

@@ -52,9 +52,10 @@ class Ue {
   // --- identity & state ------------------------------------------------
   proto::Imsi imsi() const { return cfg_.imsi; }
   std::uint64_t secret_key() const { return cfg_.secret_key; }
-  double access_freq() const { return cfg_.access_freq; }
   const std::optional<proto::Guti>& guti() const { return guti_; }
+  // lint: unreached(ROADMAP item 9's cross-architecture oracle reads it)
   EmmState emm_state() const { return emm_; }
+  // lint: unreached(ROADMAP item 9's cross-architecture oracle reads it)
   EcmState ecm_state() const { return ecm_; }
   bool registered() const { return emm_ == EmmState::kRegistered; }
   bool connected() const { return ecm_ == EcmState::kConnected; }

@@ -5,15 +5,6 @@
 
 namespace scale::epc {
 
-const char* context_role_name(ContextRole role) {
-  switch (role) {
-    case ContextRole::kMaster: return "master";
-    case ContextRole::kReplica: return "replica";
-    case ContextRole::kExternal: return "external";
-  }
-  return "?";
-}
-
 std::uint32_t UeContextStore::alloc_slot() {
   if (!free_.empty()) {
     const std::uint32_t slot = free_.back();

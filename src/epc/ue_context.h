@@ -40,8 +40,6 @@ enum class ContextRole : std::uint8_t {
   kExternal = 2,  ///< geo replica owned by a remote DC
 };
 
-const char* context_role_name(ContextRole role);
-
 /// One device's state as held by an MME/MMP VM: the serializable record
 /// plus the runtime bookkeeping that travels with the record. Per-slot
 /// runtime state (epoch hits, inactivity timer) lives in UeContextStore
@@ -155,9 +153,6 @@ class UeContextStore {
   // --- SoA runtime columns ------------------------------------------------
   // Indexed by the context's slab slot; accessed through the store so the
   // hot sweeps can touch the dense columns without loading records.
-  std::uint32_t epoch_hits(const UeContext& ctx) const {
-    return epoch_hits_[ctx.slot_];
-  }
   void add_epoch_hit(UeContext& ctx) { ++epoch_hits_[ctx.slot_]; }
   void set_epoch_hits(UeContext& ctx, std::uint32_t hits) {
     epoch_hits_[ctx.slot_] = hits;

@@ -69,11 +69,6 @@ class ConsistentHashRing {
   /// nullopt when the ring has only one node. Precondition: ring not empty.
   std::optional<RingNodeId> replica_of(std::uint64_t key) const;
 
-  /// All (position, node) tokens in ring order — for tests and debugging.
-  const std::vector<std::pair<std::uint64_t, RingNodeId>>& tokens() const {
-    return ring_;
-  }
-
   /// Fraction of the key space owned by `node` (sum of its arcs). Useful
   /// for balance tests; O(tokens).
   double ownership_fraction(RingNodeId node) const;

@@ -6,8 +6,14 @@ namespace scale::mme {
 
 // ------------------------------------------------------------- DmmeStateStore
 
-DmmeStateStore::DmmeStateStore(epc::Fabric& fabric, Config cfg)
-    : Endpoint(fabric), cfg_(cfg), cpu_(fabric.engine(), cfg.cpu_speed) {}
+namespace {
+/// Store CPU cost of serving one fetch and of absorbing one write-back.
+constexpr Duration kFetchCost = Duration::us(120);
+constexpr Duration kWriteCost = Duration::us(150);
+}  // namespace
+
+DmmeStateStore::DmmeStateStore(epc::Fabric& fabric, double cpu_speed)
+    : Endpoint(fabric), cpu_(fabric.engine(), cpu_speed) {}
 
 void DmmeStateStore::receive(NodeId from, const proto::PduRef& pdu) {
   const auto* cluster = std::get_if<proto::ClusterMessage>(&pdu->value);
@@ -17,7 +23,7 @@ void DmmeStateStore::receive(NodeId from, const proto::PduRef& pdu) {
   }
   if (const auto* fetch = std::get_if<proto::StateFetch>(cluster)) {
     const proto::Guti guti = fetch->guti;
-    cpu_.execute(cfg_.fetch_cost, [this, from, guti]() {
+    cpu_.execute(kFetchCost, [this, from, guti]() {
       ++fetches_;
       proto::StateFetchResp resp;
       resp.guti = guti;
@@ -29,7 +35,7 @@ void DmmeStateStore::receive(NodeId from, const proto::PduRef& pdu) {
       fabric_.send(node(), from, proto::box(resp));
     });
   } else if (std::holds_alternative<proto::StateTransfer>(*cluster)) {
-    cpu_.execute(cfg_.write_cost, [this, write = pdu]() {
+    cpu_.execute(kWriteCost, [this, write = pdu]() {
       const proto::UeContextRecord& rec =
           proto::message<proto::StateTransfer>(write).rec;
       ++writes_;
@@ -42,7 +48,7 @@ void DmmeStateStore::receive(NodeId from, const proto::PduRef& pdu) {
     });
   } else if (const auto* del = std::get_if<proto::ReplicaDelete>(cluster)) {
     const std::uint64_t key = del->guti.key();
-    cpu_.execute(cfg_.write_cost, [this, key]() {
+    cpu_.execute(kWriteCost, [this, key]() {
       if (store_.contains(key)) store_.erase(key);
     });
   } else {

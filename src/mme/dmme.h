@@ -23,17 +23,8 @@ namespace scale::mme {
 /// Centralized UE-state database: serves fetches, absorbs write-backs.
 class DmmeStateStore : public epc::Endpoint {
  public:
-  struct Config {
-    Duration fetch_cost = Duration::us(120);
-    Duration write_cost = Duration::us(150);
-    double cpu_speed = 1.0;
-  };
+  explicit DmmeStateStore(epc::Fabric& fabric, double cpu_speed = 1.0);
 
-  DmmeStateStore(epc::Fabric& fabric, Config cfg);
-  explicit DmmeStateStore(epc::Fabric& fabric)
-      : DmmeStateStore(fabric, Config{}) {}
-
-  sim::CpuModel& cpu() { return cpu_; }
   std::size_t size() const { return store_.size(); }
   std::uint64_t fetches() const { return fetches_; }
   std::uint64_t writes() const { return writes_; }
@@ -41,7 +32,6 @@ class DmmeStateStore : public epc::Endpoint {
   void receive(NodeId from, const proto::PduRef& pdu) override;
 
  private:
-  Config cfg_;
   sim::CpuModel cpu_;
   epc::UeContextStore store_;
   std::uint64_t fetches_ = 0;

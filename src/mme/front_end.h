@@ -48,7 +48,6 @@ class FrontEnd : public epc::Endpoint {
   std::uint64_t initial_routed() const { return initial_routed_; }
   std::uint64_t sticky_routed() const { return sticky_routed_; }
   std::uint64_t relays() const { return relays_; }
-  std::uint64_t unroutable() const { return unroutable_; }
 
  protected:
   /// CPU charged per relayed message.

@@ -4,6 +4,11 @@
 
 namespace scale::mme {
 
+namespace {
+/// Modelled per-device state size recorded into every new context.
+constexpr std::uint32_t kDefaultStateBytes = 2048;
+}  // namespace
+
 using proto::ProcedureType;
 
 MmeApp::MmeApp(sim::Engine& engine, sim::CpuModel& cpu, Config cfg,
@@ -99,7 +104,6 @@ void MmeApp::start_attach(NodeId enb, const proto::InitialUeMessage& msg,
   } else if (cfg_.assign_guti_locally) {
     guti = allocate_guti();
   } else {
-    ++counters_.unknown_context;
     send_reject(enb, msg.enb_ue_id, 2);
     return;
   }
@@ -111,7 +115,7 @@ void MmeApp::start_attach(NodeId enb, const proto::InitialUeMessage& msg,
     rec.tac = msg.tac;
     rec.home_dc = cfg_.home_dc;
     rec.sgw_node = sgw_node_;
-    rec.state_bytes = cfg_.default_state_bytes;
+    rec.state_bytes = kDefaultStateBytes;
     // Neutral access-probability prior for a brand-new device; the epoch
     // EWMA refines it (§4.5: "SCALE keeps track of the average access
     // frequency of a device... as a moving average").
@@ -161,10 +165,7 @@ void MmeApp::handle_s6(const proto::S6Message& msg) {
   const auto* ans = std::get_if<proto::AuthInfoAnswer>(&msg);
   if (ans == nullptr) return;  // UpdateLocationAnswer: bookkeeping only
   UeContext* ctx = store_.find_by_imsi(ans->imsi);
-  if (ctx == nullptr) {
-    ++counters_.unknown_context;
-    return;
-  }
+  if (ctx == nullptr) return;
   const std::uint64_t key = ctx->key();
   Txn* txn = txns_.find(key);
   if (txn == nullptr || txn->type != ProcedureType::kAttach) return;
@@ -201,10 +202,7 @@ void MmeApp::handle_uplink_nas(NodeId enb,
     return;
   }
   UeContext* ctx = store_.find_by_mme_ue_id(msg.mme_ue_id);
-  if (ctx == nullptr) {
-    ++counters_.unknown_context;
-    return;
-  }
+  if (ctx == nullptr) return;
   const std::uint64_t key = ctx->key();
   touch(*ctx);
 
@@ -310,7 +308,6 @@ void MmeApp::start_service_request(NodeId enb,
                                : guti_from_s_tmsi(nas.mme_code, nas.m_tmsi);
   UeContext* ctx = store_.find(guti.key());
   if (ctx == nullptr) {
-    ++counters_.unknown_context;
     cpu_.execute(cfg_.profile.parse, [this, enb, id = msg.enb_ue_id]() {
       send_reject(enb, id, 10);
     });
@@ -376,7 +373,6 @@ void MmeApp::start_tau(NodeId enb, const proto::InitialUeMessage& msg,
                        const proto::NasTauRequest& nas) {
   UeContext* ctx = store_.find(nas.guti.key());
   if (ctx == nullptr) {
-    ++counters_.unknown_context;
     cpu_.execute(cfg_.profile.parse, [this, enb, id = msg.enb_ue_id]() {
       send_reject(enb, id, 9);
     });
@@ -421,10 +417,7 @@ void MmeApp::start_tau(NodeId enb, const proto::InitialUeMessage& msg,
 void MmeApp::handle_path_switch(NodeId enb,
                                 const proto::PathSwitchRequest& msg) {
   UeContext* ctx = store_.find_by_mme_ue_id(msg.mme_ue_id);
-  if (ctx == nullptr) {
-    ++counters_.unknown_context;
-    return;
-  }
+  if (ctx == nullptr) return;
   const std::uint64_t key = ctx->key();
   touch(*ctx);
   store_.add_epoch_hit(*ctx);
@@ -552,10 +545,7 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::CreateSessionResponse>) {
           UeContext* ctx = store_.find_by_teid(m.mme_teid);
-          if (ctx == nullptr) {
-            ++counters_.unknown_context;
-            return;
-          }
+          if (ctx == nullptr) return;
           const std::uint64_t key = ctx->key();
           const proto::Teid sgw_teid = m.sgw_teid;
           cpu_.execute(cfg_.profile.parse + cfg_.profile.session_mgmt,
@@ -567,10 +557,7 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
                        });
         } else if constexpr (std::is_same_v<T, proto::ModifyBearerResponse>) {
           UeContext* ctx = store_.find_by_teid(m.mme_teid);
-          if (ctx == nullptr) {
-            ++counters_.unknown_context;
-            return;
-          }
+          if (ctx == nullptr) return;
           const std::uint64_t key = ctx->key();
           const Txn* txn = txns_.find(key);
           if (txn == nullptr) return;
@@ -602,10 +589,7 @@ void MmeApp::handle_s11(const proto::S11Message& msg) {
         } else if constexpr (std::is_same_v<T,
                                             proto::DownlinkDataNotification>) {
           UeContext* ctx = store_.find_by_teid(m.mme_teid);
-          if (ctx == nullptr) {
-            ++counters_.unknown_context;
-            return;
-          }
+          if (ctx == nullptr) return;
           const std::uint64_t key = ctx->key();
           cpu_.execute(cfg_.profile.paging, [this, key]() {
             UeContext* c = ctx_of(key);

@@ -85,7 +85,6 @@ class MmeApp {
     /// the MLB (ClusterForward.guti).
     bool assign_guti_locally = true;
     std::uint32_t home_dc = 0;
-    std::uint32_t default_state_bytes = 2048;
     /// When false the inactivity timer never fires (workloads that manage
     /// Idle transitions explicitly).
     bool enable_inactivity_timer = true;
@@ -94,7 +93,6 @@ class MmeApp {
   struct Counters {
     std::array<std::uint64_t, proto::kProcedureTypeCount> procedures{};
     std::uint64_t auth_failures = 0;
-    std::uint64_t unknown_context = 0;
     std::uint64_t rejects_sent = 0;
     std::uint64_t pagings_sent = 0;
     std::uint64_t pagings_deferred = 0;
@@ -127,11 +125,6 @@ class MmeApp {
   UeContext* adopt(const proto::UeContextRecord& rec, ContextRole role);
   /// Remove a context and any transaction on it (disarming timers).
   void remove_context(std::uint64_t guti_key);
-  /// Fresh GUTI from this MME's identity space.
-  proto::Guti allocate_guti();
-  /// Reconstruct a GUTI from an S-TMSI (pool constants + code + M-TMSI).
-  proto::Guti guti_from_s_tmsi(std::uint8_t code, std::uint32_t m_tmsi) const;
-
   /// True if a procedure transaction is in flight for this context.
   bool has_transaction(std::uint64_t guti_key) const {
     return txns_.contains(guti_key);
@@ -142,6 +135,11 @@ class MmeApp {
   std::size_t in_flight() const { return txns_.size(); }
 
  private:
+  /// Fresh GUTI from this MME's identity space.
+  proto::Guti allocate_guti();
+  /// Reconstruct a GUTI from an S-TMSI (pool constants + code + M-TMSI).
+  proto::Guti guti_from_s_tmsi(std::uint8_t code, std::uint32_t m_tmsi) const;
+
   struct Txn {
     proto::ProcedureType type = proto::ProcedureType::kAttach;
     NodeId enb_node = 0;

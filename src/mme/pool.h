@@ -38,7 +38,6 @@ class MmePool {
 
   std::vector<std::unique_ptr<MmeNode>>& mmes() { return mmes_; }
   MmeNode& mme(std::size_t i) { return *mmes_.at(i); }
-  std::size_t size() const { return mmes_.size(); }
 
   /// Enable reactive overload protection on every member and wire them as
   /// mutual peers.

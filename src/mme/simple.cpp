@@ -44,7 +44,7 @@ void SimpleLb::add_vm(SimpleVm& vm) {
   vm.attach_lb(node());
   // Re-wire pairwise buddies ring-style.
   for (std::size_t i = 0; i < vms_.size(); ++i)
-    vms_[i].vm->set_buddy(vms_[(i + 1) % vms_.size()].vm->node());
+    vms_[i].vm->buddy_ = vms_[(i + 1) % vms_.size()].vm->node();
 }
 
 NodeId SimpleLb::pick(NodeId enb, const proto::Guti& guti) {

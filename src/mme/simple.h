@@ -25,8 +25,7 @@ class SimpleVm final : public ClusterVm {
  public:
   using ClusterVm::ClusterVm;
 
-  /// The buddy VM receiving this VM's replicas.
-  void set_buddy(NodeId buddy) { buddy_ = buddy; }
+  /// The buddy VM receiving this VM's replicas (SimpleLb wires it).
   NodeId buddy() const { return buddy_; }
 
  protected:
@@ -35,6 +34,8 @@ class SimpleVm final : public ClusterVm {
   void before_detach(UeContext& ctx) override;
 
  private:
+  friend class SimpleLb;
+
   NodeId buddy_ = 0;
 };
 

@@ -30,11 +30,6 @@ Json::Type Json::type() const {
   }
 }
 
-bool Json::as_bool() const {
-  SCALE_CHECK(is_bool());
-  return std::get<bool>(value_);
-}
-
 std::int64_t Json::as_int() const {
   SCALE_CHECK(type() == Type::kInt);
   return std::get<std::int64_t>(value_);
@@ -94,6 +89,9 @@ std::size_t Json::size() const {
   return 0;
 }
 
+namespace {
+
+/// Escape a string for embedding in JSON (adds no surrounding quotes).
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -120,6 +118,8 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+/// Render a double: shortest round-trip via to_chars; NaN / Inf map to
+/// "null".
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -127,6 +127,8 @@ std::string json_number(double v) {
   SCALE_CHECK(res.ec == std::errc());
   return std::string(buf, res.ptr);
 }
+
+}  // namespace
 
 void Json::write(std::string& out, int indent, int depth) const {
   const bool pretty_mode = indent > 0;

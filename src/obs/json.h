@@ -57,7 +57,6 @@ class Json {
 
   Type type() const;
   bool is_null() const { return type() == Type::kNull; }
-  bool is_bool() const { return type() == Type::kBool; }
   bool is_number() const {
     return type() == Type::kInt || type() == Type::kDouble;
   }
@@ -65,7 +64,6 @@ class Json {
   bool is_array() const { return type() == Type::kArray; }
   bool is_object() const { return type() == Type::kObject; }
 
-  bool as_bool() const;
   std::int64_t as_int() const;
   /// Numeric value widened to double (kInt or kDouble).
   double as_double() const;
@@ -106,12 +104,5 @@ class Json {
                Object>
       value_;
 };
-
-/// Escape a string for embedding in JSON (adds no surrounding quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
-/// Render a double the way Json does: shortest round-trip via to_chars;
-/// NaN / Inf map to "null".
-[[nodiscard]] std::string json_number(double v);
 
 }  // namespace scale::obs

@@ -10,6 +10,8 @@ namespace scale::obs {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+/// Bound on each histogram's percentile reservoir.
+constexpr std::size_t kHistogramCap = 4096;
 
 bool valid_name(std::string_view name) {
   if (name.empty() || name.front() == '.' || name.back() == '.') return false;
@@ -19,6 +21,15 @@ bool valid_name(std::string_view name) {
     if (!ok) return false;
   }
   return true;
+}
+
+const char* metric_kind_name(MetricKind k) {
+  switch (k) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGauge: return "gauge";
+    case MetricKind::kHistogram: return "histogram";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -34,22 +45,13 @@ std::string metric_component(std::string_view label) {
   return out;
 }
 
-const char* metric_kind_name(MetricKind k) {
-  switch (k) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
 MetricsRegistry::Metric& MetricsRegistry::get_or_create(std::string_view name,
                                                         MetricKind k) {
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     SCALE_CHECK_MSG(valid_name(name),
                     "bad metric name '" + std::string(name) + "'");
-    it = metrics_.emplace(std::string(name), Metric(k, histogram_cap_)).first;
+    it = metrics_.emplace(std::string(name), Metric(k, kHistogramCap)).first;
   }
   SCALE_CHECK_MSG(it->second.kind == k,
                   "metric '" + std::string(name) + "' is a " +
@@ -88,31 +90,12 @@ void MetricsRegistry::observe(std::string_view name, double sample) {
   m.sampler.add(sample);
 }
 
-bool MetricsRegistry::has(std::string_view name) const {
-  return metrics_.find(name) != metrics_.end();
-}
-
-MetricKind MetricsRegistry::kind(std::string_view name) const {
-  const auto it = metrics_.find(name);
-  SCALE_CHECK_MSG(it != metrics_.end(),
-                  "unknown metric '" + std::string(name) + "'");
-  return it->second.kind;
-}
-
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   return require(name, MetricKind::kCounter).counter;
 }
 
 double MetricsRegistry::gauge(std::string_view name) const {
   return require(name, MetricKind::kGauge).gauge;
-}
-
-const OnlineStats& MetricsRegistry::stats(std::string_view name) const {
-  return require(name, MetricKind::kHistogram).stats;
-}
-
-const PercentileSampler& MetricsRegistry::sampler(std::string_view name) const {
-  return require(name, MetricKind::kHistogram).sampler;
 }
 
 std::vector<std::string> MetricsRegistry::names() const {

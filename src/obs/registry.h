@@ -26,19 +26,12 @@ namespace scale::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-[[nodiscard]] const char* metric_kind_name(MetricKind k);
-
 /// Make an arbitrary label usable as one dotted-path component: characters
 /// outside [A-Za-z0-9_-] become '_' (empty input becomes "_").
 [[nodiscard]] std::string metric_component(std::string_view label);
 
 class MetricsRegistry {
  public:
-  /// `histogram_cap` bounds each histogram's percentile reservoir
-  /// (0 = keep every sample).
-  explicit MetricsRegistry(std::size_t histogram_cap = 4096)
-      : histogram_cap_(histogram_cap) {}
-
   // --- writes (create the metric on first use) -----------------------------
   void inc(std::string_view name, std::uint64_t delta = 1);
   void set(std::string_view name, double value);
@@ -49,21 +42,14 @@ class MetricsRegistry {
   void set_counter(std::string_view name, std::uint64_t value);
 
   // --- reads ---------------------------------------------------------------
-  bool has(std::string_view name) const;
-  std::size_t size() const { return metrics_.size(); }
-  [[nodiscard]] MetricKind kind(std::string_view name) const;
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   [[nodiscard]] double gauge(std::string_view name) const;
-  [[nodiscard]] const OnlineStats& stats(std::string_view name) const;
-  [[nodiscard]] const PercentileSampler& sampler(std::string_view name) const;
 
   /// All metric names in sorted (lexicographic) order.
   [[nodiscard]] std::vector<std::string> names() const;
   /// Sorted names under a dotted prefix ("mmp." matches "mmp.0.sheds").
   [[nodiscard]] std::vector<std::string> names_with_prefix(
       std::string_view prefix) const;
-
-  void clear() { metrics_.clear(); }
 
   // --- snapshot / diff -----------------------------------------------------
   /// Point-in-time scalar view of one metric. Percentile fields are NaN
@@ -109,7 +95,6 @@ class MetricsRegistry {
   Metric& get_or_create(std::string_view name, MetricKind k);
   const Metric& require(std::string_view name, MetricKind k) const;
 
-  std::size_t histogram_cap_;
   std::map<std::string, Metric, std::less<>> metrics_;
 };
 

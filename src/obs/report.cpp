@@ -1,7 +1,9 @@
 #include "obs/report.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 namespace scale::obs {
 
@@ -146,6 +148,10 @@ bool Report::write_json(const std::string& path) const {
 }
 
 namespace {
+
+/// The rows of a scale-lint-v1 report's counts.by_rule (there is no L8).
+constexpr const char* kLintRules[] = {"L1", "L2", "L3", "L4",
+                                      "L5", "L6", "L7", "L9"};
 
 void expect_string_array(const Json* arr, const char* where,
                          std::vector<std::string>& problems) {
@@ -322,14 +328,12 @@ std::vector<std::string> validate_lint_json(const Json& doc) {
       problems.push_back("counts.by_rule must be an object");
     } else {
       by_rule_sum = 0;
-      for (int r = 1; r <= 7; ++r) {
-        const std::string rule = "L" + std::to_string(r);
-        const std::int64_t n =
-            expect_count(by_rule, rule.c_str(), "counts.by_rule");
+      for (const char* rule : kLintRules) {
+        const std::int64_t n = expect_count(by_rule, rule, "counts.by_rule");
         if (n >= 0) by_rule_sum += n;
       }
-      if (by_rule->members().size() != 7)
-        problems.push_back("counts.by_rule must hold exactly L1..L7");
+      if (by_rule->members().size() != std::size(kLintRules))
+        problems.push_back("counts.by_rule must hold exactly L1..L7 and L9");
     }
   }
 
@@ -354,9 +358,9 @@ std::vector<std::string> validate_lint_json(const Json& doc) {
           !line || line->type() != Json::Type::kInt || line->as_int() < 1)
         problems.push_back(at + ".line must be a positive integer");
       if (const Json* rule = f.find("rule"); rule && rule->is_string()) {
-        const std::string& r = rule->as_string();
-        if (r.size() != 2 || r[0] != 'L' || r[1] < '1' || r[1] > '8')
-          problems.push_back(at + ".rule must be one of L1..L8");
+        if (std::find(std::begin(kLintRules), std::end(kLintRules),
+                      rule->as_string()) == std::end(kLintRules))
+          problems.push_back(at + ".rule must be one of L1..L7, L9");
       }
       // Determinism contract: findings sort by (file, line, rule).
       const Json* file = f.find("file");
@@ -403,7 +407,8 @@ std::vector<std::string> validate_lint_json(const Json& doc) {
           (kind->as_string() != "order-independent" &&
            kind->as_string() != "by-value-ok" &&
            kind->as_string() != "shard-local" &&
-           kind->as_string() != "shard-shared"))
+           kind->as_string() != "shard-shared" &&
+           kind->as_string() != "unreached"))
         problems.push_back(at + ".kind must be a known waiver kind");
       if (const Json* reason = w.find("reason"); !reason || !reason->is_string())
         problems.push_back(at + ".reason must be a string");

@@ -74,8 +74,6 @@ class Report {
   /// document (not printed to the table).
   Report& attach_metrics(const MetricsRegistry& registry);
 
-  const std::string& name() const { return name_; }
-
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] bool write_json(const std::string& path) const;
 

@@ -110,10 +110,4 @@ bool Tracer::write_file(const std::string& path) const {
   return ok;
 }
 
-void Tracer::clear() {
-  events_.clear();
-  track_names_.clear();
-  open_.clear();
-}
-
 }  // namespace scale::obs

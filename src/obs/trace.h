@@ -62,7 +62,6 @@ class Tracer {
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] std::string dump() const;
   [[nodiscard]] bool write_file(const std::string& path) const;
-  void clear();
 
   /// The sink consulted by instrumentation sites; nullptr (the default)
   /// disables tracing. Thread-local, so worlds run on different threads

@@ -1,19 +1,21 @@
-// BufferPool — free-list recycling for the PDU byte buffers and PduBox
-// heap blocks on the simulator hot path.
+// Free-list recycling for PduBox heap blocks and encoded PDU byte buffers.
 //
 // Every message is boxed once, by the code that creates it, behind a
-// shared_ptr (proto::box, pdu.h), and the codec tests and WholeRun's replay
-// encode into byte buffers. Unpooled, that is a heap allocation per
-// simulated message — at the million-procedure scales of Figs. 7-11 the
-// allocator dominates the profile. The pools below recycle both:
+// shared_ptr (proto::box, pdu.h). Unpooled, that box is a heap allocation
+// per simulated message — at the million-procedure scales of Figs. 7-11 the
+// allocator dominates the profile. Nothing in the simulator encodes to
+// bytes (wire accounting uses wire_size), so only the first pool below is
+// on its hot path:
 //
-//   * BufferPool: capacity-preserving std::vector<uint8_t> free list. A
-//     recycled buffer keeps its high-water capacity, so steady-state encode
-//     never reallocates (acquire() additionally pre-reserves the caller's
-//     upper-bound hint, kPduReserveBytes for top-level PDUs).
 //   * BoxAlloc<T>: a fixed-size block free list plugged into
 //     std::allocate_shared, so proto::box() reuses one combined
 //     control-block+PduBox allocation instead of hitting the heap twice.
+//   * BufferPool: capacity-preserving std::vector<uint8_t> free list for
+//     the code that does encode — WholeRun's codec replay, perf_core's
+//     codec phases and the codec tests. A recycled buffer keeps its
+//     high-water capacity, so steady-state encode never reallocates
+//     (acquire() additionally pre-reserves the caller's upper-bound hint,
+//     kPduReserveBytes for top-level PDUs).
 //
 // Both pools are thread_local: the simulator is single-threaded, and a
 // program running independent worlds on separate threads gives each thread
@@ -111,7 +113,7 @@ class BufferPool {
   std::uint64_t reuses() const { return reuses_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// The per-thread pool every codec/fabric hot path shares.
+  /// The per-thread pool encode_pdu_pooled() leases from.
   static BufferPool& local() {
     // lint: shard-local — thread_local: each thread gets its own pool, so
     // buffers never cross threads.
@@ -128,32 +130,6 @@ class BufferPool {
 
 using PooledBuffer = BufferPool::Handle;
 
-namespace detail {
-
-/// Per-type, per-thread fixed-block cache (blocks of exactly sizeof(T)).
-/// Parked blocks are real heap allocations, so the destructor returns them
-/// at thread exit — otherwise every cached block is a leak report under the
-/// ASan tier-1 leg.
-template <typename T>
-struct BlockCache {
-  std::vector<void*> blocks;
-  ~BlockCache() {
-    for (void* p : blocks) std::allocator<T>{}.deallocate(static_cast<T*>(p), 1);
-  }
-};
-
-template <typename T>
-inline std::vector<void*>& block_freelist() {
-  // lint: shard-local — thread_local: per-worker free list; a block parked
-  // by one thread is never handed to another.
-  static thread_local BlockCache<T> cache;
-  return cache.blocks;
-}
-
-inline constexpr std::size_t kMaxIdleBlocks = 4096;
-
-}  // namespace detail
-
 /// Allocator handed to std::allocate_shared by proto::box(): single-object
 /// allocations come from (and return to) a per-thread free list, so the
 /// steady-state cost of boxing a Pdu is a pop + placement-construct.
@@ -167,7 +143,7 @@ struct BoxAlloc {
 
   T* allocate(std::size_t n) {
     if (n == 1) {
-      auto& cache = detail::block_freelist<T>();
+      auto& cache = freelist();
       if (!cache.empty()) {
         void* p = cache.back();
         cache.pop_back();
@@ -179,8 +155,8 @@ struct BoxAlloc {
 
   void deallocate(T* p, std::size_t n) {
     if (n == 1) {
-      auto& cache = detail::block_freelist<T>();
-      if (cache.size() < detail::kMaxIdleBlocks) {
+      auto& cache = freelist();
+      if (cache.size() < kMaxIdleBlocks) {
         cache.push_back(p);
         return;
       }
@@ -191,6 +167,28 @@ struct BoxAlloc {
   template <typename U>
   bool operator==(const BoxAlloc<U>&) const noexcept {
     return true;
+  }
+
+ private:
+  static constexpr std::size_t kMaxIdleBlocks = 4096;
+
+  /// Per-type, per-thread fixed-block cache (blocks of exactly sizeof(T)).
+  /// Parked blocks are real heap allocations, so the destructor returns
+  /// them at thread exit — otherwise every cached block is a leak report
+  /// under the ASan tier-1 leg.
+  struct BlockCache {
+    std::vector<void*> blocks;
+    ~BlockCache() {
+      for (void* p : blocks)
+        std::allocator<T>{}.deallocate(static_cast<T*>(p), 1);
+    }
+  };
+
+  static std::vector<void*>& freelist() {
+    // lint: shard-local — thread_local: per-worker free list; a block
+    // parked by one thread is never handed to another.
+    static thread_local BlockCache cache;
+    return cache.blocks;
   }
 };
 

@@ -141,7 +141,7 @@ void encode_boxed(const PduRef& ref, ByteWriter& w) {
   }
   const std::size_t len_at = w.size();
   w.u32(0);
-  encode_pdu_into(ref->value, w);
+  tagged(w, ref->value);
   const std::size_t len = w.size() - len_at - 4;
   if (len > UINT32_MAX) throw CodecError("inner PDU too large");
   w.patch_u32(len_at, static_cast<std::uint32_t>(len));
@@ -173,18 +173,16 @@ NasMessage decode_nas(ByteReader& r) {
   return msg;
 }
 
-void encode_pdu_into(const Pdu& pdu, ByteWriter& w) { tagged(w, pdu); }
-
 std::vector<std::uint8_t> encode_pdu(const Pdu& pdu) {
   ByteWriter w;
-  encode_pdu_into(pdu, w);
+  tagged(w, pdu);
   return w.take();
 }
 
 PooledBuffer encode_pdu_pooled(const Pdu& pdu) {
   PooledBuffer buf = BufferPool::local().acquire(kPduReserveBytes);
   ByteWriter w(std::move(*buf));
-  encode_pdu_into(pdu, w);
+  tagged(w, pdu);
   *buf = w.take();
   return buf;
 }
@@ -199,7 +197,7 @@ Pdu decode_pdu(std::span<const std::uint8_t> bytes) {
 
 std::size_t wire_size(const Pdu& pdu) {
   ByteWriter w = ByteWriter::counting();
-  encode_pdu_into(pdu, w);
+  tagged(w, pdu);
   return w.size();
 }
 

@@ -25,16 +25,12 @@ namespace scale::proto {
 std::vector<std::uint8_t> encode_pdu(const Pdu& pdu);
 [[nodiscard]] Pdu decode_pdu(std::span<const std::uint8_t> bytes);
 
-/// Encode into an existing writer (family tag + body); the primitive the
-/// allocating and pooled entry points share.
-void encode_pdu_into(const Pdu& pdu, ByteWriter& w);
-
 /// Encode into a buffer leased from BufferPool::local(): zero allocations in
 /// steady state. The handle recycles the storage when it goes out of scope.
 PooledBuffer encode_pdu_pooled(const Pdu& pdu);
 
 // std::size_t wire_size(const Pdu&) is declared in pdu.h, because every
-// PduBox sizes itself once, when it is built: encode_pdu_into against a
+// PduBox sizes itself once, when it is built: the encoder runs against a
 // counting ByteWriter, where a nested PduRef counts as its length word plus
 // the inner box's memoised wire_bytes. It always equals
 // encode_pdu(pdu).size() and never allocates.

@@ -18,7 +18,6 @@ Time CpuModel::enqueue(Duration work) {
   const Time start = std::max(engine_.now(), busy_until_);
   busy_until_ = start + scaled;
   total_assigned_ += scaled;
-  ++submitted_;
   return busy_until_;
 }
 

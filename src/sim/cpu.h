@@ -19,11 +19,6 @@ namespace scale::sim {
 
 class CpuModel {
  public:
-  /// Capture budget of an execute() callback: InlineAction's inline buffer
-  /// less the model pointer the completion event adds.
-  static constexpr std::size_t kCallbackBytes =
-      InlineAction::kInlineBytes - sizeof(CpuModel*);
-
   /// speed_factor scales service times: 2.0 halves every execution time
   /// (a faster VM flavor).
   CpuModel(Engine& engine, double speed_factor = 1.0);
@@ -68,9 +63,6 @@ class CpuModel {
 
   /// Jobs whose completion callback has fired.
   std::uint64_t completed_jobs() const { return completed_; }
-  std::uint64_t submitted_jobs() const { return submitted_; }
-
-  double speed_factor() const { return speed_; }
 
   /// Change the speed factor mid-run (fault scripting: a "slow VM" — noisy
   /// neighbor, thermal throttle — is modeled by dropping this below 1.0 at
@@ -82,6 +74,11 @@ class CpuModel {
   void set_speed_factor(double factor);
 
  private:
+  /// Capture budget of an execute() callback: InlineAction's inline buffer
+  /// less the model pointer the completion event adds.
+  static constexpr std::size_t kCallbackBytes =
+      InlineAction::kInlineBytes - sizeof(CpuModel*);
+
   /// FIFO bookkeeping shared by every execute() instantiation: scale the
   /// work, extend the busy horizon, and return the completion instant.
   Time enqueue(Duration work);
@@ -90,7 +87,6 @@ class CpuModel {
   double speed_;
   Time busy_until_ = Time::zero();
   Duration total_assigned_ = Duration::zero();  // post-scaling work
-  std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
 };
 

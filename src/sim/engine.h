@@ -61,8 +61,6 @@ using EventId = std::uint64_t;
 
 class Engine {
  public:
-  using Action = InlineAction;
-
   Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;

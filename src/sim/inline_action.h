@@ -40,13 +40,6 @@ class InlineAction {
   /// [this, from, code, PduRef].
   static constexpr std::size_t kInlineBytes = 40;
 
-  /// True when F fits the inline buffer — the only storage there is.
-  template <typename F>
-  static constexpr bool fits_inline =
-      sizeof(F) <= kInlineBytes &&
-      alignof(F) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<F>;
-
   InlineAction() = default;
 
   template <typename F,
@@ -111,6 +104,13 @@ class InlineAction {
   }
 
  private:
+  /// True when F fits the inline buffer — the only storage there is.
+  template <typename F>
+  static constexpr bool fits_inline =
+      sizeof(F) <= kInlineBytes &&
+      alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   struct VTable {
     void (*invoke)(std::byte* s);
     /// Move-construct into dst's raw storage, destroy src. nullptr means

@@ -170,15 +170,4 @@ std::vector<std::string> CpuSampler::names() const {
   return names;
 }
 
-void CpuSampler::export_metrics(obs::MetricsRegistry& reg,
-                                const std::string& prefix) const {
-  for (const auto& [name, t] : tracked_) {
-    const std::string base = prefix + ".cpu." + obs::metric_component(name);
-    reg.set_counter(base + ".samples", t.series.size());
-    if (t.series.empty()) continue;
-    reg.set(base + ".mean_util", t.series.mean_value());
-    reg.set(base + ".peak_util", t.series.max_value());
-  }
-}
-
 }  // namespace scale::sim

@@ -130,11 +130,6 @@ class CpuSampler {
   bool has(const std::string& name) const;
   std::vector<std::string> names() const;
 
-  /// Publish per-CPU mean/peak utilization gauges under
-  /// `prefix` + ".cpu.<name>.".
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix) const;
-
  private:
   void tick();
 

@@ -20,30 +20,28 @@ const char* fault_cause_name(FaultCause c) {
 }
 
 namespace {
-// Keeps the fault stream decorrelated from the jitter stream when both are
-// derived from the same user-facing seed.
+// Salts the fault stream's seed; kept so every seed draws the same faults it
+// always has.
 constexpr std::uint64_t kFaultSeedSalt = 0xFA517EDB17E5ull;
 // DC ids index a dense matrix; anything this large is a config bug.
 constexpr std::uint32_t kMaxDcId = 4096;
 // Node ids index dense per-node tables. Fabric numbers endpoints from 1, so
 // an id this large is a corrupt id, not a world with that many nodes.
 constexpr NodeId kMaxNodeId = NodeId{1} << 20;
+
+bool any_fault(const LinkFaults& f) {
+  return f.drop_prob > 0.0 || f.dup_prob > 0.0 || f.reorder_prob > 0.0;
+}
 }  // namespace
 
-Network::Network(Duration default_latency, std::uint64_t jitter_seed)
-    : default_latency_(default_latency), jitter_rng_(jitter_seed),
-      fault_rng_(jitter_seed ^ kFaultSeedSalt) {}
+Network::Network(Duration default_latency, std::uint64_t seed)
+    : default_latency_(default_latency), fault_rng_(seed ^ kFaultSeedSalt) {}
 
 void Network::set_latency(NodeId a, NodeId b, Duration latency,
                           bool symmetric) {
   SCALE_CHECK(latency >= Duration::zero());
   latency_[pair_key(a, b)] = latency;
   if (symmetric) latency_[pair_key(b, a)] = latency;
-}
-
-void Network::set_jitter(double fraction) {
-  SCALE_CHECK(fraction >= 0.0 && fraction < 1.0);
-  jitter_ = fraction;
 }
 
 void Network::set_node_dc(NodeId node, std::uint32_t dc) {
@@ -87,7 +85,7 @@ Duration Network::dc_latency(std::uint32_t dc_a, std::uint32_t dc_b) const {
   return Duration::us(*cell);
 }
 
-Duration Network::configured_latency(NodeId a, NodeId b) const {
+Duration Network::delay(NodeId a, NodeId b) const {
   // Per-pair overrides are the cold fallback: most worlds have none, so the
   // hot path skips the map probe entirely on one empty() branch.
   if (!latency_.empty()) {
@@ -97,12 +95,6 @@ Duration Network::configured_latency(NodeId a, NodeId b) const {
   const std::uint32_t dc_a = dc_of(a), dc_b = dc_of(b);
   if (dc_a != dc_b) return dc_latency(dc_a, dc_b);
   return default_latency_;
-}
-
-Duration Network::delay(NodeId a, NodeId b) {
-  const Duration base = configured_latency(a, b);
-  if (jitter_ == 0.0) return base;
-  return base * jitter_rng_.uniform(1.0 - jitter_, 1.0 + jitter_);
 }
 
 void Network::record_transfer(NodeId a, NodeId b, std::size_t bytes) {
@@ -141,7 +133,7 @@ void Network::set_global_faults(const LinkFaults& faults) {
   SCALE_CHECK(faults.dup_prob >= 0.0 && faults.dup_prob <= 1.0);
   SCALE_CHECK(faults.reorder_prob >= 0.0 && faults.reorder_prob <= 1.0);
   global_faults_ = faults;
-  has_global_faults_ = faults.any();
+  has_global_faults_ = any_fault(faults);
   faults_enabled_ = true;
 }
 

@@ -2,18 +2,16 @@
 //
 // Replaces the paper's physical LAN plus netem-emulated inter-DC links
 // (§5, E4-ii): every ordered node pair has a one-way latency; unspecified
-// pairs fall back to a default. Optional multiplicative jitter models
-// queueing noise on the path. Byte/message counters expose the signaling
+// pairs fall back to a default. Byte/message counters expose the signaling
 // overhead that Figs. 2(c) and 8(b,c) attribute to reactive reassignment.
 //
 // FaultPlane: the network additionally owns the deterministic fault model —
 // per-link / global stochastic faults (drop, duplicate, reorder-delay) and
 // scripted timed faults (link down, DC partition, latency spike). Faults are
-// driven by a dedicated Rng, separate from the jitter Rng, so the clean path
-// consumes zero fault draws and enabling jitter never perturbs fault
-// outcomes (and vice versa). Scripted windows are checked before any
-// stochastic draw, so scripted outcomes consume no randomness at all —
-// same-seed runs replay byte-identically.
+// driven by a dedicated Rng that only stochastic fault specs draw from, so
+// the clean path consumes zero fault draws. Scripted windows are checked
+// before any stochastic draw, so scripted outcomes consume no randomness at
+// all — same-seed runs replay byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +35,6 @@ struct LinkFaults {
   double dup_prob = 0.0;      ///< PDU delivered twice
   double reorder_prob = 0.0;  ///< PDU delayed by reorder_window (overtaken)
   Duration reorder_window = Duration::ms(2.0);
-
-  bool any() const {
-    return drop_prob > 0.0 || dup_prob > 0.0 || reorder_prob > 0.0;
-  }
 };
 
 /// Why the FaultPlane dropped (or perturbed) a PDU — carried on the verdict
@@ -72,7 +66,7 @@ struct FaultVerdict {
 class Network {
  public:
   explicit Network(Duration default_latency = Duration::us(500),
-                   std::uint64_t jitter_seed = 42);
+                   std::uint64_t seed = 42);
 
   /// Set the one-way latency for (a -> b); with symmetric=true also (b -> a).
   void set_latency(NodeId a, NodeId b, Duration latency,
@@ -88,16 +82,9 @@ class Network {
   /// Configured DC-to-DC latency (default latency when unset or same DC).
   Duration dc_latency(std::uint32_t dc_a, std::uint32_t dc_b) const;
 
-  /// Multiplicative jitter fraction j: actual = latency * U[1-j, 1+j].
-  void set_jitter(double fraction);
-  double jitter() const { return jitter_; }
-
-  /// One-way delay for a message a -> b (with jitter applied, if any). The
-  /// jitter-off path (default in every bench) draws nothing.
-  Duration delay(NodeId a, NodeId b);
-
-  /// Deterministic (jitter-free) configured latency.
-  Duration configured_latency(NodeId a, NodeId b) const;
+  /// One-way delay for a message a -> b: the pair's latency, else the DC
+  /// matrix entry for a cross-DC pair, else the default.
+  Duration delay(NodeId a, NodeId b) const;
 
   /// Accounting hook: call per message sent.
   void record_transfer(NodeId a, NodeId b, std::size_t bytes);
@@ -165,7 +152,6 @@ class Network {
   void grow_dc_matrix(std::uint32_t need_dim);
 
   Duration default_latency_;
-  double jitter_ = 0.0;
   std::unordered_map<std::uint64_t, Duration> latency_;
   /// DC of each node, indexed by NodeId; ids past the end are in DC 0.
   std::vector<std::uint32_t> node_dc_;
@@ -178,7 +164,6 @@ class Network {
   std::uint32_t dc_dim_ = 0;
   std::vector<std::int64_t> dc_matrix_;
 
-  Rng jitter_rng_;
   Rng fault_rng_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;

@@ -7,6 +7,11 @@
 
 namespace scale::testbed {
 
+namespace {
+/// One-way latency of every node pair a world does not configure.
+constexpr Duration kDefaultLatency = Duration::us(500);
+}  // namespace
+
 std::vector<epc::EnodeB*> Testbed::Site::enb_ptrs() const {
   std::vector<epc::EnodeB*> out;
   out.reserve(enbs.size());
@@ -22,7 +27,7 @@ std::vector<epc::Ue*> Testbed::Site::ue_ptrs() const {
 }
 
 Testbed::Testbed(Config cfg)
-    : cfg_(cfg), network_(cfg.default_latency, cfg.seed ^ 0xABCD),
+    : cfg_(cfg), network_(kDefaultLatency, cfg.seed ^ 0xABCD),
       fabric_(engine_, network_), rng_(cfg.seed) {
   SCALE_CHECK_MSG(cfg.threads == 0,
                   "Testbed::Config::threads must be 0: the simulator runs "
@@ -124,16 +129,14 @@ std::size_t Testbed::register_all(Site& site, Duration window,
       if (!ue->registered() && !ue->busy()) ue->attach();
     });
   }
-  run_until(start + window + settle);
+  engine_.run_until(start + window + settle);
   std::size_t registered = 0;
   for (const auto& ue : site.ues)
     if (ue->registered()) ++registered;
   return registered;
 }
 
-void Testbed::run_for(Duration d) { run_until(engine_.now() + d); }
-
-void Testbed::run_until(Time t) { engine_.run_until(t); }
+void Testbed::run_for(Duration d) { engine_.run_until(engine_.now() + d); }
 
 double Testbed::p99_ms(const std::string& bucket) const {
   if (!delays_.has(bucket)) return 0.0;

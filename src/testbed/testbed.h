@@ -35,7 +35,6 @@ inline constexpr std::uint64_t kUeTrackBase = 50'000;
 class Testbed {
  public:
   struct Config {
-    Duration default_latency = Duration::us(500);
     /// Re-attach automatically (after a short backoff) when a procedure
     /// fails and leaves the UE deregistered.
     bool auto_reattach = true;
@@ -70,7 +69,6 @@ class Testbed {
   epc::Fabric& fabric() { return fabric_; }
   epc::Hss& hss() { return *hss_; }
   sim::DelayRecorder& delays() { return delays_; }
-  Rng& rng() { return rng_; }
 
   /// Create a site: one S-GW plus `num_enbs` eNodeBs in tracking area
   /// `tac`, all placed in `dc_id` for network-latency purposes.
@@ -101,7 +99,6 @@ class Testbed {
 
   /// Advance simulated time.
   void run_for(Duration d);
-  void run_until(Time t);
 
   /// Convenience percentile lookup (ms) for one procedure bucket.
   double p99_ms(const std::string& bucket) const;

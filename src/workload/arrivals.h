@@ -46,12 +46,10 @@ class OpenLoopDriver {
 
   /// Generate arrivals in [now, until).
   void start(Time until);
-  void stop() { running_ = false; }
   void set_rate(double rate_per_sec);
 
   std::uint64_t arrivals() const { return arrivals_; }
   std::uint64_t issued() const { return issued_; }
-  std::uint64_t dropped() const { return arrivals_ - issued_; }
 
  private:
   void schedule_next();

@@ -56,10 +56,7 @@ TEST(Geo, GossipPropagatesAvailableBudget) {
   w.clusters[1]->geo().set_budget(42.0);
   w.tb.run_for(Duration::sec(2.0));
   // DC0 learned DC1's Ŝ via gossip.
-  bool known = false;
-  for (const auto& p : w.clusters[0]->geo().peers())
-    if (p.dc_id == 1 && p.known_available > 40.0) known = true;
-  EXPECT_TRUE(known);
+  EXPECT_GT(w.clusters[0]->geo().peer_available(1), 40.0);
   EXPECT_GT(w.clusters[1]->geo().gossips_sent(), 2u);
 }
 
@@ -92,7 +89,7 @@ TEST(Geo, ChooseRemoteFavorsNearbyDcs) {
   for (int i = 0; i < 20000; ++i) {
     const auto pick = geo.choose_remote(rng);
     ASSERT_TRUE(pick.has_value());
-    (pick->dc_id == 1 ? near : far)++;
+    (*pick == 1 ? near : far)++;
   }
   // p ∝ 1/D: 10:1 ratio expected — but both are picked (no hot-spotting).
   EXPECT_NEAR(static_cast<double>(near) / (near + far), 10.0 / 11.0, 0.02);
@@ -110,7 +107,7 @@ TEST(Geo, ChooseRemoteSkipsExhaustedDcs) {
   for (int i = 0; i < 100; ++i) {
     const auto pick = geo.choose_remote(rng);
     ASSERT_TRUE(pick.has_value());
-    EXPECT_EQ(pick->dc_id, 2u);
+    EXPECT_EQ(*pick, 2u);
   }
   geo.on_gossip(proto::GeoBudgetGossip{2, 0.0});
   EXPECT_FALSE(geo.choose_remote(rng).has_value());

@@ -48,6 +48,10 @@ LintRun run_lint(const std::string& args) {
 }
 
 const std::string kFixtures = std::string("--root ") + SCALE_LINT_FIXTURES;
+/// Rule L9's own fixture root: it needs tests/ and wholerun/src/ trees of
+/// its own, which the per-rule fixture runs above never scan.
+const std::string kReach =
+    std::string("--root ") + SCALE_LINT_FIXTURES + "/reach";
 
 TEST(ScaleLint, FixtureTreeYieldsExactPerRuleCounts) {
   const LintRun r = run_lint(kFixtures + " src bench");
@@ -115,6 +119,34 @@ TEST(ScaleLint, OutOfScopeIterationIsNotFlagged) {
 TEST(ScaleLint, MissingExplicitPathIsAUsageError) {
   const LintRun r = run_lint(kFixtures + " no/such/dir");
   EXPECT_EQ(r.exit_code, 2);
+}
+
+TEST(ScaleLint, ReachFlagsPublicApiNothingElseNames) {
+  const LintRun r = run_lint(kReach + " src tests");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(r.count("[L9]"), 4u) << r.output;
+  EXPECT_EQ(r.count("src/core/l9_bad.h"), 4u) << r.output;
+  // A Config field nothing sets, a member only its own .cpp calls, a free
+  // function nothing calls, and an unreached waiver without a reason.
+  EXPECT_EQ(r.count("'Widget::Config::knob'"), 1u) << r.output;
+  EXPECT_EQ(r.count("'Widget::polish'"), 1u) << r.output;
+  EXPECT_EQ(r.count("'unused_helper'"), 1u) << r.output;
+  EXPECT_EQ(r.count("unreached waiver needs a reason"), 1u) << r.output;
+}
+
+TEST(ScaleLint, ReachCountsTestsWholeRunMacrosAndWireFields) {
+  // l9_ok.h's names are reached only from tests/, only from wholerun/src/,
+  // only inside a #define body and only through a kFields list; one more
+  // carries an unreached waiver. Clean with tests/ in the scan...
+  const std::string ok_files = " src/core/l9_ok.h src/proto/l9_codec.h";
+  const LintRun ok = run_lint(kReach + ok_files + " tests");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_TRUE(ok.output.empty()) << ok.output;
+  // ...while wholerun/src/ is indexed whatever the scan: without tests/,
+  // only the test-reached function loses its reach.
+  const LintRun no_tests = run_lint(kReach + ok_files);
+  EXPECT_EQ(no_tests.count("[L9]"), 1u) << no_tests.output;
+  EXPECT_EQ(no_tests.count("'only_from_tests'"), 1u) << no_tests.output;
 }
 
 TEST(ScaleLint, RealTreeIsClean) {
@@ -202,8 +234,8 @@ TEST(ScaleLintJson, RealTreeReportIsCleanAndInventoriesWaivers) {
   const auto problems = scale::obs::validate_lint_json(*doc);
   for (const auto& p : problems) ADD_FAILURE() << p;
   EXPECT_EQ(doc->find("findings")->size(), 0u);
-  // The audited singletons (BufferPool::local, block_freelist,
-  // action_block_freelist, Tracer::current_) plus any L2/L5 waivers must all
+  // The audited singletons (BufferPool::local, BoxAlloc::freelist,
+  // Tracer::current_) plus any L2/L5/L9 waivers must all
   // be inventoried — the report is how a reviewer sees the audit surface.
   // Since Tracer::current_ became thread_local the tree holds no
   // shard-shared singleton at all (every audited global is per-thread), so
@@ -252,6 +284,46 @@ TEST(ScaleLintJson, CompareLintFailsOnNewFindingsAndWaivers) {
   std::remove(clean.c_str());
   std::remove(dirty.c_str());
   std::remove(waived.c_str());
+}
+
+TEST(ScaleLintJson, ReportWithoutTheL9RowFailsValidation) {
+  const std::string path = tmp_json("no_l9");
+  run_lint(kReach + " --json " + path + " src/proto/l9_codec.h");
+  const auto doc = scale::obs::Json::parse(slurp(path));
+  std::remove(path.c_str());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_TRUE(scale::obs::validate_lint_json(*doc).empty());
+  scale::obs::Json by_rule = scale::obs::Json::object();
+  for (const auto& [rule, n] : doc->find("counts")->find("by_rule")->members())
+    if (rule != "L9") by_rule.set(rule, n);
+  scale::obs::Json counts = *doc->find("counts");
+  counts.set("by_rule", std::move(by_rule));
+  scale::obs::Json stripped = *doc;
+  stripped.set("counts", std::move(counts));
+  EXPECT_FALSE(scale::obs::validate_lint_json(stripped).empty());
+}
+
+TEST(ScaleLintJson, CompareLintFailsOnNewL9FindingsAndWaivers) {
+  const std::string clean = tmp_json("l9_clean");
+  const std::string found = tmp_json("l9_found");
+  const std::string waived = tmp_json("l9_waived");
+  run_lint(kReach + " --json " + clean + " src/proto/l9_codec.h");
+  run_lint(kReach + " --json " + found + " src/core/l9_bad.h");
+  run_lint(kReach + " --json " + waived +
+           " src/core/l9_ok.h src/proto/l9_codec.h tests");
+  const auto doc = scale::obs::Json::parse(slurp(waived));
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->find("waivers")->size(), 1u);
+  const scale::obs::Json& w = doc->find("waivers")->elements()[0];
+  EXPECT_EQ(w.find("kind")->as_string(), "unreached");
+  EXPECT_EQ(w.find("reason")->as_string(), "kept for a caller that lands next");
+  const auto compare = [](const std::string& a, const std::string& b) {
+    return run_json_check("--compare-lint " + a + " " + b).exit_code;
+  };
+  EXPECT_EQ(compare(clean, found), 1);
+  EXPECT_EQ(compare(clean, waived), 1);
+  EXPECT_EQ(compare(waived, waived), 0);
+  for (const auto& f : {clean, found, waived}) std::remove(f.c_str());
 }
 
 }  // namespace

@@ -50,16 +50,6 @@ TEST(Network, UnknownNodeDefaultsToDcZero) {
   EXPECT_EQ(net.dc_of(42), 3u);
 }
 
-TEST(Network, JitterBoundsDelay) {
-  Network net(Duration::us(1000));
-  net.set_jitter(0.2);
-  for (int i = 0; i < 2000; ++i) {
-    const Duration d = net.delay(1, 2);
-    EXPECT_GE(d, Duration::us(800));
-    EXPECT_LE(d, Duration::us(1200));
-  }
-}
-
 TEST(Network, MessagesBetweenAcrossGrowingNodeIds) {
   // Per-pair counts live in per-sender rows grown on demand: senders and
   // receivers far past any row seen so far, and lookups past a row's end
@@ -110,12 +100,6 @@ TEST(Network, DcOfReadsZeroPastTheTable) {
   net.set_node_dc(5, 1);
   EXPECT_EQ(net.dc_of(5), 1u);
   EXPECT_EQ(net.dc_of(1000), 2u);
-}
-
-TEST(Network, JitterValidation) {
-  Network net;
-  EXPECT_THROW(net.set_jitter(-0.1), scale::CheckError);
-  EXPECT_THROW(net.set_jitter(1.0), scale::CheckError);
 }
 
 TEST(Network, TransferAccounting) {
@@ -236,23 +220,6 @@ TEST(FaultPlane, SameSeedReplaysIdentically) {
     EXPECT_EQ(va.extra_delay, vb.extra_delay);
   }
   EXPECT_EQ(a.fault_counters(), b.fault_counters());
-}
-
-TEST(FaultPlane, FaultStreamIndependentOfJitterStream) {
-  // Jitter draws between verdicts must not perturb fault outcomes: the two
-  // subsystems own separate Rngs.
-  Network quiet(Duration::us(500), 77);
-  Network noisy(Duration::us(500), 77);
-  noisy.set_jitter(0.3);
-  LinkFaults f;
-  f.drop_prob = 0.5;
-  quiet.set_global_faults(f);
-  noisy.set_global_faults(f);
-  for (int i = 0; i < 300; ++i) {
-    (void)noisy.delay(1, 2);  // consumes jitter randomness
-    EXPECT_EQ(quiet.fault_verdict(1, 2, Time::zero()).deliver,
-              noisy.fault_verdict(1, 2, Time::zero()).deliver);
-  }
 }
 
 TEST(FaultPlane, ScriptedWindowsConsumeNoRandomness) {

@@ -6,7 +6,8 @@
 // entropy — compile fine, pass most tests, and silently break replay. This
 // tool makes them build failures instead of review findings. It also audits
 // hidden process-global mutable state and cross-layer include back-edges —
-// what breaks determinism once independent worlds share a process.
+// what breaks determinism once independent worlds share a process — and
+// public API that nothing calls.
 //
 // It is deliberately a *lexer*, not a compiler plugin: comments and string
 // literals are blanked (preserving line/column structure) and the rules match
@@ -19,9 +20,12 @@
 // the global-state inventory), the tool runs two passes:
 //   pass 1  index every file: quoted #include edges, plus — in the
 //           shard-audited dirs — every symbol declared at namespace scope or
-//           with static/thread_local storage, and every `// lint:` waiver.
+//           with static/thread_local storage, every `// lint:` waiver, and
+//           the identifiers each file names (L9's reach index, which also
+//           takes in wholerun/src/ without linting it).
 //   pass 2  enforce the rules below against the per-file lex *and* the
-//           project-wide index (L7 walks the include graph).
+//           project-wide index (L7 walks the include graph, L9 looks names
+//           up in the reach index).
 //
 // Rules (see DESIGN.md §6 for the contract):
 //   L1  nondeterminism sources: std::rand/srand, wall-clock reads (time(),
@@ -61,6 +65,13 @@
 //       substrate everything instruments against (sim includes obs, never
 //       the reverse) and core's MmpNode derives from mme::ClusterVm, so mme
 //       sits below core. Any edge violating the order fails.
+//   L9  reach: every public member function, public data member and free
+//       function a src/**/*.h declares must be named by a file other than
+//       its own .h/.cpp — any scanned file (tests included) or
+//       wholerun/src/. A name in a #define body and a member listed in its
+//       struct's kFields count as named. Waive with
+//       `// lint: unreached(<reason>)` on the declaration or in the comment
+//       block directly above it. (There is no L8.)
 //
 // `--json FILE` additionally writes a deterministic "scale-lint-v1" report
 // (findings, waiver inventory, index counts) via obs::Json; tier-1 diffs it
@@ -87,10 +98,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Every rule the report counts (L8 was never assigned).
+constexpr const char* kRules[] = {"L1", "L2", "L3", "L4", "L5",
+                                  "L6", "L7", "L9"};
+
 struct Finding {
   std::string file;  // root-relative path
   std::size_t line = 0;
-  std::string rule;  // "L1".."L7"
+  std::string rule;  // one of kRules
   std::string message;
 };
 
@@ -248,16 +263,11 @@ bool comment_has(const LexedFile& f, std::size_t line, const char* needle) {
   return it != f.comments.end() && it->second.find(needle) != std::string::npos;
 }
 
-/// `// lint: order-independent` on the flagged line or the line above.
-bool annotated_order_independent(const LexedFile& f, std::size_t line) {
-  return comment_has(f, line, "lint: order-independent") ||
-         (line > 1 && comment_has(f, line - 1, "lint: order-independent"));
-}
-
-/// `// lint: by-value-ok` on the flagged line or the line above (rule L5).
-bool annotated_by_value_ok(const LexedFile& f, std::size_t line) {
-  return comment_has(f, line, "lint: by-value-ok") ||
-         (line > 1 && comment_has(f, line - 1, "lint: by-value-ok"));
+/// `marker` (`lint: order-independent` for L2, `lint: by-value-ok` for L5)
+/// on the flagged line or the line above.
+bool annotated(const LexedFile& f, std::size_t line, const char* marker) {
+  return comment_has(f, line, marker) ||
+         (line > 1 && comment_has(f, line - 1, marker));
 }
 
 // ------------------------------------------------------------- path scoping
@@ -266,10 +276,13 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-bool in_l2_scope(const std::string& rel) {
+bool in_l5_scope(const std::string& rel) {
   return starts_with(rel, "src/sim/") || starts_with(rel, "src/core/") ||
-         starts_with(rel, "src/epc/") || starts_with(rel, "src/mme/") ||
-         starts_with(rel, "src/obs/");
+         starts_with(rel, "src/epc/") || starts_with(rel, "src/mme/");
+}
+
+bool in_l2_scope(const std::string& rel) {
+  return in_l5_scope(rel) || starts_with(rel, "src/obs/");
 }
 
 bool in_l3_scope(const std::string& rel) {
@@ -277,19 +290,12 @@ bool in_l3_scope(const std::string& rel) {
          starts_with(rel, "src/epc/reliable.");
 }
 
-bool in_l5_scope(const std::string& rel) {
-  return starts_with(rel, "src/sim/") || starts_with(rel, "src/core/") ||
-         starts_with(rel, "src/epc/") || starts_with(rel, "src/mme/");
-}
-
 /// Shard-audited dirs for rule L6: everything a world's event loop touches
 /// on its hot path. common/ is deliberately out (logging/time bridging are
 /// sanctioned process singletons); workload/testbed/analysis run pre/post
 /// simulation on the driver thread.
 bool in_l6_scope(const std::string& rel) {
-  return starts_with(rel, "src/sim/") || starts_with(rel, "src/core/") ||
-         starts_with(rel, "src/epc/") || starts_with(rel, "src/mme/") ||
-         starts_with(rel, "src/proto/") || starts_with(rel, "src/obs/");
+  return in_l2_scope(rel) || starts_with(rel, "src/proto/");
 }
 
 bool l1_exempt(const std::string& rel) {
@@ -325,7 +331,8 @@ std::string layer_of(const std::string& rel) {
 struct Waiver {
   std::string file;
   std::size_t line = 0;
-  std::string kind;    // order-independent | by-value-ok | shard-local | shard-shared
+  // order-independent | by-value-ok | shard-local | shard-shared | unreached
+  std::string kind;
   std::string reason;  // shard-shared parenthetical / trailing rationale text
 };
 
@@ -373,14 +380,14 @@ std::vector<IncludeRef> extract_includes(const std::string& raw) {
   return out;
 }
 
-/// Scan a file's comments for `lint:` waivers (all four kinds). The marker
+/// Scan a file's comments for `lint:` waivers (all five kinds). The marker
 /// must *lead* the comment — a comment merely mentioning a waiver (rule
 /// documentation, finding-message text) is not one.
 std::vector<Waiver> extract_waivers(const std::string& rel,
                                     const LexedFile& f) {
   std::vector<Waiver> out;
   static const std::regex w_re(
-      R"(^[\s/*!<]*lint:\s*(order-independent|by-value-ok|shard-local|shard-shared))");
+      R"(^[\s/*!<]*lint:\s*(order-independent|by-value-ok|shard-local|shard-shared|unreached))");
   for (const auto& [line, text] : f.comments) {
     std::smatch m;
     if (std::regex_search(text, m, w_re)) {
@@ -390,7 +397,7 @@ std::vector<Waiver> extract_waivers(const std::string& rel,
       w.kind = m[1].str();
       std::string rest =
           text.substr(static_cast<std::size_t>(m.position() + m.length()));
-      if (w.kind == "shard-shared") {
+      if (w.kind == "shard-shared" || w.kind == "unreached") {
         const std::size_t open = rest.find('(');
         const std::size_t close = rest.find(')', open + 1);
         if (open != std::string::npos && close != std::string::npos)
@@ -427,18 +434,27 @@ bool decl_blocklisted(const std::string& tok) {
   return kBlock.count(tok) != 0;
 }
 
-/// Builtin type / specifier words that cannot themselves be a declarator.
-bool type_word(const std::string& tok) {
-  static const std::set<std::string> kTypes = {
+/// Builtin type keywords that can carry a declaration on their own
+/// (`int g = 0;` has no other type token for the viability check to count).
+bool builtin_type(const std::string& tok) {
+  static const std::set<std::string> kCore = {
       "auto", "void", "bool", "char", "int", "float", "double", "short",
       "long", "signed", "unsigned", "wchar_t", "char8_t", "char16_t",
-      "char32_t", "inline", "static", "thread_local", "mutable", "volatile",
-      "register", "constexpr", "constinit", "const", "alignas"};
-  return kTypes.count(tok) != 0;
+      "char32_t"};
+  return kCore.count(tok) != 0;
+}
+
+/// Builtin type / specifier words that cannot themselves be a declarator.
+bool type_word(const std::string& tok) {
+  static const std::set<std::string> kSpecifiers = {
+      "inline", "static", "thread_local", "mutable", "volatile", "register",
+      "constexpr", "constinit", "const", "alignas"};
+  return builtin_type(tok) || kSpecifiers.count(tok) != 0;
 }
 
 struct DeclHead {
   bool viable = false;
+  bool is_function = false;  // `name(`: a function declarator (rule L9)
   bool has_static = false;
   bool has_thread_local = false;
   bool has_const = false;
@@ -450,19 +466,10 @@ struct DeclHead {
 /// possible variable declaration. `base` is the offset of seg[0] in the
 /// file's code. Preprocessor lines are skipped; `[[...]]` attribute blocks,
 /// `<...>` template argument lists and trailing array extents are elided.
-/// Returns viable=false for anything that is not a plain named variable —
-/// functions, class heads, qualified out-of-class definitions, and every
-/// blocklisted construct. The approximation errs toward false *negatives*.
-/// Builtin type keywords that can carry a declaration on their own
-/// (`int g = 0;` has no other type token for the viability check to count).
-bool builtin_type(const std::string& tok) {
-  static const std::set<std::string> kCore = {
-      "auto", "void", "bool", "char", "int", "float", "double", "short",
-      "long", "signed", "unsigned", "wchar_t", "char8_t", "char16_t",
-      "char32_t"};
-  return kCore.count(tok) != 0;
-}
-
+/// Returns viable=false for anything that is not a plain named variable or
+/// function (is_function) — class heads, qualified out-of-class
+/// definitions, and every blocklisted construct. The approximation errs
+/// toward false *negatives*.
 DeclHead parse_decl_head(const std::string& code, std::size_t base,
                          std::size_t len) {
   DeclHead d;
@@ -503,7 +510,10 @@ DeclHead parse_decl_head(const std::string& code, std::size_t base,
     }
     if (c == '=') break;   // initializer: declarator complete
     if (c == ',') break;   // first declarator only (int a, b; flags `a`)
-    if (c == '(') return d;  // function / ctor-style init: not ours
+    if (c == '(') {  // function (or ctor-style init): never a variable
+      d.is_function = true;
+      break;
+    }
     if (ident_char(c)) {
       std::size_t s = i;
       while (i < end && ident_char(code[i])) ++i;
@@ -581,28 +591,28 @@ DeclHead parse_decl_head(const std::string& code, std::size_t base,
   return d;
 }
 
-/// `// lint: shard-local` / `// lint: shard-shared(reason)` lookup across a
-/// declaration that may span lines: the waiver may sit on any line of the
-/// declaration itself or anywhere in the contiguous comment block directly
-/// above it (rationales are encouraged to run long).
-std::string shard_waiver(const LexedFile& f, std::size_t first_line,
-                         std::size_t name_line) {
+/// A `// lint: <kind>` waiver for a declaration that may span lines: on
+/// any line of the declaration itself or anywhere in the contiguous comment
+/// block directly above it (rationales are encouraged to run long). Returns
+/// "" when absent, else `kind` — suffixed "-empty" when `reasoned` and the
+/// parenthesized reason is missing or empty.
+std::string decl_waiver(const LexedFile& f, std::size_t first_line,
+                        std::size_t name_line, const std::string& kind,
+                        bool reasoned) {
   std::size_t lo = first_line;
   while (lo > 1 && f.comments.count(lo - 1) != 0) --lo;
   for (std::size_t ln = lo; ln <= name_line; ++ln) {
     const auto it = f.comments.find(ln);
     if (it == f.comments.end()) continue;
-    if (it->second.find("lint: shard-local") != std::string::npos)
-      return "shard-local";
-    const std::size_t at = it->second.find("lint: shard-shared");
-    if (at != std::string::npos) {
-      const std::size_t open = it->second.find('(', at);
-      const std::size_t close = it->second.find(')', open + 1);
-      if (open == std::string::npos || close == std::string::npos ||
-          close - open <= 1)
-        return "shard-shared-empty";
-      return "shard-shared";
-    }
+    const std::size_t at = it->second.find("lint: " + kind);
+    if (at == std::string::npos) continue;
+    if (!reasoned) return kind;
+    const std::size_t open = it->second.find('(', at);
+    const std::size_t close = it->second.find(')', open + 1);
+    if (open == std::string::npos || close == std::string::npos ||
+        close - open <= 1)
+      return kind + "-empty";
+    return kind;
   }
   return "";
 }
@@ -654,20 +664,47 @@ Scope classify_brace(const std::string& code, std::size_t seg_start,
   return current == Scope::kFunction ? Scope::kFunction : Scope::kInit;
 }
 
+/// The scope walk L6 and L9 share: split `code` into statement segments at
+/// `;`, `{` and `}`, tracking the scope each sits in. `on_segment(start, end,
+/// cur, opened)` runs at every `;` (opened == cur) and at every `{` (opened
+/// is the scope the brace opens, pushed after the call); `on_close()` runs
+/// at every `}` that pops a scope.
+template <typename OnSegment, typename OnClose>
+void walk_scopes(const std::string& code, OnSegment&& on_segment,
+                 OnClose&& on_close) {
+  std::vector<Scope> stack = {Scope::kNamespace};
+  std::size_t seg_start = 0;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    if (c == '{') {
+      const Scope k = classify_brace(code, seg_start, i, stack.back());
+      on_segment(seg_start, i, stack.back(), k);
+      stack.push_back(k);
+      seg_start = i + 1;
+    } else if (c == '}') {
+      if (stack.size() > 1) {
+        stack.pop_back();
+        on_close();
+      }
+      seg_start = i + 1;
+    } else if (c == ';') {
+      on_segment(seg_start, i, stack.back(), stack.back());
+      seg_start = i + 1;
+    }
+  }
+}
+
 /// Walk a file's scopes and surface every mutable global (rule L6): any
 /// namespace-scope variable, plus any static/thread_local variable at class
 /// or function scope. const/constexpr declarations are immutable and skipped.
 std::vector<GlobalDecl> index_globals(const LexedFile& f) {
   std::vector<GlobalDecl> out;
   const std::string& code = f.code;
-  std::vector<Scope> stack = {Scope::kNamespace};
-  std::size_t seg_start = 0;
 
-  auto analyze = [&](std::size_t seg_end) {
-    const Scope cur = stack.back();
+  auto analyze = [&](std::size_t seg_start, std::size_t seg_end, Scope cur) {
     if (cur == Scope::kInit) return;
     const DeclHead d = parse_decl_head(code, seg_start, seg_end - seg_start);
-    if (!d.viable || d.has_const) return;
+    if (!d.viable || d.has_const || d.is_function) return;
     const bool is_static = d.has_static || d.has_thread_local;
     if (cur != Scope::kNamespace && !is_static) return;
     GlobalDecl g;
@@ -683,25 +720,20 @@ std::vector<GlobalDecl> index_globals(const LexedFile& f) {
                   ? "namespace"
                   : (cur == Scope::kClass ? "class-static" : "function-static");
     g.is_thread_local = d.has_thread_local;
-    g.waiver = shard_waiver(f, g.first_line, g.line);
+    g.waiver = decl_waiver(f, g.first_line, g.line, "shard-local", false);
+    if (g.waiver.empty())
+      g.waiver = decl_waiver(f, g.first_line, g.line, "shard-shared", true);
     out.push_back(std::move(g));
   };
 
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const char c = code[i];
-    if (c == '{') {
-      const Scope k = classify_brace(code, seg_start, i, stack.back());
-      if (k == Scope::kInit) analyze(i);  // brace-initialized declaration
-      stack.push_back(k);
-      seg_start = i + 1;
-    } else if (c == '}') {
-      if (stack.size() > 1) stack.pop_back();
-      seg_start = i + 1;
-    } else if (c == ';') {
-      analyze(i);
-      seg_start = i + 1;
-    }
-  }
+  walk_scopes(
+      code,
+      [&](std::size_t start, std::size_t end, Scope cur, Scope opened) {
+        // A `{` matters only as a brace-initialized declaration.
+        if (code[end] == ';' || opened == Scope::kInit)
+          analyze(start, end, cur);
+      },
+      [] {});
   return out;
 }
 
@@ -784,26 +816,18 @@ std::vector<std::string> decl_names(const std::string& code,
   return names;
 }
 
-/// Names declared as std::unordered_{map,set}.
-std::vector<std::string> unordered_decl_names(const std::string& code) {
-  static const std::regex decl_re(R"(\bstd\s*::\s*unordered_(map|set)\s*<)");
-  return decl_names(code, decl_re);
-}
-
-/// Names declared as (epc::)FlatMap.
-std::vector<std::string> flat_map_decl_names(const std::string& code) {
-  static const std::regex decl_re(R"(\bFlatMap\s*<)");
-  return decl_names(code, decl_re);
-}
-
-/// Declarations L2 tracks; a .cpp also sees its paired header's members.
+/// Declarations L2 tracks — names declared as std::unordered_{map,set} and
+/// as (epc::)FlatMap; a .cpp also sees its paired header's members.
 struct L2Decls {
   std::vector<std::string> unordered;
   std::vector<std::string> flat_maps;
 };
 
 L2Decls l2_decls(const std::string& code) {
-  return {unordered_decl_names(code), flat_map_decl_names(code)};
+  static const std::regex unordered_re(
+      R"(\bstd\s*::\s*unordered_(map|set)\s*<)");
+  static const std::regex flat_map_re(R"(\bFlatMap\s*<)");
+  return {decl_names(code, unordered_re), decl_names(code, flat_map_re)};
 }
 
 void merge_names(std::vector<std::string>& names,
@@ -820,7 +844,7 @@ void flag_l2(const std::string& rel, const LexedFile& f, const std::regex& re,
        it != std::sregex_iterator(); ++it) {
     const std::size_t line =
         line_of(f.code, static_cast<std::size_t>(it->position()));
-    if (annotated_order_independent(f, line)) continue;
+    if (annotated(f, line, "lint: order-independent")) continue;
     out.push_back({rel, line, "L2", message});
   }
 }
@@ -831,20 +855,19 @@ void check_l2(const std::string& rel, const LexedFile& f,
   const std::string fix =
       " — use an ordered container, a sorted snapshot, or annotate "
       "`// lint: order-independent`";
+  L2Decls own = l2_decls(f.code);
+  merge_names(own.flat_maps, sibling.flat_maps);
+  merge_names(own.unordered, sibling.unordered);
   // FlatMap / FlatIndex walks visit entries in table order, which depends
   // on insertion history: the same hazard as hash order.
-  std::vector<std::string> flat_maps = flat_map_decl_names(f.code);
-  merge_names(flat_maps, sibling.flat_maps);
-  for (const auto& name : flat_maps)
+  for (const auto& name : own.flat_maps)
     flag_l2(rel, f,
             std::regex("\\b" + name + "\\s*\\.\\s*for_each\\s*\\("),
             "table-order walk of FlatMap '" + name + "'" + fix, out);
   flag_l2(rel, f, std::regex(R"((\.|->)\s*for_each_entry\s*\()"),
           "table-order walk of a FlatIndex (for_each_entry)" + fix, out);
 
-  std::vector<std::string> names = unordered_decl_names(f.code);
-  merge_names(names, sibling.unordered);
-  for (const auto& name : names) {
+  for (const auto& name : own.unordered) {
     const std::string hazard = "unordered container '" + name +
                                "' — hash order leaks into the trajectory; "
                                "use an ordered container, a sorted "
@@ -1008,7 +1031,7 @@ void check_l5(const std::string& rel, const LexedFile& f,
         !(code[p] == ',' || code[p] == ')' || code[p] == '='))
       continue;
     const std::size_t line = line_of(code, at);
-    if (annotated_by_value_ok(f, line)) continue;
+    if (annotated(f, line, "lint: by-value-ok")) continue;
     out.push_back({rel, line, "L5",
                    "by-value std::function parameter '" + name +
                        "' — every call copies (and usually heap-allocates) "
@@ -1067,6 +1090,181 @@ void check_l7(const FileIndex& fi, std::vector<Finding>& out) {
   }
 }
 
+// ------------------------------------------------------------- L9 reach
+
+/// Every identifier token in `code` (numbers excluded).
+std::set<std::string> identifiers(const std::string& code) {
+  std::set<std::string> out;
+  for (std::size_t i = 0; i < code.size();) {
+    const std::size_t s = i;
+    while (i < code.size() && ident_char(code[i])) ++i;
+    if (i == s)
+      ++i;
+    else if (std::isdigit(static_cast<unsigned char>(code[s])) == 0)
+      out.insert(code.substr(s, i - s));
+  }
+  return out;
+}
+
+/// Where every identifier is named: identifier → the stems (root-relative
+/// path minus extension, so foo.h and foo.cpp share one) of the files that
+/// name it. Two indirect uses reach a name from wherever they sit: a
+/// `#define` body (use sites never spell out the expansion: SCALE_CHECK
+/// calls check_failed) and a struct's `kFields` list (`&Guti::plmn` keys
+/// "Guti::plmn": the codec's field visitor reads and writes the member).
+struct ReachIndex {
+  std::map<std::string, std::set<std::string>> named_in;
+  std::set<std::string> macro_bodies;
+  std::set<std::string> wire_fields;
+
+  void add(const std::string& rel, const std::string& code) {
+    static const std::regex define_re(
+        R"(#[ \t]*define[ \t]+\w+((?:[^\n]*\\\n)*[^\n]*))");
+    static const std::regex fields_re(R"(\bkFields\s*=[^;{]*\{([^}]*)\})");
+    static const std::regex field_re(R"(&\s*(\w+)\s*::\s*(\w+))");
+    const std::string stem = rel.substr(0, rel.rfind('.'));
+    for (const auto& id : identifiers(code)) named_in[id].insert(stem);
+    const std::sregex_iterator none;
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), define_re);
+         it != none; ++it)
+      for (const auto& id : identifiers((*it)[1].str()))
+        macro_bodies.insert(id);
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), fields_re);
+         it != none; ++it) {
+      const std::string list = (*it)[1].str();
+      for (auto f = std::sregex_iterator(list.begin(), list.end(), field_re);
+           f != none; ++f)
+        wire_fields.insert((*f)[1].str() + "::" + (*f)[2].str());
+    }
+  }
+
+  bool reached(const std::string& stem, const std::string& cls,
+               const std::string& name) const {
+    if (macro_bodies.count(name) != 0 ||
+        wire_fields.count(cls + "::" + name) != 0)
+      return true;
+    const auto it = named_in.find(name);
+    return it != named_in.end() &&
+           std::any_of(it->second.begin(), it->second.end(),
+                       [&](const std::string& s) { return s != stem; });
+  }
+};
+
+/// Rule L9 over one src/ header: every public member function, public data
+/// member and free function it declares — found by the L6 scope walk plus
+/// access tracking — must be reached (ReachIndex) or waived. Constructors,
+/// destructors, operators, deleted or defaulted functions, types and
+/// namespace-scope variables are not audited.
+void check_l9(const FileIndex& fi, const ReachIndex& reach,
+              std::vector<Finding>& out) {
+  if (!starts_with(fi.rel, "src/") || fs::path(fi.rel).extension() != ".h")
+    return;
+  struct Frame {
+    Scope kind;
+    std::string owner;  // class chain, e.g. "Hss::Config"; "" outside
+    std::string cls;    // innermost class
+    bool visible;       // nameable from outside the header
+    bool is_public;     // current access (always true outside classes)
+  };
+  static const std::regex access_re(
+      R"(^\s*(public|private|protected)\s*:(?!:))");
+  static const std::regex template_re(R"(^\s*template\s*<)");
+  static const std::regex head_re(
+      R"(\b(class|struct|union|enum)\b(?:\s+(?:class|struct)\b)?\s*)"
+      R"((?:alignas\s*\([^)]*\)\s*)?(\w*))");
+  static const std::regex special_re(R"(=\s*(delete|default)\b)");
+  const std::string& code = fi.lexed.code;
+  const std::string stem = fi.rel.substr(0, fi.rel.rfind('.'));
+  // A class head with template argument lists elided: `template <class Fn>
+  // void f() {` is a member template's body, not a class.
+  auto past_angles = [&](std::size_t k, std::size_t end) {
+    std::string rest;
+    for (int depth = 0; k < end; ++k) {
+      if (code[k] == '<') ++depth;
+      if (depth == 0) rest.push_back(code[k]);
+      if (code[k] == '>' && depth > 0) --depth;
+    }
+    return rest;
+  };
+  std::vector<Frame> frames = {{Scope::kNamespace, "", "", true, true}};
+  walk_scopes(
+      code,
+      [&](std::size_t start, std::size_t end, Scope, Scope opened) {
+        Frame& top = frames.back();
+        const bool in_class = top.kind == Scope::kClass;
+        std::smatch m;
+        std::string seg;
+        while (in_class &&
+               std::regex_search(seg = code.substr(start, end - start), m,
+                                 access_re)) {
+          top.is_public = m[1] == "public";
+          start += static_cast<std::size_t>(m.length());
+        }
+        const bool exposed = top.visible && top.is_public &&
+                             (in_class || top.kind == Scope::kNamespace);
+        Frame next{opened, top.owner, top.cls, false, true};
+        if (code[end] == '{' && opened == Scope::kClass) {
+          const std::string head = past_angles(start, end);
+          if (std::regex_search(head, m, head_re) &&
+              head.find('(') > static_cast<std::size_t>(m.position())) {
+            next.cls = m[2].str();
+            next.owner = top.owner.empty() ? next.cls
+                                           : top.owner + "::" + next.cls;
+            next.visible = exposed && m[1] != "enum" && !next.cls.empty();
+            next.is_public = m[1] != "class";
+          } else {  // a member template's body
+            next.kind = opened = Scope::kFunction;
+          }
+        } else if (code[end] == '{' && opened == Scope::kNamespace) {
+          // An anonymous namespace hides what it declares.
+          next.visible =
+              exposed && identifiers(code.substr(start, end - start)).size() > 1;
+        }
+        if (code[end] == '{') frames.push_back(next);
+        if (!exposed || (code[end] == '{' && opened != Scope::kFunction &&
+                         opened != Scope::kInit))
+          return;
+        seg = code.substr(start, end - start);
+        if (std::regex_search(seg, m, template_re)) {
+          std::size_t k = start + static_cast<std::size_t>(m.length()) - 1;
+          for (int depth = 0; k < end; ++k) {
+            depth += code[k] == '<' ? 1 : code[k] == '>' ? -1 : 0;
+            if (depth == 0) break;
+          }
+          start = k + 1;
+        }
+        const DeclHead d = parse_decl_head(code, start, end - start);
+        if (!d.viable || (!in_class && !d.is_function) ||
+            (in_class && d.name == top.cls) ||
+            (d.is_function &&
+             std::regex_search(code.substr(d.name_off, end - d.name_off),
+                               special_re)) ||
+            reach.reached(stem, top.cls, d.name))
+          return;
+        const std::size_t line = line_of(code, d.name_off);
+        const std::string waiver = decl_waiver(
+            fi.lexed, line_of(code, code.find_first_not_of(" \t\n", start)),
+            line, "unreached", true);
+        if (waiver == "unreached") return;
+        const std::string what =
+            std::string(!in_class        ? "free function"
+                        : d.is_function ? "public member function"
+                                        : "public data member") +
+            " '" + (top.owner.empty() ? "" : top.owner + "::") + d.name + "'";
+        out.push_back(
+            {fi.rel, line, "L9",
+             waiver.empty()
+                 ? what + " is named nowhere outside its own .h/.cpp; delete "
+                          "it, move it into its .cpp, or annotate `// lint: "
+                          "unreached(<reason>)`"
+                 : what + " — unreached waiver needs a reason: `// lint: "
+                          "unreached(<why it stays>)`"});
+      },
+      [&] {
+        if (frames.size() > 1) frames.pop_back();
+      });
+}
+
 // ------------------------------------------------------------------ driver
 
 bool lintable(const fs::path& p) {
@@ -1111,8 +1309,7 @@ scale::obs::Json build_report(std::size_t scanned,
                   static_cast<std::uint64_t>(globals_indexed));
   doc.set("scanned", std::move(scanned_obj));
   Json by_rule = Json::object();
-  for (int r = 1; r <= 7; ++r) {
-    const std::string rule = "L" + std::to_string(r);
+  for (const char* rule : kRules) {
     std::uint64_t n = 0;
     for (const auto& f : findings)
       if (f.rule == rule) ++n;
@@ -1207,8 +1404,10 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // ---- pass 1: index every file (lex, include edges, globals, waivers).
+  // ---- pass 1: index every file (lex, include edges, globals, waivers,
+  // and the identifiers L9's reach set is built from).
   std::vector<FileIndex> index;
+  ReachIndex reach;
   index.reserve(files.size());
   std::size_t include_edges = 0;
   std::size_t globals_indexed = 0;
@@ -1226,7 +1425,18 @@ int main(int argc, char** argv) {
       globals_indexed += fi.globals.size();
     }
     include_edges += fi.includes.size();
+    reach.add(rel, fi.lexed.code);
     index.push_back(std::move(fi));
+  }
+  // WholeRun's sources reach the library but are not linted: L1 would flag
+  // the host clocks its timing needs.
+  const fs::path wholerun = root / "wholerun" / "src";
+  if (fs::is_directory(wholerun)) {
+    for (const auto& e : fs::recursive_directory_iterator(wholerun)) {
+      if (!e.is_regular_file() || !lintable(e.path())) continue;
+      reach.add(fs::relative(e.path(), root, ec).generic_string(),
+                lex(read_file(e.path())).code);
+    }
   }
 
   // ---- pass 2: enforce.
@@ -1260,6 +1470,7 @@ int main(int argc, char** argv) {
     check_l5(fi.rel, fi.lexed, findings);
     check_l6(fi, findings);
     check_l7(fi, findings);
+    check_l9(fi, reach, findings);
     if (findings.size() != before) files_with_findings.insert(fi.rel);
     all_waivers.insert(all_waivers.end(), fi.waivers.begin(),
                        fi.waivers.end());
